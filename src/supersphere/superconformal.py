@@ -21,6 +21,14 @@ coordinate triples, extracts components back, composes, inverts, and
 converts to and from N=1 superanalytic maps (coefficients restricted two
 generators below the ambient algebra so odd partials stay well defined).
 
+Composition computes only the five components of the composite, not its
+full coordinate triple.  Setting odd variables to zero is an algebra
+homomorphism that commutes with substitution, so each component is read
+off the outer triple after substituting a truncated inner triple: the
+theta-free image (f, psi+, psi-) gives f and psi+-, and the image with
+theta- = 0 (theta+ = 0) gives g+ (g-).  Each component is built by the
+normalising constructor, so composites are in canonical form.
+
 Inversion works on the full coordinate triple: the scalar part (a Moebius
 map in z together with the body factors of g+-) is inverted in closed
 form, and the remaining nilpotent correction is removed by a fixed-point
@@ -227,9 +235,6 @@ class SuperconformalMap:
             failures.append("g_minus_body")
         return CheckReport(failures)
 
-    def is_superconformal(self):
-        return self.check().ok
-
     # -- expansion and extraction -------------------------------------------
 
     def expand(self, checked=True):
@@ -253,28 +258,22 @@ class SuperconformalMap:
         return CoordinateTriple(zt, ttp, ttm)
 
     @classmethod
-    def extract(cls, triple, coefficient_bound=True, checked=True):
+    def extract(cls, triple, coefficient_bound=True):
         """Read components off a coordinate triple, checking the two
-        defining conditions first.
-
-        checked=False skips the condition checks; composition uses it
-        because composites of valid maps satisfy them automatically, and
-        the closure suites re-verify that property on the results.
-        """
-        if checked:
-            for sign, image in ((+1, triple.minus), (-1, triple.plus)):
-                if not apply_D(image, sign).is_zero():
-                    label = "D+ tt-" if sign > 0 else "D- tt+"
-                    raise NotSuperconformal(f"{label} is not zero")
-            for sign, image in ((+1, triple.plus), (-1, triple.minus)):
-                opposite = triple.minus if sign > 0 else triple.plus
-                residual = apply_D(triple.even, sign) \
-                    - opposite * apply_D(image, sign)
-                if not residual.is_zero():
-                    label = "D+" if sign > 0 else "D-"
-                    raise NotSuperconformal(
-                        f"{label} zt - tt * {label} tt does not vanish"
-                    )
+        defining conditions first."""
+        for sign, image in ((+1, triple.minus), (-1, triple.plus)):
+            if not apply_D(image, sign).is_zero():
+                label = "D+ tt-" if sign > 0 else "D- tt+"
+                raise NotSuperconformal(f"{label} is not zero")
+        for sign, image in ((+1, triple.plus), (-1, triple.minus)):
+            opposite = triple.minus if sign > 0 else triple.plus
+            residual = apply_D(triple.even, sign) \
+                - opposite * apply_D(image, sign)
+            if not residual.is_zero():
+                label = "D+" if sign > 0 else "D-"
+                raise NotSuperconformal(
+                    f"{label} zt - tt * {label} tt does not vanish"
+                )
         f = triple.even.theta_component(0)
         psi_plus = triple.plus.theta_component(0)
         psi_minus = triple.minus.theta_component(0)
@@ -286,9 +285,41 @@ class SuperconformalMap:
     # -- group operations ----------------------------------------------------
 
     def compose(self, inner):
-        """self after inner, again superconformal (tested, not assumed)."""
-        triple = self.expand(checked=False).compose(inner.expand(checked=False))
-        return SuperconformalMap.extract(triple, checked=False)
+        """self after inner, again superconformal (tested, not assumed).
+
+        Only the five components are computed.  Setting odd variables to
+        zero commutes with substitution, so the inner triple is truncated
+        first: f and psi+- come from the theta-free image (f1, psi1+,
+        psi1-) applied to the outer triple, g+ is the theta+ part of the
+        outer tt+ under the theta- = 0 image, and g- mirrors it.  g+- are
+        built by the normalising constructor, not the theta_component
+        shortcut, so every component is canonical.
+        """
+        outer = self.expand(checked=False)
+        L = self.L
+        f1, psi_plus, psi_minus = inner.f, inner.psi_plus, inner.psi_minus
+        tp = RationalSuperfunction.theta(L, THETA_PLUS)
+        tm = RationalSuperfunction.theta(L, THETA_MINUS)
+        theta_free = Substitution(f1, (psi_plus, psi_minus))
+        tt_plus = Substitution(
+            f1 + tp * (inner.g_plus * psi_minus),
+            (psi_plus + tp * inner.g_plus, psi_minus),
+        )(outer.plus)
+        tt_minus = Substitution(
+            f1 + tm * (inner.g_minus * psi_plus),
+            (psi_plus, psi_minus + tm * inner.g_minus),
+        )(outer.minus)
+        return SuperconformalMap(
+            theta_free(outer.even),
+            RationalSuperfunction(
+                tt_plus.num.theta_component(1 << THETA_PLUS), tt_plus.den
+            ),
+            RationalSuperfunction(
+                tt_minus.num.theta_component(1 << THETA_MINUS), tt_minus.den
+            ),
+            theta_free(outer.plus),
+            theta_free(outer.minus),
+        )
 
     def __matmul__(self, inner):
         return self.compose(inner)

@@ -730,7 +730,7 @@ class RationalSuperfunction:
 
     Canonical form: the denominator is monic with nonzero constant term
     (powers of z are moved into the Laurent numerator) and shares no
-    scalar polynomial factor with the numerator.
+    scalar polynomial factor with the numerator; zero has denominator 1.
     """
 
     __slots__ = ("num", "den")
@@ -738,12 +738,14 @@ class RationalSuperfunction:
     def __init__(self, num, den=None, _normalized=False):
         if den is None:
             den = ScalarPoly.one()
+        elif den.is_zero():
+            raise ZeroDivisionError("zero denominator")
+        elif num.is_zero():
+            den = ScalarPoly.one()
         if _normalized:
             self.num = num
             self.den = den
             return
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
         v = den.valuation()
         if v:
             den = den.shift(-v)
@@ -1100,7 +1102,7 @@ class Substitution:
 
 def _cancel_common_factor(num, den):
     """Divide out the gcd of den with the scalar content of num."""
-    if den.degree() < 1 or num.is_zero():
+    if den.degree() < 1:
         return num, den
     comps = {}
     for (k, m), c in num.terms.items():

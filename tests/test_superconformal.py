@@ -5,6 +5,10 @@ import pytest
 from supersphere.grassmann import NotInvertible, Supernumber
 from supersphere.randgen import Sampler
 from supersphere.scalars import I, grat
+from supersphere.spheres import (
+    SphereAutomorphism,
+    transition_inverse as sphere_transition_inverse,
+)
 from supersphere.superconformal import (
     CoordinateTriple,
     N1SuperanalyticMap,
@@ -152,6 +156,38 @@ class TestComposition:
             c = m2.compose(m1)
             assert c.check().ok
             assert m3.compose(m2).compose(m1) == m3.compose(m2.compose(m1))
+
+    def test_matches_full_triple_composition(self):
+        # reference: compose the full coordinate triples, then extract
+        pairs = []
+        s = Sampler(random.Random(17), L)
+        for _ in range(12):
+            pairs.append((s.superconformal_map(), s.superconformal_map()))
+        for n in range(-4, 5):
+            sn = Sampler(random.Random(1700 + n), L)
+            for _ in range(2):
+                T1, T2 = (SphereAutomorphism.build(sn.automorphism_params(n))
+                          for _ in range(2))
+                pairs.append((T1.southern, T2.southern))
+            if abs(n) in (2, 3):
+                south = T1.southern
+                pairs.append((transition(n), south))
+                pairs.append((south.compose(transition(n)),
+                              sphere_transition_inverse(n, L)))
+        for m1, m2 in pairs:
+            composite = m2.compose(m1)
+            assert composite == SuperconformalMap.extract(
+                m2.expand().compose(m1.expand()))
+            for name, comp in composite.components().items():
+                if comp.is_zero():
+                    assert comp.den.is_one(), name
+                else:
+                    assert comp.den.leading() == grat(1), name
+                    assert comp.den.eval_scalar(grat(0)), name
+                # canonical: normalising again changes nothing
+                renormalised = RSF(comp.num, comp.den)
+                assert (renormalised.num, renormalised.den) == \
+                    (comp.num, comp.den), name
 
     def test_transform_law(self):
         s = Sampler(random.Random(13), L)

@@ -260,6 +260,26 @@ class TestCanonicalForm:
         assert RSF(num, lin * ScalarPoly({1: grat(1), 0: grat(7)})).den == \
             ScalarPoly({1: grat(1), 0: grat(7)})
 
+    @pytest.mark.parametrize("make_zero", [
+        lambda F: F - F,
+        lambda F: F * 0,
+        lambda F: F * grat(0),
+        lambda F: 0 * F,
+        lambda F: F.theta_component(1 << THETA_MINUS),
+        lambda F: F.diff_theta(THETA_PLUS),
+        lambda F: RSF(F.num - F.num, F.den),
+        lambda F: RSF(F.num - F.num, F.den, _normalized=True),
+    ], ids=["sub", "mul", "mul_scalar", "rmul", "theta_component",
+            "diff_theta", "constructor", "normalized_constructor"])
+    def test_zero_has_denominator_one(self, make_zero):
+        z = rsf_z()
+        F = RSF.one(L) / (z - RSF.from_constant(L, grat(2)))
+        assert F.den == ScalarPoly({1: grat(1), 0: grat(-2)})
+        zero = make_zero(F)
+        assert zero.is_zero()
+        assert zero.den.is_one()
+        assert zero == RSF.zero(L)
+
     def test_laurent_normalization(self):
         num = SuperPolynomial(L, 2, {(0, 0): Supernumber.one(L)})
         f = RSF(num, ScalarPoly({3: grat(2)}))
