@@ -7,7 +7,8 @@ serialize the offending operands for replay.
 
 Suite ids follow a dotted scheme (grassmann.laws, spheres.closure.n=2,
 ns.jacobi, ...); `registry` lists them for a configuration and
-`run_campaign` executes them all into a JSON-ready report.
+`run_campaign` executes them all, or one of them, into a JSON-ready
+report.
 """
 
 from __future__ import annotations
@@ -905,9 +906,17 @@ def _config_dict(cfg):
     }
 
 
-def run_campaign(cfg):
-    """Run every registered suite; deterministic for a fixed config."""
+def run_campaign(cfg, only=None):
+    """Run every registered suite, or only the one with id `only`.
+
+    Deterministic for a fixed config; an unknown id raises UsageError.
+    """
     checks = registry(cfg)
+    if only is not None:
+        if only not in checks:
+            known = ", ".join(sorted(checks))
+            raise UsageError(f"unknown check id {only!r}; known ids: {known}")
+        checks = {only: checks[only]}
     records = [_run_one(cid, law, fn, cfg) for cid, (law, fn) in checks.items()]
     failed = sum(r["status"] == "fail" for r in records)
     noted = sum(r["status"] == "discrepancies" for r in records)
@@ -920,27 +929,6 @@ def run_campaign(cfg):
             "failed": failed,
             "with_discrepancies": noted,
             "status": "fail" if failed else "pass",
-        },
-    }
-
-
-def check_single(cid, cfg):
-    """Run one registered suite by id."""
-    checks = registry(cfg)
-    if cid not in checks:
-        known = ", ".join(sorted(checks))
-        raise UsageError(f"unknown check id {cid!r}; known ids: {known}")
-    law, fn = checks[cid]
-    record = _run_one(cid, law, fn, cfg)
-    return {
-        "schema": 1,
-        "config": _config_dict(cfg),
-        "checks": [record],
-        "summary": {
-            "total": 1,
-            "failed": int(record["status"] == "fail"),
-            "with_discrepancies": int(record["status"] == "discrepancies"),
-            "status": "fail" if record["status"] == "fail" else "pass",
         },
     }
 

@@ -15,7 +15,6 @@ import sys
 from .campaign import (
     CampaignConfig,
     UsageError,
-    check_single,
     registry,
     report_bytes,
     run_campaign,
@@ -85,10 +84,7 @@ def main(argv=None):
             for cid, (law, _) in registry(cfg).items():
                 print(f"{cid:32s} {law}")
             return 0
-        if args.check:
-            report = check_single(args.check, cfg)
-        else:
-            report = run_campaign(cfg)
+        report = run_campaign(cfg, only=args.check)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

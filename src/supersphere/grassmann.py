@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 
-from .scalars import ONE, ZERO, GaussianRational, grat
+from .scalars import ONE, SCALAR_TYPES, ZERO, GaussianRational, grat
 
 
 class GrassmannError(Exception):
@@ -176,12 +176,6 @@ class Supernumber:
             {m: (-c if m.bit_count() & 1 else c) for m, c in self.terms.items()},
         )
 
-    def soul_degree(self):
-        """Smallest generator count among monomials, or None if zero."""
-        if not self.terms:
-            return None
-        return min(mask.bit_count() for mask in self.terms)
-
     def max_label(self):
         """Largest generator label used, 0 for scalar elements."""
         top = 0
@@ -236,6 +230,8 @@ class Supernumber:
 
     def __mul__(self, other):
         if not isinstance(other, Supernumber):
+            if not isinstance(other, SCALAR_TYPES):
+                return NotImplemented
             return self.scale(other)
         self._check(other)
         terms = {}
@@ -305,6 +301,8 @@ class Supernumber:
     def __truediv__(self, other):
         if isinstance(other, Supernumber):
             return self * other.inverse()
+        if not isinstance(other, SCALAR_TYPES):
+            return NotImplemented
         return self.scale(grat(other).inverse())
 
     # -- functorial maps ---------------------------------------------------
@@ -364,22 +362,3 @@ class Supernumber:
         out = " + ".join(parts)
         return out.replace("+ -", "- ")
 
-
-def gr_mul(x, y):
-    return x * y
-
-
-def gr_body_soul(x):
-    return x.body_soul()
-
-
-def gr_inv(x):
-    return x.inverse()
-
-
-def gr_extend(x, L_new):
-    return x.extend(L_new)
-
-
-def gr_restrict(x, L_new):
-    return x.restrict(L_new)

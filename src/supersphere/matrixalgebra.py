@@ -358,9 +358,6 @@ class GnSemidirect:
         self.n = n
         self.rank = abs(n) + 2
 
-    def acting_basis(self):
-        return ns.subalgebra_basis(self.n)[:4]
-
     def acting_images(self):
         return [
             (Matrix([[0, 1], [0, 0]]), ZERO),
@@ -368,10 +365,6 @@ class GnSemidirect:
             (Matrix([[0, 0], [-1, 0]]), ZERO),
             (Matrix.zero(2), ONE),
         ]
-
-    def ideal_keys(self):
-        G = ns.Gm if self.n >= 2 else ns.Gp
-        return [G(2 * k - 1) for k in range(self.rank)]
 
     def sigma(self, index, vector):
         """Apply the action of the index-th even generator to a vector."""

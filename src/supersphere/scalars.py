@@ -299,6 +299,9 @@ def grat(re=0, im=0):
     return GaussianRational(re, im)
 
 
+# the operand types that every layer accepts as a Q(i) scalar
+SCALAR_TYPES = (int, Fraction, GaussianRational)
+
 ZERO = GaussianRational(0, 0)
 ONE = GaussianRational(1, 0)
 I = GaussianRational(0, 1)

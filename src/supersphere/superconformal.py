@@ -291,9 +291,7 @@ class SuperconformalMap:
         zero commutes with substitution, so the inner triple is truncated
         first: f and psi+- come from the theta-free image (f1, psi1+,
         psi1-) applied to the outer triple, g+ is the theta+ part of the
-        outer tt+ under the theta- = 0 image, and g- mirrors it.  g+- are
-        built by the normalising constructor, not the theta_component
-        shortcut, so every component is canonical.
+        outer tt+ under the theta- = 0 image, and g- mirrors it.
         """
         outer = self.expand(checked=False)
         L = self.L
@@ -311,12 +309,8 @@ class SuperconformalMap:
         )(outer.minus)
         return SuperconformalMap(
             theta_free(outer.even),
-            RationalSuperfunction(
-                tt_plus.num.theta_component(1 << THETA_PLUS), tt_plus.den
-            ),
-            RationalSuperfunction(
-                tt_minus.num.theta_component(1 << THETA_MINUS), tt_minus.den
-            ),
+            tt_plus.theta_component(1 << THETA_PLUS),
+            tt_minus.theta_component(1 << THETA_MINUS),
             theta_free(outer.plus),
             theta_free(outer.minus),
         )
@@ -472,7 +466,7 @@ def _reshape_theta_free(F, n_odd):
     if not F.is_theta_free():
         raise ValueError("only theta-free functions can change odd arity")
     num = SuperPolynomial(F.L, n_odd, {key: c for key, c in F.num.terms.items()})
-    return RationalSuperfunction(num, F.den, _normalized=True)
+    return RationalSuperfunction(num, F.den)
 
 
 def to_n1(m):

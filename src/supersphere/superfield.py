@@ -19,9 +19,11 @@ D = B + S with B the scalar body polynomial and S the nilpotent rest,
 
     1/D = sum_j (-1)**j S**j / B**(j+1)
 
-terminates, so any such denominator is absorbed into the numerator.  With
-scalar denominators, equality is decided by cross-multiplication and no
-gcd theory over a non-domain is ever needed.
+terminates, so any such denominator is absorbed into the numerator.  The
+constructor cancels the gcd of the denominator with the scalar
+components of the numerator, so every rational superfunction is in one
+canonical form, unique for its value, and == compares fields.  No gcd
+theory over a non-domain is ever needed.
 
 The odd superderivations
 
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import math
 
-from .scalars import GaussianRational, ONE, ZERO, divide_by_linear, grat
+from .scalars import ONE, SCALAR_TYPES, ZERO, divide_by_linear, grat
 from .grassmann import NotInvertible, Supernumber, reorder_sign
 
 THETA_PLUS = 0
@@ -325,14 +327,6 @@ def _linear_power(root, j):
     return out
 
 
-def poly_from_roots(root_pairs):
-    """Product of (b*z + a) factors given as (b, a) coefficient pairs."""
-    out = ScalarPoly.one()
-    for b, a in root_pairs:
-        out = out * ScalarPoly({1: grat(b), 0: grat(a)})
-    return out
-
-
 # ---------------------------------------------------------------------------
 # superpolynomials
 # ---------------------------------------------------------------------------
@@ -452,6 +446,8 @@ class SuperPolynomial:
 
     def __mul__(self, other):
         if not isinstance(other, SuperPolynomial):
+            if not isinstance(other, (Supernumber,) + SCALAR_TYPES):
+                return NotImplemented
             return self.scale_right(other)
         self._check(other)
         # Accumulate scalar products straight into {(k, odd mask): {Grassmann
@@ -569,11 +565,6 @@ class SuperPolynomial:
     def max_z(self):
         return max((k for k, _ in self.terms), default=0)
 
-    def theta_part(self):
-        return SuperPolynomial._make(
-            self.L, self.n_odd, {key: c for key, c in self.terms.items() if key[1]}
-        )
-
     def theta_component(self, mask):
         """The theta-free superpolynomial A_M with self = sum t^M A_M."""
         return SuperPolynomial._make(
@@ -581,15 +572,6 @@ class SuperPolynomial:
             self.n_odd,
             {(k, 0): c for (k, m), c in self.terms.items() if m == mask},
         )
-
-    def theta_components(self):
-        out = {}
-        for (k, m), c in self.terms.items():
-            out.setdefault(m, {})[(k, 0)] = c
-        return {
-            m: SuperPolynomial._make(self.L, self.n_odd, terms)
-            for m, terms in out.items()
-        }
 
     def body_scalar_poly(self):
         """Scalar Laurent part: bodies of the theta-free coefficients.
@@ -627,9 +609,6 @@ class SuperPolynomial:
     def coefficients_within(self, limit):
         """True if all supernumber coefficients use generators 1..limit."""
         return all(c.in_subalgebra(limit) for c in self.terms.values())
-
-    def max_generator(self):
-        return max((c.max_label() for c in self.terms.values()), default=0)
 
     def extend(self, L_new):
         return SuperPolynomial._make(
@@ -728,24 +707,22 @@ class SuperPoint:
 class RationalSuperfunction:
     """Superpolynomial numerator over a monic scalar polynomial in z.
 
-    Canonical form: the denominator is monic with nonzero constant term
-    (powers of z are moved into the Laurent numerator) and shares no
-    scalar polynomial factor with the numerator; zero has denominator 1.
+    Canonical form, enforced by the constructor for every value: the
+    denominator is monic with nonzero constant term (powers of z are moved
+    into the Laurent numerator) and shares no scalar polynomial factor
+    with the numerator; zero has denominator 1.  Equal values have equal
+    canonical forms, so == compares fields.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None, _normalized=False):
+    def __init__(self, num, den=None):
         if den is None:
             den = ScalarPoly.one()
         elif den.is_zero():
             raise ZeroDivisionError("zero denominator")
         elif num.is_zero():
             den = ScalarPoly.one()
-        if _normalized:
-            self.num = num
-            self.den = den
-            return
         v = den.valuation()
         if v:
             den = den.shift(-v)
@@ -762,11 +739,11 @@ class RationalSuperfunction:
 
     @classmethod
     def from_constant(cls, L, value, n_odd=2):
-        return cls(SuperPolynomial.constant(L, value, n_odd), _normalized=True)
+        return cls(SuperPolynomial.constant(L, value, n_odd))
 
     @classmethod
     def zero(cls, L, n_odd=2):
-        return cls(SuperPolynomial.zero(L, n_odd), _normalized=True)
+        return cls(SuperPolynomial.zero(L, n_odd))
 
     @classmethod
     def one(cls, L, n_odd=2):
@@ -774,19 +751,15 @@ class RationalSuperfunction:
 
     @classmethod
     def z(cls, L, n_odd=2):
-        return cls(SuperPolynomial.z_power(L, 1, n_odd), _normalized=True)
+        return cls(SuperPolynomial.z_power(L, 1, n_odd))
 
     @classmethod
     def z_power(cls, L, k, n_odd=2, coeff=ONE):
-        return cls(SuperPolynomial.z_power(L, k, n_odd, coeff), _normalized=True)
+        return cls(SuperPolynomial.z_power(L, k, n_odd, coeff))
 
     @classmethod
     def theta(cls, L, which=THETA_PLUS, n_odd=2):
-        return cls(SuperPolynomial.theta(L, which, n_odd), _normalized=True)
-
-    @classmethod
-    def from_superpoly(cls, num, den=None):
-        return cls(num, den)
+        return cls(SuperPolynomial.theta(L, which, n_odd))
 
     @property
     def L(self):
@@ -829,27 +802,7 @@ class RationalSuperfunction:
 
     def as_superpolynomial(self):
         """Exact superpolynomial form, or None if the denominator survives."""
-        if self.den.is_one():
-            return self.num
-        comps = self.num.theta_components()
-        total = {}
-        for mask, comp in comps.items():
-            grouped = {}
-            for (k, _), c in comp.terms.items():
-                for gmask, q in c.terms.items():
-                    grouped.setdefault(gmask, {})[k] = q
-            for gmask, poly in grouped.items():
-                v = min(poly)
-                shifted = ScalarPoly._make({k - v: q for k, q in poly.items()})
-                quo, rem = shifted.divmod(self.den)
-                if not rem.is_zero():
-                    return None
-                for k, q in quo.coeffs.items():
-                    key = (k + v, mask)
-                    cur = total.get(key)
-                    add = Supernumber(self.L, {gmask: q})
-                    total[key] = add if cur is None else cur + add
-        return SuperPolynomial(self.L, self.n_odd, total)
+        return self.num if self.den.is_one() else None
 
     def as_constant(self):
         """The constant supernumber value, or None."""
@@ -867,11 +820,8 @@ class RationalSuperfunction:
     def __eq__(self, other):
         if not isinstance(other, RationalSuperfunction):
             return NotImplemented
-        if self.shape() != other.shape():
-            return False
-        if self.den == other.den:
-            return self.num == other.num
-        return self.num.mul_scalar_poly(other.den) == other.num.mul_scalar_poly(self.den)
+        # canonical forms are unique: equal values have equal fields
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
         raise TypeError("rational superfunctions are not hashable")
@@ -896,7 +846,7 @@ class RationalSuperfunction:
         return self + other
 
     def __neg__(self):
-        return RationalSuperfunction(-self.num, self.den, _normalized=True)
+        return RationalSuperfunction(-self.num, self.den)
 
     def __sub__(self, other):
         if not isinstance(other, RationalSuperfunction):
@@ -912,15 +862,13 @@ class RationalSuperfunction:
             return RationalSuperfunction(self.num * other.num, self.den * other.den)
         if isinstance(other, SuperPolynomial):
             return self * RationalSuperfunction(other)
-        return RationalSuperfunction(self.num.scale_right(other), self.den, _normalized=True)
+        return RationalSuperfunction(self.num.scale_right(other), self.den)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, GaussianRational)):
-            return RationalSuperfunction(
-                self.num.scale_left(other), self.den, _normalized=True
-            )
-        if isinstance(other, Supernumber):
-            return RationalSuperfunction(self.num.scale_left(other), self.den)
+        if isinstance(other, SuperPolynomial):
+            return RationalSuperfunction(other) * self
+        if isinstance(other, (Supernumber,) + SCALAR_TYPES):
+            return self.scale_left(other)
         return NotImplemented
 
     def scale_left(self, value):
@@ -963,10 +911,7 @@ class RationalSuperfunction:
         return self * grat(other).inverse()
 
     def __rtruediv__(self, other):
-        inv = self.inverse()
-        if isinstance(other, Supernumber):
-            return inv.scale_left(other)
-        return inv * other
+        return other * self.inverse()
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -984,16 +929,14 @@ class RationalSuperfunction:
     def diff_z(self):
         """Quotient-rule derivative in the even variable."""
         if self.den.is_one():
-            return RationalSuperfunction(self.num.diff_z(), self.den, _normalized=True)
+            return RationalSuperfunction(self.num.diff_z(), self.den)
         num = self.num.diff_z().mul_scalar_poly(self.den) - self.num.mul_scalar_poly(
             self.den.derivative()
         )
         return RationalSuperfunction(num, self.den * self.den)
 
     def diff_theta(self, which):
-        return RationalSuperfunction(
-            self.num.diff_theta(which), self.den, _normalized=True
-        )
+        return RationalSuperfunction(self.num.diff_theta(which), self.den)
 
     def evaluate(self, point):
         den_val = self.den.eval_super(point.z)
@@ -1007,7 +950,7 @@ class RationalSuperfunction:
         return num_val * den_val.inverse()
 
     def extend(self, L_new):
-        return RationalSuperfunction(self.num.extend(L_new), self.den, _normalized=True)
+        return RationalSuperfunction(self.num.extend(L_new), self.den)
 
     # -- substitution ---------------------------------------------------------
 
@@ -1017,9 +960,7 @@ class RationalSuperfunction:
 
     def theta_component(self, mask):
         """Theta-free part A_M of the decomposition sum t^M A_M."""
-        return RationalSuperfunction(
-            self.num.theta_component(mask), self.den, _normalized=True
-        )
+        return RationalSuperfunction(self.num.theta_component(mask), self.den)
 
     def __repr__(self):
         if self.den.is_one():

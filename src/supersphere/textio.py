@@ -95,10 +95,6 @@ def parse_supernumber(text, L):
     return out
 
 
-def format_supernumber(x):
-    return str(x)
-
-
 def parse_superpoly(text, L, n_odd=2):
     """Parse the superpolynomial grammar: [odd*](supernumber)[*z^k]."""
     names = ["t+", "t-"] if n_odd == 2 else ["t"]
@@ -155,17 +151,9 @@ def parse_superpoly(text, L, n_odd=2):
     return out
 
 
-def format_superpoly(p):
-    return str(p)
-
-
 # ---------------------------------------------------------------------------
 # JSON forms
 # ---------------------------------------------------------------------------
-
-
-def rational_to_str(q):
-    return str(q)
 
 
 def supernumber_to_json(x):

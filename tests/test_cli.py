@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -5,7 +6,6 @@ import pytest
 from supersphere.campaign import (
     CampaignConfig,
     UsageError,
-    check_single,
     registry,
     report_bytes,
     run_campaign,
@@ -63,12 +63,28 @@ def test_campaign_passes_and_is_deterministic():
 
 def test_check_single_and_unknown_id():
     cfg = tiny_config()
-    report = check_single("ns.jacobi", cfg)
+    report = run_campaign(cfg, only="ns.jacobi")
     assert report["summary"]["total"] == 1
     assert report["checks"][0]["id"] == "ns.jacobi"
     assert report["checks"][0]["status"] == "pass"
     with pytest.raises(UsageError):
-        check_single("bogus", cfg)
+        run_campaign(cfg, only="bogus")
+
+
+def test_report_bytes_are_pinned():
+    """Behaviour guard: a change that alters any check's outcome, sample
+    count or report layout changes these digests."""
+    cfg = tiny_config()
+
+    def digest(report):
+        return hashlib.sha256(report_bytes(report)).hexdigest()
+
+    assert digest(run_campaign(cfg)) == \
+        "25e35b80bce5d3554a64062d1047d548a11aa20ac292a9cbc4fcbba934eaf883"
+    assert digest(run_campaign(cfg, only="ns.jacobi")) == \
+        "be810c1185b48b39141a54bba28f329fa29caa9bb76623c03b00e95a3055960a"
+    assert digest(run_campaign(cfg, only="spheres.closure.n=1")) == \
+        "7c08615f3634cdfeba671e10ed621f16fa65ddbb7fb9ec784f5db1b6fa64b92e"
 
 
 def test_twist_range_parsing():

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from supersphere.grassmann import NotInvertible, Supernumber
 from supersphere.randgen import Sampler
@@ -9,6 +10,7 @@ from supersphere.scalars import GaussianRational, grat
 from supersphere.superfield import (
     PoleAtPoint,
     RationalSuperfunction as RSF,
+    SingularComposition,
     ScalarPoly,
     SuperPoint,
     SuperPolynomial,
@@ -213,7 +215,6 @@ class TestSubstitution:
                 F.substitute(w2, (tp, tm)).substitute(w1, (tp, tm))
 
     def test_singular_composition(self):
-        from supersphere.superfield import SingularComposition
         z = rsf_z()
         tp, tm = thetas()
         soul = RSF.from_constant(L, Supernumber.monomial(L, (1, 2)))
@@ -268,9 +269,8 @@ class TestCanonicalForm:
         lambda F: F.theta_component(1 << THETA_MINUS),
         lambda F: F.diff_theta(THETA_PLUS),
         lambda F: RSF(F.num - F.num, F.den),
-        lambda F: RSF(F.num - F.num, F.den, _normalized=True),
     ], ids=["sub", "mul", "mul_scalar", "rmul", "theta_component",
-            "diff_theta", "constructor", "normalized_constructor"])
+            "diff_theta", "constructor"])
     def test_zero_has_denominator_one(self, make_zero):
         z = rsf_z()
         F = RSF.one(L) / (z - RSF.from_constant(L, grat(2)))
@@ -304,3 +304,104 @@ class TestCanonicalForm:
         assert (z + tp * tm).is_even()
         mixed = z + tp
         assert mixed.parity() is None
+
+
+def sampled_rsf(seed):
+    """A Sampler RSF.  Half of those with a denominator get a numerator in
+    which some components are multiples of it, so that taking components,
+    differentiating in theta or scaling by a supernumber can cancel.
+    Sampled numerators seldom have a body, so half get a scalar added,
+    which makes them invertible."""
+    s = Sampler(random.Random(seed), L)
+    F = s.rational_superfunction(max_terms=3)
+    if not F.den.is_one() and s.rng.randrange(2):
+        num = s.superpoly(max_terms=2).mul_scalar_poly(F.den) + s.superpoly(max_terms=1)
+        F = RSF(num, F.den)
+    if s.rng.randrange(2):
+        F = F + s.gaussian_rational(nonzero=True)
+    return F
+
+
+def assert_canonical(F):
+    assert F.den.leading() == grat(1)
+    assert 0 in F.den.coeffs  # den(0) != 0
+    if F.is_zero():
+        assert F.den.is_one()
+    again = RSF(F.num, F.den)
+    assert again.num == F.num and again.den == F.den
+
+
+seeds = st.integers(min_value=0, max_value=2 ** 32)
+rsfs = seeds.map(sampled_rsf)
+supernumbers = seeds.map(lambda seed: Sampler(random.Random(seed), L).supernumber(2))
+
+# numerators with a component that the denominator divides: it cancels
+# after diff_theta or theta_component (_THETA_PART) and after scaling by
+# z[1] (_GENERATOR_PART)
+_Z1 = Supernumber.generator(L, 1)
+_ZP1 = ScalarPoly({1: grat(1), 0: grat(1)})
+_THETA_PART = RSF(SuperPolynomial(L, 2, {
+    (1, 1): Supernumber.one(L), (0, 1): Supernumber.one(L),
+    (0, 0): Supernumber.monomial(L, (1, 2)),
+}), _ZP1)  # (t+ (z+1) + z[1]z[2]) / (z+1)
+_GENERATOR_PART = RSF(SuperPolynomial(L, 2, {
+    (1, 0): Supernumber.one(L), (0, 0): Supernumber.one(L) + _Z1,
+}), _ZP1)  # (z + 1 + z[1]) / (z+1)
+
+
+@settings(deadline=None)
+@given(rsfs, rsfs, supernumbers, seeds)
+@example(_THETA_PART, RSF.z(L), _Z1, 0)
+@example(_GENERATOR_PART, RSF.z(L), _Z1, 0)
+def test_canonical_form_after_every_operation(F, G, s, seed):
+    sampler = Sampler(random.Random(seed), L)
+    c = sampler.gaussian_rational()
+    P = sampler.superpoly(max_terms=3)
+    n = sampler.rng.randrange(-2, 4)
+    tp, tm = thetas()
+    w = rsf_z() + sampler.rational_superfunction(max_terms=2, parity=0)
+    images = (tp + sampler.rational_superfunction(max_terms=2, parity=1),
+              tm + sampler.rational_superfunction(max_terms=2, parity=1))
+    results = [
+        F + G, F - G, F + c, c - F, -F,
+        F * G, F * P, P * F, F * c, c * F, F * s, s * F,
+        F.diff_z(), F.diff_theta(THETA_PLUS), F.diff_theta(THETA_MINUS),
+        F.extend(L + 2), apply_D_plus(F), apply_D_minus(F),
+    ]
+    results += [F.theta_component(mask) for mask in range(4)]
+    if c:
+        results.append(F / c)
+    if s.body():
+        results.append(F / s)
+    if not G.body_is_zero():
+        results.append(F / G)
+    if not F.body_is_zero():
+        results += [F.inverse(), F ** n, c / F, s / F]
+    elif n >= 0:
+        results.append(F ** n)
+    try:
+        results.append(F.substitute(w, images))
+    except SingularComposition:
+        pass
+    for result in results:
+        assert_canonical(result)
+
+
+def test_cancelling_components_leave_no_denominator():
+    assert _THETA_PART.diff_theta(THETA_PLUS) == RSF.one(L)
+    assert _THETA_PART.theta_component(1 << THETA_PLUS) == RSF.one(L)
+    assert _GENERATOR_PART * _Z1 == RSF.from_constant(L, _Z1)
+    assert _Z1 * _GENERATOR_PART == RSF.from_constant(L, _Z1)
+
+
+def test_left_operands_without_an_rsf_operator():
+    sampler = Sampler(random.Random(43), L)
+    for _ in range(40):
+        F = sampled_rsf(sampler.rng.getrandbits(32))
+        s = sampler.supernumber(2)
+        P = sampler.superpoly(max_terms=3)
+        assert s * F == F.scale_left(s)
+        assert P * F == RSF(P) * F
+        if not F.body_is_zero():
+            assert s / F == F.inverse().scale_left(s)
+            assert P / F == RSF(P) * F.inverse()
