@@ -16,13 +16,12 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import GaussianRational, ONE, grat
+from .scalars import GaussianRational, grat
 from .grassmann import NotInvertible, Supernumber
 from .superfield import (
-    PoleAtPoint,
     RationalSuperfunction,
     SuperPoint,
     SuperPolynomial,
@@ -41,7 +40,6 @@ from .superconformal import (
 )
 from . import spheres
 from .spheres import (
-    AutomorphismParams,
     MatrixGroupElement,
     NotInFamily,
     SphereAutomorphism,
@@ -878,18 +876,30 @@ def registry(cfg):
 
 
 def _run_one(cid, law, fn, cfg):
+    """Run one suite into its report record.
+
+    A suite that raises is recorded with status "error" and the
+    exception's type and message, so the campaign goes on to the next.
+    """
     rng = random.Random(f"{cfg.seed}:{cid}")
     start = time.perf_counter()
-    outcome = fn(cfg, rng)
+    try:
+        outcome = fn(cfg, rng)
+        error = None
+    except Exception as exc:
+        outcome = Outcome()
+        error = {"type": type(exc).__name__, "message": str(exc)}
     elapsed = time.perf_counter() - start
     record = {
         "id": cid,
         "law": law,
-        "status": outcome.status,
+        "status": "error" if error else outcome.status,
         "samples": outcome.samples,
         "failures": outcome.failures,
         "discrepancies": outcome.discrepancies,
     }
+    if error:
+        record["error"] = error
     if cfg.timings:
         record["elapsed_ms"] = round(elapsed * 1000, 3)
     return record
@@ -920,16 +930,22 @@ def run_campaign(cfg, only=None):
     records = [_run_one(cid, law, fn, cfg) for cid, (law, fn) in checks.items()]
     failed = sum(r["status"] == "fail" for r in records)
     noted = sum(r["status"] == "discrepancies" for r in records)
+    errors = sum(r["status"] == "error" for r in records)
+    summary = {
+        "total": len(records),
+        "failed": failed,
+        "with_discrepancies": noted,
+        "status": "fail" if failed else "error" if errors else "pass",
+    }
+    if errors:
+        # only present when a suite raised, so error-free reports keep
+        # their bytes
+        summary["errors"] = errors
     return {
         "schema": 1,
         "config": _config_dict(cfg),
         "checks": records,
-        "summary": {
-            "total": len(records),
-            "failed": failed,
-            "with_discrepancies": noted,
-            "status": "fail" if failed else "pass",
-        },
+        "summary": summary,
     }
 
 

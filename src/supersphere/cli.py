@@ -4,7 +4,9 @@
     supersphere --check ns.jacobi
     supersphere --list
 
-Exit codes: 0 all checks pass, 1 at least one failure, 2 usage error.
+Exit codes: 0 all checks pass, 1 at least one failure, 2 usage error,
+3 no failure but at least one suite raised an error (recorded in the
+report with status "error"; the other suites still run).
 """
 
 from __future__ import annotations
@@ -90,16 +92,21 @@ def main(argv=None):
         return 2
 
     for record in report["checks"]:
-        marker = {"pass": "PASS", "fail": "FAIL",
-                  "discrepancies": "NOTE"}[record["status"]]
+        marker = {"pass": "PASS", "fail": "FAIL", "discrepancies": "NOTE",
+                  "error": "ERROR"}[record["status"]]
         line = f"{marker} {record['id']} ({record['samples']} samples)"
         if record["failures"]:
             line += f" failures: {[f['law'] for f in record['failures']]}"
         if record["discrepancies"]:
             line += f" discrepancies: {len(record['discrepancies'])}"
+        if "error" in record:
+            line += f" {record['error']['type']}: {record['error']['message']}"
         print(line)
     summary = report["summary"]
-    print(f"{summary['total']} checks, {summary['failed']} failed")
+    line = f"{summary['total']} checks, {summary['failed']} failed"
+    if "errors" in summary:
+        line += f", {summary['errors']} raised an error"
+    print(line)
 
     if args.report:
         try:
@@ -108,7 +115,9 @@ def main(argv=None):
         except OSError as exc:
             print(f"cannot write report: {exc}", file=sys.stderr)
             return 2
-    return 0 if summary["failed"] == 0 else 1
+    if summary["failed"]:
+        return 1
+    return 3 if "errors" in summary else 0
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import GaussianRational, ONE, ZERO, grat
+from .scalars import ONE, ZERO, dot, grat
 from . import nsalgebra as ns
 from .nsalgebra import NSElement, bracket, span_coefficients
 
@@ -78,15 +78,8 @@ class Matrix:
         return Matrix([[value * x for x in row] for row in self.rows])
 
     def __mul__(self, other):
-        n = self.size
-        return Matrix([
-            [
-                sum((self.rows[i][k] * other.rows[k][j] for k in range(n)),
-                    start=ZERO)
-                for j in range(n)
-            ]
-            for i in range(n)
-        ])
+        cols = tuple(zip(*other.rows))
+        return Matrix([[dot(row, col) for col in cols] for row in self.rows])
 
     def is_zero(self):
         return all(not x for row in self.rows for x in row)

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import GaussianRational, ONE, ZERO, grat
+from .scalars import ONE, ZERO, grat
 from .grassmann import Supernumber
 from .superfield import SuperPolynomial, THETA_MINUS, THETA_PLUS
 

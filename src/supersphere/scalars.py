@@ -8,7 +8,10 @@ equality is always exact and never a tolerance question.
 A scalar is stored as (a + b*i)/d with Python integers a, b, d, where
 d > 0 and gcd(a, b, d) = 1.  This form is canonical, so equality
 compares the integer triple, and each field operation costs one integer
-gcd.  The real and imaginary parts are available as
+gcd.  Sums of products (Grassmann and polynomial products, matrix
+entries) are instead accumulated as unreduced triples and reduced once
+per output coefficient (`triples`, `add_triple`, `reduce_triples`,
+`dot`).  The real and imaginary parts are available as
 fractions.Fraction through the `re` and `im` properties.
 """
 
@@ -280,6 +283,60 @@ def divide_by_linear(coeffs, root):
     remainder = out.pop()
     out.reverse()
     return out, remainder
+
+
+def triples(items):
+    """[(key, a, b, d)] for (key, GaussianRational) pairs.
+
+    Sums of products are accumulated on these integers, unreduced, in
+    {key: [a, b, d]} dicts (`add_triple`) and brought to canonical form
+    once per key (`reduce_triples`).
+    """
+    return [(key, x._a, x._b, x._d) for key, x in items]
+
+
+def add_triple(acc, key, a, b, d):
+    """Add (a + b*i)/d to acc[key]; a sum keeps the lcm of its denominators."""
+    s = acc.get(key)
+    if s is None:
+        acc[key] = [a, b, d]
+    elif s[2] == d:
+        s[0] += a
+        s[1] += b
+    else:
+        sd = s[2]
+        g = _gcd(sd, d)
+        f = d // g
+        e = sd // g
+        s[0] = s[0] * f + a * e
+        s[1] = s[1] * f + b * e
+        s[2] = sd * f
+
+
+def reduce_triples(acc):
+    """{key: GaussianRational} from {key: [a, b, d]}, dropping zeros."""
+    return {key: _new(a, b, 1) if d == 1 else _canonical(a, b, d)
+            for key, (a, b, d) in acc.items() if a or b}
+
+
+def dot(xs, ys):
+    """sum(x * y for x, y in zip(xs, ys)), reduced once at the end."""
+    a = b = 0
+    d = 1
+    for x, y in zip(xs, ys):
+        xa, xb, ya, yb = x._a, x._b, y._a, y._b
+        pa = xa * ya - xb * yb
+        pb = xa * yb + xb * ya
+        pd = x._d * y._d
+        if pd != d:
+            # as in add_triple: both sides to the lcm of the denominators
+            g = _gcd(d, pd)
+            e, f = d // g, pd // g
+            a, b, d = a * f, b * f, d * f
+            pa, pb = pa * e, pb * e
+        a += pa
+        b += pb
+    return _new(a, b, 1) if d == 1 else _canonical(a, b, d)
 
 
 def _coerce(value):

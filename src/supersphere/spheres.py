@@ -36,7 +36,7 @@ coefficient vectors act as an abelian group of translations.
 
 from __future__ import annotations
 
-from .scalars import GaussianRational, I as IMAG, NotASquare, ONE, grat
+from .scalars import I as IMAG, NotASquare, ONE, grat
 from .grassmann import NotInvertible, Supernumber
 from .superfield import (
     RationalSuperfunction,

@@ -38,12 +38,11 @@ degree.
 
 from __future__ import annotations
 
-from .scalars import ONE, grat
+from .scalars import grat
 from .grassmann import NotInvertible, Supernumber
 from .superfield import (
     RationalSuperfunction,
     ScalarPoly,
-    SingularComposition,
     Substitution,
     SuperPolynomial,
     SuperfieldError,

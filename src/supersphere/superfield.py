@@ -37,8 +37,17 @@ from __future__ import annotations
 
 import math
 
-from .scalars import ONE, SCALAR_TYPES, ZERO, divide_by_linear, grat
-from .grassmann import NotInvertible, Supernumber, reorder_sign
+from .scalars import (
+    ONE,
+    SCALAR_TYPES,
+    ZERO,
+    add_triple,
+    divide_by_linear,
+    grat,
+    reduce_triples,
+    triples,
+)
+from .grassmann import NotInvertible, Supernumber, mul_into, reorder_sign
 
 THETA_PLUS = 0
 THETA_MINUS = 1
@@ -139,21 +148,17 @@ class ScalarPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        out = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
-                k = k1 + k2
-                c = c1 * c2
-                s = out.get(k)
-                if s is None:
-                    out[k] = c
-                else:
-                    s = s + c
-                    if s:
-                        out[k] = s
-                    else:
-                        del out[k]
-        return ScalarPoly._make(out)
+        if other.is_one():
+            return self
+        if self.is_one():
+            return other
+        acc = {}
+        right = triples(other.coeffs.items())
+        for k1, a1, b1, d1 in triples(self.coeffs.items()):
+            for k2, a2, b2, d2 in right:
+                add_triple(acc, k1 + k2, a1 * a2 - b1 * b2,
+                           a1 * b2 + b1 * a2, d1 * d2)
+        return ScalarPoly._make(reduce_triples(acc))
 
     def scale(self, c):
         c = grat(c)
@@ -416,6 +421,8 @@ class SuperPolynomial:
 
     def __add__(self, other):
         if not isinstance(other, SuperPolynomial):
+            if not isinstance(other, (Supernumber,) + SCALAR_TYPES):
+                return NotImplemented
             other = SuperPolynomial.constant(self.L, other, self.n_odd)
         self._check(other)
         terms = dict(self.terms)
@@ -431,8 +438,7 @@ class SuperPolynomial:
                     del terms[key]
         return SuperPolynomial._make(self.L, self.n_odd, terms)
 
-    def __radd__(self, other):
-        return self + other
+    __radd__ = __add__
 
     def __neg__(self):
         return SuperPolynomial._make(
@@ -441,6 +447,8 @@ class SuperPolynomial:
 
     def __sub__(self, other):
         if not isinstance(other, SuperPolynomial):
+            if not isinstance(other, (Supernumber,) + SCALAR_TYPES):
+                return NotImplemented
             other = SuperPolynomial.constant(self.L, other, self.n_odd)
         return self + (-other)
 
@@ -450,35 +458,27 @@ class SuperPolynomial:
                 return NotImplemented
             return self.scale_right(other)
         self._check(other)
-        # Accumulate scalar products straight into {(k, odd mask): {Grassmann
-        # mask: scalar}}; no intermediate supernumbers are built.
+        if not self.terms or not other.terms:
+            return SuperPolynomial._make(self.L, self.n_odd, {})
+        # one unreduced accumulator per (z exponent, odd mask); each
+        # coefficient is reduced once, after every product has been added
         acc = {}
-        right = [(k2, m2, m2.bit_count() & 1, tuple(c2.terms.items()))
+        right = [(k2, m2, m2.bit_count() & 1, triples(c2.terms.items()))
                  for (k2, m2), c2 in other.terms.items()]
         for (k1, m1), c1 in self.terms.items():
-            left = [(g1, a1, g1.bit_count() & 1) for g1, a1 in c1.terms.items()]
+            left = triples(c1.terms.items())
             for k2, m2, m2_odd, c2 in right:
                 if m1 & m2:
                     continue
-                negate = bool(m1 and m2 and reorder_sign(m1, m2) < 0)
-                target = acc.setdefault((k1 + k2, m1 | m2), {})
-                for g1, a1, g1_odd in left:
-                    # c1 moves through the odd monomial of the second factor
-                    neg1 = negate ^ bool(m2_odd and g1_odd)
-                    for g2, a2 in c2:
-                        if g1 & g2:
-                            continue
-                        p = a1 * a2
-                        neg = neg1
-                        if g1 and g2 and reorder_sign(g1, g2) < 0:
-                            neg = not neg
-                        g = g1 | g2
-                        cur = target.get(g)
-                        if cur is None:
-                            target[g] = -p if neg else p
-                        else:
-                            target[g] = cur - p if neg else cur + p
-        return SuperPolynomial._make(self.L, self.n_odd, _collect(self.L, acc))
+                # c1 moves through the odd monomial of the second factor
+                mul_into(acc.setdefault((k1 + k2, m1 | m2), {}), left, c2,
+                         bool(m1 and m2 and reorder_sign(m1, m2) < 0), m2_odd)
+        terms = {}
+        for key, coeffs in acc.items():
+            coeffs = reduce_triples(coeffs)
+            if coeffs:
+                terms[key] = Supernumber._make(self.L, coeffs)
+        return SuperPolynomial._make(self.L, self.n_odd, terms)
 
     def scale_right(self, value):
         """Multiply every coefficient on the right by a supernumber."""
@@ -506,14 +506,10 @@ class SuperPolynomial:
     def mul_scalar_poly(self, poly):
         if poly.is_one():
             return self
-        acc = {}
-        for (k, m), c in self.terms.items():
-            for j, q in poly.coeffs.items():
-                target = acc.setdefault((k + j, m), {})
-                for g, a in c.terms.items():
-                    cur = target.get(g)
-                    target[g] = a * q if cur is None else cur + a * q
-        return SuperPolynomial._make(self.L, self.n_odd, _collect(self.L, acc))
+        return self * SuperPolynomial._make(self.L, self.n_odd, {
+            (j, 0): Supernumber._make(self.L, {0: q})
+            for j, q in poly.coeffs.items()
+        })
 
     def shift_z(self, n):
         return SuperPolynomial._make(
@@ -668,16 +664,6 @@ class SuperPolynomial:
         return " + ".join(parts)
 
 
-def _collect(L, acc):
-    """{key: supernumber} from {key: {mask: scalar}}, dropping zeros."""
-    terms = {}
-    for key, coeffs in acc.items():
-        clean = {g: c for g, c in coeffs.items() if c}
-        if clean:
-            terms[key] = Supernumber._make(L, clean)
-    return terms
-
-
 class SuperPoint:
     """An evaluation point: an even z and odd theta supernumber values."""
 
@@ -828,7 +814,9 @@ class RationalSuperfunction:
 
     def __add__(self, other):
         if not isinstance(other, RationalSuperfunction):
-            other = RationalSuperfunction.from_constant(self.L, other, self.n_odd)
+            other = self._lift(other)
+            if other is None:
+                return NotImplemented
         self._check(other)
         if self.den == other.den:
             return RationalSuperfunction(self.num + other.num, self.den)
@@ -842,19 +830,28 @@ class RationalSuperfunction:
         num = self.num.mul_scalar_poly(left) + other.num.mul_scalar_poly(right)
         return RationalSuperfunction(num, self.den * left)
 
-    def __radd__(self, other):
-        return self + other
+    __radd__ = __add__
 
     def __neg__(self):
         return RationalSuperfunction(-self.num, self.den)
 
     def __sub__(self, other):
         if not isinstance(other, RationalSuperfunction):
-            other = RationalSuperfunction.from_constant(self.L, other, self.n_odd)
+            other = self._lift(other)
+            if other is None:
+                return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self).__add__(other)
+
+    def _lift(self, other):
+        """other as a rational superfunction of this shape, or None."""
+        if isinstance(other, SuperPolynomial):
+            return RationalSuperfunction(other)
+        if isinstance(other, (Supernumber,) + SCALAR_TYPES):
+            return RationalSuperfunction.from_constant(self.L, other, self.n_odd)
+        return None
 
     def __mul__(self, other):
         if isinstance(other, RationalSuperfunction):

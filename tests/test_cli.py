@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from supersphere import campaign
 from supersphere.campaign import (
     CampaignConfig,
     UsageError,
@@ -85,6 +86,50 @@ def test_report_bytes_are_pinned():
         "be810c1185b48b39141a54bba28f329fa29caa9bb76623c03b00e95a3055960a"
     assert digest(run_campaign(cfg, only="spheres.closure.n=1")) == \
         "7c08615f3634cdfeba671e10ed621f16fa65ddbb7fb9ec784f5db1b6fa64b92e"
+
+
+def test_raising_suite_is_recorded_and_the_run_goes_on(monkeypatch, tmp_path,
+                                                       capsys):
+    cfg = tiny_config()
+    clean = run_campaign(cfg)
+    real_registry = campaign.registry
+
+    def raising_suite(cfg, rng):
+        raise ZeroDivisionError("sampled an edge case")
+
+    def registry_with_raiser(cfg):
+        checks = real_registry(cfg)
+        law, _ = checks["spheres.closure.n=0"]
+        checks["spheres.closure.n=0"] = (law, raising_suite)
+        return checks
+
+    monkeypatch.setattr(campaign, "registry", registry_with_raiser)
+    report = run_campaign(cfg)
+    assert [r["id"] for r in report["checks"]] == \
+        [r["id"] for r in clean["checks"]]
+    for got, want in zip(report["checks"], clean["checks"]):
+        if got["id"] == "spheres.closure.n=0":
+            assert got == {
+                "id": want["id"], "law": want["law"], "status": "error",
+                "samples": 0, "failures": [], "discrepancies": [],
+                "error": {"type": "ZeroDivisionError",
+                          "message": "sampled an edge case"},
+            }
+        else:
+            assert got == want
+    assert report["summary"] == dict(clean["summary"], status="error", errors=1)
+    json.loads(report_bytes(report))
+
+    args = ["--generators", "4", "--band", "1", "--flow-order", "3",
+            "--n-range=-1..1", "--samples", "2", "--seed", "99",
+            "--report", str(tmp_path / "report.json")]
+    assert main(args) == 3
+    out = capsys.readouterr().out
+    assert "ERROR spheres.closure.n=0 (0 samples) ZeroDivisionError: " \
+        "sampled an edge case" in out
+    assert "raised an error" in out
+    saved = json.loads((tmp_path / "report.json").read_text())
+    assert saved["summary"]["errors"] == 1
 
 
 def test_twist_range_parsing():

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,7 +10,9 @@ from supersphere.grassmann import (
     labels_from_mask,
     mask_from_labels,
 )
+from supersphere.matrixalgebra import Matrix
 from supersphere.scalars import GaussianRational, grat
+from supersphere.superfield import ScalarPoly, SuperPolynomial
 
 L = 6
 
@@ -154,3 +158,139 @@ def test_parity_queries():
 def test_grade_involution_is_product_twist():
     x = Supernumber.generator(L, 1) + Supernumber.one(L)
     assert x.grade_involution() == Supernumber.one(L) - Supernumber.generator(L, 1)
+
+
+# -- products against a label-list oracle ---------------------------------
+#
+# The reference multiplies sorted label lists: the sign of a product
+# monomial is (-1) to the number of transpositions that sort the
+# concatenated labels, and the sum uses only GaussianRational * and +.
+# Odd variables of a superpolynomial are the labels -2 (theta+) and -1
+# (theta-), which sort before every generator because t^M stands on the
+# left of its coefficient.
+
+varied = st.builds(
+    GaussianRational,
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+)
+
+
+def _sorted_with_sign(labels):
+    inversions = sum(1 for i in range(len(labels))
+                     for j in range(i + 1, len(labels)) if labels[i] > labels[j])
+    return tuple(sorted(labels)), -1 if inversions % 2 else 1
+
+
+def _reference_product(xs, ys):
+    """{key: coeff} of the product of {(k, labels): coeff} sums."""
+    out = {}
+    for (k1, l1), c1 in xs.items():
+        for (k2, l2), c2 in ys.items():
+            if set(l1) & set(l2):
+                continue
+            labels, sign = _sorted_with_sign(l1 + l2)
+            key = (k1 + k2, labels)
+            out[key] = out.get(key, GaussianRational(0)) + c1 * c2 * sign
+    return {key: c for key, c in out.items() if c}
+
+
+def _odd_labels(m):
+    return tuple(-2 + b for b in range(2) if m >> b & 1)
+
+
+def _labelled(x):
+    """A Supernumber, SuperPolynomial or ScalarPoly as {(k, labels): coeff}."""
+    if isinstance(x, Supernumber):
+        return {(0, labels_from_mask(g)): c for g, c in x.terms.items()}
+    if isinstance(x, ScalarPoly):
+        return {(k, ()): c for k, c in x.coeffs.items()}
+    return {(k, _odd_labels(m) + labels_from_mask(g)): c
+            for (k, m), coeff in x.terms.items() for g, c in coeff.terms.items()}
+
+
+def _is_canonical(c):
+    return (type(c) is GaussianRational and c._d > 0
+            and math.gcd(c._a, c._b, c._d) == 1)
+
+
+def _assert_matches_reference(product, x, y):
+    got = _labelled(product)
+    for c in got.values():
+        assert c and _is_canonical(c)
+    if isinstance(product, SuperPolynomial):
+        for coeff in product.terms.values():
+            assert coeff.terms
+    assert got == _reference_product(_labelled(x), _labelled(y))
+
+
+def dense_supernumbers(generators):
+    return st.dictionaries(
+        st.integers(min_value=0, max_value=(1 << generators) - 1),
+        varied, max_size=12,
+    ).map(lambda terms: Supernumber(generators, terms))
+
+
+def theta_superpolys(generators):
+    return st.dictionaries(
+        st.tuples(st.integers(-2, 2), st.integers(0, 3)),
+        dense_supernumbers(generators).filter(bool),
+        max_size=4,
+    ).map(lambda terms: SuperPolynomial(generators, 2, terms))
+
+
+@pytest.mark.parametrize("generators", [6, 8])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_supernumber_product_matches_label_oracle(generators, data):
+    x = data.draw(dense_supernumbers(generators))
+    y = data.draw(dense_supernumbers(generators))
+    _assert_matches_reference(x * y, x, y)
+    # the odd-odd pairs of a square cancel; an odd element squares to zero
+    _assert_matches_reference(x * x, x, x)
+    odd = x.odd_part()
+    assert (odd * odd).terms == {}
+
+
+@pytest.mark.parametrize("generators", [6, 8])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_superpolynomial_product_matches_label_oracle(generators, data):
+    P = data.draw(theta_superpolys(generators))
+    Q = data.draw(theta_superpolys(generators))
+    _assert_matches_reference(P * Q, P, Q)
+    # an element of odd total parity squares to zero: its theta and
+    # generator signs cancel the pairs against each other
+    odd = SuperPolynomial(generators, 2, {
+        (k, m): c.even_part() if m.bit_count() % 2 else c.odd_part()
+        for (k, m), c in P.terms.items()})
+    _assert_matches_reference(odd * odd, odd, odd)
+    assert (odd * odd).terms == {}
+    # scalar polynomials: S(z) S(-z) is even, its odd coefficients cancel
+    S = ScalarPoly(data.draw(st.dictionaries(st.integers(0, 4), varied,
+                                             max_size=4)))
+    S_minus = ScalarPoly({k: -c if k % 2 else c for k, c in S.coeffs.items()})
+    _assert_matches_reference(P.mul_scalar_poly(S), P, S)
+    _assert_matches_reference(S * S_minus, S, S_minus)
+    assert all(k % 2 == 0 for k in (S * S_minus).coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_matrix_product_matches_plain_sums(size, data):
+    entries = st.lists(st.lists(varied, min_size=size, max_size=size),
+                       min_size=size, max_size=size)
+    A = Matrix(data.draw(entries))
+    B = Matrix(data.draw(entries))
+    zero = GaussianRational(0)
+    expected = [[sum((A.rows[i][k] * B.rows[k][j] for k in range(size)), zero)
+                 for j in range(size)] for i in range(size)]
+    got = A * B
+    assert [list(row) for row in got.rows] == expected
+    assert all(_is_canonical(c) for row in got.rows for c in row)
+    # a 2x2 matrix times its adjugate: the off-diagonal sums cancel to zero
+    (a, b), (c, d) = (A.rows[0][0], B.rows[0][0]), (A.rows[-1][-1], B.rows[-1][-1])
+    M = Matrix([[a, b], [c, d]])
+    det = a * d - b * c
+    product = M * Matrix([[d, -b], [-c, a]])
+    assert product == Matrix([[det, 0], [0, det]])

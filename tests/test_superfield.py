@@ -405,3 +405,17 @@ def test_left_operands_without_an_rsf_operator():
         if not F.body_is_zero():
             assert s / F == F.inverse().scale_left(s)
             assert P / F == RSF(P) * F.inverse()
+        S = RSF.from_constant(L, s)
+        assert s + F == F + s == S + F
+        assert s - F == S - F
+        assert P + F == F + P == RSF(P) + F
+        assert P - F == RSF(P) - F
+        assert F - P == F - RSF(P)
+    # the operators give way to the other operand, so Python raises the
+    # usual TypeError for a type none of them knows
+    s, P, F, other = Supernumber.one(L), SuperPolynomial.one(L), rsf_z(), object()
+    for left, right in ((s, other), (P, other), (F, other), (other, F), (s, 1.5)):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            left + right
+        with pytest.raises(TypeError, match="unsupported operand"):
+            left - right
