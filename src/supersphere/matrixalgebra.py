@@ -24,9 +24,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import ONE, ZERO, dot, grat
+from .scalars import ONE, ZERO, dot, gauss_jordan, grat
 from . import nsalgebra as ns
-from .nsalgebra import NSElement, bracket, span_coefficients
+from .nsalgebra import NSElement, Span, bracket
 
 
 class ParityError(ValueError):
@@ -246,64 +246,54 @@ def verify_table(pairs):
     """Check a basis-to-matrix table for the homomorphism property.
 
     Returns a report dict: bracket mismatches are itemized as
-    {pair, expected, got}; images must also be linearly independent and
-    every basis bracket must stay inside the mapped span with no central
-    term.
+    {pair, expected, got} (`_homomorphism_mismatches`, which eliminates the
+    basis once per call); images must also be linearly independent.
     """
     sources = [e for e, _ in pairs]
     images = [m for _, m in pairs]
-    mismatches = []
-    for i, u in enumerate(sources):
-        for j, v in enumerate(sources):
-            target = bracket(u, v)
-            if target.central_coefficient():
-                mismatches.append({
-                    "pair": (i, j), "expected": "no central term",
-                    "got": str(target.central_coefficient()),
-                })
-                continue
-            coords = span_coefficients(target, sources)
-            if coords is None:
-                mismatches.append({
-                    "pair": (i, j), "expected": "bracket inside the span",
-                    "got": repr(target),
-                })
-                continue
-            expected = Matrix.zero(4)
-            for coeff, image in zip(coords, images):
-                if coeff:
-                    expected = expected + image.scale(coeff)
-            got = images[i].superbracket(images[j])
-            if expected != got:
-                mismatches.append({
-                    "pair": (i, j), "expected": repr(expected),
-                    "got": repr(got),
-                })
+    flat = [list(m.flatten()) for m in images]
     return {
-        "mismatches": mismatches,
-        "injective": _independent(images),
+        "mismatches": _homomorphism_mismatches(
+            sources, images, _combine_matrices, Matrix.superbracket),
+        "injective": len(gauss_jordan(flat, len(flat[0]))) == len(flat),
         "size": len(pairs),
     }
 
 
-def _independent(images):
-    vectors = [m.flatten() for m in images]
-    cols = len(vectors[0])
-    rows = [list(v) for v in vectors]
-    rank = 0
-    for c in range(cols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][c].inverse()
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank == len(vectors)
+def _homomorphism_mismatches(basis, images, combine, image_bracket):
+    """{pair, expected, got} for each basis bracket that the images break.
+
+    A bracket must have no central term and lie in the span of the basis,
+    which is eliminated once per call (`Span`), not once per pair; its
+    image, combine(images, coordinates), must equal image_bracket of the
+    two images.
+    """
+    span = Span(basis)
+    mismatches = []
+    for i, u in enumerate(basis):
+        for j, v in enumerate(basis):
+            target = bracket(u, v)
+            if target.central_coefficient():
+                expected, got = "no central term", repr(target)
+            elif (coords := span.coordinates(target)) is None:
+                expected, got = "bracket inside the span", repr(target)
+            else:
+                want = combine(images, coords)
+                have = image_bracket(images[i], images[j])
+                if want == have:
+                    continue
+                expected, got = repr(want), repr(have)
+            mismatches.append({"pair": (i, j), "expected": expected,
+                               "got": got})
+    return mismatches
+
+
+def _combine_matrices(images, coords):
+    out = Matrix.zero(images[0].size)
+    for coeff, image in zip(coords, images):
+        if coeff:
+            out = out + image.scale(coeff)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +370,6 @@ class GnSemidirect:
                 raise IndexError("four even generators")
         return tuple(out)
 
-    def element(self, mat, gl1, vector):
-        return SemidirectElement(mat, gl1, vector)
-
     def basis_images(self):
         """Images of the full twist-n basis as semidirect elements."""
         zero_vec = (ZERO,) * self.rank
@@ -420,37 +407,18 @@ class GnSemidirect:
         return coords[idx]
 
     def verify(self):
-        """Homomorphism check of the semidirect data against the algebra."""
+        """Homomorphism check of the semidirect data against the algebra;
+        the twist-n basis is eliminated once per call."""
         basis = ns.subalgebra_basis(self.n)
-        images = self.basis_images()
-        mismatches = []
-        for i, u in enumerate(basis):
-            for j, v in enumerate(basis):
-                target = bracket(u, v)
-                if target.central_coefficient():
-                    mismatches.append({"pair": (i, j),
-                                       "expected": "no central term",
-                                       "got": repr(target)})
-                    continue
-                coords = span_coefficients(target, basis)
-                if coords is None:
-                    mismatches.append({"pair": (i, j),
-                                       "expected": "bracket inside the span",
-                                       "got": repr(target)})
-                    continue
-                expected = _combine(images, coords, self.rank)
-                got = self.bracket(images[i], images[j])
-                if expected != got:
-                    mismatches.append({"pair": (i, j),
-                                       "expected": repr(expected),
-                                       "got": repr(got)})
-        return {"mismatches": mismatches, "size": len(basis)}
+        return {"mismatches": _homomorphism_mismatches(
+            basis, self.basis_images(), _combine, self.bracket),
+            "size": len(basis)}
 
 
-def _combine(images, coords, rank):
+def _combine(images, coords):
     mat = Matrix.zero(2)
     gl1 = ZERO
-    vector = [ZERO] * rank
+    vector = [ZERO] * len(images[0].vector)
     for coeff, img in zip(coords, images):
         if not coeff:
             continue

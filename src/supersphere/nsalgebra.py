@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import ONE, ZERO, grat
+from .scalars import ONE, ZERO, dot, gauss_jordan, grat
 from .grassmann import Supernumber
 from .superfield import SuperPolynomial, THETA_MINUS, THETA_PLUS
 
@@ -505,50 +505,59 @@ def subalgebra_dimensions(n):
     return 4, (4 if abs(n) <= 2 else abs(n) + 2)
 
 
-def span_coefficients(target, basis):
-    """Exact coordinates of target in the span of basis, or None."""
-    keys = sorted(
-        {k for e in basis for k in e.terms} | set(target.terms), key=key_str
-    )
-    if not keys:
-        return [ZERO] * len(basis)
-    rows = [[e.terms.get(k, ZERO) for e in basis] + [target.terms.get(k, ZERO)]
-            for k in keys]
-    ncols = len(basis)
-    pivot_cols = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        pivot_cols.append(c)
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][ncols]:
+class Span:
+    """The span of a list of NSElements, eliminated once for many targets.
+
+    [B | I], B the key-by-basis coefficient matrix, is reduced once to
+    [R | E]; `coordinates(t)` is then one sparse product E t.
+    """
+
+    __slots__ = ("size", "rank", "pivots", "_columns")
+
+    def __init__(self, basis):
+        keys = sorted({k for e in basis for k in e.terms}, key=key_str)
+        size = len(basis)
+        rows = [[e.terms.get(k, ZERO) for e in basis]
+                + [ONE if j == i else ZERO for j in range(len(keys))]
+                for i, k in enumerate(keys)]
+        self.size = size
+        self.pivots = gauss_jordan(rows, size)
+        self.rank = len(self.pivots)
+        self._columns = {k: [row[size + j] for row in rows]
+                         for j, k in enumerate(keys)}
+
+    def coordinates(self, target):
+        """Exact coordinates of target (zero off the pivots), or None."""
+        coords = [ZERO] * self.size
+        if not target.terms:
+            return coords
+        columns = []
+        for key in target.terms:
+            column = self._columns.get(key)
+            if column is None:
+                return None
+            columns.append(column)
+        values = list(target.terms.values())
+        image = [dot(row, values) for row in zip(*columns)]
+        if any(image[self.rank:]):
             return None
-    coeffs = [ZERO] * ncols
-    for i, c in enumerate(pivot_cols):
-        coeffs[c] = rows[i][ncols]
-    return coeffs
+        for c, x in zip(self.pivots, image):
+            coords[c] = x
+        return coords
 
 
 def closure_violations(n):
-    """Bracket pairs of the twist-n basis that leave the span."""
+    """Bracket pairs of the twist-n basis that leave its span; the basis
+    is eliminated once per call (`Span`), not once per pair."""
     basis = subalgebra_basis(n)
+    span = Span(basis)
     bad = []
     for i, u in enumerate(basis):
         for j, v in enumerate(basis):
             product = bracket(u, v)
             if product.central_coefficient():
                 bad.append((i, j, "central term"))
-            elif span_coefficients(product, basis) is None:
+            elif span.coordinates(product) is None:
                 bad.append((i, j, "outside span"))
     return bad
 

@@ -11,8 +11,9 @@ compares the integer triple, and each field operation costs one integer
 gcd.  Sums of products (Grassmann and polynomial products, matrix
 entries) are instead accumulated as unreduced triples and reduced once
 per output coefficient (`triples`, `add_triple`, `reduce_triples`,
-`dot`).  The real and imaginary parts are available as
-fractions.Fraction through the `re` and `im` properties.
+`dot`).  `gauss_jordan` is the one row reduction of scalar matrices.
+The real and imaginary parts are available as fractions.Fraction
+through the `re` and `im` properties.
 """
 
 from __future__ import annotations
@@ -67,9 +68,13 @@ def _canonical(a, b, d):
 
 
 def _rational_parts(value):
-    """(numerator, denominator) of an int or anything Fraction accepts."""
+    """(numerator, denominator) of an int or anything Fraction accepts
+    except a binary float, which would not be the decimal it was written as."""
     if type(value) is int:
         return value, 1
+    if isinstance(value, float):
+        raise TypeError(f"inexact float {value!r} is not a Q(i) scalar; "
+                        "pass an int, a Fraction or a string")
     q = value if isinstance(value, Fraction) else Fraction(value)
     return q.numerator, q.denominator
 
@@ -337,6 +342,34 @@ def dot(xs, ys):
         a += pa
         b += pb
     return _new(a, b, 1) if d == 1 else _canonical(a, b, d)
+
+
+def gauss_jordan(rows, ncols):
+    """Reduce lists of scalars in place over their first ncols columns.
+
+    Returns the pivot columns: row i < len(pivots) has 1 in column
+    pivots[i] and every other row 0 there; the later rows are zero over all
+    ncols columns.  Columns past ncols take part in every row operation, so
+    appended columns record it.
+    """
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c].inverse()
+        prow = rows[r] = [x * inv for x in rows[r]]
+        support = [k for k, y in enumerate(prow) if y]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                for k in support:
+                    row[k] = row[k] - f * prow[k]
+        pivots.append(c)
+        r += 1
+    return pivots
 
 
 def _coerce(value):

@@ -102,10 +102,6 @@ class ScalarPoly:
     def z(cls):
         return cls({1: ONE})
 
-    @classmethod
-    def const(cls, c):
-        return cls({0: grat(c)})
-
     def is_zero(self):
         return not self.coeffs
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from .scalars import GaussianRational, grat
 from .grassmann import Supernumber, labels_from_mask, mask_from_labels
 from .superfield import RationalSuperfunction, ScalarPoly, SuperPolynomial
-from .superconformal import N1SuperanalyticMap, SuperconformalMap
+from .superconformal import SuperconformalMap
 
 
 class ParseError(ValueError):
@@ -243,18 +243,6 @@ def n1_map_to_json(h):
             name: rsf_to_json(comp) for name, comp in h.components().items()
         },
     }
-
-
-def n1_map_from_json(data):
-    L = data["L"]
-    comps = data["components"]
-    return N1SuperanalyticMap(
-        rsf_from_json(comps["f1"], L),
-        rsf_from_json(comps["xi"], L),
-        rsf_from_json(comps["psi"], L),
-        rsf_from_json(comps["g"], L),
-        coefficient_bound=False,
-    )
 
 
 def params_to_json(p):

@@ -4,6 +4,8 @@ import json
 import pytest
 
 from supersphere import campaign
+from supersphere import matrixalgebra as msa
+from supersphere import nsalgebra as ns
 from supersphere.campaign import (
     CampaignConfig,
     UsageError,
@@ -86,6 +88,46 @@ def test_report_bytes_are_pinned():
         "be810c1185b48b39141a54bba28f329fa29caa9bb76623c03b00e95a3055960a"
     assert digest(run_campaign(cfg, only="spheres.closure.n=1")) == \
         "7c08615f3634cdfeba671e10ed621f16fa65ddbb7fb9ec784f5db1b6fa64b92e"
+
+
+def test_dependent_twist_basis_fails_solvability(monkeypatch):
+    real_basis = ns.subalgebra_basis
+
+    def repeated_odd(n):
+        # the last odd element repeats the one before it, so the parity
+        # counts stay right and only the rank drops
+        basis = real_basis(n)
+        return basis[:-1] + [basis[-2]]
+
+    monkeypatch.setattr(ns, "subalgebra_basis", repeated_odd)
+    record = run_campaign(tiny_config(), only="ns.subalgebras")["checks"][0]
+    assert record["status"] == "fail"
+    laws = {f["law"] for f in record["failures"]}
+    assert {f"basis solvability for twist {n}" for n in range(-6, 7)} <= laws
+    assert not any(law.startswith("dimensions") for law in laws)
+
+
+def test_table_mismatches_are_classified_alike(monkeypatch):
+    mismatches = [
+        {"pair": (0, 1), "expected": "no central term", "got": "1"},
+        {"pair": (1, 0), "expected": "bracket inside the span", "got": "x"},
+        {"pair": (1, 1), "expected": "M", "got": "N"},
+    ]
+    monkeypatch.setattr(msa, "verify_table", lambda pairs: {
+        "mismatches": mismatches, "injective": True, "size": len(pairs)})
+    monkeypatch.setattr(msa.GnSemidirect, "verify", lambda self: {
+        "mismatches": mismatches, "size": 1})
+    for cid, copies, extra in (("matrix.osp", 1, [{}]),
+                               ("matrix.p", 2, [{}, {}]),
+                               ("matrix.semidirect", 4,
+                                [{"n": n} for n in (2, 3, -2, -3)])):
+        record = run_campaign(tiny_config(), only=cid)["checks"][0]
+        assert record["status"] == "fail", cid
+        assert record["failures"] == copies * [
+            {"law": "source bracket consistency", "counterexample": item}
+            for item in mismatches[:2]]
+        assert record["discrepancies"] == [dict(mismatches[2], **tag)
+                                           for tag in extra]
 
 
 def test_raising_suite_is_recorded_and_the_run_goes_on(monkeypatch, tmp_path,

@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from supersphere import nsalgebra as ns
 from supersphere.grassmann import Supernumber
-from supersphere.scalars import grat
+from supersphere.scalars import ZERO, grat
 from supersphere.superfield import SuperPolynomial, THETA_MINUS, THETA_PLUS
 
 
@@ -140,13 +141,107 @@ class TestSubalgebras:
     def test_span_solver(self):
         basis = ns.subalgebra_basis(0)
         target = ns.bracket(e(ns.Gp(1)), e(ns.Gm(-1)))
-        coeffs = ns.span_coefficients(target, basis)
+        span = ns.Span(basis)
+        coeffs = span.coordinates(target)
         assert coeffs is not None
         rebuilt = ns.NSElement.zero()
         for c, b in zip(coeffs, basis):
             rebuilt = rebuilt + b.scale(c)
         assert rebuilt == target
-        assert ns.span_coefficients(e(ns.L(5)), basis) is None
+        assert span.coordinates(e(ns.L(5))) is None
+
+
+def _reference_solve(target, basis):
+    """(rank, coordinates or None): one Gauss-Jordan per target, the loop
+    the campaign ran before bases were eliminated once (`ns.Span`)."""
+    keys = sorted(
+        {k for e in basis for k in e.terms} | set(target.terms), key=ns.key_str
+    )
+    if not keys:
+        return 0, [ZERO] * len(basis)
+    rows = [[e.terms.get(k, ZERO) for e in basis] + [target.terms.get(k, ZERO)]
+            for k in keys]
+    ncols = len(basis)
+    pivot_cols = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                factor = rows[i][c]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        pivot_cols.append(c)
+        r += 1
+    for i in range(r, len(rows)):
+        if rows[i][ncols]:
+            return r, None
+    coeffs = [ZERO] * ncols
+    for i, c in enumerate(pivot_cols):
+        coeffs[c] = rows[i][ncols]
+    return r, coeffs
+
+
+SPAN_KEYS = [ns.L(-1), ns.L(0), ns.L(1), ns.J(0), ns.Gp(1), ns.Gm(-1)]
+OUTSIDE_KEYS = [ns.L(5), ns.Gp(3), ns.CENTRAL]
+small_scalars = st.builds(
+    lambda a, b, d: grat(Fraction(a, d), Fraction(b, d)),
+    st.integers(-3, 3), st.integers(-2, 2), st.integers(1, 3))
+
+
+def _elements(keys, min_size=0):
+    return st.dictionaries(st.sampled_from(keys), small_scalars,
+                           min_size=min_size, max_size=4).map(ns.NSElement)
+
+
+def _combination(coeffs, elements):
+    out = ns.NSElement.zero()
+    for c, x in zip(coeffs, elements):
+        out = out + x.scale(c)
+    return out
+
+
+@st.composite
+def span_cases(draw):
+    """A basis, possibly empty or dependent, and a target of one of four
+    kinds: inside the span, random, with a key outside the basis, zero."""
+    basis = draw(st.lists(_elements(SPAN_KEYS, min_size=1), max_size=6))
+    for _ in range(draw(st.integers(0, 2)) if basis else 0):
+        coeffs = draw(st.lists(small_scalars, min_size=len(basis),
+                               max_size=len(basis)))
+        basis.append(_combination(coeffs, basis))
+    basis = draw(st.permutations(basis))
+    kind = draw(st.sampled_from(["inside", "random", "outside", "zero"]))
+    if kind == "inside":
+        coeffs = draw(st.lists(small_scalars, min_size=len(basis),
+                               max_size=len(basis)))
+        target = _combination(coeffs, basis)
+    elif kind == "random":
+        target = draw(_elements(SPAN_KEYS, min_size=1))
+    elif kind == "outside":
+        key = draw(st.sampled_from(OUTSIDE_KEYS))
+        coeff = draw(small_scalars.filter(bool))
+        target = draw(_elements(SPAN_KEYS)) + ns.NSElement.basis(key, coeff)
+    else:
+        target = ns.NSElement.zero()
+    return basis, target
+
+
+@settings(max_examples=150, deadline=None)
+@given(span_cases())
+def test_span_matches_one_elimination_per_target(case):
+    basis, target = case
+    span = ns.Span(basis)
+    rank, coeffs = _reference_solve(target, basis)
+    assert span.rank == rank
+    got = span.coordinates(target)
+    assert got == coeffs
+    if got is not None:
+        assert _combination(got, basis) == target
 
 
 class TestFlows:

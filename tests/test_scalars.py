@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from supersphere.grassmann import Supernumber
 from supersphere.scalars import GaussianRational, NotASquare, grat, rational_sqrt
+from supersphere.superfield import ScalarPoly
 
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
@@ -18,6 +20,15 @@ def test_basic_arithmetic():
     assert a * grat(0, 1) == grat(0, "3/2")
     assert (b * b.inverse()) == grat(1)
     assert grat(2) ** -2 == grat("1/4")
+
+
+def test_binary_floats_are_refused():
+    for make in (lambda: grat(0.1), lambda: GaussianRational(0.5),
+                 lambda: grat(1, 0.25), lambda: Supernumber.scalar(6, 0.1),
+                 lambda: ScalarPoly({0: 0.1})):
+        with pytest.raises(TypeError):
+            make()
+    assert grat("-1/2") == grat(Fraction(-1, 2))
 
 
 def test_parse_forms():
