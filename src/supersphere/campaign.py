@@ -377,14 +377,9 @@ def _suite_spheres_closure(n):
             wrong = spheres.build_map(s.automorphism_params(n))
             bump = RationalSuperfunction.from_constant(
                 cfg.generators, Supernumber.generator(cfg.generators, 1))
-            if n >= 2:
-                forged = SuperconformalMap(
-                    wrong.f, wrong.g_plus, wrong.g_minus,
-                    wrong.psi_plus + bump, wrong.psi_minus)
-            else:
-                forged = SuperconformalMap(
-                    wrong.f, wrong.g_plus, wrong.g_minus,
-                    wrong.psi_plus, wrong.psi_minus + bump)
+            short, tower = spheres.sides(n, wrong.psi_plus, wrong.psi_minus)
+            forged = SuperconformalMap(wrong.f, wrong.g_plus, wrong.g_minus,
+                                       *spheres.sides(n, short + bump, tower))
             try:
                 spheres.validate_map(forged, n)
                 out.fail("shape violation accepted", None)
@@ -480,8 +475,7 @@ def _suite_spheres_translations(n):
             conj = group_action(n, alpha).compose(tu).compose(
                 group_action(n, alpha).invert())
             predicted = conjugated_translation_coeffs(n, alpha, u)
-            got = conj.params.psi_minus if n >= 2 else conj.params.psi_plus
-            if list(got) != list(predicted):
+            if list(conj.params.tower) != list(predicted):
                 out.fail("conjugation acts by the polynomial transform",
                          {"u": [textio.supernumber_to_json(x) for x in u]})
         # the stated rank: single-degree generators are independent members
@@ -489,8 +483,7 @@ def _suite_spheres_translations(n):
             coeffs = [zero] * rank
             coeffs[k] = Supernumber.generator(L, 1)
             t = odd_translation(n, coeffs)
-            tower = t.params.psi_minus if n >= 2 else t.params.psi_plus
-            if [x for x in tower if x] != [Supernumber.generator(L, 1)]:
+            if [x for x in t.params.tower if x] != [Supernumber.generator(L, 1)]:
                 out.fail("generator at each degree", {"degree": k})
         out.samples += rank
         return out
@@ -521,20 +514,21 @@ def _suite_ns_representation(cfg, rng):
 
 def _suite_ns_subalgebras(cfg, rng):
     out = Outcome()
-    span = sorted(set(range(-6, 7)) | set(cfg.n_range))
-    for n in span:
+    twists = sorted(set(range(-6, 7)) | set(cfg.n_range))
+    for n in twists:
         out.samples += 1
-        bad = ns.closure_violations(n)
+        basis = ns.subalgebra_basis(n)
+        span = ns.Span(basis)
+        bad = ns.closure_violations(span)
         if bad:
             out.fail(f"closure of the twist-{n} subalgebra", {"pairs": bad[:5]})
-        basis = ns.subalgebra_basis(n)
         want_even, want_odd = ns.subalgebra_dimensions(n)
         evens = [e for e in basis if e.parity() == 0]
         odds = [e for e in basis if e.parity() == 1]
         if len(evens) != want_even or len(odds) != want_odd:
             out.fail(f"dimensions of the twist-{n} subalgebra",
                      {"got": (len(evens), len(odds))})
-        if ns.Span(basis).rank != len(basis):
+        if span.rank != len(basis):
             out.fail(f"basis solvability for twist {n}", None)
         if abs(n) >= 2:
             sigma_bad = ns.sigma_action_violations(n)

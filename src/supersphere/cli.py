@@ -26,16 +26,16 @@ from .campaign import (
 def parse_n_range(text):
     """Parse '-4..4' or a comma list like '-2,0,3' into a tuple of ints."""
     text = text.strip()
-    if ".." in text:
+    try:
+        if ".." not in text:
+            return tuple(int(part) for part in text.split(",") if part.strip())
         lo, _, hi = text.partition("..")
         lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise UsageError(f"empty twist range {text!r}")
-        return tuple(range(lo, hi + 1))
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
         raise UsageError(f"bad twist range {text!r}") from exc
+    if hi < lo:
+        raise UsageError(f"empty twist range {text!r}")
+    return tuple(range(lo, hi + 1))
 
 
 def build_parser():

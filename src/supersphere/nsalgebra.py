@@ -512,7 +512,7 @@ class Span:
     [R | E]; `coordinates(t)` is then one sparse product E t.
     """
 
-    __slots__ = ("size", "rank", "pivots", "_columns")
+    __slots__ = ("basis", "size", "rank", "pivots", "_columns")
 
     def __init__(self, basis):
         keys = sorted({k for e in basis for k in e.terms}, key=key_str)
@@ -520,6 +520,7 @@ class Span:
         rows = [[e.terms.get(k, ZERO) for e in basis]
                 + [ONE if j == i else ZERO for j in range(len(keys))]
                 for i, k in enumerate(keys)]
+        self.basis = tuple(basis)
         self.size = size
         self.pivots = gauss_jordan(rows, size)
         self.rank = len(self.pivots)
@@ -546,14 +547,12 @@ class Span:
         return coords
 
 
-def closure_violations(n):
-    """Bracket pairs of the twist-n basis that leave its span; the basis
-    is eliminated once per call (`Span`), not once per pair."""
-    basis = subalgebra_basis(n)
-    span = Span(basis)
+def closure_violations(span):
+    """Bracket pairs of span's basis that leave the span; the basis was
+    eliminated once, when `span` was built, not once per pair."""
     bad = []
-    for i, u in enumerate(basis):
-        for j, v in enumerate(basis):
+    for i, u in enumerate(span.basis):
+        for j, v in enumerate(span.basis):
             product = bracket(u, v)
             if product.central_coefficient():
                 bad.append((i, j, "central term"))

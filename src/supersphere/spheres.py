@@ -5,6 +5,11 @@ supermanifold glued from two coordinate charts by the transition map
 
     I_n(z, theta+, theta-) = (1/z, i theta+ z^(n-1), i theta- z^(-n-1)).
 
+The swap sigma(z, theta+, theta-) = (z, theta-, theta+) is superconformal
+and sigma I_n sigma = I_(-n), so Aut(S_(-n)) = sigma Aut(S_n) sigma.  The
+code writes each n != 0 family once, for n > 0, and `sides` derives n < 0
+from it by trading the + and - components.
+
 An automorphism is determined by its southern-chart map, which belongs to
 a parametrized family depending on the regime of n:
 
@@ -12,10 +17,10 @@ a parametrized family depending on the regime of n:
   and a d - b c = 1 exactly;
 * for n = 0 both psi+ and psi- are degree-one over (c z + d), with two
   invertible factors eps+- tied by eps+ eps- = 1 - psi1+ psi0- - psi1- psi0+;
-* for n = +-1 one psi is constant, the other quadratic over (c z + d)^2,
-  with a single invertible eps;
-* for |n| >= 2 one psi vanishes, the other has degree |n|+1 over
-  (c z + d)^(|n|+1), and g+- = (eps (c z + d)^n)^(+-1) / (c z + d).
+* for n = 1 psi+ is constant and psi- quadratic over (c z + d)^2, with a
+  single invertible eps;
+* for n >= 2 psi+ vanishes, psi- has degree n+1 over (c z + d)^(n+1), and
+  g+- = (eps (c z + d)^n)^(+-1) / (c z + d).
 
 Parameters are recovered from a map exactly: the scalar Moebius part is
 normalized to determinant one (sign fixed by a deterministic tie-break;
@@ -130,6 +135,17 @@ def normalize_determinant(a, b, c, d):
     return a * lam, b * lam, c * lam, d * lam
 
 
+def sides(n, plus, minus):
+    """The (short, tower) sides of a (plus, minus) pair for n != 0.
+
+    For n > 0 the short side is + (psi+ constant or zero, g+ carrying eps)
+    and the tower is -; sigma trades them for n < 0.  The swap is an
+    involution, so the same call also places a (short, tower) pair back
+    as (plus, minus).
+    """
+    return (plus, minus) if n > 0 else (minus, plus)
+
+
 def _positive_leading(values):
     """True if the first nonzero scalar has Re > 0, or Re = 0 and Im > 0."""
     for v in values:
@@ -144,7 +160,7 @@ class AutomorphismParams:
     psi_plus and psi_minus are coefficient lists indexed by z-degree; the
     constant psi of the n = +-1 regimes sits in the length-one list.  For
     n = 0 the two invertible factors are eps_plus and eps_minus; otherwise
-    a single eps is used.
+    a single eps is used, on the short side (see `sides`).
     """
 
     __slots__ = ("n", "L", "a", "b", "c", "d",
@@ -162,29 +178,13 @@ class AutomorphismParams:
         self.psi_minus = tuple(psi_minus)
         self.validate()
 
-    @classmethod
-    def identity(cls, n, L):
-        one = Supernumber.one(L)
-        zero = Supernumber.zero(L)
-        plus_len, minus_len = cls.psi_lengths(n)
-        if n == 0:
-            return cls(n, one, zero, zero, one, eps_plus=one, eps_minus=one,
-                       psi_plus=[zero] * plus_len, psi_minus=[zero] * minus_len)
-        return cls(n, one, zero, zero, one, eps=one,
-                   psi_plus=[zero] * plus_len, psi_minus=[zero] * minus_len)
-
     @staticmethod
     def psi_lengths(n):
         """(len psi_plus, len psi_minus) for the regime of n."""
         if n == 0:
             return 2, 2
-        if n == 1:
-            return 1, 3
-        if n == -1:
-            return 3, 1
-        if n >= 2:
-            return 0, n + 2
-        return -n + 2, 0
+        k = abs(n)
+        return sides(n, 1 if k == 1 else 0, k + 2)
 
     def validate(self):
         bound = self.L - 2
@@ -223,6 +223,11 @@ class AutomorphismParams:
             if not (self.eps.is_even() and self.eps.body()
                     and self.eps.in_subalgebra(bound)):
                 raise InvalidParams("eps must be even and invertible")
+
+    @property
+    def tower(self):
+        """The psi coefficient list of degree |n| + 1, for n != 0."""
+        return sides(self.n, self.psi_plus, self.psi_minus)[1]
 
     def __eq__(self, other):
         if not isinstance(other, AutomorphismParams):
@@ -264,13 +269,13 @@ def _poly(L, coeffs):
 
 def build_map(p):
     """The southern-chart superconformal map of the automorphism with
-    parameters p, assembled from the regime formulas."""
+    parameters p, assembled from the regime formulas; for n != 0 they
+    are written for n > 0 and `sides` places them for n < 0."""
     L = p.L
     n = p.n
     czd = _linear(L, p.c, p.d)
     inv = czd.inverse()
     f = _linear(L, p.a, p.b) * inv
-    one = Supernumber.one(L)
 
     if n == 0:
         psi_p = _linear(L, p.psi_plus[1], p.psi_plus[0]) * inv
@@ -291,49 +296,29 @@ def build_map(p):
                 + _linear(L, f_c, h_c) * inv2
         return SuperconformalMap(f, g[+1], g[-1], psi_p, psi_m)
 
-    if n == 1:
+    k = abs(n)
+    short, tower = sides(n, p.psi_plus, p.psi_minus)
+    if k == 1:
         eps_inv = p.eps.inverse()
-        psi_p = RationalSuperfunction.from_constant(L, p.psi_plus[0])
+        psi_s = RationalSuperfunction.from_constant(L, short[0])
         inv2 = inv * inv
-        psi_m = _poly(L, p.psi_minus) * inv2
-        g_p = RationalSuperfunction.from_constant(L, p.eps)
-        pm0, pm1, pm2 = p.psi_minus
+        psi_t = _poly(L, tower) * inv2
+        g_s = RationalSuperfunction.from_constant(L, p.eps)
+        t0, t1, t2 = tower
         corr = _poly(L, [
-            p.psi_plus[0] * (pm1 * p.d - pm0 * p.c.scale(2)),
-            p.psi_plus[0] * (pm2 * p.d.scale(2) - pm1 * p.c),
+            short[0] * (t1 * p.d - t0 * p.c.scale(2)),
+            short[0] * (t2 * p.d.scale(2) - t1 * p.c),
         ])
-        g_m = (RationalSuperfunction.from_constant(L, eps_inv) * inv2
+        g_t = (RationalSuperfunction.from_constant(L, eps_inv) * inv2
                + corr.scale_left(eps_inv) * (inv2 * inv))
-        return SuperconformalMap(f, g_p, g_m, psi_p, psi_m)
-
-    if n == -1:
-        eps_inv = p.eps.inverse()
-        psi_m = RationalSuperfunction.from_constant(L, p.psi_minus[0])
-        inv2 = inv * inv
-        psi_p = _poly(L, p.psi_plus) * inv2
-        g_m = RationalSuperfunction.from_constant(L, p.eps)
-        pp0, pp1, pp2 = p.psi_plus
-        corr = _poly(L, [
-            (pp1 * p.d - pp0 * p.c.scale(2)) * p.psi_minus[0],
-            (pp2 * p.d.scale(2) - pp1 * p.c) * p.psi_minus[0],
-        ])
-        g_p = (RationalSuperfunction.from_constant(L, eps_inv) * inv2
-               - corr.scale_left(eps_inv) * (inv2 * inv))
-        return SuperconformalMap(f, g_p, g_m, psi_p, psi_m)
-
-    if n >= 2:
-        zero = RationalSuperfunction.zero(L)
-        psi_m = _poly(L, p.psi_minus) * inv ** (n + 1)
-        g_p = RationalSuperfunction.from_constant(L, p.eps) * czd ** (n - 1)
-        g_m = RationalSuperfunction.from_constant(L, p.eps.inverse()) * inv ** (n + 1)
-        return SuperconformalMap(f, g_p, g_m, zero, psi_m)
-
-    # n <= -2: mirror regime, psi- vanishes
-    zero = RationalSuperfunction.zero(L)
-    psi_p = _poly(L, p.psi_plus) * inv ** (-n + 1)
-    g_p = RationalSuperfunction.from_constant(L, p.eps.inverse()) * inv ** (-n + 1)
-    g_m = RationalSuperfunction.from_constant(L, p.eps) * czd ** (-n - 1)
-    return SuperconformalMap(f, g_p, g_m, psi_p, zero)
+    else:
+        psi_s = RationalSuperfunction.zero(L)
+        psi_t = _poly(L, tower) * inv ** (k + 1)
+        g_s = RationalSuperfunction.from_constant(L, p.eps) * czd ** (k - 1)
+        g_t = RationalSuperfunction.from_constant(L, p.eps.inverse()) * inv ** (k + 1)
+    g_plus, g_minus = sides(n, g_s, g_t)
+    psi_plus, psi_minus = sides(n, psi_s, psi_t)
+    return SuperconformalMap(f, g_plus, g_minus, psi_plus, psi_minus)
 
 
 class SphereAutomorphism:
@@ -356,7 +341,7 @@ class SphereAutomorphism:
 
     @classmethod
     def identity(cls, n, L):
-        return cls.build(AutomorphismParams.identity(n, L))
+        return group_action(n, MatrixGroupElement.identity(L))
 
     @classmethod
     def from_map(cls, m, n):
@@ -490,7 +475,6 @@ def validate_map(m, n):
     a, b, c, d = recover_moebius(m)
     L = m.L
     czd = _linear(L, c, d)
-    one = Supernumber.one(L)
 
     if n == 0:
         pp0, pp1 = _as_coeff_list(m.psi_plus, czd, 1, 2, "psi+")
@@ -511,34 +495,29 @@ def validate_map(m, n):
             0, a, b, c, d, eps_plus=eps[+1], eps_minus=eps[-1],
             psi_plus=[pp0, pp1], psi_minus=[pm0, pm1],
         )
-    elif n == 1:
-        psi_p = _constant_or_fail(m.psi_plus, "psi+")
-        psi_m = _as_coeff_list(m.psi_minus, czd, 2, 3, "psi-")
-        eps = _constant_or_fail(m.g_plus, "g+")
-        params = AutomorphismParams(1, a, b, c, d, eps=eps,
-                                    psi_plus=[psi_p], psi_minus=psi_m)
-    elif n == -1:
-        psi_m = _constant_or_fail(m.psi_minus, "psi-")
-        psi_p = _as_coeff_list(m.psi_plus, czd, 2, 3, "psi+")
-        eps = _constant_or_fail(m.g_minus, "g-")
-        params = AutomorphismParams(-1, a, b, c, d, eps=eps,
-                                    psi_plus=psi_p, psi_minus=[psi_m])
-    elif n >= 2:
-        if not m.psi_plus.is_zero():
-            raise NotInFamily("psi+ must vanish for n >= 2")
-        psi_m = _as_coeff_list(m.psi_minus, czd, n + 1, n + 2, "psi-")
-        eps = _constant_or_fail(m.g_plus * czd.inverse() ** (n - 1), "g+ shape")
-        if not eps.body():
-            raise NotInFamily("eps must be invertible")
-        params = AutomorphismParams(n, a, b, c, d, eps=eps, psi_minus=psi_m)
     else:
-        if not m.psi_minus.is_zero():
-            raise NotInFamily("psi- must vanish for n <= -2")
-        psi_p = _as_coeff_list(m.psi_plus, czd, -n + 1, -n + 2, "psi+")
-        eps = _constant_or_fail(m.g_minus * czd.inverse() ** (-n - 1), "g- shape")
-        if not eps.body():
-            raise NotInFamily("eps must be invertible")
-        params = AutomorphismParams(n, a, b, c, d, eps=eps, psi_plus=psi_p)
+        k = abs(n)
+        s_name, t_name = sides(n, "+", "-")
+        psi_s, psi_t = sides(n, m.psi_plus, m.psi_minus)
+        if k == 1:
+            short = [_constant_or_fail(psi_s, f"psi{s_name}")]
+        elif psi_s.is_zero():
+            short = []
+        else:
+            raise NotInFamily(f"psi{s_name} must vanish for n "
+                              f"{'>= 2' if n > 0 else '<= -2'}")
+        tower = _as_coeff_list(psi_t, czd, k + 1, k + 2, f"psi{t_name}")
+        g_s = sides(n, m.g_plus, m.g_minus)[0]
+        if k == 1:
+            eps = _constant_or_fail(g_s, f"g{s_name}")
+        else:
+            eps = _constant_or_fail(g_s * czd.inverse() ** (k - 1),
+                                    f"g{s_name} shape")
+            if not eps.body():
+                raise NotInFamily("eps must be invertible")
+        psi_plus, psi_minus = sides(n, short, tower)
+        params = AutomorphismParams(n, a, b, c, d, eps=eps,
+                                    psi_plus=psi_plus, psi_minus=psi_minus)
 
     if build_map(params) != m:
         raise NotInFamily("map differs from the family member its data suggests")
@@ -697,24 +676,16 @@ def group_action(n, alpha):
     """The automorphism (z, t+, t-) -> ((az+b)/(cz+d), t+ eps (cz+d)^(n-1),
     t- eps^(-1) (cz+d)^(-n-1)) as a family member."""
     L = alpha.a.L
-    zeros_plus, zeros_minus = AutomorphismParams.psi_lengths(n)
+    plus_len, minus_len = AutomorphismParams.psi_lengths(n)
     zero = Supernumber.zero(L)
-    psi_plus = [zero] * zeros_plus
-    psi_minus = [zero] * zeros_minus
+    eps_plus, eps_minus = alpha.eps, alpha.eps.inverse()
     if n == 0:
-        params = AutomorphismParams(
-            0, alpha.a, alpha.b, alpha.c, alpha.d,
-            eps_plus=alpha.eps, eps_minus=alpha.eps.inverse(),
-            psi_plus=psi_plus, psi_minus=psi_minus,
-        )
-    elif n >= 1:
-        params = AutomorphismParams(n, alpha.a, alpha.b, alpha.c, alpha.d,
-                                    eps=alpha.eps,
-                                    psi_plus=psi_plus, psi_minus=psi_minus)
+        factors = {"eps_plus": eps_plus, "eps_minus": eps_minus}
     else:
-        params = AutomorphismParams(n, alpha.a, alpha.b, alpha.c, alpha.d,
-                                    eps=alpha.eps.inverse(),
-                                    psi_plus=psi_plus, psi_minus=psi_minus)
+        factors = {"eps": sides(n, eps_plus, eps_minus)[0]}
+    params = AutomorphismParams(n, alpha.a, alpha.b, alpha.c, alpha.d,
+                                psi_plus=[zero] * plus_len,
+                                psi_minus=[zero] * minus_len, **factors)
     return SphereAutomorphism.build(params)
 
 
@@ -748,12 +719,9 @@ def odd_translation(n, coeffs):
     L = coeffs[0].L
     one = Supernumber.one(L)
     zero = Supernumber.zero(L)
-    if n >= 2:
-        params = AutomorphismParams(n, one, zero, zero, one, eps=one,
-                                    psi_minus=coeffs)
-    else:
-        params = AutomorphismParams(n, one, zero, zero, one, eps=one,
-                                    psi_plus=coeffs)
+    psi_plus, psi_minus = sides(n, (), coeffs)
+    params = AutomorphismParams(n, one, zero, zero, one, eps=one,
+                                psi_plus=psi_plus, psi_minus=psi_minus)
     return SphereAutomorphism.build(params)
 
 
@@ -779,7 +747,7 @@ def conjugated_translation_coeffs(n, alpha, coeffs):
         term = (num_pow * den_pows[top - j]).scale_left(u)
         acc = acc + term
         num_pow = num_pow * lin_num
-    weight = alpha.eps.inverse() if n >= 2 else alpha.eps
+    weight = sides(n, alpha.eps, alpha.eps.inverse())[1]
     out = [Supernumber.zero(L) for _ in range(top + 1)]
     for (k, mask), coeff in acc.terms.items():
         assert mask == 0

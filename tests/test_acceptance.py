@@ -181,9 +181,9 @@ def test_criterion_07_algebra_consistency():
 
 def test_criterion_08_subalgebras():
     for n in range(-6, 7):
-        assert ns.closure_violations(n) == []
-        even, odd = ns.subalgebra_dimensions(n)
         basis = ns.subalgebra_basis(n)
+        assert ns.closure_violations(ns.Span(basis)) == []
+        even, odd = ns.subalgebra_dimensions(n)
         assert even == 4
         assert odd == (4 if abs(n) <= 2 else abs(n) + 2)
         assert len(basis) == even + odd

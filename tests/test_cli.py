@@ -177,8 +177,9 @@ def test_raising_suite_is_recorded_and_the_run_goes_on(monkeypatch, tmp_path,
 def test_twist_range_parsing():
     assert parse_n_range("-2..2") == (-2, -1, 0, 1, 2)
     assert parse_n_range("-3,0,4") == (-3, 0, 4)
-    with pytest.raises(UsageError):
-        parse_n_range("5..1")
+    for bad in ("5..1", "1..x", "1.5..3"):
+        with pytest.raises(UsageError):
+            parse_n_range(bad)
 
 
 def test_cli_exit_codes(tmp_path):

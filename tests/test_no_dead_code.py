@@ -1,8 +1,13 @@
-"""No module-level function or class in the package goes unreferenced.
+"""No function, class or method in the package goes unreferenced.
 
-A definition counts as used when its name appears anywhere in `src/`,
-`tests/` or `perfbench/` outside its own body: as a name, as an attribute
-(`module.name`) or as a string constant (a registry key, `__all__`).
+A module-level definition counts as used when its name appears anywhere
+in `src/`, `tests/` or `perfbench/` outside its own body: as a name, as
+an attribute (`module.name`) or as a string constant (a registry key,
+`__all__`).  A method of a module-level class counts as used when it is
+accessed as an attribute (`obj.name`, `cls.name`) or named in a string
+constant, alone or as the last part of a dotted one such as the hook
+string "SphereAutomorphism.build"; a bare name cannot call a method.
+Dunder methods are used by the language and are skipped.
 """
 
 import ast
@@ -12,33 +17,48 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "supersphere"
 SCANNED = ("src", "tests", "perfbench")
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _references(node):
+    """(every reference, attribute and string references) under node."""
     refs = Counter()
+    attrs = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             refs[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
             refs[sub.attr] += 1
+            attrs[sub.attr] += 1
         elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
             refs[sub.value] += 1
-    return refs
+            attrs[sub.value.rpartition(".")[2]] += 1
+    return refs, attrs
 
 
 def unreferenced_definitions():
     refs = Counter()
+    attrs = Counter()
     for top in SCANNED:
         for path in sorted((ROOT / top).rglob("*.py")):
-            refs += _references(ast.parse(path.read_text(), str(path)))
+            found, found_attrs = _references(ast.parse(path.read_text(), str(path)))
+            refs += found
+            attrs += found_attrs
     dead = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text(), str(path)).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                inside = _references(node)[node.name]
-                if refs[node.name] <= inside:
-                    dead.append(f"{path.stem}.{node.name}")
+            if not isinstance(node, DEFINITIONS):
+                continue
+            if refs[node.name] <= _references(node)[0][node.name]:
+                dead.append(f"{path.stem}.{node.name}")
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for method in node.body:
+                name = getattr(method, "name", "")
+                if (isinstance(method, DEFINITIONS[:2])
+                        and not (name.startswith("__") and name.endswith("__"))
+                        and attrs[name] <= _references(method)[1][name]):
+                    dead.append(f"{path.stem}.{node.name}.{name}")
     return dead
 
 

@@ -128,7 +128,8 @@ class TestSubalgebras:
 
     def test_closure(self):
         for n in range(-6, 7):
-            assert ns.closure_violations(n) == []
+            span = ns.Span(ns.subalgebra_basis(n))
+            assert ns.closure_violations(span) == []
 
     def test_sigma_tables(self):
         for n in (2, 3, 4, -2, -3, -4):

@@ -21,10 +21,15 @@ from supersphere.spheres import (
     invsqrt_one_plus_soul,
     normalize_determinant,
     odd_translation,
+    recover_moebius,
     to_north,
     transition,
     transition_inverse,
     validate_map,
+    _as_coeff_list,
+    _constant_or_fail,
+    _linear,
+    _poly,
 )
 from supersphere.superconformal import SuperconformalMap, to_n1
 from supersphere.superfield import RationalSuperfunction as RSF
@@ -37,6 +42,12 @@ zero = Supernumber.zero(L)
 
 def gen(j):
     return Supernumber.generator(L, j)
+
+
+def swap(m):
+    """sigma m sigma for sigma(z, t+, t-) = (z, t-, t+): a twist-n family
+    member becomes a twist-(-n) one."""
+    return SuperconformalMap(m.f, m.g_minus, m.g_plus, m.psi_minus, m.psi_plus)
 
 
 class TestTransition:
@@ -172,6 +183,9 @@ class TestValidate:
         assert m1 == m2  # the double cover collapses the two parameter sets
         assert validate_map(m1, 2) == validate_map(m2, 2)
 
+    # each rejection and recovery case also runs on its theta+- swapped
+    # twist, sigma m sigma at -n, where psi+ and psi- trade roles
+
     def test_foreign_psi_rejected(self):
         params = AutomorphismParams(2, one, zero, zero, one, eps=one,
                                     psi_minus=[zero] * 4)
@@ -179,8 +193,9 @@ class TestValidate:
         forged = SuperconformalMap(
             m.f, m.g_plus, m.g_minus,
             m.psi_plus + RSF.from_constant(L, gen(1)), m.psi_minus)
-        with pytest.raises(NotInFamily):
-            validate_map(forged, 2)
+        for case, n, short in ((forged, 2, "[+]"), (swap(forged), -2, "-")):
+            with pytest.raises(NotInFamily, match=f"psi{short} must vanish"):
+                validate_map(case, n)
 
     def test_degree_overflow_rejected(self):
         # psi- of degree n+2 over (cz+d)^(n+1) is outside the family
@@ -190,23 +205,48 @@ class TestValidate:
         bump = RSF(SuperPolynomial(L, 2, {(5, 0): gen(1)}))
         forged = SuperconformalMap(m.f, m.g_plus, m.g_minus,
                                    m.psi_plus, m.psi_minus + bump)
-        with pytest.raises(NotInFamily):
-            validate_map(forged, 2)
+        for case, n, tower in ((forged, 2, "-"), (swap(forged), -2, "[+]")):
+            with pytest.raises(NotInFamily, match=f"psi{tower} has degree"):
+                validate_map(case, n)
 
     def test_single_coefficient_recovery(self):
         params = AutomorphismParams(1, one, zero, zero, one, eps=one,
                                     psi_plus=[zero],
                                     psi_minus=[zero, zero, gen(1)])
-        recovered = validate_map(build_map(params), 1)
-        assert recovered.psi_minus[2] == gen(1)
-        assert recovered.psi_minus[0] == zero
+        m = build_map(params)
+        recovered = validate_map(m, 1)
+        mirrored = validate_map(swap(m), -1)
+        for short, tower in ((recovered.psi_plus, recovered.psi_minus),
+                             (mirrored.psi_minus, mirrored.psi_plus)):
+            assert tower[2] == gen(1)
+            assert tower[0] == zero
+            assert list(short) == [zero]
 
     def test_wrong_twist_rejected(self):
         params = AutomorphismParams(3, one, zero, one, one, eps=one,
                                     psi_minus=[zero] * 5)
         m = build_map(params)
-        with pytest.raises(NotInFamily):
-            validate_map(m, 2)
+        for case, n in ((m, 2), (swap(m), -2)):
+            with pytest.raises(NotInFamily):
+                validate_map(case, n)
+
+    @pytest.mark.parametrize("n", [-1, -2, -3, -6])
+    def test_mirror_regimes_match_handwritten_formulas(self, n):
+        s = Sampler(random.Random(41 - n), L)
+        for _ in range(3):
+            p = s.automorphism_params(n)
+            m = _handwritten_mirror_map(p)
+            assert build_map(p) == m
+            assert validate_map(m, n) == _handwritten_mirror_params(m, n)
+            # a twist -n member is superconformal but outside the family,
+            # and both reject it with the same complaint about psi-
+            foreign = build_map(s.automorphism_params(-n))
+            with pytest.raises(NotInFamily) as folded:
+                validate_map(foreign, n)
+            with pytest.raises(NotInFamily) as handwritten:
+                _handwritten_mirror_params(foreign, n)
+            assert str(folded.value) == str(handwritten.value)
+            assert str(folded.value).startswith("psi- must")
 
 
 class TestGroupLaw:
@@ -384,3 +424,59 @@ class TestOddTranslations:
             tower = conj.params.psi_minus if n >= 2 else conj.params.psi_plus
             assert list(tower) == list(predicted)
             assert conj.params.a == one and conj.params.b == zero
+
+
+# The n = -1 and n <= -2 regimes as they were written out by hand before
+# they were derived from n > 0 by the theta+- swap: the reference that the
+# sigma-derived build_map and validate_map must reproduce.
+
+
+def _handwritten_mirror_map(p):
+    n = p.n
+    czd = _linear(L, p.c, p.d)
+    inv = czd.inverse()
+    f = _linear(L, p.a, p.b) * inv
+    if n == -1:
+        eps_inv = p.eps.inverse()
+        psi_m = RSF.from_constant(L, p.psi_minus[0])
+        inv2 = inv * inv
+        psi_p = _poly(L, p.psi_plus) * inv2
+        g_m = RSF.from_constant(L, p.eps)
+        pp0, pp1, pp2 = p.psi_plus
+        corr = _poly(L, [
+            (pp1 * p.d - pp0 * p.c.scale(2)) * p.psi_minus[0],
+            (pp2 * p.d.scale(2) - pp1 * p.c) * p.psi_minus[0],
+        ])
+        g_p = (RSF.from_constant(L, eps_inv) * inv2
+               - corr.scale_left(eps_inv) * (inv2 * inv))
+        return SuperconformalMap(f, g_p, g_m, psi_p, psi_m)
+    psi_p = _poly(L, p.psi_plus) * inv ** (-n + 1)
+    g_p = RSF.from_constant(L, p.eps.inverse()) * inv ** (-n + 1)
+    g_m = RSF.from_constant(L, p.eps) * czd ** (-n - 1)
+    return SuperconformalMap(f, g_p, g_m, psi_p, RSF.zero(L))
+
+
+def _handwritten_mirror_params(m, n):
+    report = m.check()
+    if not report.ok:
+        raise NotInFamily(f"map fails superconformality: {list(report.failures)}")
+    a, b, c, d = recover_moebius(m)
+    czd = _linear(L, c, d)
+    if n == -1:
+        psi_m = _constant_or_fail(m.psi_minus, "psi-")
+        psi_p = _as_coeff_list(m.psi_plus, czd, 2, 3, "psi+")
+        eps = _constant_or_fail(m.g_minus, "g-")
+        params = AutomorphismParams(-1, a, b, c, d, eps=eps,
+                                    psi_plus=psi_p, psi_minus=[psi_m])
+    else:
+        if not m.psi_minus.is_zero():
+            raise NotInFamily("psi- must vanish for n <= -2")
+        psi_p = _as_coeff_list(m.psi_plus, czd, -n + 1, -n + 2, "psi+")
+        eps = _constant_or_fail(m.g_minus * czd.inverse() ** (-n - 1),
+                                "g- shape")
+        if not eps.body():
+            raise NotInFamily("eps must be invertible")
+        params = AutomorphismParams(n, a, b, c, d, eps=eps, psi_plus=psi_p)
+    if _handwritten_mirror_map(params) != m:
+        raise NotInFamily("map differs from the family member its data suggests")
+    return params
