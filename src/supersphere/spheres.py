@@ -280,7 +280,7 @@ def build_map(p):
     if n == 0:
         psi_p = _linear(L, p.psi_plus[1], p.psi_plus[0]) * inv
         psi_m = _linear(L, p.psi_minus[1], p.psi_minus[0]) * inv
-        inv2 = inv * inv
+        inv2 = inv ** 2
         pp1, pp0 = p.psi_plus[1], p.psi_plus[0]
         pm1, pm0 = p.psi_minus[1], p.psi_minus[0]
         g = {}
@@ -292,30 +292,27 @@ def build_map(p):
                 - ((pp1 * pm0 - pm1 * pp0) * p.d).scale(s)
                 - (pp1 * pm1 * pp0 * pm0 * p.d)
             )
-            g[sign] = RationalSuperfunction.from_constant(L, eps) * inv \
-                + _linear(L, f_c, h_c) * inv2
+            g[sign] = (czd.scale_left(eps) + _linear(L, f_c, h_c)) * inv2
         return SuperconformalMap(f, g[+1], g[-1], psi_p, psi_m)
 
     k = abs(n)
     short, tower = sides(n, p.psi_plus, p.psi_minus)
     if k == 1:
-        eps_inv = p.eps.inverse()
         psi_s = RationalSuperfunction.from_constant(L, short[0])
-        inv2 = inv * inv
-        psi_t = _poly(L, tower) * inv2
+        psi_t = _poly(L, tower) * inv ** 2
         g_s = RationalSuperfunction.from_constant(L, p.eps)
         t0, t1, t2 = tower
         corr = _poly(L, [
             short[0] * (t1 * p.d - t0 * p.c.scale(2)),
             short[0] * (t2 * p.d.scale(2) - t1 * p.c),
         ])
-        g_t = (RationalSuperfunction.from_constant(L, eps_inv) * inv2
-               + corr.scale_left(eps_inv) * (inv2 * inv))
+        g_t = (czd + corr).scale_left(p.eps.inverse()) * inv ** 3
     else:
         psi_s = RationalSuperfunction.zero(L)
-        psi_t = _poly(L, tower) * inv ** (k + 1)
-        g_s = RationalSuperfunction.from_constant(L, p.eps) * czd ** (k - 1)
-        g_t = RationalSuperfunction.from_constant(L, p.eps.inverse()) * inv ** (k + 1)
+        inv_t = inv ** (k + 1)
+        psi_t = _poly(L, tower) * inv_t
+        g_s = (czd ** (k - 1)).scale_left(p.eps)
+        g_t = inv_t.scale_left(p.eps.inverse())
     g_plus, g_minus = sides(n, g_s, g_t)
     psi_plus, psi_minus = sides(n, psi_s, psi_t)
     return SuperconformalMap(f, g_plus, g_minus, psi_plus, psi_minus)
@@ -489,7 +486,7 @@ def validate_map(m, n):
                 - ((pp1 * pm0 - pm1 * pp0) * d).scale(s)
                 - (pp1 * pm1 * pp0 * pm0 * d),
             )
-            ratio = (g * czd) * (RationalSuperfunction.one(L) + y_num / czd).inverse()
+            ratio = (g * czd ** 2) * (czd + y_num).inverse()
             eps[sign] = _constant_or_fail(ratio, f"eps{'+' if sign > 0 else '-'}")
         params = AutomorphismParams(
             0, a, b, c, d, eps_plus=eps[+1], eps_minus=eps[-1],
@@ -511,7 +508,7 @@ def validate_map(m, n):
         if k == 1:
             eps = _constant_or_fail(g_s, f"g{s_name}")
         else:
-            eps = _constant_or_fail(g_s * czd.inverse() ** (k - 1),
+            eps = _constant_or_fail(g_s * (czd ** (k - 1)).inverse(),
                                     f"g{s_name} shape")
             if not eps.body():
                 raise NotInFamily("eps must be invertible")

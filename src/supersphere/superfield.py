@@ -176,8 +176,9 @@ class ScalarPoly:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def monic(self):
@@ -809,37 +810,40 @@ class RationalSuperfunction:
         raise TypeError("rational superfunctions are not hashable")
 
     def __add__(self, other):
+        return self._combine(other, 1)
+
+    __radd__ = __add__
+
+    def _combine(self, other, sign):
+        """self + sign * other over the least common denominator,
+        normalised once."""
         if not isinstance(other, RationalSuperfunction):
             other = self._lift(other)
             if other is None:
                 return NotImplemented
         self._check(other)
         if self.den == other.den:
-            return RationalSuperfunction(self.num + other.num, self.den)
-        # cross-multiply over the least common denominator
-        shared = self.den.gcd(other.den)
-        if shared.degree() > 0:
-            left, _ = other.den.divmod(shared)
-            right, _ = self.den.divmod(shared)
+            left = right = ScalarPoly.one()
         else:
-            left, right = other.den, self.den
-        num = self.num.mul_scalar_poly(left) + other.num.mul_scalar_poly(right)
-        return RationalSuperfunction(num, self.den * left)
-
-    __radd__ = __add__
+            shared = self.den.gcd(other.den)
+            if shared.degree() > 0:
+                left, _ = other.den.divmod(shared)
+                right, _ = self.den.divmod(shared)
+            else:
+                left, right = other.den, self.den
+        a = self.num.mul_scalar_poly(left)
+        b = other.num.mul_scalar_poly(right)
+        return RationalSuperfunction(a + b if sign > 0 else a - b, self.den * left)
 
     def __neg__(self):
         return RationalSuperfunction(-self.num, self.den)
 
     def __sub__(self, other):
-        if not isinstance(other, RationalSuperfunction):
-            other = self._lift(other)
-            if other is None:
-                return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
-        return (-self).__add__(other)
+        other = self._lift(other)
+        return NotImplemented if other is None else other._combine(self, -1)
 
     def _lift(self, other):
         """other as a rational superfunction of this shape, or None."""
@@ -897,36 +901,42 @@ class RationalSuperfunction:
         return RationalSuperfunction(num, body ** (J + 1))
 
     def __truediv__(self, other):
-        if isinstance(other, RationalSuperfunction):
-            return self * other.inverse()
-        if isinstance(other, Supernumber):
-            return self * other.inverse()
-        return self * grat(other).inverse()
+        if isinstance(other, SCALAR_TYPES):
+            other = grat(other)
+        elif isinstance(other, SuperPolynomial):
+            other = RationalSuperfunction(other)
+        elif not isinstance(other, (RationalSuperfunction, Supernumber)):
+            return NotImplemented
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return other * self.inverse()
+        return self.inverse().__rmul__(other)
 
     def __pow__(self, n):
+        """num**n / den**n, normalised once.  The one normalisation stays:
+        Gauss's lemma fails over Grassmann coefficients, so a power of a
+        canonical numerator can share a factor with den**n."""
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        out = RationalSuperfunction.one(self.L, self.n_odd)
-        base = self
-        for _ in range(n):
-            out = out * base
-        return out
+        return RationalSuperfunction(self.num ** n, self.den ** n)
 
     # -- calculus ------------------------------------------------------------
 
     def diff_z(self):
-        """Quotient-rule derivative in the even variable."""
+        """Reduced quotient rule: with g = gcd(Q, Q'),
+        (P/Q)' = (P' (Q/g) - P (Q'/g)) / (Q (Q/g)).  For Q = (z - r)**m
+        the denominator is (z - r)**(m + 1) at once, not Q**2 with m - 1
+        factors z - r cancelled back out."""
         if self.den.is_one():
             return RationalSuperfunction(self.num.diff_z(), self.den)
-        num = self.num.diff_z().mul_scalar_poly(self.den) - self.num.mul_scalar_poly(
-            self.den.derivative()
-        )
-        return RationalSuperfunction(num, self.den * self.den)
+        d_den = self.den.derivative()
+        g = self.den.gcd(d_den)
+        q, _ = self.den.divmod(g)
+        dq, _ = d_den.divmod(g)
+        num = self.num.diff_z().mul_scalar_poly(q) - self.num.mul_scalar_poly(dq)
+        return RationalSuperfunction(num, self.den * q)
 
     def diff_theta(self, which):
         return RationalSuperfunction(self.num.diff_theta(which), self.den)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from supersphere import superfield
 from supersphere.grassmann import Supernumber
 from supersphere.randgen import Sampler
 from supersphere.scalars import I, grat
@@ -247,6 +248,33 @@ class TestValidate:
                 _handwritten_mirror_params(foreign, n)
             assert str(folded.value) == str(handwritten.value)
             assert str(folded.value).startswith("psi- must")
+
+
+# _cancel_common_factor calls in one build_map + validate_map round trip,
+# as measured with each power, derivative and difference normalised once;
+# normalising factor by factor again exceeds them
+NORMALISATION_BUDGET = {0: 36, 1: 24, -1: 24, 3: 19, -3: 24}
+
+
+@pytest.mark.parametrize("n", sorted(NORMALISATION_BUDGET))
+def test_round_trip_normalisation_budget(n, monkeypatch):
+    s = Sampler(random.Random(100 + n), L)
+    p = s.automorphism_params(n)
+    while not p.c.body():  # c z + d has a root: denominators are not constant
+        p = s.automorphism_params(n)
+    calls = []
+    cancel = superfield._cancel_common_factor
+
+    def counting(num, den):
+        calls.append(den)
+        return cancel(num, den)
+
+    monkeypatch.setattr(superfield, "_cancel_common_factor", counting)
+    m = build_map(p)
+    recovered = validate_map(m, n)
+    monkeypatch.undo()
+    assert build_map(recovered) == m
+    assert len(calls) <= NORMALISATION_BUDGET[n]
 
 
 class TestGroupLaw:

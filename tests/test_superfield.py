@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from supersphere import superfield
 from supersphere.grassmann import NotInvertible, Supernumber
 from supersphere.randgen import Sampler
 from supersphere.scalars import GaussianRational, grat
@@ -347,6 +348,12 @@ _THETA_PART = RSF(SuperPolynomial(L, 2, {
 _GENERATOR_PART = RSF(SuperPolynomial(L, 2, {
     (1, 0): Supernumber.one(L), (0, 0): Supernumber.one(L) + _Z1,
 }), _ZP1)  # (z + 1 + z[1]) / (z+1)
+# canonical, but its square is 2 z[1]z[2]z[3]z[4] (z + 1) / (z + 1)**2:
+# over Grassmann coefficients a power of a canonical form can cancel
+_SQUARE_CANCELS = RSF(SuperPolynomial(L, 2, {
+    (1, 0): Supernumber.monomial(L, (1, 2)),
+    (0, 0): Supernumber.monomial(L, (1, 2)) + Supernumber.monomial(L, (3, 4)),
+}), _ZP1)  # (z[1]z[2] (z + 1) + z[3]z[4]) / (z + 1)
 
 
 @settings(deadline=None)
@@ -392,6 +399,8 @@ def test_cancelling_components_leave_no_denominator():
     assert _THETA_PART.theta_component(1 << THETA_PLUS) == RSF.one(L)
     assert _GENERATOR_PART * _Z1 == RSF.from_constant(L, _Z1)
     assert _Z1 * _GENERATOR_PART == RSF.from_constant(L, _Z1)
+    assert _SQUARE_CANCELS ** 2 == RSF.from_constant(
+        L, Supernumber.monomial(L, (1, 2, 3, 4)).scale(2)) / (RSF.z(L) + 1)
 
 
 def test_left_operands_without_an_rsf_operator():
@@ -411,6 +420,11 @@ def test_left_operands_without_an_rsf_operator():
         assert P + F == F + P == RSF(P) + F
         assert P - F == RSF(P) - F
         assert F - P == F - RSF(P)
+        if not RSF(P).body_is_zero():
+            assert F / P == F * RSF(P).inverse()
+    P = SuperPolynomial.z_power(L, 1) + 2
+    assert (RSF.z(L) + 1) / P == (RSF.z(L) + 1) * RSF(P).inverse()
+    assert (RSF.z(L) + 2) / P == RSF.one(L)
     # the operators give way to the other operand, so Python raises the
     # usual TypeError for a type none of them knows
     s, P, F, other = Supernumber.one(L), SuperPolynomial.one(L), rsf_z(), object()
@@ -419,3 +433,94 @@ def test_left_operands_without_an_rsf_operator():
             left + right
         with pytest.raises(TypeError, match="unsupported operand"):
             left - right
+    for left, right in ((F, other), (other, F)):
+        with pytest.raises(TypeError, match="unsupported operand type.s. for /"):
+            left / right
+
+
+def test_subtraction_is_one_normalisation(monkeypatch):
+    calls = []
+    cancel = superfield._cancel_common_factor
+
+    def counting(num, den):
+        calls.append(den)
+        return cancel(num, den)
+
+    sampler = Sampler(random.Random(59), L)
+    for _ in range(40):
+        F = sampled_rsf(sampler.rng.getrandbits(32))
+        G = sampled_rsf(sampler.rng.getrandbits(32))
+        if sampler.rng.randrange(2):
+            G = RSF(G.num, F.den)  # usually the same denominator as F
+        if not sampler.rng.randrange(5):
+            G = F
+        P = G.num  # a superpolynomial left operand goes through __rsub__
+        expected = [F + (-G), RSF(P) + (-F)]
+        monkeypatch.setattr(superfield, "_cancel_common_factor", counting)
+        counts = []
+        differences = []
+        for left, right in ((F, G), (P, F)):
+            calls.clear()
+            differences.append(left - right)
+            counts.append(len(calls))
+        monkeypatch.undo()
+        assert differences == expected
+        for difference in differences:
+            assert_canonical(difference)
+        # one normalisation, skipped only when the result has denominator 1
+        constant_den = (F.den.is_one() and G.den.is_one()) or F == G
+        assert counts == [0 if constant_den else 1, 0 if F.den.is_one() else 1]
+
+
+def _linear_factor(root):
+    return ScalarPoly({1: grat(1), 0: -root})
+
+
+def quotient_operand(seed):
+    """A `sampled_rsf`, or a sampled numerator over (z - r)**m, or over
+    (z - r1)**a (z - r2)**b with r1 != r2, whose gcds take the Euclid path.
+    Half of the sampled numerators get a scalar added: they are invertible."""
+    s = Sampler(random.Random(seed), L)
+    kind = s.rng.randrange(3)
+    if kind == 0:
+        return sampled_rsf(seed)
+    r1 = s.gaussian_rational(nonzero=True)
+    den = _linear_factor(r1) ** s.rng.randint(1, 3)
+    if kind == 2:
+        r2 = r1 + s.gaussian_rational(nonzero=True)
+        den = den * _linear_factor(r2) ** s.rng.randint(1, 2)
+    num = s.superpoly(max_terms=3)
+    if s.rng.randrange(2):
+        num = num + s.gaussian_rational(nonzero=True)
+    return RSF(num, den)
+
+
+def _power_by_products(F, n):
+    """F**n as |n| normalised products, the reference for __pow__."""
+    base = F if n >= 0 else F.inverse()
+    out = RSF.one(L)
+    for _ in range(abs(n)):
+        out = out * base
+    return out
+
+
+def _full_quotient_rule(F):
+    """(P' Q - P Q') / Q**2, the reference for diff_z."""
+    P, Q = F.num, F.den
+    return RSF(P.diff_z().mul_scalar_poly(Q) - P.mul_scalar_poly(Q.derivative()),
+               Q * Q)
+
+
+@settings(deadline=None)
+@given(seeds.map(quotient_operand), st.integers(min_value=-2, max_value=3))
+@example(_SQUARE_CANCELS, 2)
+@example(_SQUARE_CANCELS, 3)
+def test_power_and_derivative_match_references(F, n):
+    if n < 0 and F.body_is_zero():
+        n = -n
+    power = F ** n
+    assert_canonical(power)
+    assert power == _power_by_products(F, n)
+    derivative = F.diff_z()
+    assert_canonical(derivative)
+    assert derivative == _full_quotient_rule(F)
