@@ -21,13 +21,14 @@ coordinate triples, extracts components back, composes, inverts, and
 converts to and from N=1 superanalytic maps (coefficients restricted two
 generators below the ambient algebra so odd partials stay well defined).
 
-Composition computes only the five components of the composite, not its
-full coordinate triple.  Setting odd variables to zero is an algebra
-homomorphism that commutes with substitution, so each component is read
-off the outer triple after substituting a truncated inner triple: the
-theta-free image (f, psi+, psi-) gives f and psi+-, and the image with
-theta- = 0 (theta+ = 0) gives g+ (g-).  Each component is built by the
-normalising constructor, so composites are in canonical form.
+Composition computes only the five components of the composite, by
+closed formulas in the outer components at the inner f1 (see
+SuperconformalMap.compose).  Setting odd variables to zero commutes with
+substitution, so f and psi+- need only the image z -> f1, and g+ (g-)
+only the one with theta- = 0 (theta+ = 0), where z -> f1 + theta X with X
+odd.  For theta-free h, Taylor's theorem gives h(f1 + theta X) = h(f1) +
+theta X h'(f1) exactly, as (theta X)**2 = 0; so one theta-free
+substitution z -> f1 does all the work.
 
 Inversion works on the full coordinate triple: the scalar part (a Moebius
 map in z together with the body factors of g+-) is inverted in closed
@@ -103,11 +104,6 @@ class CoordinateTriple:
             substitution(self.minus),
         )
 
-    def __add__(self, other):
-        return CoordinateTriple(
-            self.even + other.even, self.plus + other.plus, self.minus + other.minus
-        )
-
     def __sub__(self, other):
         return CoordinateTriple(
             self.even - other.even, self.plus - other.plus, self.minus - other.minus
@@ -120,13 +116,6 @@ class CoordinateTriple:
             self.even == other.even
             and self.plus == other.plus
             and self.minus == other.minus
-        )
-
-    def evaluate(self, point):
-        return (
-            self.even.evaluate(point),
-            self.plus.evaluate(point),
-            self.minus.evaluate(point),
         )
 
     def __repr__(self):
@@ -284,38 +273,45 @@ class SuperconformalMap:
     # -- group operations ----------------------------------------------------
 
     def compose(self, inner):
-        """self after inner, again superconformal (tested, not assumed).
+        """self after inner, by the closed component formulas.
 
-        Only the five components are computed.  Setting odd variables to
-        zero commutes with substitution, so the inner triple is truncated
-        first: f and psi+- come from the theta-free image (f1, psi1+,
-        psi1-) applied to the outer triple, g+ is the theta+ part of the
-        outer tt+ under the theta- = 0 image, and g- mirrors it.
+        With pi = psi1+ psi1- from the inner map and F, G+-, P = psi2+,
+        M = psi2- the outer components at f1 (P' etc.: derivative, then f1):
+
+            f    = F + psi1+ (G+ M) + psi1- (G- P) + pi (P' M + P M')
+            psi+ = P + psi1+ G+ + pi P'
+            psi- = M + psi1- G- - pi M'
+            g+   = g1+ (G+ + 2 psi1- P' - pi G+')
+            g-   = g1- (G- + 2 psi1+ M' + pi G-')
+
+        They follow from the Taylor step of the module docstring: one
+        Substitution(f1) serves every evaluation, a derivative only where
+        its odd factor is nonzero.  f is formed as the equal F + psi+ M -
+        P psi-.  Callers check the result (validate_map, closure laws).
         """
-        outer = self.expand(checked=False)
-        L = self.L
-        f1, psi_plus, psi_minus = inner.f, inner.psi_plus, inner.psi_minus
-        tp = RationalSuperfunction.theta(L, THETA_PLUS)
-        tm = RationalSuperfunction.theta(L, THETA_MINUS)
-        theta_free = Substitution(f1, (psi_plus, psi_minus))
-        tt_plus = Substitution(
-            f1 + tp * (inner.g_plus * psi_minus),
-            (psi_plus + tp * inner.g_plus, psi_minus),
-        )(outer.plus)
-        tt_minus = Substitution(
-            f1 + tm * (inner.g_minus * psi_plus),
-            (psi_plus, psi_minus + tm * inner.g_minus),
-        )(outer.minus)
-        return SuperconformalMap(
-            theta_free(outer.even),
-            tt_plus.theta_component(1 << THETA_PLUS),
-            tt_minus.theta_component(1 << THETA_MINUS),
-            theta_free(outer.plus),
-            theta_free(outer.minus),
-        )
+        at_f1 = Substitution(inner.f)
+        F, G_plus, G_minus, P, M = map(at_f1, (
+            self.f, self.g_plus, self.g_minus, self.psi_plus, self.psi_minus))
+        psi_plus, psi_minus = inner.psi_plus, inner.psi_minus
+        pi = psi_plus * psi_minus
+        zero = RationalSuperfunction.zero(self.L)
 
-    def __matmul__(self, inner):
-        return self.compose(inner)
+        def prime_at_f1(c, odd_factor):
+            # every term holding c' at f1 carries odd_factor
+            return at_f1(c.diff_z()) if odd_factor else zero
+
+        dP = prime_at_f1(self.psi_plus, psi_minus)
+        dM = prime_at_f1(self.psi_minus, psi_plus)
+        dG_plus = prime_at_f1(self.g_plus, pi)
+        dG_minus = prime_at_f1(self.g_minus, pi)
+        plus = P + psi_plus * G_plus + pi * dP
+        minus = M + psi_minus * G_minus - pi * dM
+        return SuperconformalMap(
+            F + plus * M - P * minus,
+            inner.g_plus * (G_plus + grat(2) * (psi_minus * dP) - pi * dG_plus),
+            inner.g_minus * (G_minus + grat(2) * (psi_plus * dM) + pi * dG_minus),
+            plus, minus,
+        )
 
     def moebius_body(self):
         """(a, b, c, d) scalars with body(f) = (a z + b)/(c z + d), or None.

@@ -516,8 +516,8 @@ class SuperPolynomial:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative powers are a rational-function operation")
-        out = SuperPolynomial.one(self.L, self.n_odd)
-        for _ in range(n):
+        out = self if n else SuperPolynomial.one(self.L, self.n_odd)
+        for _ in range(n - 1):
             out = out * self
             if not out.terms:
                 break
@@ -816,12 +816,16 @@ class RationalSuperfunction:
 
     def _combine(self, other, sign):
         """self + sign * other over the least common denominator,
-        normalised once."""
+        normalised once; a zero operand costs nothing."""
         if not isinstance(other, RationalSuperfunction):
             other = self._lift(other)
             if other is None:
                 return NotImplemented
         self._check(other)
+        if not other.num.terms:
+            return self
+        if not self.num.terms and sign > 0:
+            return other
         if self.den == other.den:
             left = right = ScalarPoly.one()
         else:

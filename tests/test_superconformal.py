@@ -1,12 +1,16 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from supersphere import superfield
 from supersphere.grassmann import NotInvertible, Supernumber
 from supersphere.randgen import Sampler
 from supersphere.scalars import I, grat
 from supersphere.spheres import (
     SphereAutomorphism,
+    build_map,
+    transition as sphere_transition,
     transition_inverse as sphere_transition_inverse,
 )
 from supersphere.superconformal import (
@@ -21,6 +25,8 @@ from supersphere.superconformal import (
 from supersphere.superfield import (
     RationalSuperfunction as RSF,
     ScalarPoly,
+    SingularComposition,
+    Substitution,
     SuperPolynomial,
     THETA_MINUS,
     THETA_PLUS,
@@ -127,6 +133,24 @@ class TestExtraction:
             SuperconformalMap.extract(swapped)
 
 
+def assert_composes_as_triples(outer, inner):
+    """outer.compose(inner) equals the extracted composite of the full
+    coordinate triples, and each component is in canonical form."""
+    composite = outer.compose(inner)
+    assert composite == SuperconformalMap.extract(
+        outer.expand().compose(inner.expand()))
+    for name, comp in composite.components().items():
+        if comp.is_zero():
+            assert comp.den.is_one(), name
+        else:
+            assert comp.den.leading() == grat(1), name
+            assert comp.den.eval_scalar(grat(0)), name
+        # canonical: normalising again changes nothing
+        renormalised = RSF(comp.num, comp.den)
+        assert (renormalised.num, renormalised.den) == \
+            (comp.num, comp.den), name
+
+
 class TestComposition:
     def test_identity_composes(self):
         ident = SuperconformalMap.identity(L)
@@ -175,19 +199,19 @@ class TestComposition:
                 pairs.append((south.compose(transition(n)),
                               sphere_transition_inverse(n, L)))
         for m1, m2 in pairs:
-            composite = m2.compose(m1)
-            assert composite == SuperconformalMap.extract(
-                m2.expand().compose(m1.expand()))
-            for name, comp in composite.components().items():
-                if comp.is_zero():
-                    assert comp.den.is_one(), name
-                else:
-                    assert comp.den.leading() == grat(1), name
-                    assert comp.den.eval_scalar(grat(0)), name
-                # canonical: normalising again changes nothing
-                renormalised = RSF(comp.num, comp.den)
-                assert (renormalised.num, renormalised.den) == \
-                    (comp.num, comp.den), name
+            assert_composes_as_triples(m2, m1)
+
+    def test_inner_on_a_pole_of_the_outer_map_is_singular(self):
+        # outer f = 1/(1 - z) has its pole at z = 1.  The body of a
+        # superconformal f1 is never constant (f1' = g+ g- + ...), so the
+        # inner map that sits on the pole is a degenerate, unchecked one.
+        outer = moebius_map(0, 1, -1, 1)
+        one = RSF.one(L)
+        inner = SuperconformalMap(one, one, one)
+        with pytest.raises(SingularComposition):
+            outer.compose(inner)
+        with pytest.raises(SingularComposition):
+            outer.expand().compose(inner.expand(checked=False))
 
     def test_transform_law(self):
         s = Sampler(random.Random(13), L)
@@ -201,6 +225,91 @@ class TestComposition:
                 rhs = apply_D(image, sign) * apply_D(G, sign).substitute(
                     triple.even, images)
                 assert lhs == rhs
+
+
+def composition_operand(kind, seed):
+    """A map of the given kind, drawn from Random(seed) where it is random."""
+    tag, n = kind
+    s = Sampler(random.Random(seed), L)
+    if tag == "map":  # non-constant psi+- and g+-, psi+ psi- often nonzero
+        return s.superconformal_map()
+    if tag == "family":  # |n| >= 2: one psi side is zero
+        return build_map(s.automorphism_params(n))
+    if tag == "transition":
+        return sphere_transition(n, L)
+    return sphere_transition_inverse(n, L)
+
+
+OPERAND_KINDS = st.sampled_from(
+    [("map", None)]
+    + [("family", n) for n in range(-4, 5)]
+    + [(tag, n) for tag in ("transition", "transition_inverse")
+       for n in (-3, -2, 0, 1, 2, 3)]
+)
+OPERAND_SEEDS = st.integers(min_value=0, max_value=2 ** 32)
+
+
+@settings(deadline=None, max_examples=40)
+@given(OPERAND_KINDS, OPERAND_SEEDS, OPERAND_KINDS, OPERAND_SEEDS)
+@example(("map", None), 0, ("map", None), 2)
+@example(("family", 3), 1033, ("family", 3), 1034)
+@example(("family", -4), 1026, ("map", None), 2)
+@example(("map", None), 0, ("family", 2), 1032)
+@example(("transition", 2), 0, ("family", 2), 1032)
+@example(("family", -3), 1027, ("transition_inverse", -3), 0)
+@example(("transition_inverse", 0), 0, ("transition", 0), 0)
+def test_closed_form_matches_triple_composition(outer_kind, outer_seed,
+                                                inner_kind, inner_seed):
+    assert_composes_as_triples(composition_operand(outer_kind, outer_seed),
+                               composition_operand(inner_kind, inner_seed))
+
+
+def test_closed_form_on_a_pair_that_exercises_every_term():
+    # psi+- and g+- of the outer map are not constant and the inner map has
+    # psi+ psi- = z[1]z[2], so every term of the closed formulas is nonzero
+    z, one = RSF.z(L), RSF.one(L)
+    zeta1, zeta2, zeta3, zeta4 = (
+        RSF.from_constant(L, Supernumber.generator(L, j)) for j in range(1, 5))
+    inner = from_n1(N1SuperanalyticMap(z, zeta2 * grat(2), zeta1, one))
+    outer = from_n1(N1SuperanalyticMap(
+        z + z * z, zeta4 * z * grat(2), zeta3 * z, one + z))
+    at_f1 = Substitution(inner.f)
+    pi = inner.psi_plus * inner.psi_minus
+    P, M, dP, dM, dG_plus, dG_minus = (
+        at_f1(c) for c in (outer.psi_plus, outer.psi_minus,
+                           outer.psi_plus.diff_z(), outer.psi_minus.diff_z(),
+                           outer.g_plus.diff_z(), outer.g_minus.diff_z()))
+    terms = [pi * (dP * M), pi * (P * dM), inner.psi_minus * dP,
+             inner.psi_plus * dM, pi * dG_plus, pi * dG_minus]
+    assert all(not t.is_zero() for t in terms)
+    assert_composes_as_triples(outer, inner)
+
+
+# _cancel_common_factor calls in the compose of the first family pair that
+# criterion 3 draws for twist n (Random(1030 + n)), as measured with the
+# closed component formulas; composing through theta-truncated coordinate
+# triples took 44, 43, 60, 23 and 55
+COMPOSE_NORMALISATION_BUDGET = {-3: 10, 0: 16, 1: 23, 3: 5, 4: 16}
+
+
+@pytest.mark.parametrize("n", sorted(COMPOSE_NORMALISATION_BUDGET))
+def test_compose_normalisation_budget(n, monkeypatch):
+    s = Sampler(random.Random(1030 + n), L)
+    inner, outer = (build_map(s.automorphism_params(n)) for _ in range(2))
+    assert not inner.f.den.is_one()  # c z + d has a root
+    calls = []
+    cancel = superfield._cancel_common_factor
+
+    def counting(num, den):
+        calls.append(den)
+        return cancel(num, den)
+
+    monkeypatch.setattr(superfield, "_cancel_common_factor", counting)
+    composite = outer.compose(inner)
+    monkeypatch.undo()
+    assert composite == SuperconformalMap.extract(
+        outer.expand().compose(inner.expand()))
+    assert len(calls) <= COMPOSE_NORMALISATION_BUDGET[n]
 
 
 class TestInversion:

@@ -468,6 +468,7 @@ def test_subtraction_is_one_normalisation(monkeypatch):
         for difference in differences:
             assert_canonical(difference)
         # one normalisation, skipped only when the result has denominator 1
+        # (a zero operand would skip it too; sampled ones are never zero)
         constant_den = (F.den.is_one() and G.den.is_one()) or F == G
         assert counts == [0 if constant_den else 1, 0 if F.den.is_one() else 1]
 
@@ -524,3 +525,36 @@ def test_power_and_derivative_match_references(F, n):
     derivative = F.diff_z()
     assert_canonical(derivative)
     assert derivative == _full_quotient_rule(F)
+
+
+# theta+ theta- z + z[1]z[2]: its square is 2 theta+ theta- z z[1]z[2] and
+# its cube vanishes, so a power loop must stop at the zero product
+_NILPOTENT_POLY = SuperPolynomial(L, 2, {
+    (1, 3): Supernumber.one(L), (0, 0): Supernumber.monomial(L, (1, 2)),
+})
+
+
+@pytest.mark.parametrize("P", [
+    _NILPOTENT_POLY,
+    SuperPolynomial.zero(L),
+    SuperPolynomial.one(L),
+    Sampler(random.Random(61), L).superpoly(max_terms=3),
+    Sampler(random.Random(62), L).superpoly(max_terms=2, z_span=(-2, 2)),
+])
+def test_superpolynomial_power_is_the_repeated_product(P):
+    product = SuperPolynomial.one(L)
+    for n in range(5):
+        assert P ** n == product, n
+        product = product * P
+    if P is _NILPOTENT_POLY:
+        assert P ** 2 and not P ** 3
+
+
+def test_adding_zero_normalises_nothing(monkeypatch):
+    F = RSF(_NILPOTENT_POLY, _ZP1)
+    zero = RSF.zero(L)
+    calls = []
+    monkeypatch.setattr(superfield, "_cancel_common_factor",
+                        lambda num, den: calls.append(den))
+    assert F + zero is F and zero + F is F and F - zero is F
+    assert not calls
