@@ -18,11 +18,17 @@ algebras to matrices:
 The tables are data; the homomorphism property is the test.  The checker
 compares the image of every basis bracket against the bracket of images
 and itemizes disagreements instead of adjusting any matrix.
+
+Each entry of a computed matrix or vector is one `scalars.dot`, reduced
+once: entry (i, j) of X Y -+ Y X dots row i of X, then of -+Y, with
+column j of Y, then of X; entry k of sum(c M) dots the coordinates with
+entry k of the images.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .scalars import ONE, ZERO, dot, gauss_jordan, grat
 from . import nsalgebra as ns
@@ -46,8 +52,15 @@ class Matrix:
         self.rows = rows
 
     @classmethod
+    def _make(cls, rows):
+        # internal: rows is already a square tuple of GaussianRational tuples
+        out = object.__new__(cls)
+        out.rows = rows
+        return out
+
+    @classmethod
     def zero(cls, size):
-        return cls([[0] * size for _ in range(size)])
+        return cls._make(((ZERO,) * size,) * size)
 
     @property
     def size(self):
@@ -62,24 +75,25 @@ class Matrix:
         return hash(self.rows)
 
     def __add__(self, other):
-        return Matrix([
-            [x + y for x, y in zip(r1, r2)]
-            for r1, r2 in zip(self.rows, other.rows)
-        ])
+        return Matrix._make(tuple(tuple(x + y for x, y in zip(r1, r2))
+                                  for r1, r2 in zip(self.rows, other.rows)))
 
     def __neg__(self):
-        return Matrix([[-x for x in row] for row in self.rows])
+        return Matrix._make(tuple(tuple(-x for x in row) for row in self.rows))
 
     def __sub__(self, other):
-        return self + (-other)
+        return Matrix._make(tuple(tuple(x - y for x, y in zip(r1, r2))
+                                  for r1, r2 in zip(self.rows, other.rows)))
 
     def scale(self, value):
         value = grat(value)
-        return Matrix([[value * x for x in row] for row in self.rows])
+        return Matrix._make(tuple(
+            tuple(value * x for x in row) for row in self.rows))
 
     def __mul__(self, other):
         cols = tuple(zip(*other.rows))
-        return Matrix([[dot(row, col) for col in cols] for row in self.rows])
+        return Matrix._make(tuple(
+            tuple(dot(row, col) for col in cols) for row in self.rows))
 
     def is_zero(self):
         return all(not x for row in self.rows for x in row)
@@ -88,7 +102,15 @@ class Matrix:
         return tuple(x for row in self.rows for x in row)
 
     def commutator(self, other):
-        return self * other - other * self
+        return self._bracket(other, -1)
+
+    def _bracket(self, other, sign):
+        """X Y + sign Y X, each entry one `dot` over both products."""
+        ys = other.rows if sign > 0 else (-other).rows
+        cols = tuple(a + b for a, b in zip(zip(*other.rows), zip(*self.rows)))
+        return Matrix._make(tuple(
+            tuple(dot(left, col) for col in cols)
+            for left in (x + y for x, y in zip(self.rows, ys))))
 
     # -- 4x4 block grading --------------------------------------------------
 
@@ -114,9 +136,7 @@ class Matrix:
         p2 = other.block_parity()
         if p1 is None or p2 is None:
             raise ParityError("superbracket needs parity-homogeneous matrices")
-        xy = self * other
-        yx = other * self
-        return xy - yx if (p1 * p2) % 2 == 0 else xy + yx
+        return self._bracket(other, -1 if (p1 * p2) % 2 == 0 else 1)
 
     def supertrace(self):
         if self.size != 4:
@@ -289,11 +309,13 @@ def _homomorphism_mismatches(basis, images, combine, image_bracket):
 
 
 def _combine_matrices(images, coords):
-    out = Matrix.zero(images[0].size)
-    for coeff, image in zip(coords, images):
-        if coeff:
-            out = out + image.scale(coeff)
-    return out
+    """sum(c M) over the nonzero coordinates, each entry one `dot`."""
+    size = images[0].size
+    used = [(c, m.rows) for c, m in zip(coords, images) if c]
+    cs = [c for c, _ in used]
+    return Matrix._make(tuple(
+        tuple(dot(cs, [m[i][j] for _, m in used]) for j in range(size))
+        for i in range(size)))
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +343,27 @@ class SemidirectElement:
         return f"SemidirectElement({self.mat!r}, gl1={self.gl1}, v={self.vector})"
 
 
+# the four even generators in the order of `GnSemidirect.sigma`
+_ACTING_IMAGES = (
+    (Matrix([[0, 1], [0, 0]]), ZERO),
+    (Matrix([[HALF, 0], [0, -HALF]]), ZERO),
+    (Matrix([[0, 0], [-1, 0]]), ZERO),
+    (Matrix.zero(2), ONE),
+)
+
+
+@lru_cache(maxsize=None)
+def _sigma_weights(n):
+    """(shift, weights): e_k -> weights[k] e_{k+shift} inside the tower."""
+    ks = range(abs(n) + 2)
+    return (
+        (-1, tuple(grat(-k) for k in ks)),
+        (0, tuple(grat(Fraction(-2 * k + abs(n) + 1, 2)) for k in ks)),
+        (1, tuple(grat(-k + abs(n) + 1) for k in ks)),
+        (0, (grat(-1 if n >= 2 else 1),) * len(ks)),
+    )
+
+
 class GnSemidirect:
     """(sl2 + gl1) acting on the abelian odd tower of the twist-n algebra.
 
@@ -342,39 +385,23 @@ class GnSemidirect:
         self.rank = abs(n) + 2
 
     def acting_images(self):
-        return [
-            (Matrix([[0, 1], [0, 0]]), ZERO),
-            (Matrix([[HALF, 0], [0, -HALF]]), ZERO),
-            (Matrix([[0, 0], [-1, 0]]), ZERO),
-            (Matrix.zero(2), ONE),
-        ]
+        return _ACTING_IMAGES
 
     def sigma(self, index, vector):
         """Apply the action of the index-th even generator to a vector."""
-        absn = abs(self.n)
+        if index not in range(4):
+            raise IndexError("four even generators")
+        shift, weights = _sigma_weights(self.n)[index]
         out = [ZERO] * self.rank
-        for k, c in enumerate(vector):
-            if not c:
-                continue
-            if index == 0:
-                if k:
-                    out[k - 1] = out[k - 1] + c * grat(-k)
-            elif index == 1:
-                out[k] = out[k] + c * grat(Fraction(-2 * k + absn + 1, 2))
-            elif index == 2:
-                if k + 1 < self.rank:
-                    out[k + 1] = out[k + 1] + c * grat(-k + absn + 1)
-            elif index == 3:
-                out[k] = out[k] + c * grat(-1 if self.n >= 2 else 1)
-            else:
-                raise IndexError("four even generators")
+        for k, (c, w) in enumerate(zip(vector, weights, strict=True)):
+            if c and 0 <= k + shift < self.rank:
+                out[k + shift] = c * w
         return tuple(out)
 
     def basis_images(self):
         """Images of the full twist-n basis as semidirect elements."""
         zero_vec = (ZERO,) * self.rank
-        out = [SemidirectElement(m, s, zero_vec)
-               for m, s in self.acting_images()]
+        out = [SemidirectElement(m, s, zero_vec) for m, s in _ACTING_IMAGES]
         for k in range(self.rank):
             vec = [ZERO] * self.rank
             vec[k] = ONE
@@ -387,24 +414,23 @@ class GnSemidirect:
         The odd-odd part vanishes: the tower is abelian.  The sign in
         front of sigma_{u'}(v) is plain because the acting part is even.
         """
-        mat = x.mat.commutator(y.mat)
-        vector = [ZERO] * self.rank
-        for idx, (m_img, s_img) in enumerate(self.acting_images()):
-            cx = self._acting_coordinate(x, idx)
-            cy = self._acting_coordinate(y, idx)
+        cs, moved = [], []
+        for idx, (cx, cy) in enumerate(zip(self._acting_coordinates(x),
+                                           self._acting_coordinates(y))):
             if cx:
-                moved = self.sigma(idx, y.vector)
-                vector = [a + cx * b for a, b in zip(vector, moved)]
+                cs.append(cx)
+                moved.append(self.sigma(idx, y.vector))
             if cy:
-                moved = self.sigma(idx, x.vector)
-                vector = [a - cy * b for a, b in zip(vector, moved)]
-        return SemidirectElement(mat, ZERO, vector)
+                cs.append(-cy)
+                moved.append(self.sigma(idx, x.vector))
+        return SemidirectElement(
+            x.mat.commutator(y.mat), ZERO,
+            [dot(cs, [v[k] for v in moved]) for k in range(self.rank)])
 
-    def _acting_coordinate(self, x, idx):
-        """Coordinate of x's even part along the idx-th acting generator."""
+    def _acting_coordinates(self, x):
+        """Coordinates of x's even part along the four acting generators."""
         m = x.mat.rows
-        coords = (m[0][1], m[0][0] * 2, -m[1][0], x.gl1)
-        return coords[idx]
+        return (m[0][1], m[0][0] * 2, -m[1][0], x.gl1)
 
     def verify(self):
         """Homomorphism check of the semidirect data against the algebra;
@@ -416,13 +442,11 @@ class GnSemidirect:
 
 
 def _combine(images, coords):
-    mat = Matrix.zero(2)
-    gl1 = ZERO
-    vector = [ZERO] * len(images[0].vector)
-    for coeff, img in zip(coords, images):
-        if not coeff:
-            continue
-        mat = mat + img.mat.scale(coeff)
-        gl1 = gl1 + coeff * img.gl1
-        vector = [a + coeff * b for a, b in zip(vector, img.vector)]
-    return SemidirectElement(mat, gl1, vector)
+    """sum(c image) over the nonzero coordinates, each entry one `dot`."""
+    used = [(c, img) for c, img in zip(coords, images) if c]
+    cs = [c for c, _ in used]
+    return SemidirectElement(
+        _combine_matrices([img.mat for img in images], coords),
+        dot(cs, [img.gl1 for _, img in used]),
+        [dot(cs, [img.vector[k] for _, img in used])
+         for k in range(len(images[0].vector))])

@@ -1,10 +1,14 @@
+import hashlib
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from supersphere import matrixalgebra as msa
 from supersphere import nsalgebra as ns
-from supersphere.scalars import ZERO, grat
+from supersphere.campaign import CampaignConfig, run_campaign
+from supersphere.scalars import ZERO, GaussianRational, grat
 
 
 def osp_image(key):
@@ -161,11 +165,196 @@ class TestSemidirect:
         with pytest.raises(ValueError):
             msa.GnSemidirect(1)
 
+    def test_sigma_checks_its_index_before_the_vector(self):
+        sd = msa.GnSemidirect(2)
+        for index in (7, -1):
+            with pytest.raises(IndexError, match="four even generators"):
+                sd.sigma(index, (ZERO,) * 4)
+            with pytest.raises(IndexError, match="four even generators"):
+                sd.sigma(index, (grat(1),) + (ZERO,) * 3)
+        for length in (3, 5):
+            with pytest.raises(ValueError):
+                sd.sigma(1, (grat(1),) * length)
+
+    def test_sigma_drops_terms_shifted_off_the_tower(self):
+        sd = msa.GnSemidirect(-3)
+        ones = (grat(1),) * sd.rank
+        assert sd.sigma(0, ones) == tuple(grat(-k) for k in range(1, 5)) + (ZERO,)
+        assert sd.sigma(2, ones) == (ZERO,) + tuple(grat(4 - k) for k in range(4))
+        assert sd.sigma(3, ones) == ones
+
 
 def test_table_json_export():
-    import json
     data = msa.table_to_json(msa.osp_table())
     blob = json.dumps(data)
     assert json.loads(blob) == data
     assert data[3]["source"] == {"J(0)": "1"}
     assert data[3]["matrix"][2][2] == "1"
+
+
+# ---------------------------------------------------------------------------
+# the fused bracket and combination against entrywise references
+# ---------------------------------------------------------------------------
+
+small_scalars = st.one_of(
+    st.just(ZERO),
+    st.builds(grat, st.fractions(-3, 3, max_denominator=4),
+              st.fractions(-3, 3, max_denominator=4)),
+)
+
+
+@st.composite
+def graded_matrices(draw):
+    """A parity-homogeneous 4x4 matrix and its parity."""
+    parity = draw(st.integers(0, 1))
+    rows = [[draw(small_scalars) if ((i < 2) != (j < 2)) == parity else 0
+             for j in range(4)] for i in range(4)]
+    return msa.Matrix(rows), parity
+
+
+def square_matrices(size):
+    return st.lists(st.lists(small_scalars, min_size=size, max_size=size),
+                    min_size=size, max_size=size).map(msa.Matrix)
+
+
+def ref_product(x, y):
+    n = len(x)
+    return [[sum((x[i][k] * y[k][j] for k in range(n)), ZERO)
+             for j in range(n)] for i in range(n)]
+
+
+def ref_bracket(x, y, sign):
+    """X Y - sign Y X, entrywise."""
+    xy, yx = ref_product(x.rows, y.rows), ref_product(y.rows, x.rows)
+    return [[a - sign * b for a, b in zip(r1, r2)] for r1, r2 in zip(xy, yx)]
+
+
+def assert_canonical_rows(m):
+    assert type(m.rows) is tuple
+    for row in m.rows:
+        assert type(row) is tuple
+        assert all(type(x) is GaussianRational for x in row)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graded_matrices(), graded_matrices())
+def test_superbracket_matches_entrywise_reference(xp, yp):
+    (x, p1), (y, p2) = xp, yp
+    got = x.superbracket(y)
+    assert_canonical_rows(got)
+    assert [list(r) for r in got.rows] == ref_bracket(x, y, (-1) ** (p1 * p2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 4]).flatmap(
+    lambda n: st.tuples(square_matrices(n), square_matrices(n))))
+def test_commutator_matches_entrywise_reference(pair):
+    x, y = pair
+    got = x.commutator(y)
+    assert_canonical_rows(got)
+    assert [list(r) for r in got.rows] == ref_bracket(x, y, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 4]).flatmap(lambda n: st.lists(
+    st.tuples(small_scalars, square_matrices(n)), min_size=1, max_size=8)))
+def test_combine_matrices_matches_entrywise_reference(terms):
+    coords = [c for c, _ in terms]
+    images = [m for _, m in terms]
+    got = msa._combine_matrices(images, coords)
+    assert_canonical_rows(got)
+    size = images[0].size
+    want = [[sum((c * m.rows[i][j] for c, m in terms), ZERO)
+             for j in range(size)] for i in range(size)]
+    assert [list(r) for r in got.rows] == want
+
+
+# ---------------------------------------------------------------------------
+# a one-entry fault in a table is itemized, and each mismatch list is pinned
+# ---------------------------------------------------------------------------
+
+
+def with_entry(table, idx, i, j, value):
+    """The table with entry (i, j) of its idx-th image replaced."""
+    element, matrix = table[idx]
+    rows = [list(row) for row in matrix.rows]
+    rows[i][j] = value
+    return table[:idx] + [(element, msa.Matrix(rows))] + table[idx + 1:]
+
+
+def fingerprint(mismatches):
+    blob = json.dumps(mismatches, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+def suite_record(cid):
+    cfg = CampaignConfig(generators=4, band=1, flow_order=3,
+                         n_range=(-1, 0, 1), samples=2, seed=99)
+    return run_campaign(cfg, only=cid)["checks"][0]
+
+
+def test_osp_entry_mutant_is_itemized(monkeypatch):
+    # the G+(-1/2) image with entry (0, 3) changed from 1 to 2
+    mutated = with_entry(msa.osp_table(), 4, 0, 3, 2)
+    monkeypatch.setattr(msa, "osp_table", lambda: mutated)
+    mismatches = msa.verify_table(msa.osp_table())["mismatches"]
+    assert [m["pair"] for m in mismatches] == [
+        (0, 5), (2, 4), (4, 2), (4, 5), (4, 6), (4, 7),
+        (5, 0), (5, 4), (6, 4), (7, 4)]
+    assert mismatches[0] == {
+        "pair": (0, 5),
+        "expected": "Matrix([0 0 0 -2; 0 0 0 0; 0 -1 0 0; 0 0 0 0])",
+        "got": "Matrix([0 0 0 -1; 0 0 0 0; 0 -1 0 0; 0 0 0 0])"}
+    assert fingerprint(mismatches) == OSP_MUTANT_SHA256
+    record = suite_record("matrix.osp")
+    assert record["status"] != "pass"
+    assert record["discrepancies"] == mismatches
+
+
+def test_p_entry_mutant_is_itemized(monkeypatch):
+    # the G-(3/2) image of the twist +1 table with entry (1, 3) 2 -> 3
+    mutated = with_entry(msa.p_table(+1), 7, 1, 3, 3)
+    original = msa.p_table
+    monkeypatch.setattr(
+        msa, "p_table", lambda sign: mutated if sign > 0 else original(sign))
+    mismatches = msa.verify_table(msa.p_table(+1))["mismatches"]
+    assert [m["pair"] for m in mismatches] == [
+        (0, 7), (2, 6), (4, 7), (6, 2), (7, 0), (7, 4)]
+    assert mismatches[0] == {
+        "pair": (0, 7),
+        "expected": "Matrix([0 0 0 2; 0 0 2 0; 0 0 0 0; 0 0 0 0])",
+        "got": "Matrix([0 0 0 3; 0 0 3 0; 0 0 0 0; 0 0 0 0])"}
+    assert fingerprint(mismatches) == P_MUTANT_SHA256
+    record = suite_record("matrix.p")
+    assert record["status"] != "pass"
+    assert record["discrepancies"] == mismatches
+
+
+def test_sigma_weight_mutant_is_itemized(monkeypatch):
+    # L(0) - n/2 J(0) weighs e_0 by |n| + 1 instead of (|n| + 1)/2
+    original = msa.GnSemidirect.sigma
+
+    def doubled(self, index, vector):
+        out = list(original(self, index, vector))
+        if index == 1:
+            out[0] = out[0] * 2
+        return tuple(out)
+
+    monkeypatch.setattr(msa.GnSemidirect, "sigma", doubled)
+    mismatches = msa.GnSemidirect(2).verify()["mismatches"]
+    assert [m["pair"] for m in mismatches] == [(1, 4), (4, 1)]
+    assert "GaussianRational(3/2, 0)" in mismatches[0]["expected"]
+    assert "GaussianRational(3, 0)" in mismatches[0]["got"]
+    assert fingerprint(mismatches) == SIGMA_MUTANT_SHA256
+    record = suite_record("matrix.semidirect")
+    assert record["status"] != "pass"
+    assert [d for d in record["discrepancies"] if d["n"] == 2] == \
+        [dict(m, n=2) for m in mismatches]
+
+
+OSP_MUTANT_SHA256 = (
+    "79b2aeaf03f78459bd05ed9ea8b0644a10203b5340925ccbb799f4b2bea6fb34")
+P_MUTANT_SHA256 = (
+    "2132429c1a0e6b3257df0991c1c192814d337cd0b27549b2547253c4a97e8491")
+SIGMA_MUTANT_SHA256 = (
+    "37d7e527df2f6e0f0bf815e408472641ed7f87877b9eadc487021a8946c11f7f")
