@@ -465,15 +465,16 @@ def _suite_spheres_translations(n):
             tu = odd_translation(n, u)
             tv = odd_translation(n, v)
             total = odd_translation(n, [a + b for a, b in zip(u, v)])
-            if tu.compose(tv).southern != total.southern:
+            tu_tv = tu.compose(tv).southern
+            if tu_tv != total.southern:
                 out.fail("translations add",
                          {"u": [textio.supernumber_to_json(x) for x in u],
                           "v": [textio.supernumber_to_json(x) for x in v]})
-            if tu.compose(tv).southern != tv.compose(tu).southern:
+            if tu_tv != tv.compose(tu).southern:
                 out.fail("translations commute", None)
             alpha = s.matrix_group_element()
-            conj = group_action(n, alpha).compose(tu).compose(
-                group_action(n, alpha).invert())
+            act = group_action(n, alpha)
+            conj = act.compose(tu).compose(act.invert())
             predicted = conjugated_translation_coeffs(n, alpha, u)
             if list(conj.params.tower) != list(predicted):
                 out.fail("conjugation acts by the polynomial transform",

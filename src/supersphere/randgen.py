@@ -5,13 +5,16 @@ reproduces the exact element stream.  Term counts and degrees are kept
 small: identities checked by the suites are polynomial in the
 coefficients, so exactness makes small samples conclusive while keeping
 cross-multiplication sizes desk-scale.
+
+The stream is a contract, pinned by `tests/test_randgen.py` and the report
+sha256s.  `rng` must be a `random.Random`: every bounded choice is drawn
+through `Sampler._below` from the bits `randrange` would use, and each
+scalar directly as a canonical integer triple (a + b*i)/d.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .scalars import GaussianRational, grat
+from .scalars import _canonical, grat
 from .grassmann import Supernumber
 from .superfield import RationalSuperfunction, ScalarPoly, SuperPolynomial
 from .superconformal import N1SuperanalyticMap, from_n1
@@ -24,34 +27,49 @@ class Sampler:
     def __init__(self, rng, L):
         self.rng = rng
         self.L = L
+        self._bits = rng.getrandbits
 
-    def rational(self, span=3, denominators=(1, 1, 2, 3)):
-        num = self.rng.randrange(-span, span + 1)
-        den = denominators[self.rng.randrange(len(denominators))]
-        return Fraction(num, den)
+    def _below(self, n):
+        """rng.randrange(n), drawn from the same bits as CPython draws it."""
+        if n < 1:
+            raise ValueError(f"empty range below {n}")
+        k = n.bit_length()
+        r = self._bits(k)
+        while r >= n:
+            r = self._bits(k)
+        return r
+
+    def _ratio(self, span):
+        """(numerator, denominator) of a random rational, not reduced."""
+        return self._below(2 * span + 1) - span, (1, 1, 2, 3)[self._below(4)]
 
     def gaussian_rational(self, span=3, nonzero=False):
+        if nonzero and not span:
+            raise ValueError("no nonzero scalar in span 0")
+        below, ratio = self._below, self._ratio
         while True:
-            if self.rng.randrange(4) == 0:
-                value = GaussianRational(self.rational(span), self.rational(span))
-            elif self.rng.randrange(5) == 0:
-                value = GaussianRational(0, self.rational(span))
+            if not below(4):
+                (p, q), (r, t) = ratio(span), ratio(span)
+            elif not below(5):
+                (p, q), (r, t) = (0, 1), ratio(span)
             else:
-                value = GaussianRational(self.rational(span), 0)
-            if value or not nonzero:
-                return value
+                (p, q), (r, t) = ratio(span), (0, 1)
+            if p or r or not nonzero:
+                return _canonical(p * t, r * q, q * t)
 
     def _random_mask(self, parity=None, bound=None):
         bound = self.L if bound is None else bound
+        if parity == 1 and bound == 0:
+            raise ValueError("no odd monomial on 0 generators")
         while True:
-            mask = self.rng.getrandbits(bound)
+            mask = self._bits(bound)
             if parity is None or mask.bit_count() % 2 == parity:
                 return mask
 
     def supernumber(self, max_terms=4, parity=None, bound=None, body=None):
         """A sparse supernumber; parity and generator bound are optional."""
         terms = {}
-        for _ in range(self.rng.randrange(1, max_terms + 1)):
+        for _ in range(1 + self._below(max_terms)):
             mask = self._random_mask(parity, bound)
             if body is False and mask == 0:
                 continue
@@ -61,8 +79,7 @@ class Sampler:
         return Supernumber(self.L, terms)
 
     def soul(self, max_terms=3, parity=None, bound=None):
-        out = self.supernumber(max_terms, parity, bound, body=False)
-        return out.soul()
+        return self.supernumber(max_terms, parity, bound, body=False)
 
     def odd(self, max_terms=2, bound=None):
         """A random odd element (possibly zero)."""
@@ -74,9 +91,9 @@ class Sampler:
     def superpoly(self, n_odd=2, max_terms=4, z_span=(0, 4), parity=None,
                   bound=None):
         terms = {}
-        for _ in range(self.rng.randrange(1, max_terms + 1)):
-            k = self.rng.randrange(z_span[0], z_span[1] + 1)
-            mask = self.rng.randrange(1 << n_odd)
+        for _ in range(1 + self._below(max_terms)):
+            k = z_span[0] + self._below(z_span[1] + 1 - z_span[0])
+            mask = self._below(1 << n_odd)
             coeff_parity = None
             if parity is not None:
                 coeff_parity = (parity + mask.bit_count()) % 2
@@ -86,7 +103,7 @@ class Sampler:
     def rational_superfunction(self, n_odd=2, max_terms=4, z_span=(0, 3),
                                parity=None, bound=None, with_denominator=True):
         num = self.superpoly(n_odd, max_terms, z_span, parity, bound)
-        if with_denominator and self.rng.randrange(2):
+        if with_denominator and self._below(2):
             den = ScalarPoly({1: grat(1), 0: self.gaussian_rational(2)})
         else:
             den = ScalarPoly.one()
@@ -100,13 +117,13 @@ class Sampler:
         L = self.L
         f1_terms = {(1, 0): self.supernumber(2, 0, bound, body=True)}
         for k in (0, 2):
-            if self.rng.randrange(2):
+            if self._below(2):
                 f1_terms[(k, 0)] = self.supernumber(2, 0, bound)
         f1 = RationalSuperfunction(SuperPolynomial(L, 2, f1_terms))
         xi = self._odd_poly(z_deg, bound)
         psi = self._odd_poly(z_deg, bound)
         g_terms = {(0, 0): self.even_invertible(2, bound)}
-        if self.rng.randrange(2):
+        if self._below(2):
             g_terms[(1, 0)] = self.soul(1, 0, bound)
         g = RationalSuperfunction(SuperPolynomial(L, 2, g_terms))
         return N1SuperanalyticMap(f1, xi, psi, g)
@@ -114,7 +131,7 @@ class Sampler:
     def _odd_poly(self, z_deg, bound):
         terms = {}
         for k in range(z_deg + 1):
-            if self.rng.randrange(2):
+            if self._below(2):
                 value = self.odd(1, bound)
                 if value:
                     terms[(k, 0)] = value
@@ -129,9 +146,9 @@ class Sampler:
     def sl2_scalars(self):
         """Random integer (a, b, c, d) with determinant one."""
         a, b, c, d = 1, 0, 0, 1
-        for _ in range(self.rng.randrange(1, 4)):
-            x = self.rng.randrange(-2, 3)
-            if self.rng.randrange(2):
+        for _ in range(1 + self._below(3)):
+            x = -2 + self._below(5)
+            if self._below(2):
                 a, b = a + x * c, b + x * d
             else:
                 c, d = c + x * a, d + x * b
@@ -139,25 +156,11 @@ class Sampler:
 
     def moebius_supernumbers(self):
         """Even (a, b, c, d) with soul corrections and determinant one."""
-        bound = self.L - 2
-        a0, b0, c0, d0 = self.sl2_scalars()
-        sa = Supernumber.scalar
-        a = sa(self.L, a0)
-        b = sa(self.L, b0)
-        c = sa(self.L, c0)
-        d = sa(self.L, d0)
-        for _ in range(self.rng.randrange(0, 3)):
-            which = self.rng.randrange(4)
-            bump = self.soul(1, 0, bound)
-            if which == 0:
-                a = a + bump
-            elif which == 1:
-                b = b + bump
-            elif which == 2:
-                c = c + bump
-            else:
-                d = d + bump
-        return normalize_determinant(a, b, c, d)
+        entries = [Supernumber.scalar(self.L, x) for x in self.sl2_scalars()]
+        for _ in range(self._below(3)):
+            which = self._below(4)
+            entries[which] = entries[which] + self.soul(1, 0, self.L - 2)
+        return normalize_determinant(*entries)
 
     def automorphism_params(self, n):
         bound = self.L - 2
