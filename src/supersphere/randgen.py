@@ -57,26 +57,24 @@ class Sampler:
             if p or r or not nonzero:
                 return _canonical(p * t, r * q, q * t)
 
-    def _random_mask(self, parity=None, bound=None):
-        bound = self.L if bound is None else bound
-        if parity == 1 and bound == 0:
-            raise ValueError("no odd monomial on 0 generators")
-        while True:
-            mask = self._bits(bound)
-            if parity is None or mask.bit_count() % 2 == parity:
-                return mask
-
     def supernumber(self, max_terms=4, parity=None, bound=None, body=None):
         """A sparse supernumber; parity and generator bound are optional."""
+        bound = self.L if bound is None else bound
+        if not 0 <= bound <= self.L:
+            raise ValueError(f"generator bound {bound} is outside 0..{self.L}")
+        if parity == 1 and bound == 0:
+            raise ValueError("no odd monomial on 0 generators")
         terms = {}
         for _ in range(1 + self._below(max_terms)):
-            mask = self._random_mask(parity, bound)
+            mask = self._bits(bound)
+            while parity is not None and mask.bit_count() % 2 != parity:
+                mask = self._bits(bound)
             if body is False and mask == 0:
                 continue
             terms[mask] = self.gaussian_rational(nonzero=True)
         if body is True:
             terms[0] = self.gaussian_rational(nonzero=True)
-        return Supernumber(self.L, terms)
+        return Supernumber._make(self.L, terms)
 
     def soul(self, max_terms=3, parity=None, bound=None):
         return self.supernumber(max_terms, parity, bound, body=False)

@@ -26,7 +26,10 @@ Parameters are recovered from a map exactly: the scalar Moebius part is
 normalized to determinant one (sign fixed by a deterministic tie-break;
 the two-fold ambiguity is precisely the double cover below), the soul
 corrections are read off derivatives at z = 0, and the regime shapes are
-pinned by rebuilding the map and comparing.
+pinned by rebuilding the map and comparing.  Recovered parameters carry
+the map they were verified against, so building from them again neither
+rebuilds nor rechecks it; parameters a caller constructs are rebuilt and
+checked on every build.
 
 The matrix group SL(2) x GL(1) over the even coefficient algebra acts by
 
@@ -164,7 +167,8 @@ class AutomorphismParams:
     """
 
     __slots__ = ("n", "L", "a", "b", "c", "d",
-                 "eps", "eps_plus", "eps_minus", "psi_plus", "psi_minus")
+                 "eps", "eps_plus", "eps_minus", "psi_plus", "psi_minus",
+                 "_member")
 
     def __init__(self, n, a, b, c, d, eps=None, eps_plus=None, eps_minus=None,
                  psi_plus=(), psi_minus=()):
@@ -177,6 +181,7 @@ class AutomorphismParams:
         self.psi_plus = tuple(psi_plus)
         self.psi_minus = tuple(psi_minus)
         self.validate()
+        self._member = None  # the verified map; only validate_map sets it
 
     @staticmethod
     def psi_lengths(n):
@@ -330,10 +335,14 @@ class SphereAutomorphism:
 
     @classmethod
     def build(cls, params):
-        southern = build_map(params)
-        report = southern.check()
-        if not report.ok:
-            raise InvalidParams(f"built map fails {list(report.failures)}")
+        """Parameters from `validate_map` bring the member it verified;
+        any others are built and checked every time, storing nothing."""
+        southern = params._member
+        if southern is None:
+            southern = build_map(params)
+            report = southern.check()
+            if not report.ok:
+                raise InvalidParams(f"built map fails {list(report.failures)}")
         return cls(params.n, params, southern)
 
     @classmethod
@@ -464,7 +473,9 @@ def validate_map(m, n):
     """Recover AutomorphismParams from a map, or raise NotInFamily.
 
     The recovered parameters rebuild the map exactly; any residual
-    difference rejects membership.
+    difference rejects membership.  The map must pass `check()` first, so
+    once the rebuilt member equals it, the returned parameters carry the
+    map itself, which `SphereAutomorphism.build` returns as it is.
     """
     report = m.check()
     if not report.ok:
@@ -518,6 +529,7 @@ def validate_map(m, n):
 
     if build_map(params) != m:
         raise NotInFamily("map differs from the family member its data suggests")
+    params._member = m
     return params
 
 

@@ -124,3 +124,17 @@ def test_odd_draw_without_odd_monomial_raises():
         s.gaussian_rational(0, nonzero=True)
     # even draws on no generators are still fine
     assert s.soul(2, parity=0, bound=0).is_zero()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_generator_bound_outside_the_algebra_raises_before_any_draw(seed):
+    # masks above L used to be refused only when a drawn mask overflowed,
+    # so seed 2 returned a supernumber and seeds 0, 1, 3, 4, 5 did not
+    rng = random.Random(seed)
+    s = Sampler(rng, 4)
+    state = rng.getstate()
+    for bound in (6, 5, -1):
+        with pytest.raises(ValueError, match="outside 0..4"):
+            s.supernumber(2, bound=bound)
+        assert rng.getstate() == state
+    assert s.supernumber(2, bound=4).L == 4

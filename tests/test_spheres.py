@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from supersphere import superfield
+from supersphere import spheres, superfield
 from supersphere.grassmann import Supernumber
 from supersphere.randgen import Sampler
 from supersphere.scalars import I, grat
@@ -275,6 +275,37 @@ def test_round_trip_normalisation_budget(n, monkeypatch):
     monkeypatch.undo()
     assert build_map(recovered) == m
     assert len(calls) <= NORMALISATION_BUDGET[n]
+
+
+@pytest.mark.parametrize("n", [-3, 0, 1, 4])
+def test_family_pair_builds_and_checks_each_member_once(n, monkeypatch):
+    # build(p1), build(p2), compose and build(composite.params): the
+    # composite is rebuilt and checked inside validate_map only, and
+    # rebuilding from its recovered parameters reuses that member
+    s = Sampler(random.Random(200 + n), L)
+    p1, p2 = s.automorphism_params(n), s.automorphism_params(n)
+    calls = {"build_map": 0, "check": 0}
+    uncounted_build, check = spheres.build_map, SuperconformalMap.check
+
+    def counting_build(p):
+        calls["build_map"] += 1
+        return uncounted_build(p)
+
+    def counting_check(m):
+        calls["check"] += 1
+        return check(m)
+
+    monkeypatch.setattr(spheres, "build_map", counting_build)
+    monkeypatch.setattr(SuperconformalMap, "check", counting_check)
+    composite = SphereAutomorphism.build(p2).compose(SphereAutomorphism.build(p1))
+    rebuilt = SphereAutomorphism.build(composite.params)
+    assert calls == {"build_map": 3, "check": 3}
+    assert rebuilt.southern == uncounted_build(composite.params)
+    assert rebuilt.southern is composite.southern  # no second copy is kept
+    # parameters a caller constructs are rebuilt and checked on every build
+    SphereAutomorphism.build(p1)
+    SphereAutomorphism.build(p1)
+    assert calls == {"build_map": 5, "check": 5}
 
 
 class TestGroupLaw:

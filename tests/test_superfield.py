@@ -118,15 +118,26 @@ class TestOddDerivatives:
 
     def test_super_leibniz_on_samples(self):
         s = Sampler(random.Random(17), L)
+        # sampled functions are almost never invertible, so the divisors
+        # get a nonzero scalar added, as in `sampled_rsf`; they come from
+        # their own stream, which leaves the products' operands as they were
+        divisors = Sampler(random.Random(18), L)
         for _ in range(40):
             p = s.rng.randrange(2)
             F = s.rational_superfunction(parity=p, max_terms=3)
             G = s.rational_superfunction(max_terms=3)
+            Q = (divisors.rational_superfunction(parity=0, max_terms=3)
+                 + divisors.gaussian_rational(nonzero=True))
+            assert not Q.body_is_zero()
             for sign in (+1, -1):
                 lhs = apply_D(F * G, sign)
                 rhs = apply_D(F, sign) * G + (F * apply_D(G, sign)).scale_left(
                     grat((-1) ** p))
                 assert lhs == rhs
+                # the graded quotient rule for an even divisor
+                quotient = (apply_D(F, sign) * Q - (F * apply_D(Q, sign))
+                            .scale_left(grat((-1) ** p))) / Q ** 2
+                assert apply_D(F / Q, sign) == quotient
 
 
 class TestEvaluation:
@@ -289,12 +300,16 @@ class TestCanonicalForm:
 
     def test_extension_stability(self):
         s = Sampler(random.Random(41), L)
+        shifts = Sampler(random.Random(42), L)  # its own stream, as above
         for _ in range(20):
             F = s.rational_superfunction(max_terms=3)
             G = s.rational_superfunction(max_terms=3)
             assert (F * G).extend(L + 2) == F.extend(L + 2) * G.extend(L + 2)
             assert apply_D_plus(F).extend(L + 2) == apply_D_plus(F.extend(L + 2))
             assert F.diff_z().extend(L + 2) == F.extend(L + 2).diff_z()
+            H = F + shifts.gaussian_rational(nonzero=True)
+            assert not H.body_is_zero()
+            assert H.inverse().extend(L + 2) == H.extend(L + 2).inverse()
 
     def test_parity_bookkeeping(self):
         tp, tm = thetas()

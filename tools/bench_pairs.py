@@ -1,0 +1,206 @@
+"""Run perfbench in alternating parent/change pairs and write a BENCH_*.json.
+
+    python3 tools/bench_pairs.py --parent REV --workload closure \\
+        --seeds 1301-1310 --seconds 15 --trace-seed 1311 \\
+        --claim closure:wall_s --out BENCH_label.json
+
+Run it from inside the repository.  Both sides are exported with
+`git archive` into fresh temporary directories (under $TMPDIR), so neither
+has a bytecode cache, and every child runs with PYTHONDONTWRITEBYTECODE=1,
+so none is written.  `--change` defaults to HEAD; to measure work that is
+not committed yet, stage it and pass `--change "$(git stash create)"`.
+
+For each workload, pair k runs `perfbench/run.py --trace 0` on the k-th
+seed on both sides, the parent first in even pairs and the change first in
+odd ones.  The output records each side's `env` line per workload (runs
+differ only in the seed), every pair, and per end-to-end metric of BENCHMARK.json each side's median and quartiles
+(`statistics.quantiles`, inclusive), the number of pairs the change won
+(ties count for neither), the median gap in the better direction, the
+parent's quartile distance and whether the change's median stays within
+the metric's regression bound.  `--claim W:M` adds the verdict of the gain
+rule: the change wins at least nine tenths of the pairs and the median gap
+exceeds the parent's quartile distance.  `--trace-seed S` adds one
+`--trace 1` run per side and workload with every per-layer count.  The
+file is rewritten after every pair, so an interrupted set keeps its pairs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+CHILD_TIMEOUT_S = 600
+
+
+def git(*args):
+    return subprocess.run(["git", *args], check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def export(rev, where):
+    """The tree of rev, extracted into the fresh directory where."""
+    archive = subprocess.run(["git", "archive", "--format=tar", rev],
+                             check=True, capture_output=True).stdout
+    where.mkdir()
+    subprocess.run(["tar", "-x", "-C", str(where)], input=archive, check=True)
+    return where
+
+
+def parse_seeds(text):
+    seeds = []
+    for item in text.split(","):
+        lo, _, hi = item.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def run_child(tree, workload, seed, seconds, trace):
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "perfbench/run.py", "--workload", workload,
+               "--seed", str(seed), "--seconds", str(seconds),
+               "--trace", str(trace)]
+    done = subprocess.run(command, cwd=tree, env=env, capture_output=True,
+                          text=True, timeout=CHILD_TIMEOUT_S)
+    if done.returncode != 0:
+        raise RuntimeError(f"{' '.join(command)} in {tree} exited "
+                           f"{done.returncode}: {done.stderr[-2000:]}")
+    lines = done.stdout.splitlines()
+    final = json.loads(lines[-1])
+    run = {name: m["value"] for name, m in final["metrics"].items()}
+    run.update(failed=final["failed"], attempted=final["attempted"])
+    env_line = next(line for line in lines if line.startswith("env "))
+    metric_lines = {f"{name} {m['value']} {m['unit']}"
+                    for name, m in final["metrics"].items()}
+    run["info"] = [line for line in lines[:-1]
+                   if line != env_line and line not in metric_lines]
+    return json.loads(env_line[4:]), run
+
+
+def quartiles(values):
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarise(pairs, metrics):
+    out = {
+        "pairs": len(pairs),
+        "failed": {side: sum(p[side]["failed"] for p in pairs)
+                   for side in ("parent", "change")},
+        "attempted": {side: sum(p[side]["attempted"] for p in pairs)
+                      for side in ("parent", "change")},
+    }
+    for metric in metrics:
+        name = metric["name"]
+        sign = 1 if metric["better"] == "lower" else -1
+        parent = quartiles([p["parent"][name] for p in pairs])
+        change = quartiles([p["change"][name] for p in pairs])
+        gap = sign * (parent["median"] - change["median"])
+        out[name] = {
+            "parent": parent,
+            "change": change,
+            "change_pct": 100 * (change["median"] / parent["median"] - 1),
+            "change_better_in": sum(
+                sign * (p["parent"][name] - p["change"][name]) > 0
+                for p in pairs),
+            "median_gap": gap,
+            "parent_iqr": parent["q3"] - parent["q1"],
+            "bound": metric["bound"],
+            "within_bound": -gap <= metric["bound"] * parent["median"],
+        }
+    return out
+
+
+def verdict(summary, claim):
+    workload, metric = claim.split(":")
+    row = summary[workload][metric]
+    pairs = summary[workload]["pairs"]
+    return {
+        "workload": workload,
+        "metric": metric,
+        "change_better_in": row["change_better_in"],
+        "pairs": pairs,
+        "median_gap": row["median_gap"],
+        "parent_iqr": row["parent_iqr"],
+        "met": (row["change_better_in"] >= math.ceil(0.9 * pairs)
+                and row["median_gap"] > row["parent_iqr"]),
+    }
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True)
+    parser.add_argument("--change", default="HEAD")
+    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--seeds", required=True, type=parse_seeds,
+                        help="comma-separated seeds or ranges, e.g. 1301-1310")
+    parser.add_argument("--seconds", type=float, default=15.0)
+    parser.add_argument("--trace-seed", type=int)
+    parser.add_argument("--claim", help="WORKLOAD:METRIC of the claimed gain")
+    parser.add_argument("--out", required=True, type=Path)
+    args = parser.parse_args(argv)
+    if len(args.seeds) < 2:
+        parser.error("quartiles need at least two seeds")
+
+    revs = {"parent": git("rev-parse", args.parent),
+            "change": git("rev-parse", args.change)}
+    spec = json.loads(git("show", f"{revs['change']}:BENCHMARK.json"))
+    result = {
+        "command": (f"python3 perfbench/run.py --workload W --seed S "
+                    f"--seconds {args.seconds:g} --trace 0"),
+        "pairing": ("alternating parent/change, parent first in even pairs; "
+                    "each side a fresh git archive export without bytecode "
+                    "cache, PYTHONDONTWRITEBYTECODE=1 on both"),
+        **revs,
+        "seeds": args.seeds,
+        "env": {},
+        "pairs": [],
+        "summary": {},
+        "traced": {},
+    }
+
+    def save():
+        args.out.write_text(json.dumps(result, indent=1) + "\n")
+
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        trees = {side: export(rev, Path(tmp) / side)
+                 for side, rev in revs.items()}
+        for workload in args.workload:
+            pairs = []
+            for k, seed in enumerate(args.seeds):
+                order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+                pair = {"workload": workload, "pair": k, "seed": seed,
+                        "first": order[0]}
+                for side in order:
+                    env, pair[side] = run_child(trees[side], workload, seed,
+                                                args.seconds, 0)
+                    result["env"].setdefault(workload, {})[side] = env
+                pairs.append(pair)
+                result["pairs"].append(pair)
+                save()
+                print(f"{workload} pair {k} seed {seed} done", flush=True)
+            result["summary"][workload] = summarise(pairs, spec["end_to_end"])
+            if args.trace_seed is not None:
+                traced = {side: run_child(trees[side], workload,
+                                          args.trace_seed, args.seconds, 1)[1]
+                          for side in ("parent", "change")}
+                result["traced"][workload] = {
+                    m["name"]: {side: traced[side][m["name"]]
+                                for side in ("parent", "change")}
+                    for m in spec["per_layer"]}
+            save()
+    if args.claim:
+        result["verdict"] = verdict(result["summary"], args.claim)
+        save()
+        print(json.dumps(result["verdict"]))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
