@@ -78,6 +78,8 @@ class CampaignConfig:
             raise UsageError("generators must be at least 4")
         if self.band < 1:
             raise UsageError("band must be at least 1")
+        if self.flow_order < 2:
+            raise UsageError("flow order must be at least 2")
         if not self.n_range:
             raise UsageError("n range must be nonempty")
         if self.samples < 1:

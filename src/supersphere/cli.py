@@ -49,7 +49,8 @@ def build_parser():
     parser.add_argument("--band", type=int, default=3,
                         help="index band for algebra-wide checks")
     parser.add_argument("--flow-order", type=int, default=8,
-                        help="truncation order for formal flow parameters")
+                        help="truncation order for formal flow parameters "
+                             "(minimum 2)")
     parser.add_argument("--n-range", type=str, default="-4..4", metavar="LO..HI",
                         help="sphere twists to cover, e.g. -4..4 or -2,0,2")
     parser.add_argument("--samples", type=int, default=25,

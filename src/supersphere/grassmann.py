@@ -28,7 +28,6 @@ from .scalars import (
     ONE,
     SCALAR_TYPES,
     ZERO,
-    GaussianRational,
     grat,
     reduce_triples,
     triples,
@@ -374,7 +373,7 @@ class Supernumber:
     def __eq__(self, other):
         if isinstance(other, Supernumber):
             return self.L == other.L and self.terms == other.terms
-        if isinstance(other, (int, GaussianRational)):
+        if isinstance(other, SCALAR_TYPES):
             return self == Supernumber.scalar(self.L, other)
         return NotImplemented
 

@@ -25,11 +25,11 @@ a parametrized family depending on the regime of n:
 Parameters are recovered from a map exactly: the scalar Moebius part is
 normalized to determinant one (sign fixed by a deterministic tie-break;
 the two-fold ambiguity is precisely the double cover below), the soul
-corrections are read off derivatives at z = 0, and the regime shapes are
-pinned by rebuilding the map and comparing.  Recovered parameters carry
-the map they were verified against, so building from them again neither
-rebuilds nor rechecks it; parameters a caller constructs are rebuilt and
-checked on every build.
+corrections are read off values and derivatives at one regular point, and
+the regime shapes are pinned by rebuilding the map and comparing.
+Recovered parameters carry the map they were verified against, so
+building from them again neither rebuilds nor rechecks it; parameters a
+caller constructs are rebuilt and checked on every build.
 
 The matrix group SL(2) x GL(1) over the even coefficient algebra acts by
 
@@ -44,15 +44,15 @@ coefficient vectors act as an abelian group of translations.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .scalars import I as IMAG, NotASquare, ONE, grat
-from .grassmann import NotInvertible, Supernumber
+from .grassmann import Supernumber
 from .superfield import (
     RationalSuperfunction,
     ScalarPoly,
     SuperPolynomial,
     SuperfieldError,
-    PoleAtPoint,
-    SuperPoint,
 )
 from .superconformal import SuperconformalMap
 
@@ -387,19 +387,48 @@ class SphereAutomorphism:
 # ---------------------------------------------------------------------------
 
 
-def _eval_at_zero(F):
-    L = F.L
-    point = SuperPoint(Supernumber.zero(L),
-                       (Supernumber.zero(L), Supernumber.zero(L)))
-    return F.evaluate(point)
+def _regular_point(f, c0, d0):
+    """The first z0 of 0, 1, 2, ... with c0 z0 + d0 != 0 where f is regular."""
+    z0 = 0 if f.num.min_z() >= 0 else 1
+    while not (c0 * z0 + d0 and f.den.eval_scalar(z0)):
+        z0 += 1
+    return z0
+
+
+def _values_at(F, z0):
+    """[F(z0), F'(z0), F''(z0)] for a theta-free F and an integer z0, by the
+    quotient rule on the values of numerator and denominator.  A pole at
+    z0 means F is no family component."""
+    d1 = F.den.derivative()
+    q0, q1, q2 = (p.eval_scalar(z0) for p in (F.den, d1, d1.derivative()))
+    if not q0 or (not z0 and F.num.min_z() < 0):
+        raise NotInFamily(f"a component has a pole at z = {z0}")
+    r0 = q0.inverse()  # 1/den and its derivatives at z0
+    r1, r2 = -q1 * r0 * r0, (q1 * q1 * r0 * 2 - q2) * r0 * r0
+    z = Fraction(z0)
+    out = [Supernumber.zero(F.L)] * 3
+    for (k, _), coeff in F.num.terms.items():
+        # z^k and its derivatives at z0; the factor k or k (k - 1) is zero
+        # wherever z0 = 0 would meet a negative power
+        p0 = z ** k
+        p1 = k * z ** (k - 1) if k else 0
+        p2 = k * (k - 1) * z ** (k - 2) if k * (k - 1) else 0
+        w = (p0 * r0, p1 * r0 + p0 * r1, p2 * r0 + 2 * p1 * r1 + p0 * r2)
+        out = [acc + coeff.scale(wj) for acc, wj in zip(out, w)]
+    return out
 
 
 def recover_moebius(m):
     """Exact (a, b, c, d) with f = (a z + b)/(c z + d) and det one.
 
-    The scalar part is normalized by an exact Gaussian-rational square
-    root and the sign tie-break; the soul correction is read off the first
-    two derivatives of f composed with the inverse scalar Moebius map.
+    The scalar part (a0, b0, c0, d0) is normalized by an exact
+    Gaussian-rational square root and the sign tie-break.  The soul
+    correction is read off f at one regular point z0: with delta = c z0 + d,
+    f' = (c z + d)^-2 and f'' = -2c (c z + d)^-3 give
+    delta = delta0 (f'(z0) delta0^2)^(-1/2) for delta0 = c0 z0 + d0, then
+    a z0 + b = f(z0) delta, c = -f''(z0) delta^3 / 2 and, by the
+    determinant, a = (1 + (a z0 + b) c)/delta.  A unimodular quadruple
+    with a given body sign is unique, and f (c z + d) = a z + b confirms it.
     """
     scalars = m.moebius_body()
     if scalars is None:
@@ -415,30 +444,18 @@ def recover_moebius(m):
         a0, b0, c0, d0 = -a0, -b0, -c0, -d0
 
     L = m.L
-    f0_inv = RationalSuperfunction(
-        SuperPolynomial(L, 2, {(1, 0): grat(d0), (0, 0): -grat(b0)}),
-        ScalarPoly({1: -c0, 0: a0}),
-    )
-    try:
-        fhat = m.f.substitute(f0_inv)
-        deriv = fhat.diff_z()
-        e1 = _eval_at_zero(deriv)
-        e2 = _eval_at_zero(deriv.diff_z())
-        e0 = _eval_at_zero(fhat)
-    except (PoleAtPoint, NotInvertible) as exc:
-        raise NotInFamily(f"f is singular where a family member is not: {exc}") from exc
-    if e1.body() != ONE:
+    z0 = _regular_point(m.f, c0, d0)
+    delta0 = c0 * z0 + d0
+    f0, f1, f2 = _values_at(m.f, z0)
+    u = f1.scale(delta0 * delta0)
+    if u.body() != ONE:
         raise NotInFamily("f does not reduce to a unimodular Moebius map")
-    d_hat = invsqrt_one_plus_soul(e1)
-    b_hat = e0 * d_hat
-    c_hat = (e2 * d_hat ** 3).scale(grat("-1/2"))
-    a_hat = (Supernumber.one(L) + b_hat * c_hat) * d_hat.inverse()
-
-    sa = Supernumber.scalar
-    a = a_hat * sa(L, a0) + b_hat * sa(L, c0)
-    b = a_hat * sa(L, b0) + b_hat * sa(L, d0)
-    c = c_hat * sa(L, a0) + d_hat * sa(L, c0)
-    d = c_hat * sa(L, b0) + d_hat * sa(L, d0)
+    delta = invsqrt_one_plus_soul(u).scale(delta0)
+    beta = f0 * delta
+    c = (f2 * delta ** 3).scale(grat("-1/2"))
+    a = (Supernumber.one(L) + beta * c) * delta.inverse()
+    b = beta - a.scale(z0)
+    d = delta - c.scale(z0)
 
     czd = _linear(L, c, d)
     if m.f * czd != _linear(L, a, b):
@@ -472,10 +489,16 @@ def _constant_or_fail(F, what):
 def validate_map(m, n):
     """Recover AutomorphismParams from a map, or raise NotInFamily.
 
-    The recovered parameters rebuild the map exactly; any residual
-    difference rejects membership.  The map must pass `check()` first, so
-    once the rebuilt member equals it, the returned parameters carry the
-    map itself, which `SphereAutomorphism.build` returns as it is.
+    psi comes from multiplying by powers of c z + d; eps is read at the
+    regular point z0 of `recover_moebius`, with delta = c z0 + d, as
+    g_short(z0) delta^(1 - |n|) for |n| >= 2 and as
+    g+-(z0) delta^2 / (delta + y+-(z0)) for n = 0, where the linear y+-
+    is given by g+- = eps+- (c z + d + y+-) / (c z + d)^2.  Data that is no
+    parameter set is not in the family either.  The recovered parameters
+    must rebuild the map exactly, which pins every shape the point values
+    miss.  The map must pass `check()` first, so once the rebuilt member
+    equals it, the returned parameters carry the map itself, which
+    `SphereAutomorphism.build` returns as it is.
     """
     report = m.check()
     if not report.ok:
@@ -483,6 +506,8 @@ def validate_map(m, n):
     a, b, c, d = recover_moebius(m)
     L = m.L
     czd = _linear(L, c, d)
+    z0 = _regular_point(m.f, c.body(), d.body())
+    delta = c.scale(z0) + d
 
     if n == 0:
         pp0, pp1 = _as_coeff_list(m.psi_plus, czd, 1, 2, "psi+")
@@ -490,19 +515,14 @@ def validate_map(m, n):
         eps = {}
         for sign, g in ((+1, m.g_plus), (-1, m.g_minus)):
             s = grat(sign)
-            y_num = _linear(
-                L,
-                (pp1 * pm1 * d).scale(-s),
-                (pp0 * pm0 * c).scale(s)
-                - ((pp1 * pm0 - pm1 * pp0) * d).scale(s)
-                - (pp1 * pm1 * pp0 * pm0 * d),
-            )
-            ratio = (g * czd ** 2) * (czd + y_num).inverse()
-            eps[sign] = _constant_or_fail(ratio, f"eps{'+' if sign > 0 else '-'}")
-        params = AutomorphismParams(
-            0, a, b, c, d, eps_plus=eps[+1], eps_minus=eps[-1],
-            psi_plus=[pp0, pp1], psi_minus=[pm0, pm1],
-        )
+            y0 = ((pp1 * pm1 * d).scale(-s * z0)
+                  + (pp0 * pm0 * c).scale(s)
+                  - ((pp1 * pm0 - pm1 * pp0) * d).scale(s)
+                  - (pp1 * pm1 * pp0 * pm0 * d))
+            eps[sign] = (_values_at(g, z0)[0] * delta * delta
+                         * (delta + y0).inverse())
+        fields = dict(eps_plus=eps[+1], eps_minus=eps[-1],
+                      psi_plus=[pp0, pp1], psi_minus=[pm0, pm1])
     else:
         k = abs(n)
         s_name, t_name = sides(n, "+", "-")
@@ -519,13 +539,15 @@ def validate_map(m, n):
         if k == 1:
             eps = _constant_or_fail(g_s, f"g{s_name}")
         else:
-            eps = _constant_or_fail(g_s * (czd ** (k - 1)).inverse(),
-                                    f"g{s_name} shape")
+            eps = _values_at(g_s, z0)[0] * delta ** (1 - k)
             if not eps.body():
                 raise NotInFamily("eps must be invertible")
         psi_plus, psi_minus = sides(n, short, tower)
-        params = AutomorphismParams(n, a, b, c, d, eps=eps,
-                                    psi_plus=psi_plus, psi_minus=psi_minus)
+        fields = dict(eps=eps, psi_plus=psi_plus, psi_minus=psi_minus)
+    try:
+        params = AutomorphismParams(n, a, b, c, d, **fields)
+    except InvalidParams as exc:
+        raise NotInFamily(f"recovered data is no parameter set: {exc}") from exc
 
     if build_map(params) != m:
         raise NotInFamily("map differs from the family member its data suggests")

@@ -207,15 +207,36 @@ class SuperconformalMap:
     # -- the defining constraint ------------------------------------------
 
     def check(self):
-        """Diagnose the superconformality constraint clause by clause."""
+        """Diagnose the superconformality constraint clause by clause.
+
+        f' = (psi+)' psi- - psi+ (psi-)' + g+ g- is tested as one
+        polynomial identity.  Each term is an unreduced (numerator,
+        denominator) pair, a term with a zero factor is skipped, and the
+        numerators brought to the lcm of the denominators must sum to
+        zero.  The denominators are monic scalar polynomials, hence not
+        zero divisors, so this is the verdict of comparing the normalised
+        sides.
+        """
         failures = []
-        lhs = self.f.diff_z()
-        rhs = (
-            self.psi_plus.diff_z() * self.psi_minus
-            - self.psi_plus * self.psi_minus.diff_z()
-            + self.g_plus * self.g_minus
-        )
-        if lhs != rhs:
+        pp, pm, gp, gm = (self.psi_plus, self.psi_minus,
+                          self.g_plus, self.g_minus)
+        products = [(1, (gp.num, gp.den), (gm.num, gm.den))]
+        if pp and pm:
+            products += [(1, _raw_diff_z(pp), (pm.num, pm.den)),
+                         (-1, (pp.num, pp.den), _raw_diff_z(pm))]
+        # (sign, numerator, denominator); a constant f has f' = 0 over 1
+        terms = [(-1, *_raw_diff_z(self.f))] + [
+            (sign, ln * rn, ld * rd)
+            for sign, (ln, ld), (rn, rd) in products if ln and rn]
+        common = terms[0][2]
+        for _, _, den in terms[1:]:
+            if den != common:
+                common = common * den.divmod(common.gcd(den))[0]
+        total = SuperPolynomial.zero(self.L)
+        for sign, num, den in terms:
+            num = num.mul_scalar_poly(common.divmod(den)[0])
+            total = total + num if sign > 0 else total - num
+        if total:
             failures.append("constraint")
         if self.g_plus.body_is_zero():
             failures.append("g_plus_body")
@@ -378,6 +399,19 @@ class SuperconformalMap:
         else:
             raise NotInvertible("nilpotent correction did not stabilize")
         return SuperconformalMap.extract(h0_inv.compose(g))
+
+
+def _raw_diff_z(F):
+    """F' as an unreduced (numerator, denominator) pair, by the reduced
+    quotient rule (N' (Q/g) - N (Q'/g)) / (Q (Q/g)) with g = gcd(Q, Q')."""
+    num, den = F.num, F.den
+    if den.is_one():
+        return num.diff_z(), den
+    d_den = den.derivative()
+    g = den.gcd(d_den)
+    q, _ = den.divmod(g)
+    dq, _ = d_den.divmod(g)
+    return num.diff_z().mul_scalar_poly(q) - num.mul_scalar_poly(dq), den * q
 
 
 def _scalar_part(F):

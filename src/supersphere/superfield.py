@@ -148,6 +148,9 @@ class ScalarPoly:
             return self
         if self.is_one():
             return other
+        root = self._linear_root()
+        if root is not None and other._linear_root() == root:
+            return _linear_power(root, self.degree() + other.degree())
         acc = {}
         right = triples(other.coeffs.items())
         for k1, a1, b1, d1 in triples(self.coeffs.items()):
@@ -197,6 +200,9 @@ class ScalarPoly:
         d = other.degree()
         if n < d:
             return ScalarPoly._make({}), self
+        root = other._linear_root()
+        if root is not None and self._linear_root() == root:
+            return _linear_power(root, n - d), ScalarPoly._make({})
         rem = [ZERO] * (n + 1)
         for k, c in self.coeffs.items():
             rem[k] = c

@@ -1,0 +1,69 @@
+"""The pure functions of tools/bench_pairs.py, which every BENCH_*.json
+relies on: seed parsing, quartiles and the verdict of the gain rule."""
+
+import importlib.util
+import statistics
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def test_parse_seeds_reads_single_seeds_and_ranges():
+    assert bench_pairs.parse_seeds("7") == [7]
+    assert bench_pairs.parse_seeds("1301-1303,1310") == [1301, 1302, 1303, 1310]
+    assert bench_pairs.parse_seeds("5,3-4") == [5, 3, 4]
+    with pytest.raises(ValueError):
+        bench_pairs.parse_seeds("a-b")
+
+
+def test_quartiles_are_inclusive_and_ordered():
+    assert bench_pairs.quartiles([1, 2, 3, 4, 5]) == {
+        "median": 3, "q1": 2, "q3": 4}
+    values = [0.52, 0.49, 0.61, 0.50, 0.55, 0.47]
+    q = bench_pairs.quartiles(values)
+    assert q["median"] == statistics.median(values)
+    assert q["q1"] <= q["median"] <= q["q3"]
+
+
+def _summary(wins, pairs, gap, iqr):
+    return {"closure": {"pairs": pairs, "wall_s": {
+        "change_better_in": wins, "median_gap": gap, "parent_iqr": iqr}}}
+
+
+@pytest.mark.parametrize("wins, pairs, gap, iqr, met", [
+    (9, 10, 0.05, 0.02, True),    # nine of ten is enough
+    (10, 10, 0.05, 0.02, True),
+    (8, 10, 0.05, 0.02, False),   # too few wins
+    (9, 10, 0.02, 0.02, False),   # the gap must exceed the IQR
+    (9, 10, 0.01, 0.02, False),
+    (10, 11, 0.05, 0.02, True),   # ceil(0.9 * 11) = 10
+    (9, 11, 0.05, 0.02, False),
+    (8, 8, 0.05, 0.02, True),     # ceil(0.9 * 8) = 8
+    (7, 8, 0.05, 0.02, False),
+    (10, 10, -0.05, 0.0, False),  # a worse median is never a gain
+])
+def test_verdict_is_the_gain_rule(wins, pairs, gap, iqr, met):
+    verdict = bench_pairs.verdict(_summary(wins, pairs, gap, iqr),
+                                  "closure:wall_s")
+    assert verdict["met"] is met
+    assert (verdict["workload"], verdict["metric"]) == ("closure", "wall_s")
+    assert verdict["change_better_in"] == wins and verdict["pairs"] == pairs
+
+
+def test_summarise_feeds_the_verdict():
+    metric = {"name": "wall_s", "better": "lower", "bound": 0.25}
+    pairs = [{"parent": {"wall_s": p, "failed": 0, "attempted": 10},
+              "change": {"wall_s": c, "failed": 0, "attempted": 10}}
+             for p, c in zip([1.0, 1.1, 0.9, 1.0], [0.8, 0.85, 0.95, 0.8])]
+    row = bench_pairs.summarise(pairs, [metric])["wall_s"]
+    assert row["change_better_in"] == 3
+    assert row["median_gap"] == pytest.approx(1.0 - 0.825)
+    assert row["within_bound"]
+    verdict = bench_pairs.verdict({"closure": {"pairs": 4, "wall_s": row}},
+                                  "closure:wall_s")
+    assert not verdict["met"]  # 3 wins of 4 is below ceil(0.9 * 4) = 4

@@ -211,3 +211,15 @@ def test_config_validation():
         CampaignConfig(band=0).validate()
     with pytest.raises(UsageError):
         CampaignConfig(n_range=()).validate()
+    with pytest.raises(UsageError):
+        CampaignConfig(flow_order=1).validate()
+
+
+def test_flow_order_below_two_is_a_usage_error(capsys):
+    """Order 1 truncates the flows below the souls' nilpotency order,
+    so true laws would fail; order 2 suffices for two-term souls."""
+    assert main(["--check", "flows.group", "--flow-order", "1"]) == 2
+    assert "flow order must be at least 2" in capsys.readouterr().err
+    assert main(["--check", "flows.group", "--flow-order", "0"]) == 2
+    assert main(["--check", "flows.group", "--flow-order", "2"]) == 0
+    assert "PASS flows.group" in capsys.readouterr().out

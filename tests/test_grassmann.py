@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -84,6 +85,22 @@ def test_inverse_examples():
     assert inv == Supernumber.one(L) + Supernumber.monomial(L, (1, 2), grat(-1))
     with pytest.raises(NotInvertible):
         Supernumber.generator(L, 1).inverse()
+
+
+def test_equality_with_every_scalar_type():
+    half = Supernumber.scalar(4, Fraction(1, 2))
+    assert half == Fraction(1, 2)
+    assert half == grat(Fraction(1, 2))
+    assert half != Fraction(1, 3)
+    assert half != grat(Fraction(1, 3))
+    assert half != 1
+    assert Supernumber.one(4) == 1
+    assert Supernumber.one(4) != 2
+    assert Supernumber.one(4) == Fraction(2, 2)
+    assert Supernumber.zero(4) == 0
+    # a soul makes it differ from every scalar
+    x = Supernumber.one(4) + Supernumber.monomial(4, (1, 2))
+    assert x != 1 and x != Fraction(1) and x != grat(1)
 
 
 def test_extend_restrict_examples():

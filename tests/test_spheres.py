@@ -34,7 +34,13 @@ from supersphere.spheres import (
 )
 from supersphere.superconformal import SuperconformalMap, to_n1
 from supersphere.superfield import RationalSuperfunction as RSF
-from supersphere.superfield import SuperPolynomial, THETA_MINUS, THETA_PLUS
+from supersphere.superfield import (
+    ScalarPoly,
+    SuperPoint,
+    SuperPolynomial,
+    THETA_MINUS,
+    THETA_PLUS,
+)
 
 L = 6
 one = Supernumber.one(L)
@@ -248,6 +254,76 @@ class TestValidate:
                 _handwritten_mirror_params(foreign, n)
             assert str(folded.value) == str(handwritten.value)
             assert str(folded.value).startswith("psi- must")
+
+
+def substitution_recovery(m):
+    """(a, b, c, d) by composing f with the inverse scalar Moebius map and
+    reading the soul correction off derivatives at z = 0."""
+    a0, b0, c0, d0 = m.moebius_body()
+    lam = (a0 * d0 - b0 * c0).inverse().sqrt()
+    a0, b0, c0, d0 = (x * lam for x in (a0, b0, c0, d0))
+    if not spheres._positive_leading((d0, c0, b0, a0)):
+        a0, b0, c0, d0 = -a0, -b0, -c0, -d0
+    fhat = m.f.substitute(RSF(SuperPolynomial(L, 2, {(1, 0): d0, (0, 0): -b0}),
+                              ScalarPoly({1: -c0, 0: a0})))
+    origin = SuperPoint(zero, (zero, zero))
+    e0, e1, e2 = (F.evaluate(origin)
+                  for F in (fhat, fhat.diff_z(), fhat.diff_z().diff_z()))
+    d_hat = invsqrt_one_plus_soul(e1)
+    b_hat = e0 * d_hat
+    c_hat = (e2 * d_hat ** 3).scale(grat("-1/2"))
+    a_hat = (one + b_hat * c_hat) * d_hat.inverse()
+    return (a_hat.scale(a0) + b_hat.scale(c0), a_hat.scale(b0) + b_hat.scale(d0),
+            c_hat.scale(a0) + d_hat.scale(c0), c_hat.scale(b0) + d_hat.scale(d0))
+
+
+# integer Moebius bodies, each with the point z0 recovery reads f at
+RECOVERY_BODIES = {
+    "pole at 0": ((0, -1, 1, 0), 1),     # d body 0: Laurent numerators
+    "polynomial f": ((1, 2, 0, 1), 0),   # c body 0
+    "pole at 1": ((0, 1, -1, 1), 0),
+    "pole at 2": ((0, -1, 1, -2), 0),    # the tie-break flips its sign
+}
+
+
+@pytest.mark.parametrize("body", sorted(RECOVERY_BODIES))
+@pytest.mark.parametrize("n", [-3, -1, 0, 1, 2])
+def test_point_recovery_matches_substitution_recovery(body, n):
+    s = Sampler(random.Random(f"{body}:{n}"), L)
+    scalars, z0 = RECOVERY_BODIES[body]
+    entries = [Supernumber.scalar(L, x) + s.soul(2, 0, L - 2) for x in scalars]
+    p = s.automorphism_params(n)
+    fields = dict(eps=p.eps, eps_plus=p.eps_plus, eps_minus=p.eps_minus,
+                  psi_plus=p.psi_plus, psi_minus=p.psi_minus)
+    p = AutomorphismParams(n, *normalize_determinant(*entries), **fields)
+    m = build_map(p)
+    assert spheres._regular_point(m.f, grat(scalars[2]), grat(scalars[3])) == z0
+    assert recover_moebius(m) == substitution_recovery(m)
+    assert build_map(validate_map(m, n)) == m
+
+
+def test_regular_point_skips_poles_and_the_moebius_root():
+    # a Laurent numerator rules out 0 and c0 z + d0 = z - 1 rules out 1
+    laurent = RSF(SuperPolynomial(L, 2, {(-1, 0): one}),
+                  ScalarPoly({2: grat(1), 0: grat(-9)}))
+    assert spheres._regular_point(laurent, grat(1), grat(-1)) == 2
+    assert spheres._regular_point(laurent, grat(1), grat(-2)) == 1
+    # c0 z + d0 = z rules out 0, the poles at 1 and 2 the next two
+    poles = RSF(SuperPolynomial(L, 2, {(0, 0): one}),
+                ScalarPoly({2: grat(1), 1: grat(-3), 0: grat(2)}))
+    assert spheres._regular_point(poles, grat(1), grat(0)) == 3
+
+
+@pytest.mark.parametrize("n", [-2, -1, 0, 1, 3])
+def test_data_that_is_no_parameter_set_is_not_in_family(n):
+    # f = z + z[5] z[6] is superconformal with g+- = 1, but b = z[5] z[6]
+    # uses generators above L - 2, so no parameter set holds it
+    high = Supernumber.monomial(L, (L - 1, L))
+    f = RSF(SuperPolynomial(L, 2, {(1, 0): one, (0, 0): high}))
+    m = SuperconformalMap(f, RSF.one(L), RSF.one(L), coefficient_bound=False)
+    assert m.check().ok
+    with pytest.raises(NotInFamily, match="no parameter set"):
+        validate_map(m, n)
 
 
 # _cancel_common_factor calls in one build_map + validate_map round trip,

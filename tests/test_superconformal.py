@@ -80,6 +80,79 @@ class TestConstraint:
         assert "g_plus_body" in report.failures
 
 
+def normalised_constraint_holds(m):
+    """The reference verdict: f' and the normalised right-hand side."""
+    rhs = (m.psi_plus.diff_z() * m.psi_minus
+           - m.psi_plus * m.psi_minus.diff_z()
+           + m.g_plus * m.g_minus)
+    return m.f.diff_z() == rhs
+
+
+def two_root_map(s):
+    """A map whose components have denominators with the two distinct
+    roots 1 and -2: from_n1 makes it superconformal by construction."""
+    def over(den, *values):
+        return RSF(SuperPolynomial(L, 2, {(k, 0): v for k, v in
+                                          enumerate(values)}), den)
+    lin = ScalarPoly({1: grat(1), 0: grat(-1)})
+    two = lin * ScalarPoly({1: grat(1), 0: grat(2)})
+    f1 = RSF.z(L) + over(two, s.supernumber(2, 0, L - 2, body=True))
+    g = over(lin, s.even_invertible(2, L - 2)) + RSF.one(L)
+    return from_n1(N1SuperanalyticMap(f1, over(two, s.odd(1, L - 2)),
+                                      over(lin, s.odd(1, L - 2)), g))
+
+
+def check_operand(kind, seed):
+    tag, n = kind
+    s = Sampler(random.Random(seed), L)
+    if tag == "map":
+        return s.superconformal_map()
+    if tag == "family":
+        return build_map(s.automorphism_params(n))
+    if tag == "transition":  # Laurent numerators
+        return sphere_transition(n, L)
+    return two_root_map(s)
+
+
+def perturbed(m, which, seed):
+    """m with one component changed by a single term c z^k, over z - 3
+    half of the time, with c even for f and g+- and odd for psi+-."""
+    if which is None:
+        return m
+    s = Sampler(random.Random(seed), L)
+    comps = list(m.components().values())
+    odd = which >= 3
+    c = s.odd(2, L - 2) if odd else s.supernumber(2, 0, L - 2)
+    if not c:
+        c = Supernumber.generator(L, 1) if odd else Supernumber.one(L)
+    term = RSF(SuperPolynomial(L, 2, {(s.rng.randint(-2, 2), 0): c}),
+               ScalarPoly({1: grat(1), 0: grat(-3)}) if s.rng.randrange(2)
+               else None)
+    comps[which] = comps[which] + term
+    return SuperconformalMap(*comps, coefficient_bound=False)
+
+
+CHECK_KINDS = st.sampled_from(
+    [("map", None), ("two roots", None)]
+    + [("family", n) for n in range(-4, 5)]
+    + [("transition", n) for n in (-3, -1, 0, 2, 4)])
+
+
+@settings(deadline=None, max_examples=60)
+@given(CHECK_KINDS, st.integers(min_value=0, max_value=2 ** 32),
+       st.sampled_from([None, 0, 1, 2, 3, 4]))
+@example(("two roots", None), 0, None)
+@example(("two roots", None), 1, 0)
+@example(("transition", 2), 0, 3)
+@example(("family", 0), 5, 1)
+def test_cross_multiplied_check_matches_normalised_sides(kind, seed, which):
+    m = perturbed(check_operand(kind, seed), which, seed + 1)
+    holds = "constraint" not in m.check().failures
+    assert holds == normalised_constraint_holds(m)
+    if which is None:
+        assert holds
+
+
 class TestExpansion:
     def test_identity_expands_to_coordinates(self):
         assert SuperconformalMap.identity(L).expand() == CoordinateTriple.identity(L)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -573,3 +574,66 @@ def test_adding_zero_normalises_nothing(monkeypatch):
                         lambda num, den: calls.append(den))
     assert F + zero is F and zero + F is F and F - zero is F
     assert not calls
+
+
+def _long_product(p, q):
+    """Coefficient convolution: the generic product, computed here."""
+    out = {}
+    for i, a in p.coeffs.items():
+        for j, b in q.coeffs.items():
+            out[i + j] = out.get(i + j, grat(0)) + a * b
+    return ScalarPoly(out)
+
+
+def _long_division(p, q):
+    """Schoolbook long division by q, computed here."""
+    rem = dict(p.coeffs)
+    quo = {}
+    d, lc = q.degree(), q.leading()
+    for k in range(p.degree(), d - 1, -1):
+        c = rem.pop(k, grat(0))
+        if not c:
+            continue
+        quo[k - d] = c / lc
+        for j, b in q.coeffs.items():
+            if j < d:
+                rem[k - d + j] = rem.get(k - d + j, grat(0)) - quo[k - d] * b
+    return ScalarPoly(quo), ScalarPoly(rem)
+
+
+scalar_roots = st.builds(
+    GaussianRational,
+    st.fractions(min_value=-4, max_value=4, max_denominator=3),
+    st.fractions(min_value=-2, max_value=2, max_denominator=2),
+)
+
+
+def _long_power(root, j):
+    out = ScalarPoly.one()
+    for _ in range(j):
+        out = _long_product(out, _linear_factor(root))
+    return out
+
+
+@settings(deadline=None, max_examples=60)
+@given(scalar_roots, scalar_roots, st.integers(0, 8), st.integers(0, 8))
+@example(grat(0), grat(1), 3, 2)
+@example(grat(2), grat(2), 8, 8)
+def test_linear_power_closed_forms_match_long_arithmetic(r, s, a, b):
+    """(z - r)**a times or over (z - r)**b is a closed-form power of z - r
+    that keeps its root; when the roots differ, the generic path must run
+    and agree with long multiplication and division."""
+    p, q = _long_power(r, a), _long_power(r, b)
+    product = p * q
+    assert product == _long_product(p, q)
+    if a + b:
+        assert product._linear_root() == r
+    assert _long_power(r, a).divmod(q) == _long_division(p, q)
+
+    mixed = _long_power(s, b)
+    if r != s and a and b:
+        fresh = _long_power(r, a)
+        with mock.patch.object(superfield, "_linear_power",
+                               side_effect=AssertionError("closed form used")):
+            assert fresh * mixed == _long_product(p, mixed)
+            assert fresh.divmod(mixed) == _long_division(p, mixed)
