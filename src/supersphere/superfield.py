@@ -935,18 +935,22 @@ class RationalSuperfunction:
     # -- calculus ------------------------------------------------------------
 
     def diff_z(self):
-        """Reduced quotient rule: with g = gcd(Q, Q'),
+        return RationalSuperfunction(*self.diff_z_parts())
+
+    def diff_z_parts(self):
+        """The derivative as an unreduced (numerator, denominator) pair, by
+        the reduced quotient rule: with g = gcd(Q, Q'),
         (P/Q)' = (P' (Q/g) - P (Q'/g)) / (Q (Q/g)).  For Q = (z - r)**m
         the denominator is (z - r)**(m + 1) at once, not Q**2 with m - 1
         factors z - r cancelled back out."""
-        if self.den.is_one():
-            return RationalSuperfunction(self.num.diff_z(), self.den)
-        d_den = self.den.derivative()
-        g = self.den.gcd(d_den)
-        q, _ = self.den.divmod(g)
+        num, den = self.num, self.den
+        if den.is_one():
+            return num.diff_z(), den
+        d_den = den.derivative()
+        g = den.gcd(d_den)
+        q, _ = den.divmod(g)
         dq, _ = d_den.divmod(g)
-        num = self.num.diff_z().mul_scalar_poly(q) - self.num.mul_scalar_poly(dq)
-        return RationalSuperfunction(num, self.den * q)
+        return num.diff_z().mul_scalar_poly(q) - num.mul_scalar_poly(dq), den * q
 
     def diff_theta(self, which):
         return RationalSuperfunction(self.num.diff_theta(which), self.den)

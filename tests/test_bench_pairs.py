@@ -67,3 +67,42 @@ def test_summarise_feeds_the_verdict():
     verdict = bench_pairs.verdict({"closure": {"pairs": 4, "wall_s": row}},
                                   "closure:wall_s")
     assert not verdict["met"]  # 3 wins of 4 is below ceil(0.9 * 4) = 4
+
+
+@pytest.mark.parametrize("claim", [
+    "closure:wall",        # a metric typo
+    "closure",             # no metric
+    "campaign:wall_s",     # a workload the set does not run
+    "closure:wall_s:x",
+    ":wall_s",
+    "closure:scalars.calls",  # a per-layer count is no end-to-end metric
+])
+def test_check_claim_rejects_what_the_set_cannot_judge(claim):
+    with pytest.raises(ValueError, match="--claim"):
+        bench_pairs.check_claim(claim, ["closure", "algebra"],
+                                ["wall_s", "op_p50_ms"])
+
+
+def test_check_claim_accepts_a_run_workload_and_end_to_end_metric():
+    bench_pairs.check_claim("algebra:op_p50_ms", ["closure", "algebra"],
+                            ["wall_s", "op_p50_ms"])
+
+
+def test_bad_claim_exits_before_any_pair(monkeypatch, tmp_path, capsys):
+    spec = (_PATH.parent.parent / "BENCHMARK.json").read_text()
+    monkeypatch.setattr(bench_pairs, "git", lambda *args:
+                        spec if args[0] == "show" else "0" * 40)
+
+    def no_pairs(*args, **kwargs):
+        raise AssertionError("the set started")
+
+    monkeypatch.setattr(bench_pairs, "export", no_pairs)
+    monkeypatch.setattr(bench_pairs, "run_child", no_pairs)
+    out = tmp_path / "BENCH_x.json"
+    with pytest.raises(SystemExit) as exited:
+        bench_pairs.main(["--parent", "HEAD~1", "--workload", "closure",
+                          "--seeds", "1-2", "--claim", "closure:wall",
+                          "--out", str(out)])
+    assert exited.value.code == 2
+    assert "'closure:wall'" in capsys.readouterr().err
+    assert not out.exists()

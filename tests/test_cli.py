@@ -6,6 +6,7 @@ import pytest
 from supersphere import campaign
 from supersphere import matrixalgebra as msa
 from supersphere import nsalgebra as ns
+from supersphere import spheres, textio
 from supersphere.campaign import (
     CampaignConfig,
     UsageError,
@@ -14,6 +15,7 @@ from supersphere.campaign import (
     run_campaign,
 )
 from supersphere.cli import main, parse_n_range
+from supersphere.superconformal import SuperconformalMap
 
 
 def tiny_config(**overrides):
@@ -88,6 +90,39 @@ def test_report_bytes_are_pinned():
         "be810c1185b48b39141a54bba28f329fa29caa9bb76623c03b00e95a3055960a"
     assert digest(run_campaign(cfg, only="spheres.closure.n=1")) == \
         "7c08615f3634cdfeba671e10ed621f16fa65ddbb7fb9ec784f5db1b6fa64b92e"
+
+
+def test_closure_rebuilds_the_composite_from_its_json_params(monkeypatch):
+    """"recovered parameters rebuild the composite" reads the composite's
+    parameters back from JSON, which carry no verified member, so the suite
+    runs build_map on them; a wrong rebuild fails the law."""
+    read_back, built = [], []
+    params_from_json, build_map = textio.params_from_json, spheres.build_map
+
+    def recording_read(data):
+        read_back.append(params_from_json(data))
+        return read_back[-1]
+
+    def recording_build(p):
+        built.append(p)
+        return build_map(p)
+
+    monkeypatch.setattr(textio, "params_from_json", recording_read)
+    monkeypatch.setattr(spheres, "build_map", recording_build)
+    record = run_campaign(tiny_config(), only="spheres.closure.n=1")["checks"][0]
+    assert record["status"] == "pass"
+    assert len(read_back) == 1
+    assert any(p is read_back[0] for p in built)
+
+    def wrong_rebuild(p):
+        if any(p is q for q in read_back):
+            return SuperconformalMap.identity(p.L)
+        return build_map(p)
+
+    monkeypatch.setattr(spheres, "build_map", wrong_rebuild)
+    record = run_campaign(tiny_config(), only="spheres.closure.n=1")["checks"][0]
+    assert [f["law"] for f in record["failures"]] == [
+        "recovered parameters rebuild the composite"]
 
 
 def test_dependent_twist_basis_fails_solvability(monkeypatch):

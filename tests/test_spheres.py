@@ -326,6 +326,16 @@ def test_data_that_is_no_parameter_set_is_not_in_family(n):
         validate_map(m, n)
 
 
+def test_even_psi_is_not_in_family_at_n_zero():
+    # superconformal, but psi+ = 1 and psi- = z have even coefficients, and
+    # they make delta + y+-(z0) a non-unit: parity is checked before eps
+    m = SuperconformalMap(RSF.z(L), RSF.from_constant(L, 2), RSF.one(L),
+                          RSF.one(L), RSF.z(L), coefficient_bound=False)
+    assert m.check().ok
+    with pytest.raises(NotInFamily, match="psi coefficients must be odd"):
+        validate_map(m, 0)
+
+
 # _cancel_common_factor calls in one build_map + validate_map round trip,
 # as measured with each power, derivative and difference normalised once;
 # normalising factor by factor again exceeds them

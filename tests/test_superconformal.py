@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -423,6 +424,62 @@ class TestInversion:
         assert m.check().ok
         with pytest.raises(NotInvertible):
             m.invert()
+
+
+def invertible_operand(kind, seed, gens):
+    """A family member of twist n, or a sampled map whose body is Moebius,
+    at L = gens."""
+    tag, n = kind
+    s = Sampler(random.Random(seed), gens)
+    if tag == "family":
+        return build_map(s.automorphism_params(n))
+    while True:
+        m = s.superconformal_map()
+        if m.moebius_body() is not None:
+            return m
+
+
+INVERT_KINDS = st.sampled_from(
+    [("map", None)] + [("family", n) for n in range(-4, 5)])
+
+
+@settings(deadline=None, max_examples=30)
+@given(INVERT_KINDS, OPERAND_SEEDS, st.sampled_from([4, 6, 8]))
+@example(("family", 0), 3, 8)
+@example(("family", -4), 5, 6)
+@example(("map", None), 7, 4)
+def test_inverse_is_superconformal_and_two_sided(kind, seed, gens):
+    m = invertible_operand(kind, seed, gens)
+    inv = m.invert()
+    identity = SuperconformalMap.identity(gens)
+    assert inv.check().ok
+    assert m.compose(inv) == identity
+    assert inv.compose(m) == identity
+
+
+@pytest.mark.parametrize("gens", [4, 6, 8])
+def test_invert_needs_logarithmically_many_compositions(gens, monkeypatch):
+    # one composition tests the start; each Newton step doubles the soul
+    # degree of the error at the price of two more
+    bound = 2 * math.ceil(math.log2(gens - 1)) + 1
+    operands = [invertible_operand(kind, 40 + seed, gens)
+                for kind in [("map", None)] + [("family", n) for n in (-3, 0, 2)]
+                for seed in range(3)]
+    calls = []
+    compose = SuperconformalMap.compose
+
+    def counting(outer, inner):
+        calls.append(None)
+        return compose(outer, inner)
+
+    monkeypatch.setattr(SuperconformalMap, "compose", counting)
+    counts = []
+    for m in operands:
+        del calls[:]
+        m.invert()
+        counts.append(len(calls))
+    assert max(counts) <= bound
+    assert max(counts) > 1  # some operand needs a Newton step
 
 
 class TestN1Correspondence:

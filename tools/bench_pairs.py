@@ -19,9 +19,11 @@ differ only in the seed), every pair, and per end-to-end metric of BENCHMARK.jso
 parent's quartile distance and whether the change's median stays within
 the metric's regression bound.  `--claim W:M` adds the verdict of the gain
 rule: the change wins at least nine tenths of the pairs and the median gap
-exceeds the parent's quartile distance.  `--trace-seed S` adds one
-`--trace 1` run per side and workload with every per-layer count.  The
-file is rewritten after every pair, so an interrupted set keeps its pairs.
+exceeds the parent's quartile distance.  W must be one of the `--workload`
+values and M an end-to-end metric; any other claim stops before the first
+pair.  `--trace-seed S` adds one `--trace 1` run per side and workload
+with every per-layer count.  The file is rewritten after every pair, so an
+interrupted set keeps its pairs.
 """
 
 from __future__ import annotations
@@ -117,6 +119,15 @@ def summarise(pairs, metrics):
     return out
 
 
+def check_claim(claim, workloads, metrics):
+    """ValueError unless claim is W:M with W one of the workloads to run
+    and M an end-to-end metric, so a typo stops the set before any pair."""
+    workload, sep, metric = claim.partition(":")
+    if not sep or workload not in workloads or metric not in metrics:
+        raise ValueError(f"--claim {claim!r} is not W:M with W in "
+                         f"{sorted(set(workloads))} and M in {sorted(metrics)}")
+
+
 def verdict(summary, claim):
     workload, metric = claim.split(":")
     row = summary[workload][metric]
@@ -151,6 +162,12 @@ def main(argv=None):
     revs = {"parent": git("rev-parse", args.parent),
             "change": git("rev-parse", args.change)}
     spec = json.loads(git("show", f"{revs['change']}:BENCHMARK.json"))
+    if args.claim:
+        try:
+            check_claim(args.claim, args.workload,
+                        [m["name"] for m in spec["end_to_end"]])
+        except ValueError as exc:
+            parser.error(str(exc))
     result = {
         "command": (f"python3 perfbench/run.py --workload W --seed S "
                     f"--seconds {args.seconds:g} --trace 0"),
