@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .scalars import GaussianRational, grat
@@ -87,21 +87,25 @@ class CampaignConfig:
 
 
 class Outcome:
-    """Result of one suite run."""
+    """Result of one suite run.
+
+    Counterexample operands and discrepancy items are kept in their JSON
+    forms (`_json_form`), so a report holds what a replay needs.
+    """
 
     def __init__(self, samples=0):
         self.samples = samples
         self.failures = []
         self.discrepancies = []
 
-    def fail(self, law_part, counterexample=None):
+    def fail(self, law_part, **operands):
         self.failures.append({
             "law": law_part,
-            "counterexample": counterexample,
+            "counterexample": _json_form(operands) if operands else None,
         })
 
-    def note_discrepancy(self, item):
-        self.discrepancies.append(item)
+    def note_discrepancy(self, **item):
+        self.discrepancies.append(_json_form(item))
 
     @property
     def status(self):
@@ -110,6 +114,28 @@ class Outcome:
         if self.discrepancies:
             return "discrepancies"
         return "pass"
+
+
+# the `textio` encoder of each operand type a counterexample can hold
+_JSON_FORMS = {
+    Supernumber: textio.supernumber_to_json,
+    RationalSuperfunction: textio.rsf_to_json,
+    SuperconformalMap: textio.map_to_json,
+    N1SuperanalyticMap: textio.n1_map_to_json,
+    spheres.AutomorphismParams: textio.params_to_json,
+}
+
+
+def _json_form(value):
+    """value in its JSON form: package values through their `textio`
+    encoder, the values of a dict and the elements of a list one by one;
+    tuples and plain JSON values stay as they are."""
+    if isinstance(value, dict):
+        return {k: _json_form(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_json_form(x) for x in value]
+    encode = _JSON_FORMS.get(type(value))
+    return value if encode is None else encode(value)
 
 
 # ---------------------------------------------------------------------------
@@ -127,49 +153,41 @@ def _suite_grassmann_laws(cfg, rng):
         y = s.supernumber(6)
         z = s.supernumber(6)
         if (x * y) * z != x * (y * z):
-            out.fail("associativity", _sn_ce(x=x, y=y, z=z))
+            out.fail("associativity", x=x, y=y, z=z)
         if x * (y + z) != x * y + x * z:
-            out.fail("distributivity", _sn_ce(x=x, y=y, z=z))
+            out.fail("distributivity", x=x, y=y, z=z)
         xh = s.supernumber(4, parity=rng.randrange(2))
         yh = s.supernumber(4, parity=rng.randrange(2))
         sign = (-1) ** ((xh.parity() or 0) * (yh.parity() or 0))
         if xh * yh != (yh * xh).scale(sign):
-            out.fail("supercommutativity", _sn_ce(x=xh, y=yh))
+            out.fail("supercommutativity", x=xh, y=yh)
         if xh and yh and xh.parity() is not None and yh.parity() is not None:
             product = xh * yh
             if product and product.parity() != (xh.parity() + yh.parity()) % 2:
-                out.fail("grading", _sn_ce(x=xh, y=yh))
+                out.fail("grading", x=xh, y=yh)
         soul = x.soul()
         if not (soul ** (L + 1)).is_zero():
-            out.fail("nilpotency", _sn_ce(x=x))
+            out.fail("nilpotency", x=x)
         body, rest = x.body_soul()
         if Supernumber.scalar(L, body) + rest != x:
-            out.fail("body-soul split", _sn_ce(x=x))
+            out.fail("body-soul split", x=x)
         if body:
             inv = x.inverse()
             if x * inv != one or inv * x != one:
-                out.fail("two-sided inverse", _sn_ce(x=x))
+                out.fail("two-sided inverse", x=x)
         else:
             try:
                 x.inverse()
-                out.fail("zero-body inversion accepted", _sn_ce(x=x))
+                out.fail("zero-body inversion accepted", x=x)
             except NotInvertible:
                 pass
         # functorial extension and restriction
         ext = x.extend(L + 2)
         if ext.restrict(L) != x:
-            out.fail("restrict after extend", _sn_ce(x=x))
+            out.fail("restrict after extend", x=x)
         if (x * y).extend(L + 2) != x.extend(L + 2) * y.extend(L + 2):
-            out.fail("extension is multiplicative", _sn_ce(x=x, y=y))
+            out.fail("extension is multiplicative", x=x, y=y)
     return out
-
-
-def _sn_ce(**named):
-    return {k: textio.supernumber_to_json(v) for k, v in named.items()}
-
-
-def _rsf_ce(**named):
-    return {k: textio.rsf_to_json(v) for k, v in named.items()}
 
 
 def _suite_superfield_operators(cfg, rng):
@@ -179,12 +197,12 @@ def _suite_superfield_operators(cfg, rng):
     for _ in range(cfg.samples):
         F = s.rational_superfunction()
         if not apply_D_plus(apply_D_plus(F)).is_zero():
-            out.fail("D+ squares to zero", _rsf_ce(F=F))
+            out.fail("D+ squares to zero", F=F)
         if not apply_D_minus(apply_D_minus(F)).is_zero():
-            out.fail("D- squares to zero", _rsf_ce(F=F))
+            out.fail("D- squares to zero", F=F)
         anti = apply_D_plus(apply_D_minus(F)) + apply_D_minus(apply_D_plus(F))
         if anti != F.diff_z() * grat(2):
-            out.fail("anticommutator is twice d/dz", _rsf_ce(F=F))
+            out.fail("anticommutator is twice d/dz", F=F)
         p = rng.randrange(2)
         q = rng.randrange(2)
         Fh = s.rational_superfunction(parity=p, max_terms=3)
@@ -193,13 +211,13 @@ def _suite_superfield_operators(cfg, rng):
         rhs = apply_D_plus(Fh) * Gh + (Fh * apply_D_plus(Gh)).scale_left(
             grat((-1) ** p))
         if lhs != rhs:
-            out.fail("super-Leibniz rule", _rsf_ce(F=Fh, G=Gh))
+            out.fail("super-Leibniz rule", F=Fh, G=Gh)
         # evaluation is a homomorphism
         point = _safe_point(s, rng)
         F2 = s.rational_superfunction(max_terms=3, with_denominator=False)
         G2 = s.rational_superfunction(max_terms=3, with_denominator=False)
         if (F2 * G2).evaluate(point) != F2.evaluate(point) * G2.evaluate(point):
-            out.fail("evaluation homomorphism", _rsf_ce(F=F2, G=G2))
+            out.fail("evaluation homomorphism", F=F2, G=G2)
         # substitution associativity on even affine-plus-nilpotent arguments
         w1 = _even_argument(s, rng)
         w2 = _even_argument(s, rng)
@@ -209,11 +227,11 @@ def _suite_superfield_operators(cfg, rng):
         lhs = F.substitute(inner, thetas)
         rhs = F.substitute(w2, thetas).substitute(w1, thetas)
         if lhs != rhs:
-            out.fail("substitution associativity", _rsf_ce(F=F, w1=w1, w2=w2))
+            out.fail("substitution associativity", F=F, w1=w1, w2=w2)
         # operating commutes with extending the algebra
         bigger = F.extend(L + 2)
         if apply_D_plus(F).extend(L + 2) != apply_D_plus(bigger):
-            out.fail("extension stability", _rsf_ce(F=F))
+            out.fail("extension stability", F=F)
     return out
 
 
@@ -246,8 +264,7 @@ def _suite_superconformal_closure(cfg, rng):
         m2 = s.superconformal_map()
         composite = m2.compose(m1)
         if not composite.check().ok:
-            out.fail("composition stays superconformal",
-                     {"m1": textio.map_to_json(m1), "m2": textio.map_to_json(m2)})
+            out.fail("composition stays superconformal", m1=m1, m2=m2)
         if i % 4 == 0:
             # the derivations transform homogeneously of degree one
             G = s.rational_superfunction(max_terms=3, with_denominator=False)
@@ -258,16 +275,11 @@ def _suite_superconformal_closure(cfg, rng):
                 factor = apply_D(image, sign)
                 rhs = factor * apply_D(G, sign).substitute(triple.even, images)
                 if lhs != rhs:
-                    out.fail("derivation transform law",
-                             {"m": textio.map_to_json(m1),
-                              "G": textio.rsf_to_json(G)})
+                    out.fail("derivation transform law", m=m1, G=G)
         if i % 5 == 0:
             m3 = s.superconformal_map()
             if m3.compose(m2).compose(m1) != m3.compose(m2.compose(m1)):
-                out.fail("composition associativity",
-                         {"m1": textio.map_to_json(m1),
-                          "m2": textio.map_to_json(m2),
-                          "m3": textio.map_to_json(m3)})
+                out.fail("composition associativity", m1=m1, m2=m2, m3=m3)
     return out
 
 
@@ -279,14 +291,11 @@ def _suite_superconformal_roundtrip(cfg, rng):
         h = s.n1_map()
         m = from_n1(h)
         if not m.check().ok:
-            out.fail("correspondence output is superconformal",
-                     {"h": textio.n1_map_to_json(h)})
+            out.fail("correspondence output is superconformal", h=h)
         if to_n1(m) != h:
-            out.fail("N=1 -> N=2 -> N=1 roundtrip",
-                     {"h": textio.n1_map_to_json(h)})
+            out.fail("N=1 -> N=2 -> N=1 roundtrip", h=h)
         if from_n1(to_n1(m)) != m:
-            out.fail("N=2 -> N=1 -> N=2 roundtrip",
-                     {"m": textio.map_to_json(m)})
+            out.fail("N=2 -> N=1 -> N=2 roundtrip", m=m)
     # the shifted-origin example: (z + theta, theta) maps to a
     # superconformal function that does not vanish at the origin
     z = RationalSuperfunction.z(L)
@@ -300,9 +309,9 @@ def _suite_superconformal_roundtrip(cfg, rng):
     expected = CoordinateTriple(z + tp * half, tp, one * half + tm)
     if not (triple.even == expected.even and triple.plus == expected.plus
             and triple.minus == expected.minus):
-        out.fail("shifted-origin example expansion", None)
+        out.fail("shifted-origin example expansion")
     if to_n1(from_n1(h)) != h:
-        out.fail("shifted-origin example roundtrip", None)
+        out.fail("shifted-origin example roundtrip")
     return out
 
 
@@ -313,189 +322,159 @@ def _suite_spheres_transition(cfg, rng):
     for n in span:
         t = transition(n, L)
         if not t.check().ok:
-            out.fail(f"transition n={n} superconformal", None)
+            out.fail(f"transition n={n} superconformal")
         h = to_n1(t)
         want_g = RationalSuperfunction.z_power(L, n - 1, coeff=GaussianRational(0, 1))
         ok = (h.f1 == RationalSuperfunction.z_power(L, -1)
               and h.xi.is_zero() and h.psi.is_zero() and h.g == want_g)
         if not ok:
-            out.fail(f"N=1 image of transition n={n}", None)
+            out.fail(f"N=1 image of transition n={n}")
         # double transition flips the odd signs; closed-form inverse inverts
         minus_one = RationalSuperfunction.from_constant(L, grat(-1))
         flip = SuperconformalMap(RationalSuperfunction.z(L), minus_one, minus_one)
         if t.compose(t) != flip:
-            out.fail(f"transition squared n={n}", None)
+            out.fail(f"transition squared n={n}")
         if t.compose(transition_inverse(n, L)) != SuperconformalMap.identity(L):
-            out.fail(f"transition inverse n={n}", None)
+            out.fail(f"transition inverse n={n}")
         if n in (min(span), 0, max(span)) and t.invert() != transition_inverse(n, L):
-            out.fail(f"generic inversion of transition n={n}", None)
+            out.fail(f"generic inversion of transition n={n}")
         out.samples += 1
     return out
 
 
-def _suite_spheres_closure(n):
-    def run(cfg, rng):
-        out = Outcome(cfg.samples)
-        s = Sampler(rng, cfg.generators)
-        composite = None
-        for _ in range(cfg.samples):
-            p1 = s.automorphism_params(n)
-            p2 = s.automorphism_params(n)
-            try:
-                T1 = SphereAutomorphism.build(p1)
-                T2 = SphereAutomorphism.build(p2)
-            except spheres.InvalidParams as exc:
-                out.fail("family member construction",
-                         {"error": str(exc),
-                          "p1": textio.params_to_json(p1),
-                          "p2": textio.params_to_json(p2)})
-                continue
-            try:
-                composite = T2.compose(T1)
-            except NotInFamily as exc:
-                out.fail("closure under composition",
-                         {"error": str(exc),
-                          "p1": textio.params_to_json(p1),
-                          "p2": textio.params_to_json(p2)})
-        # recovered parameters rebuild the composite; read back from JSON
-        # they carry no verified member, so build_map and check() run
-        if composite is not None:
-            data = textio.params_to_json(composite.params)
-            rebuilt = SphereAutomorphism.build(textio.params_from_json(data))
-            if rebuilt.southern != composite.southern:
-                out.fail("recovered parameters rebuild the composite",
-                         {"params": data})
-        # recovery is canonical: validating a rebuilt map is a fixed point
+def _suite_spheres_closure(cfg, rng, n):
+    out = Outcome(cfg.samples)
+    s = Sampler(rng, cfg.generators)
+    composite = None
+    for _ in range(cfg.samples):
+        p1 = s.automorphism_params(n)
+        p2 = s.automorphism_params(n)
+        try:
+            T1 = SphereAutomorphism.build(p1)
+            T2 = SphereAutomorphism.build(p2)
+        except spheres.InvalidParams as exc:
+            out.fail("family member construction", error=str(exc), p1=p1, p2=p2)
+            continue
+        try:
+            composite = T2.compose(T1)
+        except NotInFamily as exc:
+            out.fail("closure under composition", error=str(exc), p1=p1, p2=p2)
+    # recovered parameters rebuild the composite; read back from JSON
+    # they carry no verified member, so build_map and check() run
+    if composite is not None:
+        data = textio.params_to_json(composite.params)
+        rebuilt = SphereAutomorphism.build(textio.params_from_json(data))
+        if rebuilt.southern != composite.southern:
+            out.fail("recovered parameters rebuild the composite", params=data)
+    # recovery is canonical: validating the map built afresh from recovered
+    # parameters gives them back
+    p = s.automorphism_params(n)
+    T = SphereAutomorphism.build(p)
+    first = spheres.validate_map(T.southern, n)
+    again = spheres.validate_map(spheres.build_map(first), n)
+    if first != again:
+        out.fail("parameter recovery is canonical", p=p)
+    # inversion stays in the family
+    inv = T.invert()
+    if T.compose(inv).southern != SuperconformalMap.identity(cfg.generators):
+        out.fail("inverse composes to the identity", p=p)
+    # a wrong shape is rejected
+    if abs(n) >= 2:
+        wrong = spheres.build_map(s.automorphism_params(n))
+        bump = RationalSuperfunction.from_constant(
+            cfg.generators, Supernumber.generator(cfg.generators, 1))
+        short, tower = spheres.sides(n, wrong.psi_plus, wrong.psi_minus)
+        forged = SuperconformalMap(wrong.f, wrong.g_plus, wrong.g_minus,
+                                   *spheres.sides(n, short + bump, tower))
+        try:
+            spheres.validate_map(forged, n)
+            out.fail("shape violation accepted")
+        except NotInFamily:
+            pass
+    return out
+
+
+def _suite_spheres_north(cfg, rng, n):
+    out = Outcome(cfg.samples)
+    s = Sampler(rng, cfg.generators)
+    for _ in range(cfg.samples):
         p = s.automorphism_params(n)
         T = SphereAutomorphism.build(p)
-        first = spheres.validate_map(T.southern, n)
-        again = spheres.validate_map(SphereAutomorphism.build(first).southern, n)
-        if first != again:
-            out.fail("parameter recovery is canonical",
-                     {"p": textio.params_to_json(p)})
-        # inversion stays in the family
-        inv = T.invert()
-        if T.compose(inv).southern != SuperconformalMap.identity(cfg.generators):
-            out.fail("inverse composes to the identity",
-                     {"p": textio.params_to_json(p)})
-        # a wrong shape is rejected
-        if abs(n) >= 2:
-            wrong = spheres.build_map(s.automorphism_params(n))
-            bump = RationalSuperfunction.from_constant(
-                cfg.generators, Supernumber.generator(cfg.generators, 1))
-            short, tower = spheres.sides(n, wrong.psi_plus, wrong.psi_minus)
-            forged = SuperconformalMap(wrong.f, wrong.g_plus, wrong.g_minus,
-                                       *spheres.sides(n, short + bump, tower))
-            try:
-                spheres.validate_map(forged, n)
-                out.fail("shape violation accepted", None)
-            except NotInFamily:
-                pass
-        return out
-
-    return run
+        chart = to_north(T)
+        if not chart.map.check().ok:
+            out.fail("northern map superconformal", p=p)
+        pole_failures = allowed_pole_check(T, chart.map)
+        if pole_failures:
+            out.fail("northern poles confined to -a_B/b_B",
+                     p=p, failures=pole_failures)
+        for name in chart.mismatches:
+            out.note_discrepancy(component=name, p=p,
+                                 composed=chart.map.components()[name],
+                                 formula=chart.formula.components()[name])
+    return out
 
 
-def _suite_spheres_north(n):
-    def run(cfg, rng):
-        out = Outcome(cfg.samples)
-        s = Sampler(rng, cfg.generators)
-        for _ in range(cfg.samples):
-            p = s.automorphism_params(n)
-            T = SphereAutomorphism.build(p)
-            chart = to_north(T)
-            if not chart.map.check().ok:
-                out.fail("northern map superconformal",
-                         {"p": textio.params_to_json(p)})
-            pole_failures = allowed_pole_check(T, chart.map)
-            if pole_failures:
-                out.fail("northern poles confined to -a_B/b_B",
-                         {"p": textio.params_to_json(p),
-                          "failures": pole_failures})
-            for name in chart.mismatches:
-                out.note_discrepancy({
-                    "component": name,
-                    "p": textio.params_to_json(p),
-                    "composed": textio.rsf_to_json(
-                        chart.map.components()[name]),
-                    "formula": textio.rsf_to_json(
-                        chart.formula.components()[name]),
-                })
-        return out
-
-    return run
-
-
-def _suite_spheres_cover(parity):
-    def run(cfg, rng):
-        out = Outcome(cfg.samples)
-        members = [n for n in cfg.n_range if n % 2 == parity]
-        if not members:
-            members = [parity]
-        s = Sampler(rng, cfg.generators)
-        for i in range(cfg.samples):
-            n = members[i % len(members)]
-            alpha = s.matrix_group_element()
-            kernel_gen = MatrixGroupElement.identity(cfg.generators)\
-                .negate_matrix(negate_eps=(parity == 0))
-            wrong_gen = MatrixGroupElement.identity(cfg.generators)\
-                .negate_matrix(negate_eps=(parity == 1))
-            same = alpha.compose(kernel_gen)
-            if not acts_identically(n, alpha, same):
-                out.fail("kernel element acts trivially", {"n": n})
-            if not in_action_kernel(n, alpha, same):
-                out.fail("kernel membership predicate", {"n": n})
-            other = alpha.compose(wrong_gen)
-            if acts_identically(n, alpha, other):
-                out.fail("only the stated kernel collapses", {"n": n})
-            if in_action_kernel(n, alpha, other):
-                out.fail("kernel predicate rejects the wrong sign", {"n": n})
-            beta = s.matrix_group_element()
-            if acts_identically(n, alpha, beta) != in_action_kernel(n, alpha, beta):
-                out.fail("two-to-one correspondence", {"n": n})
-        return out
-
-    return run
+def _suite_spheres_cover(cfg, rng, parity):
+    out = Outcome(cfg.samples)
+    members = [n for n in cfg.n_range if n % 2 == parity]
+    if not members:
+        members = [parity]
+    s = Sampler(rng, cfg.generators)
+    for i in range(cfg.samples):
+        n = members[i % len(members)]
+        alpha = s.matrix_group_element()
+        kernel_gen = MatrixGroupElement.identity(cfg.generators)\
+            .negate_matrix(negate_eps=(parity == 0))
+        wrong_gen = MatrixGroupElement.identity(cfg.generators)\
+            .negate_matrix(negate_eps=(parity == 1))
+        same = alpha.compose(kernel_gen)
+        if not acts_identically(n, alpha, same):
+            out.fail("kernel element acts trivially", n=n)
+        if not in_action_kernel(n, alpha, same):
+            out.fail("kernel membership predicate", n=n)
+        other = alpha.compose(wrong_gen)
+        if acts_identically(n, alpha, other):
+            out.fail("only the stated kernel collapses", n=n)
+        if in_action_kernel(n, alpha, other):
+            out.fail("kernel predicate rejects the wrong sign", n=n)
+        beta = s.matrix_group_element()
+        if acts_identically(n, alpha, beta) != in_action_kernel(n, alpha, beta):
+            out.fail("two-to-one correspondence", n=n)
+    return out
 
 
-def _suite_spheres_translations(n):
-    def run(cfg, rng):
-        out = Outcome(cfg.samples)
-        s = Sampler(rng, cfg.generators)
-        rank = abs(n) + 2
-        L = cfg.generators
-        zero = Supernumber.zero(L)
-        for _ in range(cfg.samples):
-            u = s.odd_vector(rank)
-            v = s.odd_vector(rank)
-            tu = odd_translation(n, u)
-            tv = odd_translation(n, v)
-            total = odd_translation(n, [a + b for a, b in zip(u, v)])
-            tu_tv = tu.compose(tv).southern
-            if tu_tv != total.southern:
-                out.fail("translations add",
-                         {"u": [textio.supernumber_to_json(x) for x in u],
-                          "v": [textio.supernumber_to_json(x) for x in v]})
-            if tu_tv != tv.compose(tu).southern:
-                out.fail("translations commute", None)
-            alpha = s.matrix_group_element()
-            act = group_action(n, alpha)
-            conj = act.compose(tu).compose(act.invert())
-            predicted = conjugated_translation_coeffs(n, alpha, u)
-            if list(conj.params.tower) != list(predicted):
-                out.fail("conjugation acts by the polynomial transform",
-                         {"u": [textio.supernumber_to_json(x) for x in u]})
-        # the stated rank: single-degree generators are independent members
-        for k in range(rank):
-            coeffs = [zero] * rank
-            coeffs[k] = Supernumber.generator(L, 1)
-            t = odd_translation(n, coeffs)
-            if [x for x in t.params.tower if x] != [Supernumber.generator(L, 1)]:
-                out.fail("generator at each degree", {"degree": k})
-        out.samples += rank
-        return out
-
-    return run
+def _suite_spheres_translations(cfg, rng, n):
+    out = Outcome(cfg.samples)
+    s = Sampler(rng, cfg.generators)
+    rank = abs(n) + 2
+    L = cfg.generators
+    zero = Supernumber.zero(L)
+    for _ in range(cfg.samples):
+        u = s.odd_vector(rank)
+        v = s.odd_vector(rank)
+        tu = odd_translation(n, u)
+        tv = odd_translation(n, v)
+        total = odd_translation(n, [a + b for a, b in zip(u, v)])
+        tu_tv = tu.compose(tv).southern
+        if tu_tv != total.southern:
+            out.fail("translations add", u=u, v=v)
+        if tu_tv != tv.compose(tu).southern:
+            out.fail("translations commute")
+        alpha = s.matrix_group_element()
+        act = group_action(n, alpha)
+        conj = act.compose(tu).compose(act.invert())
+        predicted = conjugated_translation_coeffs(n, alpha, u)
+        if list(conj.params.tower) != list(predicted):
+            out.fail("conjugation acts by the polynomial transform", u=u)
+    # the stated rank: single-degree generators are independent members
+    for k in range(rank):
+        coeffs = [zero] * rank
+        coeffs[k] = Supernumber.generator(L, 1)
+        t = odd_translation(n, coeffs)
+        if [x for x in t.params.tower if x] != [Supernumber.generator(L, 1)]:
+            out.fail("generator at each degree", degree=k)
+    out.samples += rank
+    return out
 
 
 def _suite_ns_jacobi(cfg, rng):
@@ -504,8 +483,8 @@ def _suite_ns_jacobi(cfg, rng):
     out.samples = (4 * (2 * cfg.band + 1) - 2 + 1) ** 3
     for k1, k2, k3, defect in violations[:10]:
         out.fail("super-Jacobi identity",
-                 {"triple": [ns.key_str(k1), ns.key_str(k2), ns.key_str(k3)],
-                  "defect": repr(defect)})
+                 triple=[ns.key_str(k1), ns.key_str(k2), ns.key_str(k3)],
+                 defect=repr(defect))
     return out
 
 
@@ -515,7 +494,7 @@ def _suite_ns_representation(cfg, rng):
     out.samples = len(ns.band_symbols(cfg.band)) ** 2
     for k1, k2 in violations[:10]:
         out.fail("central-charge-zero representation",
-                 {"pair": [ns.key_str(k1), ns.key_str(k2)]})
+                 pair=[ns.key_str(k1), ns.key_str(k2)])
     return out
 
 
@@ -528,66 +507,43 @@ def _suite_ns_subalgebras(cfg, rng):
         span = ns.Span(basis)
         bad = ns.closure_violations(span)
         if bad:
-            out.fail(f"closure of the twist-{n} subalgebra", {"pairs": bad[:5]})
+            out.fail(f"closure of the twist-{n} subalgebra", pairs=bad[:5])
         want_even, want_odd = ns.subalgebra_dimensions(n)
         evens = [e for e in basis if e.parity() == 0]
         odds = [e for e in basis if e.parity() == 1]
         if len(evens) != want_even or len(odds) != want_odd:
             out.fail(f"dimensions of the twist-{n} subalgebra",
-                     {"got": (len(evens), len(odds))})
+                     got=(len(evens), len(odds)))
         if span.rank != len(basis):
-            out.fail(f"basis solvability for twist {n}", None)
+            out.fail(f"basis solvability for twist {n}")
         if abs(n) >= 2:
             sigma_bad = ns.sigma_action_violations(n)
             if sigma_bad:
                 out.fail(f"derivation table for twist {n}",
-                         {"items": [(i, k, repr(g), repr(w))
-                                    for i, k, g, w in sigma_bad[:5]]})
+                         items=[(i, k, repr(g), repr(w))
+                                for i, k, g, w in sigma_bad[:5]])
     return out
 
 
 def _suite_matrix_osp(cfg, rng):
-    return _table_outcome(msa.verify_table(msa.osp_table()),
-                          pattern=[msa.osp_pattern_violations(m)
-                                   for _, m in msa.osp_table()])
+    out = Outcome()
+    table = msa.osp_table()
+    _record_table(out, msa.verify_table(table), "table injectivity",
+                  "matrix shape constraint",
+                  [msa.osp_pattern_violations(m) for _, m in table])
+    return out
 
 
 def _suite_matrix_p(cfg, rng):
     out = Outcome()
     for sign in (+1, -1):
-        report = msa.verify_table(msa.p_table(sign))
-        out.samples += report["size"] ** 2
-        _record_mismatches(out, report["mismatches"])
-        if not report["injective"]:
-            out.fail(f"injectivity of the twist {sign} table", None)
-        for idx, (_, m) in enumerate(msa.p_table(sign)):
-            if idx == 3:
-                continue
-            bad = msa.p_pattern_violations(m)
-            if bad:
-                out.fail("p-shape of an image matrix", {"index": idx, "broken": bad})
-    return out
-
-
-def _record_mismatches(out, mismatches, **context):
-    """A central term or a bracket outside the span fails the source
-    algebra's law; any other mismatch is a discrepancy, tagged with context."""
-    for item in mismatches:
-        if item["expected"] in ("no central term", "bracket inside the span"):
-            out.fail("source bracket consistency", item)
-        else:
-            out.note_discrepancy(dict(item, **context))
-
-
-def _table_outcome(report, pattern=None):
-    out = Outcome(report["size"] ** 2)
-    _record_mismatches(out, report["mismatches"])
-    if not report["injective"]:
-        out.fail("table injectivity", None)
-    if pattern:
-        for idx, bad in enumerate(pattern):
-            if bad:
-                out.fail("matrix shape constraint", {"index": idx, "broken": bad})
+        table = msa.p_table(sign)
+        # image 3 is the gl(1) part, outside the p(2|2) shape
+        _record_table(out, msa.verify_table(table),
+                      f"injectivity of the twist {sign} table",
+                      "p-shape of an image matrix",
+                      [[] if idx == 3 else msa.p_pattern_violations(m)
+                       for idx, (_, m) in enumerate(table)])
     return out
 
 
@@ -595,9 +551,7 @@ def _suite_matrix_semidirect(cfg, rng):
     out = Outcome()
     for n in (2, 3, -2, -3):
         sd = msa.GnSemidirect(n)
-        report = sd.verify()
-        out.samples += report["size"] ** 2
-        _record_mismatches(out, report["mismatches"], n=n)
+        _record_table(out, sd.verify(), n=n)
         # supertrace sanity on the osp side is covered separately; here the
         # abelian ideal must bracket to zero
         images = sd.basis_images()
@@ -605,8 +559,31 @@ def _suite_matrix_semidirect(cfg, rng):
             for j in range(4, len(images)):
                 got = sd.bracket(images[i], images[j])
                 if got.mat.rows != msa.Matrix.zero(2).rows or any(got.vector):
-                    out.fail("abelian odd tower", {"pair": (i, j), "n": n})
+                    out.fail("abelian odd tower", pair=(i, j), n=n)
     return out
+
+
+def _record_table(out, report, injectivity=None, shape=None, shapes=(),
+                  **context):
+    """Record one verified basis-to-matrix table in out.
+
+    Its size**2 bracket pairs count as samples.  A central term or a
+    bracket outside the span fails the source algebra's law; any other
+    mismatch is a discrepancy, tagged with context.  A table that is not
+    injective fails the law named `injectivity`, and each image whose
+    list of broken constraints in `shapes` is nonempty fails the law `shape`.
+    """
+    out.samples += report["size"] ** 2
+    for item in report["mismatches"]:
+        if item["expected"] in ("no central term", "bracket inside the span"):
+            out.fail("source bracket consistency", **item)
+        else:
+            out.note_discrepancy(**item, **context)
+    if injectivity and not report["injective"]:
+        out.fail(injectivity)
+    for index, bad in enumerate(shapes):
+        if bad:
+            out.fail(shape, index=index, broken=bad)
 
 
 def _expected_flow_rows(kind, n, order, L):
@@ -696,8 +673,8 @@ def _suite_flows_closed_forms(cfg, rng):
         out.samples += 1
         series = ns.flow(element, order)
         if not _flow_matches(series, _expected_flow_rows(kind, n, order, 0)):
-            out.fail(f"{name} flow", {"rows": [tuple(map(str, r))
-                                               for r in series.rows[:3]]})
+            out.fail(f"{name} flow",
+                     rows=[tuple(map(str, r)) for r in series.rows[:3]])
     # odd flows terminate after the linear row and match the closed maps
     L0 = 0
     x = sp.z_power(L0, 1)
@@ -717,7 +694,7 @@ def _suite_flows_closed_forms(cfg, rng):
              zero),
         ]
         if not _flow_matches(plus_series, want_plus):
-            out.fail(f"raising flow at degree {k}", None)
+            out.fail(f"raising flow at degree {k}")
         minus_series = ns.flow(e(ns.Gm(2 * k - 1)))
         want_minus = [
             (x, phip, phim),
@@ -727,7 +704,7 @@ def _suite_flows_closed_forms(cfg, rng):
                    if k else zero)),
         ]
         if not _flow_matches(minus_series, want_minus):
-            out.fail(f"lowering flow at degree {k}", None)
+            out.fail(f"lowering flow at degree {k}")
     return out
 
 
@@ -736,13 +713,8 @@ def _suite_flows_group(cfg, rng):
     L = cfg.generators
     s = Sampler(rng, L)
     e = ns.NSElement.basis
-    sa = Supernumber.scalar
     one = Supernumber.one(L)
     zero = Supernumber.zero(L)
-
-    def soul_even():
-        value = s.soul(2, 0, L - 2)
-        return value
 
     def check_match(label, series, param, automorphism):
         triple = series.evaluate(param)
@@ -750,11 +722,11 @@ def _suite_flows_group(cfg, rng):
         got = tuple(RationalSuperfunction(c) for c in triple)
         want = (expansion.even, expansion.plus, expansion.minus)
         if any(g != w for g, w in zip(got, want)):
-            out.fail(label, {"param": textio.supernumber_to_json(param)})
+            out.fail(label, param=param)
         out.samples += 1
 
     for n in sorted(set(cfg.n_range) | {0, 2, -2}):
-        y = soul_even()
+        y = s.soul(2, 0, L - 2)
         # translations
         alpha = MatrixGroupElement(one, y, zero, one, one)
         check_match(f"translation flow vs action, twist {n}",
@@ -808,68 +780,73 @@ def _exp_soul(y, rate):
 # registry and runner
 # ---------------------------------------------------------------------------
 
-_LAWS = {
-    "grassmann.laws": "generator relations, grading, body/soul, inversion, functorial maps",
-    "superfield.operators": "odd derivations square to zero and anticommute to twice d/dz; Leibniz; evaluation and substitution laws",
-    "superconformal.closure": "superconformality survives composition; derivations transform homogeneously",
-    "superconformal.roundtrip": "the N=1 correspondence is a two-sided inverse",
-    "spheres.transition": "chart transitions are superconformal with the stated N=1 image",
-    "spheres.closure.n={n}": "automorphism family closed under composition with exact parameter recovery",
-    "spheres.north.n={n}": "northern chart agrees with the closed transformation formulas and pole constraint",
-    "spheres.cover.even": "matrix action is two-to-one with kernel (-id, -id) for even twists",
-    "spheres.cover.odd": "matrix action is two-to-one with kernel (-id, id) for odd twists",
-    "spheres.translations.n={n}": "odd translations form an abelian group of rank |n|+2 with polynomial conjugation",
-    "ns.jacobi": "super-Jacobi identity on the full index band",
-    "ns.representation": "superderivations represent the algebra with central charge zero",
-    "ns.subalgebras": "twist subalgebras close with the stated dimensions and derivation tables",
-    "matrix.osp": "twist-0 basis maps isomorphically into osp(2|2)",
-    "matrix.p": "twist +-1 bases map isomorphically into gl(1) + p(2|2)",
-    "matrix.semidirect": "twist |n|>=2 algebras are (sl2 + gl1) acting on an abelian odd tower",
-    "flows.closed-forms": "exponential flows reproduce their closed forms to the working order",
-    "flows.group": "flows with nilpotent parameters specialize the sphere group action",
-}
+def _tower_twists(cfg):
+    """The twists with an odd translation tower, |n| >= 2; +-2 always."""
+    return sorted({m for m in set(cfg.n_range) | {2, -2} if abs(m) >= 2})
+
+
+# Every suite once, in report order, as (id, runner, values, law).  A suite
+# with values runs once for each value in values(cfg), as
+# runner(cfg, rng, value), under the id formatted with that value.
+_SUITES = (
+    ("grassmann.laws", _suite_grassmann_laws, None,
+     "generator relations, grading, body/soul, inversion, functorial maps"),
+    ("superfield.operators", _suite_superfield_operators, None,
+     "odd derivations square to zero and anticommute to twice d/dz; Leibniz; "
+     "evaluation and substitution laws"),
+    ("superconformal.closure", _suite_superconformal_closure, None,
+     "superconformality survives composition; derivations transform "
+     "homogeneously"),
+    ("superconformal.roundtrip", _suite_superconformal_roundtrip, None,
+     "the N=1 correspondence is a two-sided inverse"),
+    ("spheres.transition", _suite_spheres_transition, None,
+     "chart transitions are superconformal with the stated N=1 image"),
+    ("spheres.closure.n={}", _suite_spheres_closure, lambda cfg: cfg.n_range,
+     "automorphism family closed under composition with exact parameter "
+     "recovery"),
+    ("spheres.north.n={}", _suite_spheres_north, lambda cfg: cfg.n_range,
+     "northern chart agrees with the closed transformation formulas and pole "
+     "constraint"),
+    ("spheres.cover.even", _suite_spheres_cover, lambda cfg: (0,),
+     "matrix action is two-to-one with kernel (-id, -id) for even twists"),
+    ("spheres.cover.odd", _suite_spheres_cover, lambda cfg: (1,),
+     "matrix action is two-to-one with kernel (-id, id) for odd twists"),
+    ("spheres.translations.n={}", _suite_spheres_translations, _tower_twists,
+     "odd translations form an abelian group of rank |n|+2 with polynomial "
+     "conjugation"),
+    ("ns.jacobi", _suite_ns_jacobi, None,
+     "super-Jacobi identity on the full index band"),
+    ("ns.representation", _suite_ns_representation, None,
+     "superderivations represent the algebra with central charge zero"),
+    ("ns.subalgebras", _suite_ns_subalgebras, None,
+     "twist subalgebras close with the stated dimensions and derivation tables"),
+    ("matrix.osp", _suite_matrix_osp, None,
+     "twist-0 basis maps isomorphically into osp(2|2)"),
+    ("matrix.p", _suite_matrix_p, None,
+     "twist +-1 bases map isomorphically into gl(1) + p(2|2)"),
+    ("matrix.semidirect", _suite_matrix_semidirect, None,
+     "twist |n|>=2 algebras are (sl2 + gl1) acting on an abelian odd tower"),
+    ("flows.closed-forms", _suite_flows_closed_forms, None,
+     "exponential flows reproduce their closed forms to the working order"),
+    ("flows.group", _suite_flows_group, None,
+     "flows with nilpotent parameters specialize the sphere group action"),
+)
+
+
+def _bind(runner, value):
+    return lambda cfg, rng: runner(cfg, rng, value)
 
 
 def registry(cfg):
     """Ordered mapping of check id to (law, runner) for a configuration."""
     cfg.validate()
     checks = {}
-    checks["grassmann.laws"] = (_LAWS["grassmann.laws"], _suite_grassmann_laws)
-    checks["superfield.operators"] = (
-        _LAWS["superfield.operators"], _suite_superfield_operators)
-    checks["superconformal.closure"] = (
-        _LAWS["superconformal.closure"], _suite_superconformal_closure)
-    checks["superconformal.roundtrip"] = (
-        _LAWS["superconformal.roundtrip"], _suite_superconformal_roundtrip)
-    checks["spheres.transition"] = (
-        _LAWS["spheres.transition"], _suite_spheres_transition)
-    for n in cfg.n_range:
-        checks[f"spheres.closure.n={n}"] = (
-            _LAWS["spheres.closure.n={n}"].replace("{n}", str(n)),
-            _suite_spheres_closure(n))
-    for n in cfg.n_range:
-        checks[f"spheres.north.n={n}"] = (
-            _LAWS["spheres.north.n={n}"].replace("{n}", str(n)),
-            _suite_spheres_north(n))
-    checks["spheres.cover.even"] = (
-        _LAWS["spheres.cover.even"], _suite_spheres_cover(0))
-    checks["spheres.cover.odd"] = (
-        _LAWS["spheres.cover.odd"], _suite_spheres_cover(1))
-    for n in sorted({m for m in set(cfg.n_range) | {2, -2} if abs(m) >= 2}):
-        checks[f"spheres.translations.n={n}"] = (
-            _LAWS["spheres.translations.n={n}"].replace("{n}", str(n)),
-            _suite_spheres_translations(n))
-    checks["ns.jacobi"] = (_LAWS["ns.jacobi"], _suite_ns_jacobi)
-    checks["ns.representation"] = (
-        _LAWS["ns.representation"], _suite_ns_representation)
-    checks["ns.subalgebras"] = (_LAWS["ns.subalgebras"], _suite_ns_subalgebras)
-    checks["matrix.osp"] = (_LAWS["matrix.osp"], _suite_matrix_osp)
-    checks["matrix.p"] = (_LAWS["matrix.p"], _suite_matrix_p)
-    checks["matrix.semidirect"] = (
-        _LAWS["matrix.semidirect"], _suite_matrix_semidirect)
-    checks["flows.closed-forms"] = (
-        _LAWS["flows.closed-forms"], _suite_flows_closed_forms)
-    checks["flows.group"] = (_LAWS["flows.group"], _suite_flows_group)
+    for cid, runner, values, law in _SUITES:
+        if values is None:
+            checks[cid] = (law, runner)
+        else:
+            for value in values(cfg):
+                checks[cid.format(value)] = (law, _bind(runner, value))
     return checks
 
 
@@ -904,14 +881,11 @@ def _run_one(cid, law, fn, cfg):
 
 
 def _config_dict(cfg):
-    return {
-        "generators": cfg.generators,
-        "band": cfg.band,
-        "flow_order": cfg.flow_order,
-        "n_range": list(cfg.n_range),
-        "samples": cfg.samples,
-        "seed": cfg.seed,
-    }
+    """The configuration as the report records it: every field but timings."""
+    out = {f.name: getattr(cfg, f.name) for f in fields(cfg)
+           if f.name != "timings"}
+    out["n_range"] = list(cfg.n_range)
+    return out
 
 
 def run_campaign(cfg, only=None):

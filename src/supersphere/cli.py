@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .campaign import (
     CampaignConfig,
@@ -39,23 +40,27 @@ def parse_n_range(text):
 
 
 def build_parser():
+    defaults = CampaignConfig()
     parser = argparse.ArgumentParser(
         prog="supersphere",
         description="Exact verification campaign for N=2 superconformal "
                     "sphere geometry and the Neveu-Schwarz algebra.",
     )
-    parser.add_argument("--generators", type=int, default=6, metavar="L",
+    parser.add_argument("--generators", type=int, default=defaults.generators,
+                        metavar="L",
                         help="Grassmann generator count (minimum 4)")
-    parser.add_argument("--band", type=int, default=3,
+    parser.add_argument("--band", type=int, default=defaults.band,
                         help="index band for algebra-wide checks")
-    parser.add_argument("--flow-order", type=int, default=8,
+    parser.add_argument("--flow-order", type=int, default=defaults.flow_order,
                         help="truncation order for formal flow parameters "
                              "(minimum 2)")
-    parser.add_argument("--n-range", type=str, default="-4..4", metavar="LO..HI",
+    parser.add_argument("--n-range", type=str,
+                        default=",".join(map(str, defaults.n_range)),
+                        metavar="LO..HI",
                         help="sphere twists to cover, e.g. -4..4 or -2,0,2")
-    parser.add_argument("--samples", type=int, default=25,
+    parser.add_argument("--samples", type=int, default=defaults.samples,
                         help="random samples per suite")
-    parser.add_argument("--seed", type=int, default=20100217,
+    parser.add_argument("--seed", type=int, default=defaults.seed,
                         help="campaign seed; reports are deterministic in it")
     parser.add_argument("--report", type=str, default=None, metavar="PATH",
                         help="write the JSON report here")
@@ -73,15 +78,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = CampaignConfig(
-            generators=args.generators,
-            band=args.band,
-            flow_order=args.flow_order,
-            n_range=parse_n_range(args.n_range),
-            samples=args.samples,
-            seed=args.seed,
-            timings=args.timings,
-        )
+        values = {f.name: getattr(args, f.name) for f in fields(CampaignConfig)}
+        values["n_range"] = parse_n_range(args.n_range)
+        cfg = CampaignConfig(**values)
         cfg.validate()
         if args.list_checks:
             for cid, (law, _) in registry(cfg).items():

@@ -250,18 +250,6 @@ def p_table(sign):
     ]
 
 
-def table_to_json(pairs):
-    """A basis-to-matrix table as JSON-ready data (golden-file format)."""
-    out = []
-    for element, matrix in pairs:
-        out.append({
-            "source": {ns.key_str(k): str(c) for k, c in sorted(
-                element.terms.items(), key=lambda kv: ns.key_str(kv[0]))},
-            "matrix": [[str(x) for x in row] for row in matrix.rows],
-        })
-    return out
-
-
 def verify_table(pairs):
     """Check a basis-to-matrix table for the homomorphism property.
 

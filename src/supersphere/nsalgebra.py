@@ -267,22 +267,6 @@ def band_symbols(band):
     return keys
 
 
-def bracket_table(band):
-    """All basis brackets on the band as a JSON-ready nested mapping."""
-    keys = band_symbols(band)
-    table = {}
-    for k1 in keys:
-        row = {}
-        for k2 in keys:
-            value = _basis_bracket(k1, k2)
-            if value:
-                row[key_str(k2)] = {key_str(k): str(c)
-                                    for k, c in sorted(value.items(),
-                                                       key=lambda kv: key_str(kv[0]))}
-        table[key_str(k1)] = row
-    return table
-
-
 def jacobi_check(band):
     """Exhaustively verify super-Jacobi on the band; return violations."""
     keys = band_symbols(band)

@@ -87,20 +87,6 @@ def transition_inverse(n, L):
     )
 
 
-class SuperSphere:
-    """A two-chart super-Riemann sphere, represented by its transition data."""
-
-    __slots__ = ("n", "L", "transition")
-
-    def __init__(self, n, L):
-        self.n = n
-        self.L = L
-        self.transition = transition(n, L)
-
-    def __repr__(self):
-        return f"SuperSphere(n={self.n}, L={self.L})"
-
-
 # ---------------------------------------------------------------------------
 # automorphism parameters
 # ---------------------------------------------------------------------------

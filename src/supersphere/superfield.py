@@ -210,17 +210,15 @@ class ScalarPoly:
         if d == 0:
             quo = {k: c * lc_inv for k, c in self.coeffs.items()}
             return ScalarPoly._make(quo), ScalarPoly._make({})
-        quo = [ZERO] * (n - d + 1)
         if d == 1:
-            # synthetic division by lead*z + const
-            shift = -(other.coeffs.get(0, ZERO) * lc_inv)
-            acc = rem[n]
-            for k in range(n, 0, -1):
-                q = acc * lc_inv
-                quo[k - 1] = q
-                acc = rem[k - 1] + (shift * acc if shift else ZERO)
-            rem = [acc]
+            # lead*z + const = lead*(z - root): divide by z - root, then
+            # scale the quotient by 1/lead
+            root = -(other.coeffs.get(0, ZERO) * lc_inv)
+            quo, r = divide_by_linear(rem, root)
+            quo = [q * lc_inv for q in quo]
+            rem = [r]
         else:
+            quo = [ZERO] * (n - d + 1)
             ocoef = [ZERO] * (d + 1)
             for k, c in other.coeffs.items():
                 ocoef[k] = c

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -9,12 +10,14 @@ from supersphere import nsalgebra as ns
 from supersphere import spheres, textio
 from supersphere.campaign import (
     CampaignConfig,
+    Outcome,
     UsageError,
     registry,
     report_bytes,
     run_campaign,
 )
 from supersphere.cli import main, parse_n_range
+from supersphere.randgen import Sampler
 from supersphere.superconformal import SuperconformalMap
 
 
@@ -53,6 +56,84 @@ def test_registry_is_total_for_the_covered_theory():
     # ranges expand per configuration
     assert "spheres.closure.n=0" in ids
     assert len(ids) == len(set(ids))
+
+
+TWISTS = tuple(range(-4, 5))
+LAWS = {
+    "closure": "automorphism family closed under composition with exact "
+               "parameter recovery",
+    "north": "northern chart agrees with the closed transformation formulas "
+             "and pole constraint",
+    "translations": "odd translations form an abelian group of rank |n|+2 "
+                    "with polynomial conjugation",
+}
+DEFAULT_REGISTRY = [
+    ("grassmann.laws",
+     "generator relations, grading, body/soul, inversion, functorial maps"),
+    ("superfield.operators",
+     "odd derivations square to zero and anticommute to twice d/dz; "
+     "Leibniz; evaluation and substitution laws"),
+    ("superconformal.closure",
+     "superconformality survives composition; derivations transform "
+     "homogeneously"),
+    ("superconformal.roundtrip", "the N=1 correspondence is a two-sided inverse"),
+    ("spheres.transition",
+     "chart transitions are superconformal with the stated N=1 image"),
+    *[(f"spheres.closure.n={n}", LAWS["closure"]) for n in TWISTS],
+    *[(f"spheres.north.n={n}", LAWS["north"]) for n in TWISTS],
+    ("spheres.cover.even",
+     "matrix action is two-to-one with kernel (-id, -id) for even twists"),
+    ("spheres.cover.odd",
+     "matrix action is two-to-one with kernel (-id, id) for odd twists"),
+    *[(f"spheres.translations.n={n}", LAWS["translations"])
+      for n in (-4, -3, -2, 2, 3, 4)],
+    ("ns.jacobi", "super-Jacobi identity on the full index band"),
+    ("ns.representation",
+     "superderivations represent the algebra with central charge zero"),
+    ("ns.subalgebras",
+     "twist subalgebras close with the stated dimensions and derivation "
+     "tables"),
+    ("matrix.osp", "twist-0 basis maps isomorphically into osp(2|2)"),
+    ("matrix.p", "twist +-1 bases map isomorphically into gl(1) + p(2|2)"),
+    ("matrix.semidirect",
+     "twist |n|>=2 algebras are (sl2 + gl1) acting on an abelian odd tower"),
+    ("flows.closed-forms",
+     "exponential flows reproduce their closed forms to the working order"),
+    ("flows.group",
+     "flows with nilpotent parameters specialize the sphere group action"),
+]
+
+
+def test_default_registry_ids_and_laws_are_pinned():
+    """Each id and law string, in report order, without running a suite."""
+    assert [(cid, law) for cid, (law, _) in registry(CampaignConfig()).items()] \
+        == DEFAULT_REGISTRY
+
+
+def test_counterexample_operands_take_their_json_forms():
+    L = 6
+    s = Sampler(random.Random(3), L)
+    x = s.supernumber(4)
+    F = s.rational_superfunction()
+    m = s.superconformal_map()
+    p = s.automorphism_params(2)
+    out = Outcome()
+    out.fail("law", x=x, F=F, m=m, p=p, xs=[x, x], pair=(1, 2), n=3, note="s")
+    out.fail("bare law")
+    first, bare = out.failures
+    ce = first["counterexample"]
+    assert first["law"] == "law"
+    assert textio.supernumber_from_json(ce["x"], L) == x
+    assert textio.rsf_from_json(ce["F"], L) == F
+    assert textio.map_from_json(ce["m"]) == m
+    assert textio.params_from_json(ce["p"]) == p
+    assert ce["xs"] == [textio.supernumber_to_json(x)] * 2
+    assert ce["pair"] == (1, 2) and ce["n"] == 3 and ce["note"] == "s"
+    json.dumps(ce)
+    assert bare == {"law": "bare law", "counterexample": None}
+    out.note_discrepancy(component="f", p=p)
+    assert out.discrepancies == [{"component": "f",
+                                  "p": textio.params_to_json(p)}]
 
 
 def test_campaign_passes_and_is_deterministic():
@@ -123,6 +204,24 @@ def test_closure_rebuilds_the_composite_from_its_json_params(monkeypatch):
     record = run_campaign(tiny_config(), only="spheres.closure.n=1")["checks"][0]
     assert [f["law"] for f in record["failures"]] == [
         "recovered parameters rebuild the composite"]
+
+
+def test_recovery_is_canonical_rebuilds_the_recovered_params(monkeypatch):
+    """"parameter recovery is canonical" validates the map that build_map
+    makes afresh from the recovered parameters, not the member that
+    validate_map left in them; a wrong build_map fails the law."""
+    build_map = spheres.build_map
+
+    def identity_for_recovered(p):
+        if p._member is not None:
+            return SuperconformalMap.identity(p.L)
+        return build_map(p)
+
+    monkeypatch.setattr(spheres, "build_map", identity_for_recovered)
+    record = run_campaign(tiny_config(), only="spheres.closure.n=1")["checks"][0]
+    assert record["status"] == "fail"
+    assert [f["law"] for f in record["failures"]] == [
+        "parameter recovery is canonical"]
 
 
 def test_dependent_twist_basis_fails_solvability(monkeypatch):

@@ -184,14 +184,6 @@ class TestSemidirect:
         assert sd.sigma(3, ones) == ones
 
 
-def test_table_json_export():
-    data = msa.table_to_json(msa.osp_table())
-    blob = json.dumps(data)
-    assert json.loads(blob) == data
-    assert data[3]["source"] == {"J(0)": "1"}
-    assert data[3]["matrix"][2][2] == "1"
-
-
 # ---------------------------------------------------------------------------
 # the fused bracket and combination against entrywise references
 # ---------------------------------------------------------------------------

@@ -8,6 +8,10 @@ accessed as an attribute (`obj.name`, `cls.name`) or named in a string
 constant, alone or as the last part of a dotted one such as the hook
 string "SphereAutomorphism.build"; a bare name cannot call a method.
 Dunder methods are used by the language and are skipped.
+
+Within a function, every plain local it assigns (`name = ...`) must be
+read somewhere in it, nested functions included.  Tuple-unpacking
+targets are exempt, since they name the parts they skip.
 """
 
 import ast
@@ -64,3 +68,56 @@ def unreferenced_definitions():
 
 def test_every_definition_is_referenced():
     assert unreferenced_definitions() == []
+
+
+def _own_nodes(func):
+    """Nodes of func's body, not descending into nested definitions."""
+    todo = list(ast.iter_child_nodes(func))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (*DEFINITIONS, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def unread_locals(tree):
+    """"function: name" for each plain local a function assigns, never read."""
+    dead = []
+    for func in ast.walk(tree):
+        if not isinstance(func, DEFINITIONS[:2]):
+            continue
+        assigned = set()
+        declared = set()
+        for node in _own_nodes(func):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                assigned |= {t.id for t in targets if isinstance(t, ast.Name)}
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                declared |= set(node.names)
+        read = {node.id for node in ast.walk(func)
+                if isinstance(node, ast.Name)
+                and not isinstance(node.ctx, ast.Store)}
+        read |= {node.target.id for node in ast.walk(func)
+                 if isinstance(node, ast.AugAssign)
+                 and isinstance(node.target, ast.Name)}
+        dead += [f"{func.name}: {name}"
+                 for name in sorted(assigned - read - declared)]
+    return dead
+
+
+def test_every_assigned_local_is_read():
+    dead = [f"{path.stem}.{entry}" for path in sorted(PACKAGE.glob("*.py"))
+            for entry in unread_locals(ast.parse(path.read_text(), str(path)))]
+    assert dead == []
+
+
+def test_unread_local_check_flags_plain_assignments_only():
+    tree = ast.parse("def f(g):\n"
+                     "    x = g()\n"
+                     "    a, b = g()\n"
+                     "    y = 1\n"
+                     "    def h():\n"
+                     "        return y\n"
+                     "    return a, h\n")
+    assert unread_locals(tree) == ["f: x"]

@@ -24,6 +24,9 @@ class TestBrackets:
         got = ns.bracket(e(ns.L(2)), e(ns.L(-2)))
         assert got == ns.NSElement({ns.L(0): grat(4),
                                     ns.CENTRAL: grat(Fraction(1, 2))})
+        # (1/12)(1 - 1) d: no central term at m = 1
+        assert ns.bracket(e(ns.L(1)), e(ns.L(-1))) == \
+            ns.NSElement({ns.L(0): grat(2)})
 
     def test_same_sign_supercharges_vanish(self):
         assert ns.bracket(e(ns.Gp(1)), e(ns.Gp(3))).is_zero()
@@ -303,13 +306,3 @@ class TestFlows:
         series = ns.exp_coefficient_series(Fraction(1, 2), 4)
         assert series[2] == grat(Fraction(1, 8))
         assert series[3] == grat(Fraction(1, 48))
-
-
-def test_bracket_table_export():
-    import json
-    table = ns.bracket_table(1)
-    blob = json.dumps(table, sort_keys=True)
-    assert json.loads(blob) == table
-    assert table["L(1)"]["L(-1)"] == {"L(0)": "2"}
-    assert table["G+(1/2)"]["G-(-1/2)"] == {"J(0)": "1", "L(0)": "2"}
-    assert "d" not in table["L(1)"].get("L(1)", {})

@@ -12,7 +12,6 @@ from supersphere.spheres import (
     MatrixGroupElement,
     NotInFamily,
     SphereAutomorphism,
-    SuperSphere,
     acts_identically,
     allowed_pole_check,
     build_map,
@@ -84,9 +83,9 @@ class TestTransition:
             assert transition(n, L).invert() == transition_inverse(n, L)
 
     def test_sphere_wrapper(self):
-        sphere = SuperSphere(2, L)
-        assert sphere.transition.check().ok
-        body = sphere.transition.moebius_body()
+        t = transition(2, L)
+        assert t.check().ok
+        body = t.moebius_body()
         a, b, c, d = body
         assert (a, b, c, d) == (grat(0), grat(1), grat(1), grat(0))
 

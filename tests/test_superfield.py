@@ -56,6 +56,16 @@ class TestScalarPoly:
             g = a.gcd(b)
             assert g.divides(a) and g.divides(b)
 
+    def test_division_by_a_non_monic_linear_divisor(self):
+        # the quotient by z - root is scaled by 1/lead; the remainder is p(root)
+        p = ScalarPoly({3: grat(3), 1: grat(-1), 0: grat(5)})
+        d = ScalarPoly({1: grat(2, 1), 0: grat(-1)})
+        q, r = p.divmod(d)
+        assert q * d + r == p
+        assert q.degree() == 2
+        assert r == ScalarPoly({0: p.eval_scalar(grat(2, 1).inverse())})
+        assert not r.is_zero()
+
     def test_gcd_of_shared_factor(self):
         f = ScalarPoly({1: grat(1), 0: grat(-2)})  # z - 2
         a = f * f * ScalarPoly({1: grat(1)})
