@@ -28,11 +28,10 @@ entry k of the images.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .scalars import ONE, ZERO, dot, gauss_jordan, grat
 from . import nsalgebra as ns
-from .nsalgebra import NSElement, Span, bracket
+from .nsalgebra import Span
 
 
 class ParityError(ValueError):
@@ -207,47 +206,46 @@ HALF = Fraction(1, 2)
 
 def osp_table():
     """The twist-0 basis mapped into osp(2|2)."""
-    e = NSElement.basis
-    return [
-        (e(ns.L(-1)), _sl2_into_osp(0, 1, 0)),
-        (e(ns.L(0)), _sl2_into_osp(HALF, 0, 0)),
-        (e(ns.L(1)), _sl2_into_osp(0, 0, -1)),
-        (e(ns.J(0)), Matrix([[0, 0, 0, 0], [0, 0, 0, 0],
-                             [0, 0, 1, 0], [0, 0, 0, -1]])),
-        (e(ns.Gp(-1)), Matrix([[0, 0, 0, 1], [0, 0, 0, 0],
-                               [0, 1, 0, 0], [0, 0, 0, 0]])),
-        (e(ns.Gp(1)), Matrix([[0, 0, 0, 0], [0, 0, 0, -1],
-                              [1, 0, 0, 0], [0, 0, 0, 0]])),
-        (e(ns.Gm(-1)), Matrix([[0, 0, 1, 0], [0, 0, 0, 0],
-                               [0, 0, 0, 0], [0, 1, 0, 0]])),
-        (e(ns.Gm(1)), Matrix([[0, 0, 0, 0], [0, 0, -1, 0],
-                              [0, 0, 0, 0], [1, 0, 0, 0]])),
-    ]
+    return list(zip(ns.subalgebra_basis(0), [
+        _sl2_into_osp(0, 1, 0),
+        _sl2_into_osp(HALF, 0, 0),
+        _sl2_into_osp(0, 0, -1),
+        Matrix([[0, 0, 0, 0], [0, 0, 0, 0],
+                [0, 0, 1, 0], [0, 0, 0, -1]]),
+        Matrix([[0, 0, 0, 1], [0, 0, 0, 0],
+                [0, 1, 0, 0], [0, 0, 0, 0]]),
+        Matrix([[0, 0, 0, 0], [0, 0, 0, -1],
+                [1, 0, 0, 0], [0, 0, 0, 0]]),
+        Matrix([[0, 0, 1, 0], [0, 0, 0, 0],
+                [0, 0, 0, 0], [0, 1, 0, 0]]),
+        Matrix([[0, 0, 0, 0], [0, 0, -1, 0],
+                [0, 0, 0, 0], [1, 0, 0, 0]]),
+    ], strict=True))
 
 
 def p_table(sign):
-    """The twist +1 or -1 basis mapped into gl(1) + p(2|2)."""
+    """The twist +1 or -1 basis mapped into gl(1) + p(2|2).
+
+    One image list serves both signs: the twist -1 basis is the swap image
+    of the twist +1 basis, and the swap is an automorphism.
+    """
     if sign not in (1, -1):
         raise ValueError("sign selects the twist +1 or -1 table")
-    e = NSElement.basis
-    G_same = ns.Gp if sign > 0 else ns.Gm
-    G_other = ns.Gm if sign > 0 else ns.Gp
-    return [
-        (e(ns.L(-1)), _sl2_into_p(0, 1, 0)),
-        (e(ns.L(0)) - e(ns.J(0)).scale(grat(Fraction(sign, 2))),
-         _sl2_into_p(HALF, 0, 0)),
-        (e(ns.L(1)) - e(ns.J(1)).scale(sign), _sl2_into_p(0, 0, -1)),
-        (e(ns.J(0)), Matrix([[0, 0, 0, 0], [0, 0, 0, 0],
-                             [0, 0, sign, 0], [0, 0, 0, sign]])),
-        (e(G_same(-1)), Matrix([[0, 0, 0, 0], [0, 0, 0, 0],
-                                [0, 1, 0, 0], [-1, 0, 0, 0]])),
-        (e(G_other(-1)), Matrix([[0, 0, 2, 0], [0, 0, 0, 0],
-                                 [0, 0, 0, 0], [0, 0, 0, 0]])),
-        (e(G_other(1)), Matrix([[0, 0, 0, -1], [0, 0, -1, 0],
-                                [0, 0, 0, 0], [0, 0, 0, 0]])),
-        (e(G_other(3)), Matrix([[0, 0, 0, 0], [0, 0, 0, 2],
-                                [0, 0, 0, 0], [0, 0, 0, 0]])),
-    ]
+    return list(zip(ns.subalgebra_basis(sign), [
+        _sl2_into_p(0, 1, 0),
+        _sl2_into_p(HALF, 0, 0),
+        _sl2_into_p(0, 0, -1),
+        Matrix([[0, 0, 0, 0], [0, 0, 0, 0],
+                [0, 0, 1, 0], [0, 0, 0, 1]]),
+        Matrix([[0, 0, 0, 0], [0, 0, 0, 0],
+                [0, 1, 0, 0], [-1, 0, 0, 0]]),
+        Matrix([[0, 0, 2, 0], [0, 0, 0, 0],
+                [0, 0, 0, 0], [0, 0, 0, 0]]),
+        Matrix([[0, 0, 0, -1], [0, 0, -1, 0],
+                [0, 0, 0, 0], [0, 0, 0, 0]]),
+        Matrix([[0, 0, 0, 0], [0, 0, 0, 2],
+                [0, 0, 0, 0], [0, 0, 0, 0]]),
+    ], strict=True))
 
 
 def verify_table(pairs):
@@ -276,23 +274,20 @@ def _homomorphism_mismatches(basis, images, combine, image_bracket):
     image, combine(images, coordinates), must equal image_bracket of the
     two images.
     """
-    span = Span(basis)
     mismatches = []
-    for i, u in enumerate(basis):
-        for j, v in enumerate(basis):
-            target = bracket(u, v)
-            if target.central_coefficient():
-                expected, got = "no central term", repr(target)
-            elif (coords := span.coordinates(target)) is None:
-                expected, got = "bracket inside the span", repr(target)
-            else:
-                want = combine(images, coords)
-                have = image_bracket(images[i], images[j])
-                if want == have:
-                    continue
-                expected, got = repr(want), repr(have)
-            mismatches.append({"pair": (i, j), "expected": expected,
-                               "got": got})
+    for i, j, target, coords in ns.pair_brackets(Span(basis)):
+        if target.central_coefficient():
+            expected, got = "no central term", repr(target)
+        elif coords is None:
+            expected, got = "bracket inside the span", repr(target)
+        else:
+            want = combine(images, coords)
+            have = image_bracket(images[i], images[j])
+            if want == have:
+                continue
+            expected, got = repr(want), repr(have)
+        mismatches.append({"pair": (i, j), "expected": expected,
+                           "got": got})
     return mismatches
 
 
@@ -340,28 +335,11 @@ _ACTING_IMAGES = (
 )
 
 
-@lru_cache(maxsize=None)
-def _sigma_weights(n):
-    """(shift, weights): e_k -> weights[k] e_{k+shift} inside the tower."""
-    ks = range(abs(n) + 2)
-    return (
-        (-1, tuple(grat(-k) for k in ks)),
-        (0, tuple(grat(Fraction(-2 * k + abs(n) + 1, 2)) for k in ks)),
-        (1, tuple(grat(-k + abs(n) + 1) for k in ks)),
-        (0, (grat(-1 if n >= 2 else 1),) * len(ks)),
-    )
-
-
 class GnSemidirect:
     """(sl2 + gl1) acting on the abelian odd tower of the twist-n algebra.
 
-    The action table sends the four even generators to linear maps on the
-    tower coefficients (indexed by k = 0 .. |n|+1):
-
-        L(-1):            e_k -> -k e_{k-1}
-        L(0) - n/2 J(0):  e_k -> (-k + (|n|+1)/2) e_k
-        L(1) - n J(1):    e_k -> (-k + |n| + 1) e_{k+1}
-        J(0):             e_k -> -+ e_k   (minus for n >= 2)
+    The four even basis elements act on the tower coefficients (indexed
+    by k = 0 .. |n|+1) by the table `ns.tower_weights(n)`.
     """
 
     __slots__ = ("n", "rank")
@@ -379,7 +357,7 @@ class GnSemidirect:
         """Apply the action of the index-th even generator to a vector."""
         if index not in range(4):
             raise IndexError("four even generators")
-        shift, weights = _sigma_weights(self.n)[index]
+        shift, weights = ns.tower_weights(self.n)[index]
         out = [ZERO] * self.rank
         for k, (c, w) in enumerate(zip(vector, weights, strict=True)):
             if c and 0 <= k + shift < self.rank:

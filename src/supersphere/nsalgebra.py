@@ -38,6 +38,7 @@ comparison is exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .scalars import ONE, ZERO, dot, gauss_jordan, grat
 from .grassmann import Supernumber
@@ -457,13 +458,33 @@ def representation_check(band):
 # ---------------------------------------------------------------------------
 
 
+def swap(element):
+    """The automorphism J(m) -> -J(m), G+-(r) -> G-+(r), fixing L(m) and d.
+
+    It conjugates the representation by the coordinate swap
+    (x, phi+, phi-) -> (x, phi-, phi+), which carries the twist-n sphere to
+    twist -n (`spheres.sides`).
+    """
+    terms = {}
+    for key, c in element.terms.items():
+        if key[0] == "J":
+            c = -c
+        elif key[0] == "G":
+            key = ("G", -key[1], key[2])
+        terms[key] = c
+    return NSElement(terms)
+
+
 def subalgebra_basis(n):
     """Basis of the infinitesimal automorphisms of the twist-n sphere.
 
     Always four even elements; the odd elements are the four G's nearest
     zero for |n| <= 1 and the single-sign tower G_{-1/2} ... G_{|n|+1/2}
-    for |n| >= 2.
+    for |n| >= 2.  For n < 0 the basis is the swap image of the twist -n
+    basis, element by element.
     """
+    if n < 0:
+        return [swap(e) for e in subalgebra_basis(-n)]
     half_n = grat(Fraction(n, 2))
     even = [
         NSElement.basis(L(-1)),
@@ -475,12 +496,8 @@ def subalgebra_basis(n):
         odd_keys = [Gp(-1), Gp(1), Gm(-1), Gm(1)]
     elif n == 1:
         odd_keys = [Gp(-1), Gm(-1), Gm(1), Gm(3)]
-    elif n == -1:
-        odd_keys = [Gp(-1), Gp(1), Gp(3), Gm(-1)]
-    elif n >= 2:
-        odd_keys = [Gm(2 * k - 1) for k in range(0, n + 2)]
     else:
-        odd_keys = [Gp(2 * k - 1) for k in range(0, -n + 2)]
+        odd_keys = [Gm(2 * k - 1) for k in range(0, n + 2)]
     return even + [NSElement.basis(k) for k in odd_keys]
 
 
@@ -531,48 +548,62 @@ class Span:
         return coords
 
 
-def closure_violations(span):
-    """Bracket pairs of span's basis that leave the span; the basis was
-    eliminated once, when `span` was built, not once per pair."""
-    bad = []
+def pair_brackets(span):
+    """(i, j, [b_i, b_j], its coordinates or None) for each ordered pair of
+    span's basis; the basis was eliminated once, when `span` was built."""
     for i, u in enumerate(span.basis):
         for j, v in enumerate(span.basis):
             product = bracket(u, v)
-            if product.central_coefficient():
-                bad.append((i, j, "central term"))
-            elif span.coordinates(product) is None:
-                bad.append((i, j, "outside span"))
+            yield i, j, product, span.coordinates(product)
+
+
+def closure_violations(span):
+    """Bracket pairs of span's basis that leave the span."""
+    bad = []
+    for i, j, product, coords in pair_brackets(span):
+        if product.central_coefficient():
+            bad.append((i, j, "central term"))
+        elif coords is None:
+            bad.append((i, j, "outside span"))
     return bad
 
 
-def sigma_action_violations(n):
-    """Check the derivation table of the even part on the odd tower, |n| >= 2.
+@lru_cache(maxsize=None)
+def tower_weights(n):
+    """How the four even basis elements act on the odd tower, |n| >= 2.
 
-    For n >= 2 and each G-_{k-1/2} in the tower:
-        L(-1)            -> -k G-_{k-3/2}
-        L(0) - n/2 J(0)  -> (-k + (n+1)/2) G-_{k-1/2}
-        L(1) - n J(1)    -> (-k + n + 1) G-_{k+1/2}
-        J(0)             -> -G-_{k-1/2}
-    For n <= -2 the mirrored tower uses G+ and the J(0) line flips sign.
+    Entry i is (shift, weights): the i-th element of `subalgebra_basis(n)`
+    sends the k-th tower element e_k to weights[k] e_{k+shift}, for
+    k = 0 .. |n|+1.  With e_k = G-_{k-1/2} (G+ and the swapped basis for
+    n <= -2):
+        L(-1)            -> -k e_{k-1}
+        L(0) - n/2 J(0)  -> (-k + (|n|+1)/2) e_k
+        L(1) - n J(1)    -> (-k + |n| + 1) e_{k+1}
+        +-J(0)           -> -e_k
     """
     if abs(n) < 2:
         raise ValueError("the odd tower exists for |n| >= 2")
+    ks = range(abs(n) + 2)
+    return (
+        (-1, tuple(grat(-k) for k in ks)),
+        (0, tuple(grat(Fraction(-2 * k + abs(n) + 1, 2)) for k in ks)),
+        (1, tuple(grat(-k + abs(n) + 1) for k in ks)),
+        (0, (grat(-1),) * len(ks)),
+    )
+
+
+def sigma_action_violations(n):
+    """(index, k, got, want) for each bracket of an even basis element with
+    the k-th tower element that disagrees with `tower_weights(n)`."""
+    table = tower_weights(n)
     basis = subalgebra_basis(n)
-    acting = basis[:4]
-    sign = 1 if n >= 2 else -1
-    G = Gm if n >= 2 else Gp
+    tower = basis[4:]
     bad = []
-    for k in range(0, abs(n) + 2):
-        g = NSElement.basis(G(2 * k - 1))
-        expected = [
-            NSElement.basis(G(2 * k - 3), grat(-k)) if k else NSElement.zero(),
-            NSElement.basis(G(2 * k - 1),
-                            grat(Fraction(-2 * k + abs(n) + 1, 2))),
-            NSElement.basis(G(2 * k + 1), grat(-k + abs(n) + 1))
-            if k != abs(n) + 1 else NSElement.zero(),
-            NSElement.basis(G(2 * k - 1), grat(-sign)),
-        ]
-        for idx, (u, want) in enumerate(zip(acting, expected)):
+    for k, g in enumerate(tower):
+        for idx, (u, (shift, weights)) in enumerate(zip(basis, table)):
+            j = k + shift
+            want = (tower[j].scale(weights[k]) if 0 <= j < len(tower)
+                    else NSElement.zero())
             got = bracket(u, g)
             if got != want:
                 bad.append((idx, k, got, want))

@@ -215,6 +215,7 @@ def rsf_from_json(data, L, n_odd=2):
 
 
 def map_to_json(m):
+    """An N=2 superconformal or N=1 superanalytic map, by components."""
     return {
         "L": m.L,
         "components": {
@@ -234,15 +235,6 @@ def map_from_json(data):
         rsf_from_json(comps["psi-"], L),
         coefficient_bound=False,
     )
-
-
-def n1_map_to_json(h):
-    return {
-        "L": h.L,
-        "components": {
-            name: rsf_to_json(comp) for name, comp in h.components().items()
-        },
-    }
 
 
 def params_to_json(p):

@@ -31,13 +31,7 @@ from supersphere.spheres import (
     to_north,
     transition,
 )
-from supersphere.superconformal import (
-    CoordinateTriple,
-    N1SuperanalyticMap,
-    SuperconformalMap,
-    from_n1,
-    to_n1,
-)
+from supersphere.superconformal import N1SuperanalyticMap, from_n1, to_n1
 from supersphere.superfield import (
     RationalSuperfunction as RSF,
     SuperPolynomial,

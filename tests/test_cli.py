@@ -117,8 +117,10 @@ def test_counterexample_operands_take_their_json_forms():
     F = s.rational_superfunction()
     m = s.superconformal_map()
     p = s.automorphism_params(2)
+    h = s.n1_map()
     out = Outcome()
-    out.fail("law", x=x, F=F, m=m, p=p, xs=[x, x], pair=(1, 2), n=3, note="s")
+    out.fail("law", x=x, F=F, m=m, p=p, h=h, xs=[x, x], pair=(1, 2), n=3,
+             note="s")
     out.fail("bare law")
     first, bare = out.failures
     ce = first["counterexample"]
@@ -127,6 +129,9 @@ def test_counterexample_operands_take_their_json_forms():
     assert textio.rsf_from_json(ce["F"], L) == F
     assert textio.map_from_json(ce["m"]) == m
     assert textio.params_from_json(ce["p"]) == p
+    assert ce["h"]["L"] == L
+    assert {name: textio.rsf_from_json(comp, L)
+            for name, comp in ce["h"]["components"].items()} == h.components()
     assert ce["xs"] == [textio.supernumber_to_json(x)] * 2
     assert ce["pair"] == (1, 2) and ce["n"] == 3 and ce["note"] == "s"
     json.dumps(ce)

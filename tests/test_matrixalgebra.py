@@ -126,6 +126,12 @@ class TestPTables:
         assert len(evens) == 3 and len(odds) == 4
 
 
+def test_table_sources_are_the_twist_bases():
+    assert [e for e, _ in msa.osp_table()] == ns.subalgebra_basis(0)
+    for sign in (+1, -1):
+        assert [e for e, _ in msa.p_table(sign)] == ns.subalgebra_basis(sign)
+
+
 class TestSemidirect:
     def test_verify_all(self):
         for n in (2, 3, -2, -3):
@@ -181,7 +187,8 @@ class TestSemidirect:
         ones = (grat(1),) * sd.rank
         assert sd.sigma(0, ones) == tuple(grat(-k) for k in range(1, 5)) + (ZERO,)
         assert sd.sigma(2, ones) == (ZERO,) + tuple(grat(4 - k) for k in range(4))
-        assert sd.sigma(3, ones) == ones
+        # index 3 is swap(J(0)) = -J(0) here, which acts by -1
+        assert sd.sigma(3, ones) == tuple(-x for x in ones)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,10 @@ Dunder methods are used by the language and are skipped.
 Within a function, every plain local it assigns (`name = ...`) must be
 read somewhere in it, nested functions included.  Tuple-unpacking
 targets are exempt, since they name the parts they skip.
+
+Every name that a module in `src/` or `tests/` imports must be read in
+it, unless it comes from `__future__` or the module lists it in
+`__all__`.
 """
 
 import ast
@@ -121,3 +125,41 @@ def test_unread_local_check_flags_plain_assignments_only():
                      "        return y\n"
                      "    return a, h\n")
     assert unread_locals(tree) == ["f: x"]
+
+
+def unread_imports(tree):
+    """Each name an import in tree binds and tree never reads."""
+    exported = set()
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            exported |= {elt.value for elt in node.value.elts}
+        elif isinstance(node, ast.Import):
+            bound |= {a.asname or a.name.partition(".")[0]
+                      for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name)
+            and not isinstance(node.ctx, ast.Store)}
+    return sorted(bound - read - exported)
+
+
+def test_every_imported_name_is_read():
+    unread = [f"{path.relative_to(ROOT)}: {name}"
+              for top in ("src", "tests")
+              for path in sorted((ROOT / top).rglob("*.py"))
+              for name in unread_imports(ast.parse(path.read_text(), str(path)))]
+    assert unread == []
+
+
+def test_unread_import_check_exempts_future_and_exports():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import os.path\n"
+                     "import json as j\n"
+                     "from a import b, c as d, e\n"
+                     "__all__ = ['e']\n"
+                     "print(os.sep, d)\n")
+    assert unread_imports(tree) == ["b", "j"]

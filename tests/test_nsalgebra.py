@@ -248,6 +248,66 @@ def test_span_matches_one_elimination_per_target(case):
         assert _combination(got, basis) == target
 
 
+# Hand-written negative-twist bases: the reference that the swap images
+# returned by `subalgebra_basis` must span.
+
+
+def _handwritten_negative_basis(n):
+    even = [
+        e(ns.L(-1)),
+        e(ns.L(0)) - e(ns.J(0)).scale(grat(Fraction(n, 2))),
+        e(ns.L(1)) - e(ns.J(1)).scale(n),
+        e(ns.J(0)),
+    ]
+    if n == -1:
+        odd_keys = [ns.Gp(-1), ns.Gp(1), ns.Gp(3), ns.Gm(-1)]
+    else:
+        odd_keys = [ns.Gp(2 * k - 1) for k in range(0, -n + 2)]
+    return even + [e(k) for k in odd_keys]
+
+
+@pytest.mark.parametrize("n", range(-6, 0))
+def test_swapped_basis_spans_the_handwritten_one(n):
+    span = ns.Span(ns.subalgebra_basis(n))
+    reference = _handwritten_negative_basis(n)
+    assert span.rank == ns.Span(reference).rank == len(reference)
+    assert all(span.coordinates(x) is not None for x in reference)
+
+
+def test_twist_minus_one_basis_order():
+    assert ns.subalgebra_basis(-1)[3:] == [
+        e(ns.J(0)).scale(-1), e(ns.Gm(-1)), e(ns.Gp(-1)), e(ns.Gp(1)),
+        e(ns.Gp(3))]
+
+
+BAND3_KEYS = ns.band_symbols(3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_elements(BAND3_KEYS), _elements(BAND3_KEYS))
+def test_swap_is_an_involutive_automorphism(u, v):
+    assert ns.swap(ns.swap(u)) == u
+    assert ns.swap(ns.bracket(u, v)) == ns.bracket(ns.swap(u), ns.swap(v))
+
+
+def _swap_phis(p):
+    """p with phi+ and phi- exchanged; phi+ phi- turns into -phi+ phi-."""
+    out = {}
+    for (k, mask), c in p.terms.items():
+        swapped = ((mask & 1) << 1) | (mask >> 1)
+        out[(k, swapped)] = -c if mask == 3 else c
+    return SuperPolynomial(p.L, 2, out)
+
+
+@pytest.mark.parametrize("key", ns.band_symbols(2))
+def test_swap_conjugates_the_representation_by_the_phi_swap(key):
+    field = ns.representation(key)
+    swapped = ns.represent(ns.swap(e(key)))
+    assert swapped.c_x == _swap_phis(field.c_x)
+    assert swapped.c_plus == _swap_phis(field.c_minus)
+    assert swapped.c_minus == _swap_phis(field.c_plus)
+
+
 class TestFlows:
     def test_translation_flow(self):
         series = ns.flow(e(ns.L(-1)), order=4)

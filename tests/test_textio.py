@@ -7,8 +7,8 @@ from supersphere import textio
 from supersphere.grassmann import Supernumber
 from supersphere.randgen import Sampler
 from supersphere.scalars import grat
-from supersphere.spheres import AutomorphismParams, transition
-from supersphere.superfield import RationalSuperfunction, ScalarPoly, SuperPolynomial
+from supersphere.spheres import transition
+from supersphere.superfield import SuperPolynomial
 
 L = 6
 
