@@ -307,8 +307,7 @@ def _suite_superconformal_roundtrip(cfg, rng):
     tm = RationalSuperfunction.theta(L, THETA_MINUS)
     half = grat(Fraction(1, 2))
     expected = CoordinateTriple(z + tp * half, tp, one * half + tm)
-    if not (triple.even == expected.even and triple.plus == expected.plus
-            and triple.minus == expected.minus):
+    if triple != expected:
         out.fail("shifted-origin example expansion")
     if to_n1(from_n1(h)) != h:
         out.fail("shifted-origin example roundtrip")
@@ -587,14 +586,6 @@ def _expected_flow_rows(kind, n, order, L):
     if kind == "translate":
         one_rows = [(x, phip, phim), (sp.one(L), zero, zero)]
         one_rows += [(zero, zero, zero)] * (order - 1)
-    elif kind == "scale":
-        # (e^y x, e^{y/2} phi+, e^{y/2} phi-)
-        ex = ns.exp_coefficient_series(1, order)
-        eh = ns.exp_coefficient_series(Fraction(1, 2), order)
-        one_rows = [
-            (x.scale_left(ex[k]), phip.scale_left(eh[k]), phim.scale_left(eh[k]))
-            for k in range(order + 1)
-        ]
     elif kind == "charge":
         ex = ns.exp_coefficient_series(1, order)
         em = ns.exp_coefficient_series(-1, order)
@@ -650,7 +641,7 @@ def _suite_flows_closed_forms(cfg, rng):
     sp = SuperPolynomial
     cases = [
         ("translation", e(ns.L(-1)), "translate", 0),
-        ("dilation", e(ns.L(0)), "scale", 0),
+        ("dilation", e(ns.L(0)), "shift", 0),
         ("charge rotation", e(ns.J(0)), "charge", 0),
     ]
     for n in (-3, -1, 0, 1, 2, 4):
@@ -671,30 +662,18 @@ def _suite_flows_closed_forms(cfg, rng):
     phip = sp.theta(L0, THETA_PLUS)
     phim = sp.theta(L0, THETA_MINUS)
     zero = sp.zero(L0, 2)
+    pair = (1 << THETA_PLUS) | (1 << THETA_MINUS)
     for k in range(0, 4):
         out.samples += 2
         xk = sp.z_power(L0, k)
-        pair = (1 << THETA_PLUS) | (1 << THETA_MINUS)
-        plus_series = ns.flow(e(ns.Gp(2 * k - 1)))
-        want_plus = [
-            (x, phip, phim),
-            (phim.scale_left(grat(-1)) * sp.z_power(L0, k),
-             xk + (SuperPolynomial(L0, 2, {(k - 1, pair): grat(k)})
-                   if k else zero),
-             zero),
-        ]
-        if not _flow_matches(plus_series, want_plus):
-            out.fail(f"raising flow at degree {k}")
-        minus_series = ns.flow(e(ns.Gm(2 * k - 1)))
-        want_minus = [
-            (x, phip, phim),
-            (phip.scale_left(grat(-1)) * sp.z_power(L0, k),
-             zero,
-             xk - (SuperPolynomial(L0, 2, {(k - 1, pair): grat(k)})
-                   if k else zero)),
-        ]
-        if not _flow_matches(minus_series, want_minus):
-            out.fail(f"lowering flow at degree {k}")
+        bump = SuperPolynomial(L0, 2, {(k - 1, pair): grat(k)}) if k else zero
+        for label, generator, other, plus, minus in (
+                ("raising", ns.Gp, phim, xk + bump, zero),
+                ("lowering", ns.Gm, phip, zero, xk - bump)):
+            want = [(x, phip, phim),
+                    (other.scale_left(grat(-1)) * xk, plus, minus)]
+            if not _flow_matches(ns.flow(e(generator(2 * k - 1))), want):
+                out.fail(f"{label} flow at degree {k}")
     return out
 
 
@@ -717,29 +696,19 @@ def _suite_flows_group(cfg, rng):
 
     for n in sorted(set(cfg.n_range) | {0, 2, -2}):
         y = s.soul(2, 0, L - 2)
-        # translations
-        alpha = MatrixGroupElement(one, y, zero, one, one)
-        check_match(f"translation flow vs action, twist {n}",
-                    ns.flow(e(ns.L(-1)), cfg.flow_order), y,
-                    group_action(n, alpha))
-        # diagonal shift with a = d^{-1} = exp(y/2)
-        a = _exp_soul(y, Fraction(1, 2))
-        d = _exp_soul(y, Fraction(-1, 2))
-        alpha = MatrixGroupElement(a, zero, zero, d, one)
-        check_match(f"diagonal flow vs action, twist {n}",
-                    ns.flow(e(ns.L(0)) - e(ns.J(0)).scale(grat(Fraction(n, 2))),
-                            cfg.flow_order),
-                    y, group_action(n, alpha))
-        # charge rotation with eps = exp(y)
-        alpha = MatrixGroupElement(one, zero, zero, one, _exp_soul(y, 1))
-        check_match(f"charge flow vs action, twist {n}",
-                    ns.flow(e(ns.J(0)), cfg.flow_order), y,
-                    group_action(n, alpha))
-        # lower-triangular flow
-        alpha = MatrixGroupElement(one, zero, -y, one, one)
-        check_match(f"special flow vs action, twist {n}",
-                    ns.flow(e(ns.L(1)) - e(ns.J(1)).scale(n), cfg.flow_order),
-                    y, group_action(n, alpha))
+        # each even flow at parameter y against its matrix (a, b, c, d; eps):
+        # the diagonal shift has a = d^{-1} = exp(y/2), the charge eps = exp(y)
+        for label, element, alpha in (
+                ("translation", e(ns.L(-1)), (one, y, zero, one, one)),
+                ("diagonal", e(ns.L(0)) - e(ns.J(0)).scale(grat(Fraction(n, 2))),
+                 (_exp_soul(y, Fraction(1, 2)), zero, zero,
+                  _exp_soul(y, Fraction(-1, 2)), one)),
+                ("charge", e(ns.J(0)), (one, zero, zero, one, _exp_soul(y, 1))),
+                ("special", e(ns.L(1)) - e(ns.J(1)).scale(n),
+                 (one, zero, -y, one, one))):
+            check_match(f"{label} flow vs action, twist {n}",
+                        ns.flow(element, cfg.flow_order), y,
+                        group_action(n, MatrixGroupElement(*alpha)))
     for n in _tower_twists(cfg):
         for k, g in enumerate(ns.subalgebra_basis(n)[4:]):
             xi = s.odd(1, L - 2)

@@ -233,17 +233,9 @@ class Supernumber:
             {m: (-c if m.bit_count() & 1 else c) for m, c in self.terms.items()},
         )
 
-    def max_label(self):
-        """Largest generator label used, 0 for scalar elements."""
-        top = 0
-        for mask in self.terms:
-            if mask:
-                top = max(top, mask.bit_length())
-        return top
-
     def in_subalgebra(self, limit):
         """True if every monomial uses only generators 1..limit."""
-        return self.max_label() <= limit
+        return all(mask.bit_length() <= limit for mask in self.terms)
 
     # -- ring operations ---------------------------------------------------
 

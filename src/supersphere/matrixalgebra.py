@@ -27,9 +27,7 @@ entry k of the images.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .scalars import ONE, ZERO, dot, gauss_jordan, grat
+from .scalars import HALF, ONE, ZERO, dot, gauss_jordan, grat
 from . import nsalgebra as ns
 from .nsalgebra import Span
 
@@ -201,9 +199,6 @@ def _sl2_into_p(a, b, c):
     ])
 
 
-HALF = Fraction(1, 2)
-
-
 def osp_table():
     """The twist-0 basis mapped into osp(2|2)."""
     return list(zip(ns.subalgebra_basis(0), [
@@ -349,9 +344,6 @@ class GnSemidirect:
             raise ValueError("semidirect data exists for |n| >= 2")
         self.n = n
         self.rank = abs(n) + 2
-
-    def acting_images(self):
-        return _ACTING_IMAGES
 
     def sigma(self, index, vector):
         """Apply the action of the index-th even generator to a vector."""

@@ -629,9 +629,6 @@ class FlowSeries:
         self.parity = parity
         self.rows = rows
 
-    def order(self):
-        return len(self.rows) - 1
-
     def evaluate(self, value):
         """Substitute a supernumber parameter; exact when it is nilpotent."""
         if value.parity() != self.parity and value:

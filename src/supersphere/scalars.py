@@ -226,9 +226,6 @@ class GaussianRational:
             n >>= 1
         return out
 
-    def conjugate(self):
-        return _new(self._a, -self._b, self._d)
-
     def sqrt(self):
         """Exact square root in Q(i), or raise NotASquare.
 

@@ -44,6 +44,7 @@ coefficient vectors act as an abelian group of translations.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 
 from .scalars import I as IMAG, NotASquare, ONE, grat
@@ -79,12 +80,9 @@ def transition(n, L):
 
 
 def transition_inverse(n, L):
-    """Closed form of I_n^(-1): the same map with -i in place of i."""
-    return SuperconformalMap(
-        RationalSuperfunction.z_power(L, -1),
-        RationalSuperfunction.z_power(L, n - 1, coeff=-IMAG),
-        RationalSuperfunction.z_power(L, -n - 1, coeff=-IMAG),
-    )
+    """Closed form of I_n^(-1): I_n with g+- negated, -i in place of i."""
+    t = transition(n, L)
+    return SuperconformalMap(t.f, -t.g_plus, -t.g_minus)
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +256,16 @@ def _poly(L, coeffs):
     )
 
 
+def _y_linear(sign, psi_plus, psi_minus, c, d):
+    """(lead, const) of the linear y+- with g+- = eps+- (c z + d + y+-) /
+    (c z + d)^2 in the n = 0 regime, from the psi coefficient lists."""
+    (pp0, pp1), (pm0, pm1) = psi_plus, psi_minus
+    s = grat(sign)
+    return ((pp1 * pm1 * d).scale(-s),
+            (pp0 * pm0 * c).scale(s) - ((pp1 * pm0 - pm1 * pp0) * d).scale(s)
+            - pp1 * pm1 * pp0 * pm0 * d)
+
+
 def build_map(p):
     """The southern-chart superconformal map of the automorphism with
     parameters p, assembled from the regime formulas; for n != 0 they
@@ -272,18 +280,11 @@ def build_map(p):
         psi_p = _linear(L, p.psi_plus[1], p.psi_plus[0]) * inv
         psi_m = _linear(L, p.psi_minus[1], p.psi_minus[0]) * inv
         inv2 = inv ** 2
-        pp1, pp0 = p.psi_plus[1], p.psi_plus[0]
-        pm1, pm0 = p.psi_minus[1], p.psi_minus[0]
         g = {}
         for sign, eps in ((+1, p.eps_plus), (-1, p.eps_minus)):
-            s = grat(sign)
-            f_c = eps * (pp1 * pm1 * p.d).scale(-s)
-            h_c = eps * (
-                (pp0 * pm0 * p.c).scale(s)
-                - ((pp1 * pm0 - pm1 * pp0) * p.d).scale(s)
-                - (pp1 * pm1 * pp0 * pm0 * p.d)
-            )
-            g[sign] = (czd.scale_left(eps) + _linear(L, f_c, h_c)) * inv2
+            lead, const = _y_linear(sign, p.psi_plus, p.psi_minus, p.c, p.d)
+            g[sign] = (czd.scale_left(eps)
+                       + _linear(L, eps * lead, eps * const)) * inv2
         return SuperconformalMap(f, g[+1], g[-1], psi_p, psi_m)
 
     k = abs(n)
@@ -330,10 +331,6 @@ class SphereAutomorphism:
             if not report.ok:
                 raise InvalidParams(f"built map fails {list(report.failures)}")
         return cls(params.n, params, southern)
-
-    @classmethod
-    def identity(cls, n, L):
-        return group_action(n, MatrixGroupElement.identity(L))
 
     @classmethod
     def from_map(cls, m, n):
@@ -503,13 +500,9 @@ def validate_map(m, n):
             raise NotInFamily("psi coefficients must be odd")
         eps = {}
         for sign, g in ((+1, m.g_plus), (-1, m.g_minus)):
-            s = grat(sign)
-            y0 = ((pp1 * pm1 * d).scale(-s * z0)
-                  + (pp0 * pm0 * c).scale(s)
-                  - ((pp1 * pm0 - pm1 * pp0) * d).scale(s)
-                  - (pp1 * pm1 * pp0 * pm0 * d))
+            lead, const = _y_linear(sign, (pp0, pp1), (pm0, pm1), c, d)
             eps[sign] = (_values_at(g, z0)[0] * delta * delta
-                         * (delta + y0).inverse())
+                         * (delta + lead.scale(z0) + const).inverse())
         fields = dict(eps_plus=eps[+1], eps_minus=eps[-1],
                       psi_plus=[pp0, pp1], psi_minus=[pm0, pm1])
     else:
@@ -549,23 +542,10 @@ def validate_map(m, n):
 # ---------------------------------------------------------------------------
 
 
-class NorthernChart:
-    """Composition-side northern map plus the closed-formula cross-check.
-
-    The composed map is authoritative; `mismatches` lists any component
-    where the closed transformation formulas disagree with it.
-    """
-
-    __slots__ = ("map", "formula", "mismatches")
-
-    def __init__(self, composed, formula, mismatches):
-        self.map = composed
-        self.formula = formula
-        self.mismatches = tuple(mismatches)
-
-    @property
-    def consistent(self):
-        return not self.mismatches
+# The composition-side northern map plus the closed-formula cross-check.
+# The composed map is authoritative; `mismatches` names each component
+# where the closed transformation formulas disagree with it.
+NorthernChart = namedtuple("NorthernChart", "map formula mismatches")
 
 
 def northern_formula(T):
@@ -601,17 +581,16 @@ def to_north(T):
     formulas; disagreements are reported, never patched."""
     composed = T.northern()
     formula = northern_formula(T)
-    mismatches = [
+    mismatches = tuple(
         name for name, comp in composed.components().items()
         if comp != formula.components()[name]
-    ]
+    )
     return NorthernChart(composed, formula, mismatches)
 
 
-def allowed_pole_check(T, composed=None):
-    """Check the northern components only blow up at z = -a_B/b_B."""
-    if composed is None:
-        composed = T.northern()
+def allowed_pole_check(T, composed):
+    """Check that the northern components `composed` of T only blow up at
+    z = -a_B/b_B."""
     a_body = T.params.a.body()
     b_body = T.params.b.body()
     failures = []
@@ -652,11 +631,6 @@ class MatrixGroupElement:
         if not eps.body():
             raise InvalidParams("eps must be invertible")
         self.a, self.b, self.c, self.d, self.eps = a, b, c, d, eps
-
-    @classmethod
-    def from_scalars(cls, L, a, b, c, d, eps):
-        sa = Supernumber.scalar
-        return cls(sa(L, a), sa(L, b), sa(L, c), sa(L, d), sa(L, eps))
 
     @classmethod
     def identity(cls, L):

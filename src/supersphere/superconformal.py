@@ -34,12 +34,15 @@ Inversion, too, works on the five components only.  The scalar part (a
 Moebius map in z together with the body factors of g+-) is inverted in
 closed form; Newton steps through `compose` then remove the nilpotent
 error, each step composing with a first-order inverse of the error, which
-`from_n1` makes exactly superconformal.  The full triples of `expand` and
-`CoordinateTriple.compose`, read back by `extract`, remain as the tests'
-independent reference for composition.
+`from_n1` makes exactly superconformal.  `expand` gives the full triple
+as a plain `CoordinateTriple` record; the tests compose such triples by
+full substitution and read them back by `extract`, an independent
+reference for composition.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 from .scalars import grat
 from .grassmann import NotInvertible, Supernumber
@@ -75,57 +78,14 @@ def _theta_free_component(F, L, name):
     return F
 
 
-class CoordinateTriple:
-    """A full coordinate map (even, odd+, odd-) in (1,2)-variables."""
-
-    __slots__ = ("even", "plus", "minus")
-
-    def __init__(self, even, plus, minus):
-        self.even = even
-        self.plus = plus
-        self.minus = minus
-
-    @classmethod
-    def identity(cls, L):
-        return cls(
-            RationalSuperfunction.z(L),
-            RationalSuperfunction.theta(L, THETA_PLUS),
-            RationalSuperfunction.theta(L, THETA_MINUS),
-        )
-
-    @property
-    def L(self):
-        return self.even.L
-
-    def compose(self, inner):
-        """self after inner by full substitution: the tests' reference
-        for `SuperconformalMap.compose`."""
-        substitution = Substitution(inner.even, (inner.plus, inner.minus))
-        return CoordinateTriple(
-            substitution(self.even),
-            substitution(self.plus),
-            substitution(self.minus),
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, CoordinateTriple):
-            return NotImplemented
-        return (
-            self.even == other.even
-            and self.plus == other.plus
-            and self.minus == other.minus
-        )
-
-    def __repr__(self):
-        return f"CoordinateTriple({self.even!r}, {self.plus!r}, {self.minus!r})"
+# a full coordinate map (even, odd+, odd-) in (1,2)-variables
+CoordinateTriple = namedtuple("CoordinateTriple", "even plus minus")
 
 
 class CheckReport:
     """Outcome of a superconformality check, with the failed clauses."""
 
     __slots__ = ("failures",)
-
-    CLAUSES = ("constraint", "g_plus_body", "g_minus_body")
 
     def __init__(self, failures):
         self.failures = tuple(failures)
@@ -161,13 +121,8 @@ class SuperconformalMap:
         self.psi_minus = _theta_free_component(
             zero if psi_minus is None else psi_minus, L, "psi-"
         )
-        if coefficient_bound and L >= 2:
-            for name, comp in self.components().items():
-                if not comp.num.coefficients_within(L - 2):
-                    raise ValueError(
-                        f"component {name} uses generators above {L - 2}; "
-                        "coefficients must leave room for the odd variables"
-                    )
+        if coefficient_bound:
+            _check_coefficient_bound(self)
 
     @property
     def L(self):
@@ -190,13 +145,7 @@ class SuperconformalMap:
     def __eq__(self, other):
         if not isinstance(other, SuperconformalMap):
             return NotImplemented
-        return (
-            self.f == other.f
-            and self.g_plus == other.g_plus
-            and self.g_minus == other.g_minus
-            and self.psi_plus == other.psi_plus
-            and self.psi_minus == other.psi_minus
-        )
+        return self.components() == other.components()
 
     def __repr__(self):
         comps = ", ".join(f"{k}={v!r}" for k, v in self.components().items())
@@ -402,6 +351,17 @@ def _first_order_inverse(e):
                                       coefficient_bound=False))
 
 
+def _check_coefficient_bound(m):
+    """Component coefficients must use generators 1..L-2 only, leaving
+    room for the odd variables."""
+    L = m.L
+    for name, comp in m.components().items():
+        coeffs = comp.num.terms.values()
+        if L >= 2 and not all(c.in_subalgebra(L - 2) for c in coeffs):
+            raise ValueError(f"component {name} uses generators above {L - 2}; "
+                             "coefficients must leave room for the odd variables")
+
+
 def _scalar_part(F):
     """The scalar body rational function of a theta-free component."""
     body = F.num.body_scalar_poly()
@@ -434,20 +394,12 @@ class N1SuperanalyticMap:
         self.g = _theta_free_component(g, L, "g")
         if self.g.body_is_zero():
             raise NotInvertibleComponent("g must have nonvanishing body")
-        if coefficient_bound and L >= 2:
-            for name in ("f1", "xi", "psi", "g"):
-                if not getattr(self, name).num.coefficients_within(L - 2):
-                    raise ValueError(f"component {name} uses generators above {L - 2}")
+        if coefficient_bound:
+            _check_coefficient_bound(self)
 
     @property
     def L(self):
         return self.f1.L
-
-    @classmethod
-    def identity(cls, L):
-        zero = RationalSuperfunction.zero(L)
-        return cls(RationalSuperfunction.z(L), zero, zero,
-                   RationalSuperfunction.one(L))
 
     def components(self):
         return {"f1": self.f1, "xi": self.xi, "psi": self.psi, "g": self.g}
@@ -455,12 +407,7 @@ class N1SuperanalyticMap:
     def __eq__(self, other):
         if not isinstance(other, N1SuperanalyticMap):
             return NotImplemented
-        return (
-            self.f1 == other.f1
-            and self.xi == other.xi
-            and self.psi == other.psi
-            and self.g == other.g
-        )
+        return self.components() == other.components()
 
     def __repr__(self):
         comps = ", ".join(f"{k}={v!r}" for k, v in self.components().items())
@@ -469,17 +416,12 @@ class N1SuperanalyticMap:
     def expand(self):
         """The coordinate pair (f1 + theta xi, psi + theta g) in (1,1)-variables."""
         theta = RationalSuperfunction.theta(self.L, 0, n_odd=1)
+        # the components are theta-free, so their terms carry over as they are
         f1, xi, psi, g = (
-            _reshape_theta_free(comp, 1) for comp in (self.f1, self.xi, self.psi, self.g)
+            RationalSuperfunction(SuperPolynomial(self.L, 1, comp.num.terms), comp.den)
+            for comp in (self.f1, self.xi, self.psi, self.g)
         )
         return (f1 + theta * xi, psi + theta * g)
-
-
-def _reshape_theta_free(F, n_odd):
-    if not F.is_theta_free():
-        raise ValueError("only theta-free functions can change odd arity")
-    num = SuperPolynomial(F.L, n_odd, {key: c for key, c in F.num.terms.items()})
-    return RationalSuperfunction(num, F.den)
 
 
 def to_n1(m):
@@ -496,8 +438,6 @@ def from_n1(h):
     The output satisfies the superconformal constraint by construction;
     the caller can confirm with .check().
     """
-    if h.g.body_is_zero():
-        raise NotInvertibleComponent("g must have nonvanishing body")
     g_inv = h.g.inverse()
     f = h.f1 - (h.psi * h.xi) * g_inv * grat("1/2")
     g_minus = h.f1.diff_z() * g_inv - (h.psi.diff_z() * h.xi) * (g_inv * g_inv)

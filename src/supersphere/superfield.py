@@ -47,7 +47,13 @@ from .scalars import (
     reduce_triples,
     triples,
 )
-from .grassmann import NotInvertible, Supernumber, mul_into, reorder_sign
+from .grassmann import (
+    DimensionMismatch,
+    NotInvertible,
+    Supernumber,
+    mul_into,
+    reorder_sign,
+)
 
 THETA_PLUS = 0
 THETA_MINUS = 1
@@ -97,10 +103,6 @@ class ScalarPoly:
     @classmethod
     def one(cls):
         return cls._make({0: ONE})
-
-    @classmethod
-    def z(cls):
-        return cls({1: ONE})
 
     def is_zero(self):
         return not self.coeffs
@@ -240,10 +242,6 @@ class ScalarPoly:
             ScalarPoly._make({k: c for k, c in enumerate(rem) if c}),
         )
 
-    def divides(self, other):
-        _, rem = other.divmod(self)
-        return rem.is_zero()
-
     def gcd(self, other):
         # Denominators are almost always powers of one linear factor z - r;
         # their gcd with anything is (z - r)**j, j found by synthetic division.
@@ -302,13 +300,6 @@ class ScalarPoly:
         out = ZERO
         for k, c in self.coeffs.items():
             out = out + c * (x ** k)
-        return out
-
-    def eval_super(self, s):
-        """Evaluate at a supernumber argument."""
-        out = Supernumber.zero(s.L)
-        for k, c in self.coeffs.items():
-            out = out + (s ** k).scale(c)
         return out
 
     def __repr__(self):
@@ -603,50 +594,12 @@ class SuperPolynomial:
     def is_odd(self):
         return self.is_zero() or self.parity() == 1
 
-    def coefficients_within(self, limit):
-        """True if all supernumber coefficients use generators 1..limit."""
-        return all(c.in_subalgebra(limit) for c in self.terms.values())
-
     def extend(self, L_new):
         return SuperPolynomial._make(
             L_new,
             self.n_odd,
             {key: c.extend(L_new) for key, c in self.terms.items()},
         )
-
-    def restrict(self, L_new):
-        terms = {}
-        for key, c in self.terms.items():
-            r = c.restrict(L_new)
-            if r:
-                terms[key] = r
-        return SuperPolynomial._make(L_new, self.n_odd, terms)
-
-    def evaluate(self, point):
-        """Exact value at a point (z and thetas are supernumbers)."""
-        if point.n_odd != self.n_odd:
-            raise ValueError("point and superpolynomial have different odd arity")
-        s = point.z
-        powers = {0: Supernumber.one(s.L)}
-        inv = None
-        out = Supernumber.zero(s.L)
-        for (k, m), c in self.terms.items():
-            if k not in powers:
-                if k > 0:
-                    powers[k] = s ** k
-                else:
-                    if inv is None:
-                        inv = s.inverse()
-                    powers[k] = inv ** (-k)
-            val = c
-            bit = self.n_odd - 1
-            # odd monomial on the left, highest bit applied first
-            while bit >= 0:
-                if m & (1 << bit):
-                    val = point.thetas[bit] * val
-                bit -= 1
-            out = out + val * powers[k]
-        return out
 
     def __repr__(self):
         return f"SuperPolynomial({self})"
@@ -954,15 +907,18 @@ class RationalSuperfunction:
         return RationalSuperfunction(self.num.diff_theta(which), self.den)
 
     def evaluate(self, point):
-        den_val = self.den.eval_super(point.z)
-        if not den_val.body():
-            raise PoleAtPoint("denominator body vanishes at the point")
+        """Exact value at a point: the substitution of its constants."""
+        if point.n_odd != self.n_odd:
+            raise ValueError("point and function have different odd arity")
+        if point.z.L != self.L:
+            raise DimensionMismatch(
+                f"point over {point.z.L} generators, function over {self.L}")
+        z, *thetas = (RationalSuperfunction.from_constant(self.L, v, self.n_odd)
+                      for v in (point.z, *point.thetas))
         try:
-            num_val = self.num.evaluate(point)
-        except NotInvertible as exc:
-            # Laurent numerators put the pole at z = 0
+            return Substitution(z, thetas)(self).as_constant()
+        except SingularComposition as exc:
             raise PoleAtPoint(str(exc)) from exc
-        return num_val * den_val.inverse()
 
     def extend(self, L_new):
         return RationalSuperfunction(self.num.extend(L_new), self.den)

@@ -140,10 +140,10 @@ class TestSemidirect:
 
     def test_even_part_matches_sl2(self):
         sd = msa.GnSemidirect(3)
-        images = sd.acting_images()
-        assert images[1][0] == msa.Matrix([["1/2", 0], [0, "-1/2"]])
-        assert images[0][0].commutator(images[2][0]) == \
-            images[1][0].scale(-2)  # [E, F'] = -H with F' = -F
+        images = [image.mat for image in sd.basis_images()[:4]]
+        assert images[1] == msa.Matrix([["1/2", 0], [0, "-1/2"]])
+        assert images[0].commutator(images[2]) == \
+            images[1].scale(-2)  # [E, F'] = -H with F' = -F
 
     def test_pure_acting_bracket(self):
         sd = msa.GnSemidirect(2)

@@ -8,6 +8,7 @@ from supersphere import nsalgebra as ns
 from supersphere.grassmann import Supernumber
 from supersphere.scalars import ZERO, grat
 from supersphere.superfield import SuperPolynomial, THETA_MINUS, THETA_PLUS
+from triple_reference import compose_triples
 
 
 def e(key):
@@ -319,7 +320,7 @@ class TestFlows:
 
     def test_odd_flow_exact(self):
         series = ns.flow(e(ns.Gp(-1)))
-        assert series.order() == 1
+        assert len(series.rows) == 2
         L = 4
         xi = Supernumber.generator(L, 1)
         x_out, plus_out, minus_out = series.evaluate(xi)
@@ -358,7 +359,7 @@ class TestFlows:
             coords = series.evaluate(value)
             return CoordinateTriple(*(RationalSuperfunction(c) for c in coords))
 
-        lhs = as_triple(xi1).compose(as_triple(xi2))
+        lhs = compose_triples(as_triple(xi1), as_triple(xi2))
         rhs = as_triple(xi1 + xi2)
         assert lhs == rhs
 

@@ -33,6 +33,7 @@ from supersphere.superfield import (
     THETA_PLUS,
     apply_D,
 )
+from triple_reference import compose_triples, identity_triple
 
 L = 6
 
@@ -156,7 +157,7 @@ def test_cross_multiplied_check_matches_normalised_sides(kind, seed, which):
 
 class TestExpansion:
     def test_identity_expands_to_coordinates(self):
-        assert SuperconformalMap.identity(L).expand() == CoordinateTriple.identity(L)
+        assert SuperconformalMap.identity(L).expand() == identity_triple(L)
 
     def test_transition_expansion(self):
         n = 3
@@ -201,7 +202,7 @@ class TestExtraction:
             assert SuperconformalMap.extract(m.expand()) == m
 
     def test_swapped_thetas_rejected(self):
-        triple = CoordinateTriple.identity(L)
+        triple = identity_triple(L)
         swapped = CoordinateTriple(triple.even, triple.minus, triple.plus)
         with pytest.raises(NotSuperconformal):
             SuperconformalMap.extract(swapped)
@@ -212,7 +213,7 @@ def assert_composes_as_triples(outer, inner):
     coordinate triples, and each component is in canonical form."""
     composite = outer.compose(inner)
     assert composite == SuperconformalMap.extract(
-        outer.expand().compose(inner.expand()))
+        compose_triples(outer.expand(), inner.expand()))
     for name, comp in composite.components().items():
         if comp.is_zero():
             assert comp.den.is_one(), name
@@ -285,7 +286,7 @@ class TestComposition:
         with pytest.raises(SingularComposition):
             outer.compose(inner)
         with pytest.raises(SingularComposition):
-            outer.expand().compose(inner.expand(checked=False))
+            compose_triples(outer.expand(), inner.expand(checked=False))
 
     def test_transform_law(self):
         s = Sampler(random.Random(13), L)
@@ -382,7 +383,7 @@ def test_compose_normalisation_budget(n, monkeypatch):
     composite = outer.compose(inner)
     monkeypatch.undo()
     assert composite == SuperconformalMap.extract(
-        outer.expand().compose(inner.expand()))
+        compose_triples(outer.expand(), inner.expand()))
     assert len(calls) <= COMPOSE_NORMALISATION_BUDGET[n]
 
 
@@ -533,3 +534,24 @@ class TestN1Correspondence:
         z1 = RSF.z(L, n_odd=1)
         assert even == z1 + theta
         assert odd == theta
+
+
+@pytest.mark.parametrize("cls, components", [
+    (SuperconformalMap, (RSF.z(L), RSF.one(L), RSF.one(L), RSF.zero(L), RSF.zero(L))),
+    (N1SuperanalyticMap, (RSF.z(L), RSF.zero(L), RSF.zero(L), RSF.one(L))),
+])
+def test_component_coefficients_stay_two_generators_below_L(cls, components):
+    """Generator L - 2 is allowed in every component and L - 1 in none,
+    unless the caller lifts the bound."""
+    for j, allowed in ((L - 2, True), (L - 1, False)):
+        bump = RSF.from_constant(L, Supernumber.generator(L, j))
+        for i in range(len(components)):
+            bumped = list(components)
+            bumped[i] = bumped[i] + bump
+            if allowed:
+                cls(*bumped)
+            else:
+                with pytest.raises(ValueError, match=f"generators above {L - 2}"):
+                    cls(*bumped)
+            unbounded = cls(*bumped, coefficient_bound=False)
+            assert list(unbounded.components().values()) == bumped
