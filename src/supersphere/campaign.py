@@ -374,8 +374,8 @@ def _suite_spheres_closure(cfg, rng, n):
     if first != again:
         out.fail("parameter recovery is canonical", p=p)
     # inversion stays in the family
-    inv = T.invert()
-    if T.compose(inv).southern != SuperconformalMap.identity(cfg.generators):
+    inv = T.invert().southern
+    if T.southern.compose(inv) != SuperconformalMap.identity(cfg.generators):
         out.fail("inverse composes to the identity", p=p)
     # a wrong shape is rejected
     if abs(n) >= 2:
@@ -443,6 +443,12 @@ def _suite_spheres_cover(cfg, rng, parity):
 
 
 def _suite_spheres_translations(cfg, rng, n):
+    """Odd translations t(u) of the twist-n sphere, |n| >= 2.
+
+    The add and commute laws compare southern maps: t(u) t(v) against
+    t(u + v) and t(v) t(u).  The conjugate act(alpha) t(u) act(alpha)^(-1)
+    is composed as a map and recovered once, as its law reads the tower
+    (`conjugated_translation_coeffs`); a `NotInFamily` there fails it."""
     out = Outcome(cfg.samples)
     s = Sampler(rng, cfg.generators)
     rank = abs(n) + 2
@@ -451,20 +457,27 @@ def _suite_spheres_translations(cfg, rng, n):
     for _ in range(cfg.samples):
         u = s.odd_vector(rank)
         v = s.odd_vector(rank)
-        tu = odd_translation(n, u)
-        tv = odd_translation(n, v)
+        tu = odd_translation(n, u).southern
+        tv = odd_translation(n, v).southern
         total = odd_translation(n, [a + b for a, b in zip(u, v)])
-        tu_tv = tu.compose(tv).southern
+        tu_tv = tu.compose(tv)
         if tu_tv != total.southern:
             out.fail("translations add", u=u, v=v)
-        if tu_tv != tv.compose(tu).southern:
-            out.fail("translations commute")
+        if tu_tv != tv.compose(tu):
+            out.fail("translations commute", u=u, v=v)
         alpha = s.matrix_group_element()
-        act = group_action(n, alpha)
-        conj = act.compose(tu).compose(act.invert())
+        act = group_action(n, alpha).southern
+        law = "conjugation acts by the polynomial transform"
+        alpha_form = {k: getattr(alpha, k) for k in alpha.__slots__}
+        try:
+            conj = SphereAutomorphism.from_map(
+                act.compose(tu).compose(act.invert()), n)
+        except NotInFamily as exc:
+            out.fail(law, error=str(exc), u=u, alpha=alpha_form)
+            continue
         predicted = conjugated_translation_coeffs(n, alpha, u)
         if list(conj.params.tower) != list(predicted):
-            out.fail("conjugation acts by the polynomial transform", u=u)
+            out.fail(law, u=u, alpha=alpha_form)
     # the stated rank: single-degree generators are independent members
     for k in range(rank):
         coeffs = [zero] * rank
@@ -477,23 +490,27 @@ def _suite_spheres_translations(cfg, rng, n):
 
 
 def _suite_ns_jacobi(cfg, rng):
-    out = Outcome()
-    violations = ns.jacobi_check(cfg.band)
-    out.samples = (4 * (2 * cfg.band + 1) - 2 + 1) ** 3
-    for k1, k2, k3, defect in violations[:10]:
-        out.fail("super-Jacobi identity",
-                 triple=[ns.key_str(k1), ns.key_str(k2), ns.key_str(k3)],
-                 defect=repr(defect))
-    return out
+    """Graded antisymmetry on every unordered pair of band symbols, then
+    the super-Jacobi sum on every multiset of three (`ns.jacobi_check`):
+    the sum over a permutation of a triple is the sum over the triple up
+    to sign.  The samples count the ordered triples that this covers."""
+    return _record_violations(len(ns.band_symbols(cfg.band)) ** 3,
+                              ns.jacobi_check(cfg.band))
 
 
 def _suite_ns_representation(cfg, rng):
-    out = Outcome()
-    violations = ns.representation_check(cfg.band)
-    out.samples = len(ns.band_symbols(cfg.band)) ** 2
-    for k1, k2 in violations[:10]:
-        out.fail("central-charge-zero representation",
-                 pair=[ns.key_str(k1), ns.key_str(k2)])
+    """Graded antisymmetry on the band, then rep([u, v]) = [rep u, rep v]
+    on every unordered pair (`ns.representation_check`): both sides take
+    the same sign when u and v swap.  The samples count ordered pairs."""
+    return _record_violations(len(ns.band_symbols(cfg.band)) ** 2,
+                              ns.representation_check(cfg.band))
+
+
+def _record_violations(samples, violations):
+    """An outcome failing each of the first ten (law, keys, defect)."""
+    out = Outcome(samples)
+    for law, keys, defect in violations[:10]:
+        out.fail(law, keys=[ns.key_str(k) for k in keys], defect=repr(defect))
     return out
 
 
@@ -564,7 +581,8 @@ def _record_table(out, report, injectivity=None, shape=None, shapes=(),
     """
     out.samples += report["size"] ** 2
     for item in report["mismatches"]:
-        if item["expected"] in ("no central term", "bracket inside the span"):
+        if item["expected"] in ("no central term", "bracket inside the span",
+                                "graded antisymmetry"):
             out.fail("source bracket consistency", **item)
         else:
             out.note_discrepancy(**item, **context)

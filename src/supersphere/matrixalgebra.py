@@ -128,9 +128,10 @@ class Matrix:
             return None
         return 1 if odd else 0
 
-    def superbracket(self, other):
-        p1 = self.block_parity()
-        p2 = other.block_parity()
+    def superbracket(self, other, parities=None):
+        """[self, other]; parities, if given, are the two block parities,
+        found once by a caller that brackets the same matrices often."""
+        p1, p2 = parities or (self.block_parity(), other.block_parity())
         if p1 is None or p2 is None:
             raise ParityError("superbracket needs parity-homogeneous matrices")
         return self._bracket(other, -1 if (p1 * p2) % 2 == 0 else 1)
@@ -253,9 +254,11 @@ def verify_table(pairs):
     sources = [e for e, _ in pairs]
     images = [m for _, m in pairs]
     flat = [list(m.flatten()) for m in images]
+    parity = [m.block_parity() for m in images]
     return {
         "mismatches": _homomorphism_mismatches(
-            sources, images, _combine_matrices, Matrix.superbracket),
+            sources, images, _combine_matrices, lambda i, j:
+            images[i].superbracket(images[j], (parity[i], parity[j]))),
         "injective": len(gauss_jordan(flat, len(flat[0]))) == len(flat),
         "size": len(pairs),
     }
@@ -266,24 +269,28 @@ def _homomorphism_mismatches(basis, images, combine, image_bracket):
 
     A bracket must have no central term and lie in the span of the basis,
     which is eliminated once per call (`Span`), not once per pair; its
-    image, combine(images, coordinates), must equal image_bracket of the
-    two images.
+    image, combine(images, coordinates), must equal image_bracket(i, j),
+    the bracket of images i and j.  Both sides are graded antisymmetric
+    (images keep their sources' parities), so a pair j > i is bracketed
+    only when (i, j) mismatches (`ns.pair_brackets`); a symbol pair that
+    breaks the source's antisymmetry leads, expecting "graded antisymmetry".
     """
-    mismatches = []
-    for i, j, target, coords in ns.pair_brackets(Span(basis)):
+    def mismatch(i, j, target, coords):
         if target.central_coefficient():
             expected, got = "no central term", repr(target)
         elif coords is None:
             expected, got = "bracket inside the span", repr(target)
         else:
-            want = combine(images, coords)
-            have = image_bracket(images[i], images[j])
+            want, have = combine(images, coords), image_bracket(i, j)
             if want == have:
-                continue
+                return None
             expected, got = repr(want), repr(have)
-        mismatches.append({"pair": (i, j), "expected": expected,
-                           "got": got})
-    return mismatches
+        return {"pair": (i, j), "expected": expected, "got": got}
+
+    skew, mismatches = ns.pair_brackets(Span(basis), mismatch)
+    return [{"pair": (ns.key_str(k1), ns.key_str(k2)), "expected": law,
+             "got": repr(defect)}
+            for law, (k1, k2), defect in skew] + mismatches
 
 
 def _combine_matrices(images, coords):
@@ -394,8 +401,10 @@ class GnSemidirect:
         """Homomorphism check of the semidirect data against the algebra;
         the twist-n basis is eliminated once per call."""
         basis = ns.subalgebra_basis(self.n)
+        images = self.basis_images()
         return {"mismatches": _homomorphism_mismatches(
-            basis, self.basis_images(), _combine, self.bracket),
+            basis, images, _combine,
+            lambda i, j: self.bracket(images[i], images[j])),
             "size": len(basis)}
 
 

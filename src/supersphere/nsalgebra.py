@@ -120,15 +120,7 @@ class NSElement:
     def __add__(self, other):
         terms = dict(self.terms)
         for key, c in other.terms.items():
-            s = terms.get(key)
-            if s is None:
-                terms[key] = c
-            else:
-                s = s + c
-                if s:
-                    terms[key] = s
-                else:
-                    del terms[key]
+            terms[key] = terms[key] + c if key in terms else c
         return NSElement(terms)
 
     def __neg__(self):
@@ -139,18 +131,11 @@ class NSElement:
 
     def scale(self, value):
         value = grat(value)
-        if not value:
-            return NSElement()
         return NSElement({k: value * c for k, c in self.terms.items()})
 
     def parity(self):
-        parities = {key_parity(k) for k in self.terms}
-        if not parities:
-            return 0
+        parities = {key_parity(k) for k in self.terms} or {0}
         return parities.pop() if len(parities) == 1 else None
-
-    def drop_central(self):
-        return NSElement({k: c for k, c in self.terms.items() if k != CENTRAL})
 
     def central_coefficient(self):
         return self.terms.get(CENTRAL, ZERO)
@@ -166,34 +151,28 @@ class NSElement:
 
 
 def _basis_bracket(k1, k2):
-    """Structure constants on basis symbols, as a key -> coefficient dict."""
+    """Structure constants on basis symbols, as a key -> coefficient dict;
+    a coefficient may be zero."""
     if k1 == CENTRAL or k2 == CENTRAL:
         return {}
     t1, t2 = k1[0], k2[0]
     if t1 == "L" and t2 == "L":
         m, n = k1[1], k2[1]
-        out = {}
-        if m != n:
-            out[L(m + n)] = grat(m - n)
-        if m + n == 0 and m ** 3 - m:
+        out = {L(m + n): grat(m - n)}
+        if m + n == 0:
             out[CENTRAL] = grat(Fraction(m ** 3 - m, 12))
         return out
     if t1 == "L" and t2 == "J":
         m, n = k1[1], k2[1]
-        return {J(m + n): grat(-n)} if n else {}
+        return {J(m + n): grat(-n)}
     if t1 == "J" and t2 == "L":
         return _flip(_basis_bracket(k2, k1), 0, 0)
     if t1 == "J" and t2 == "J":
         m, n = k1[1], k2[1]
-        if m + n == 0 and m:
-            return {CENTRAL: grat(Fraction(m, 3))}
-        return {}
+        return {CENTRAL: grat(Fraction(m, 3))} if m + n == 0 else {}
     if t1 == "L" and t2 == "G":
         m, (_, s, r2) = k1[1], k2
-        coeff = Fraction(m - r2, 2)
-        if not coeff:
-            return {}
-        return {("G", s, r2 + 2 * m): grat(coeff)}
+        return {("G", s, r2 + 2 * m): grat(Fraction(m - r2, 2))}
     if t1 == "G" and t2 == "L":
         return _flip(_basis_bracket(k2, k1), 0, 1)
     if t1 == "J" and t2 == "G":
@@ -209,23 +188,15 @@ def _basis_bracket(k1, k2):
         # odd-odd skew symmetry carries a plus sign
         return _basis_bracket(k2, k1)
     r, s = r2, s2r
-    out = {}
-    out[L((r + s) // 2)] = grat(2)
-    if r != s:
-        out[J((r + s) // 2)] = grat(Fraction(r - s, 2))
+    out = {L((r + s) // 2): grat(2), J((r + s) // 2): grat(Fraction(r - s, 2))}
     if r + s == 0:
-        c = Fraction(r * r - 1, 12)
-        if c:
-            out[CENTRAL] = grat(c)
+        out[CENTRAL] = grat(Fraction(r * r - 1, 12))
     return out
 
 
 def _flip(table, p1, p2):
     """[v,u] = -(-1)^{p1 p2} [u,v] given the table for [u,v]."""
-    sign = 1 if (p1 and p2) else -1
-    if sign == 1:
-        return dict(table)
-    return {k: -c for k, c in table.items()}
+    return dict(table) if p1 and p2 else {k: -c for k, c in table.items()}
 
 
 def bracket(u, v):
@@ -235,22 +206,22 @@ def bracket(u, v):
         for k2, c2 in v.terms.items():
             c12 = c1 * c2
             for key, c in _basis_bracket(k1, k2).items():
-                s = terms.get(key, ZERO) + c12 * c
-                if s:
-                    terms[key] = s
-                elif key in terms:
-                    del terms[key]
+                terms[key] = terms.get(key, ZERO) + c12 * c
     return NSElement(terms)
 
 
-def jacobi_defect(u, v, w):
-    """The super-Jacobi sum; zero exactly when the identity holds."""
+def jacobi_defect(u, v, w, inner=bracket):
+    """The super-Jacobi sum; zero exactly when the identity holds.  The
+    inner brackets [u, v], [v, w], [w, u] come from inner(x, y): a table
+    lookup for a caller that meets each pair in many triples."""
     pu, pv, pw = u.parity(), v.parity(), w.parity()
     if None in (pu, pv, pw):
         raise ValueError("Jacobi check needs parity-homogeneous elements")
-    total = bracket(bracket(u, v), w).scale(grat((-1) ** (pu * pw)))
-    total = total + bracket(bracket(v, w), u).scale(grat((-1) ** (pv * pu)))
-    total = total + bracket(bracket(w, u), v).scale(grat((-1) ** (pw * pv)))
+    total = NSElement()
+    for x, y, z, both_odd in ((u, v, w, pu * pw), (v, w, u, pv * pu),
+                              (w, u, v, pw * pv)):
+        term = bracket(inner(x, y), z)
+        total = total - term if both_odd else total + term
     return total
 
 
@@ -268,17 +239,47 @@ def band_symbols(band):
     return keys
 
 
+def graded_pairs(elements, violations):
+    """(i, j) for i <= j over parity-homogeneous elements, yielded once
+    graded antisymmetry, [k2, k1] = -(-1)^{|k1||k2|} [k1, k2], is checked on
+    each unordered pair of symbols in their support; a pair breaking it goes
+    to violations as ("graded antisymmetry", (k1, k2), defect).  Where it
+    holds, [e_j, e_i] follows from [e_i, e_j] by bilinearity."""
+    keys = list(dict.fromkeys(k for e in elements for k in e.terms))
+    for a, k1 in enumerate(keys):
+        for k2 in keys[a:]:
+            sign = (-1) ** (key_parity(k1) * key_parity(k2))
+            defect = NSElement(_basis_bracket(k2, k1)) + NSElement(
+                _basis_bracket(k1, k2)).scale(sign)
+            if defect:
+                violations.append(("graded antisymmetry", (k1, k2), defect))
+    for i in range(len(elements)):
+        for j in range(i, len(elements)):
+            yield i, j
+
+
 def jacobi_check(band):
-    """Exhaustively verify super-Jacobi on the band; return violations."""
+    """Verify super-Jacobi on the band; violations as (law, keys, defect).
+
+    A cyclic shift of (u, v, w) permutes the three terms of the sum, and
+    with graded antisymmetry on the band (`graded_pairs`) a transposition
+    multiplies it by -(-1)^(|u||v| + |v||w| + |w||u|), so only the
+    multisets k1 <= k2 <= k3 of the band are evaluated."""
     keys = band_symbols(band)
-    elements = {k: NSElement.basis(k) for k in keys}
+    elements = [NSElement.basis(k) for k in keys]
+    table = {(id(x), id(y)): bracket(x, y) for x in elements for y in elements}
+
+    def inner(x, y):
+        return table[id(x), id(y)]
+
     violations = []
-    for k1 in keys:
-        for k2 in keys:
-            for k3 in keys:
-                defect = jacobi_defect(elements[k1], elements[k2], elements[k3])
-                if defect:
-                    violations.append((k1, k2, k3, defect))
+    for i, j in graded_pairs(elements, violations):
+        for k in range(j, len(keys)):
+            defect = jacobi_defect(elements[i], elements[j], elements[k],
+                                   inner)
+            if defect:
+                violations.append(("super-Jacobi identity",
+                                   (keys[i], keys[j], keys[k]), defect))
     return violations
 
 
@@ -288,12 +289,6 @@ def jacobi_check(band):
 
 PHI_PLUS = THETA_PLUS
 PHI_MINUS = THETA_MINUS
-
-
-def _coeff_poly(entries):
-    return SuperPolynomial(0, 2, {
-        key: Supernumber.scalar(0, c) for key, c in entries.items()
-    })
 
 
 class DerivationField:
@@ -322,8 +317,7 @@ class DerivationField:
         return (self.c_x, self.c_plus, self.c_minus)
 
     def is_zero(self):
-        return (self.c_x.is_zero() and self.c_plus.is_zero()
-                and self.c_minus.is_zero())
+        return all(c.is_zero() for c in self.coefficients())
 
     def __eq__(self, other):
         if not isinstance(other, DerivationField):
@@ -331,20 +325,12 @@ class DerivationField:
         return self.coefficients() == other.coefficients()
 
     def __add__(self, other):
-        return DerivationField(
-            self.parity,
-            self.c_x + other.c_x,
-            self.c_plus + other.c_plus,
-            self.c_minus + other.c_minus,
-        )
+        return DerivationField(self.parity, *(
+            a + b for a, b in zip(self.coefficients(), other.coefficients())))
 
     def scale(self, value):
-        return DerivationField(
-            self.parity,
-            self.c_x.scale_left(value),
-            self.c_plus.scale_left(value),
-            self.c_minus.scale_left(value),
-        )
+        return DerivationField(self.parity, *(
+            c.scale_left(value) for c in self.coefficients()))
 
     def apply(self, F):
         """Apply the derivation to a superpolynomial."""
@@ -376,46 +362,30 @@ class DerivationField:
 
 def representation(key):
     """The superderivation representing a basis symbol (central -> 0)."""
-    zero = SuperPolynomial.zero(0, 2)
+    def poly(entries):
+        return SuperPolynomial(0, 2, entries)  # zero coefficients drop out
+
+    zero = poly({})
     if key == CENTRAL:
         return DerivationField(0, zero, zero, zero)
-    kind = key[0]
-    if kind == "L":
+    if key[0] == "L":
         n = key[1]
         half = grat(Fraction(n + 1, 2))
-        return DerivationField(
-            0,
-            _coeff_poly({(n + 1, 0): grat(-1)}),
-            _coeff_poly({(n, 1 << PHI_PLUS): -half}) if half else zero,
-            _coeff_poly({(n, 1 << PHI_MINUS): -half}) if half else zero,
-        )
-    if kind == "J":
+        return DerivationField(0, poly({(n + 1, 0): grat(-1)}),
+                               poly({(n, 1 << PHI_PLUS): -half}),
+                               poly({(n, 1 << PHI_MINUS): -half}))
+    if key[0] == "J":
         n = key[1]
-        return DerivationField(
-            0,
-            zero,
-            _coeff_poly({(n, 1 << PHI_PLUS): grat(-1)}),
-            _coeff_poly({(n, 1 << PHI_MINUS): grat(1)}),
-        )
+        return DerivationField(0, zero, poly({(n, 1 << PHI_PLUS): grat(-1)}),
+                               poly({(n, 1 << PHI_MINUS): grat(1)}))
     _, sign, r2 = key
     n = (r2 + 1) // 2
-    phi_pair = (1 << PHI_PLUS) | (1 << PHI_MINUS)
-    own = {(n, 0): grat(-1)}
-    if n:
-        own[(n - 1, phi_pair)] = grat(-sign * n)
-    if sign > 0:
-        return DerivationField(
-            1,
-            _coeff_poly({(n, 1 << PHI_MINUS): grat(1)}),
-            _coeff_poly(own),
-            zero,
-        )
-    return DerivationField(
-        1,
-        _coeff_poly({(n, 1 << PHI_PLUS): grat(1)}),
-        zero,
-        _coeff_poly(own),
-    )
+    # d/dphi+- carries G+-'s own part, d/dx the opposite phi
+    own = poly({(n, 0): grat(-1),
+                (n - 1, (1 << PHI_PLUS) | (1 << PHI_MINUS)): grat(-sign * n)})
+    other = poly({(n, 1 << (PHI_MINUS if sign > 0 else PHI_PLUS)): grat(1)})
+    return DerivationField(1, other,
+                           *((own, zero) if sign > 0 else (zero, own)))
 
 
 def represent(element):
@@ -424,32 +394,31 @@ def represent(element):
     parity = parities.pop() if len(parities) == 1 else 0
     out = DerivationField.zero(parity)
     for key, coeff in element.terms.items():
-        if key == CENTRAL:
-            continue
         out = out + representation(key).scale(coeff)
     return out
 
 
 def representation_defect(u, v):
-    """rep([u,v]) with the center dropped, minus [rep u, rep v]."""
-    expected = represent(bracket(u, v).drop_central())
+    """rep([u,v]), where the center acts by zero, minus [rep u, rep v]."""
+    expected = represent(bracket(u, v))
     got = represent(u).bracket(represent(v))
-    return (
-        expected.c_x - got.c_x,
-        expected.c_plus - got.c_plus,
-        expected.c_minus - got.c_minus,
-    )
+    return tuple(e - g for e, g in zip(expected.coefficients(),
+                                       got.coefficients()))
 
 
 def representation_check(band):
-    """Verify the central-charge-zero representation on all band pairs."""
+    """Verify the central-charge-zero representation on the band pairs,
+    each unordered pair once: with graded antisymmetry (`graded_pairs`) and
+    `DerivationField.bracket`'s formula both sides of a swapped pair take
+    the sign -(-1)^(|u||v|).  Violations as (law, keys, defect)."""
     keys = band_symbols(band)
+    elements = [NSElement.basis(k) for k in keys]
     violations = []
-    for k1 in keys:
-        for k2 in keys:
-            defect = representation_defect(NSElement.basis(k1), NSElement.basis(k2))
-            if any(not piece.is_zero() for piece in defect):
-                violations.append((k1, k2))
+    for i, j in graded_pairs(elements, violations):
+        defect = representation_defect(elements[i], elements[j])
+        if any(not piece.is_zero() for piece in defect):
+            violations.append(("central-charge-zero representation",
+                               (keys[i], keys[j]), defect))
     return violations
 
 
@@ -548,24 +517,30 @@ class Span:
         return coords
 
 
-def pair_brackets(span):
-    """(i, j, [b_i, b_j], its coordinates or None) for each ordered pair of
-    span's basis; the basis was eliminated once, when `span` was built."""
-    for i, u in enumerate(span.basis):
-        for j, v in enumerate(span.basis):
-            product = bracket(u, v)
-            yield i, j, product, span.coordinates(product)
+def pair_brackets(span, flag):
+    """(skew, items): the `graded_pairs` violations of span's basis (eliminated
+    once, when `span` was built), and the items flag(i, j, [b_i, b_j], its
+    coordinates or None) that are not None, in ordered pair order.  A mirror
+    (j, i), j > i, is bracketed only when (i, j) gives an item: a flag that
+    respects the antisymmetry sign gives the mirror an item exactly then."""
+    skew, items = [], {}
+    for i, j in graded_pairs(span.basis, skew):
+        for a, b in ((i, j), (j, i))[:2 - (i == j)]:
+            product = bracket(span.basis[a], span.basis[b])
+            item = flag(a, b, product, span.coordinates(product))
+            if item is None:
+                break
+            items[a, b] = item
+    return skew, [items[pair] for pair in sorted(items)]
 
 
 def closure_violations(span):
-    """Bracket pairs of span's basis that leave the span."""
-    bad = []
-    for i, j, product, coords in pair_brackets(span):
-        if product.central_coefficient():
-            bad.append((i, j, "central term"))
-        elif coords is None:
-            bad.append((i, j, "outside span"))
-    return bad
+    """(i, j, reason) for each bracket pair of span's basis that leaves the
+    span, after (k1, k2, law) for each symbol pair breaking antisymmetry."""
+    skew, bad = pair_brackets(span, lambda i, j, product, coords: (
+        (i, j, "central term") if product.central_coefficient()
+        else (i, j, "outside span") if coords is None else None))
+    return [(key_str(k1), key_str(k2), law) for law, (k1, k2), _ in skew] + bad
 
 
 @lru_cache(maxsize=None)

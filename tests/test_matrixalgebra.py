@@ -269,6 +269,107 @@ def test_combine_matrices_matches_entrywise_reference(terms):
 
 
 # ---------------------------------------------------------------------------
+# graded antisymmetry of the image brackets, which lets the homomorphism
+# check bracket each unordered pair once
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(graded_matrices(), graded_matrices())
+def test_superbracket_is_graded_antisymmetric(xp, yp):
+    (x, p1), (y, p2) = xp, yp
+    assert y.superbracket(x) == x.superbracket(y).scale(-(-1) ** (p1 * p2))
+    assert x.superbracket(y, (p1, p2)) == x.superbracket(y)
+
+
+@st.composite
+def semidirect_operands(draw):
+    """A twist, and two homogeneous elements of its semidirect data: an
+    even one (sl2 and gl1 parts) or an odd one (a tower vector)."""
+    n = draw(st.sampled_from([2, 3, -2, -4]))
+    sd = msa.GnSemidirect(n)
+    items = []
+    for _ in range(2):
+        if draw(st.booleans()):
+            a, b, c, g = (draw(small_scalars) for _ in range(4))
+            items.append(msa.SemidirectElement(
+                msa.Matrix([[a, b], [c, -a]]), g, (ZERO,) * sd.rank))
+        else:
+            vector = [draw(small_scalars) for _ in range(sd.rank)]
+            items.append(msa.SemidirectElement(msa.Matrix.zero(2), ZERO, vector))
+    return sd, items[0], items[1]
+
+
+def negated(x):
+    return msa.SemidirectElement(-x.mat, -x.gl1, [-c for c in x.vector])
+
+
+@settings(max_examples=60, deadline=None)
+@given(semidirect_operands())
+def test_semidirect_bracket_is_graded_antisymmetric(case):
+    # even-even and even-odd pairs flip sign; odd-odd brackets vanish
+    sd, x, y = case
+    assert sd.bracket(y, x) == negated(sd.bracket(x, y))
+
+
+def ordered_mismatches(pairs):
+    """`verify_table`'s mismatch list the way it ran before: every ordered
+    pair of the table bracketed on both sides."""
+    basis = [e for e, _ in pairs]
+    images = [m for _, m in pairs]
+    span = ns.Span(basis)
+    out = []
+    for i, u in enumerate(basis):
+        for j, v in enumerate(basis):
+            target = ns.bracket(u, v)
+            coords = span.coordinates(target)
+            if target.central_coefficient():
+                expected, got = "no central term", repr(target)
+            elif coords is None:
+                expected, got = "bracket inside the span", repr(target)
+            else:
+                want = msa._combine_matrices(images, coords)
+                have = images[i].superbracket(images[j])
+                if want == have:
+                    continue
+                expected, got = repr(want), repr(have)
+            out.append({"pair": (i, j), "expected": expected, "got": got})
+    return out
+
+
+@st.composite
+def table_entry_mutants(draw):
+    """A table with one entry of one image changed inside its own block
+    parity, so the image stays homogeneous."""
+    table = draw(st.sampled_from(
+        [msa.osp_table(), msa.p_table(+1), msa.p_table(-1)]))
+    idx = draw(st.integers(0, len(table) - 1))
+    parity = table[idx][1].block_parity()
+    i, j = draw(st.sampled_from([(i, j) for i in range(4) for j in range(4)
+                                 if ((i < 2) != (j < 2)) == parity]))
+    return with_entry(table, idx, i, j, draw(small_scalars))
+
+
+@settings(max_examples=40, deadline=None)
+@given(table_entry_mutants())
+def test_table_mismatches_match_the_ordered_loop(table):
+    assert msa.verify_table(table)["mismatches"] == ordered_mismatches(table)
+
+
+def test_tables_bracket_each_unordered_pair_once(monkeypatch):
+    calls = []
+    superbracket = msa.Matrix.superbracket
+
+    def counting(x, y, parities=None):
+        calls.append(parities)
+        return superbracket(x, y, parities)
+
+    monkeypatch.setattr(msa.Matrix, "superbracket", counting)
+    assert msa.verify_table(msa.osp_table())["mismatches"] == []
+    assert len(calls) == 8 * 9 // 2 and None not in calls
+
+
+# ---------------------------------------------------------------------------
 # a one-entry fault in a table is itemized, and each mismatch list is pinned
 # ---------------------------------------------------------------------------
 

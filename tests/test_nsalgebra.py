@@ -367,3 +367,140 @@ class TestFlows:
         series = ns.exp_coefficient_series(Fraction(1, 2), 4)
         assert series[2] == grat(Fraction(1, 8))
         assert series[3] == grat(Fraction(1, 48))
+
+
+# ---------------------------------------------------------------------------
+# the pair and multiset reductions cannot hide a failure
+# ---------------------------------------------------------------------------
+
+BASIS_BRACKET = ns._basis_bracket
+
+
+def with_constant(k1, k2, key, delta):
+    """`_basis_bracket` with delta added to the key coefficient of the
+    ordered structure constant [k1, k2] only."""
+    def mutant(a, b):
+        out = BASIS_BRACKET(a, b)
+        if (a, b) == (k1, k2):
+            out = dict(out)
+            out[key] = out.get(key, ZERO) + delta
+        return out
+    return mutant
+
+
+def ordered_verdict(band):
+    """The laws of `jacobi_check` and `representation_check`, evaluated on
+    every ordered pair and triple of the band: True when all hold."""
+    elements = [e(k) for k in ns.band_symbols(band)]
+    for u in elements:
+        for v in elements:
+            sign = (-1) ** (u.parity() * v.parity())
+            if ns.bracket(u, v) + ns.bracket(v, u).scale(sign):
+                return False
+            if any(not piece.is_zero()
+                   for piece in ns.representation_defect(u, v)):
+                return False
+            if any(ns.jacobi_defect(u, v, w) for w in elements):
+                return False
+    return True
+
+
+def ordered_closure_violations(span):
+    """`closure_violations` the way it ran before: every ordered pair."""
+    bad = []
+    for i, u in enumerate(span.basis):
+        for j, v in enumerate(span.basis):
+            product = ns.bracket(u, v)
+            if product.central_coefficient():
+                bad.append((i, j, "central term"))
+            elif span.coordinates(product) is None:
+                bad.append((i, j, "outside span"))
+    return bad
+
+
+def test_broken_antisymmetry_fails_every_reduced_suite(monkeypatch):
+    from supersphere.campaign import CampaignConfig, run_campaign
+    # [L(1), L(-1)] = 3 L(0), while [L(-1), L(1)] stays -2 L(0)
+    monkeypatch.setattr(ns, "_basis_bracket",
+                        with_constant(ns.L(1), ns.L(-1), ns.L(0), grat(1)))
+    cfg = CampaignConfig(generators=4, band=1, flow_order=3,
+                         n_range=(-1, 0, 1), samples=2, seed=99)
+    named = ["L(-1)", "L(1)"]
+    for cid in ("ns.jacobi", "ns.representation"):
+        record = run_campaign(cfg, only=cid)["checks"][0]
+        assert record["status"] == "fail"
+        skew = [f for f in record["failures"]
+                if f["law"] == "graded antisymmetry"]
+        assert [f["counterexample"]["keys"] for f in skew] == [named]
+    record = run_campaign(cfg, only="ns.subalgebras")["checks"][0]
+    assert record["status"] == "fail"
+    closure = [f for f in record["failures"] if f["law"].startswith("closure")]
+    assert closure and all(
+        f["counterexample"]["pairs"][0] == (*named, "graded antisymmetry")
+        for f in closure)
+
+
+def test_doubled_virasoro_central_term_still_fails_jacobi(monkeypatch):
+    def doubled(k1, k2):
+        out = BASIS_BRACKET(k1, k2)
+        if k1[0] == k2[0] == "L" and ns.CENTRAL in out:
+            out = {**out, ns.CENTRAL: out[ns.CENTRAL] * 2}
+        return out
+
+    monkeypatch.setattr(ns, "_basis_bracket", doubled)
+    violations = ns.jacobi_check(3)
+    # antisymmetry holds, so the 84 ordered violations fold into 14 multisets
+    assert len(violations) == 14
+    assert {law for law, _, _ in violations} == {"super-Jacobi identity"}
+    assert ns.representation_check(1) == []
+
+
+symbols_one = ns.band_symbols(1)
+
+
+@st.composite
+def single_constant_mutants(draw):
+    k1 = draw(st.sampled_from(symbols_one))
+    k2 = draw(st.sampled_from(symbols_one))
+    keys = sorted(BASIS_BRACKET(k1, k2), key=ns.key_str)
+    key = draw(st.sampled_from(keys + [ns.CENTRAL, ns.L(0), ns.Gp(1)]))
+    delta = draw(st.sampled_from(
+        [grat(1), grat(-1), grat(Fraction(1, 2)), grat(0, 1)]))
+    return k1, k2, key, delta
+
+
+@settings(max_examples=40, deadline=None)
+@given(single_constant_mutants())
+def test_reduced_checks_agree_with_the_ordered_loop(mutant):
+    # The loop without its antisymmetry law passes four band-1 mutants that
+    # add a central term to one order only, such as [J(1), J(1)] = d; the
+    # reduced checks fail them through that law.
+    from unittest import mock
+    with mock.patch.object(ns, "_basis_bracket", with_constant(*mutant)):
+        reduced = not ns.jacobi_check(1) and not ns.representation_check(1)
+        assert reduced == ordered_verdict(1)
+
+
+def test_closure_items_match_the_ordered_loop():
+    # twist bases without one even element leave the span on both orders
+    # of some pairs; a whole basis closes
+    for n, drop, closed in ((0, 2, False), (3, 1, False), (-2, None, True)):
+        basis = [x for i, x in enumerate(ns.subalgebra_basis(n)) if i != drop]
+        span = ns.Span(basis)
+        bad = ns.closure_violations(span)
+        assert bad == ordered_closure_violations(span)
+        assert (bad == []) == closed
+
+
+def test_pair_brackets_bracket_each_unordered_pair_once(monkeypatch):
+    calls = []
+    bracket = ns.bracket
+
+    def counting(u, v):
+        calls.append((u, v))
+        return bracket(u, v)
+
+    monkeypatch.setattr(ns, "bracket", counting)
+    size = len(ns.subalgebra_basis(2))
+    assert ns.closure_violations(ns.Span(ns.subalgebra_basis(2))) == []
+    assert len(calls) == size * (size + 1) // 2

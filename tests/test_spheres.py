@@ -398,6 +398,51 @@ def test_family_pair_builds_and_checks_each_member_once(n, monkeypatch):
     assert calls == {"build_map": 5, "check": 5}
 
 
+def count_family_calls(monkeypatch):
+    """Counters of `validate_map` and `SphereAutomorphism.compose` calls."""
+    calls = {"validate_map": 0, "compose": 0}
+    validate, compose = spheres.validate_map, SphereAutomorphism.compose
+
+    def counting_validate(m, n):
+        calls["validate_map"] += 1
+        return validate(m, n)
+
+    def counting_compose(self, other):
+        calls["compose"] += 1
+        return compose(self, other)
+
+    monkeypatch.setattr(spheres, "validate_map", counting_validate)
+    monkeypatch.setattr(SphereAutomorphism, "compose", counting_compose)
+    return calls
+
+
+@pytest.mark.parametrize("n", [-3, 2])
+def test_translation_laws_compose_maps_and_recover_once(n, monkeypatch):
+    # the add and commute laws compare maps; only the conjugate is recovered
+    from supersphere.campaign import CampaignConfig, registry
+    cfg = CampaignConfig(generators=6, samples=3, n_range=(n,), seed=5)
+    calls = count_family_calls(monkeypatch)
+    _, suite = registry(cfg)[f"spheres.translations.n={n}"]
+    outcome = suite(cfg, random.Random(1))
+    assert outcome.status == "pass"
+    assert calls == {"validate_map": cfg.samples, "compose": 0}
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_closure_inverse_law_recovers_only_the_inverse(n, monkeypatch):
+    # one recovery per drawn pair's composite, two for the canonical
+    # recovery law, one in T.invert() and, for |n| >= 2, one for the
+    # forged shape; the inverse law composes maps
+    from supersphere.campaign import CampaignConfig, registry
+    cfg = CampaignConfig(generators=6, samples=2, n_range=(n,), seed=5)
+    calls = count_family_calls(monkeypatch)
+    _, suite = registry(cfg)[f"spheres.closure.n={n}"]
+    outcome = suite(cfg, random.Random(1))
+    assert outcome.status == "pass"
+    assert calls == {"validate_map": cfg.samples + 3 + (abs(n) >= 2),
+                     "compose": cfg.samples}
+
+
 class TestGroupLaw:
     def test_compose_with_inverse(self):
         s = Sampler(random.Random(11), L)
