@@ -17,6 +17,7 @@ from supersphere.campaign import (
     run_campaign,
 )
 from supersphere.cli import main, parse_n_range
+from supersphere.grassmann import Supernumber
 from supersphere.randgen import Sampler
 from supersphere.superconformal import SuperconformalMap
 
@@ -227,6 +228,31 @@ def test_recovery_is_canonical_rebuilds_the_recovered_params(monkeypatch):
     assert record["status"] == "fail"
     assert [f["law"] for f in record["failures"]] == [
         "parameter recovery is canonical"]
+
+
+def test_conjugate_outside_the_family_fails_its_law_with_operands(
+        monkeypatch):
+    """The conjugate of a translation is the one map the translations
+    suite recovers; a NotInFamily there fails the conjugation law with u
+    and alpha's entries, and the suite does not end in error."""
+    def reject(m, n):
+        raise spheres.NotInFamily("rejected for the test")
+
+    monkeypatch.setattr(spheres, "validate_map", reject)
+    cfg = tiny_config(generators=6, n_range=(2,))
+    record = run_campaign(cfg, only="spheres.translations.n=2")["checks"][0]
+    assert record["status"] == "fail"
+    assert len(record["failures"]) == cfg.samples
+    for failure in record["failures"]:
+        assert failure["law"] == "conjugation acts by the polynomial transform"
+        example = failure["counterexample"]
+        assert example["error"] == "rejected for the test"
+        assert len(example["u"]) == 4
+        alpha = {k: textio.supernumber_from_json(v, cfg.generators)
+                 for k, v in example["alpha"].items()}
+        assert sorted(alpha) == ["a", "b", "c", "d", "eps"]
+        assert alpha["a"] * alpha["d"] - alpha["b"] * alpha["c"] == \
+            Supernumber.one(cfg.generators)
 
 
 def test_dependent_twist_basis_fails_solvability(monkeypatch):
