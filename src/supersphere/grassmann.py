@@ -28,7 +28,9 @@ from .scalars import (
     ONE,
     SCALAR_TYPES,
     ZERO,
+    add_terms,
     grat,
+    power,
     reduce_triples,
     triples,
 )
@@ -252,18 +254,7 @@ class Supernumber:
                 return NotImplemented
             return self + Supernumber.scalar(self.L, other)
         self._check(other)
-        terms = dict(self.terms)
-        for mask, coeff in other.terms.items():
-            s = terms.get(mask)
-            if s is None:
-                terms[mask] = coeff
-            else:
-                s = s + coeff
-                if s:
-                    terms[mask] = s
-                else:
-                    del terms[mask]
-        return Supernumber._make(self.L, terms)
+        return Supernumber._make(self.L, add_terms(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -306,34 +297,32 @@ class Supernumber:
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = Supernumber.one(self.L)
-        for _ in range(n):
-            out = out * self
-            if not out.terms:
-                break
-        return out
+        return power(self.inverse() if n < 0 else self, abs(n),
+                     lambda: Supernumber.one(self.L))
 
     def inverse(self):
         """Two-sided inverse, defined exactly when the body is nonzero.
 
-        1/(b + s) = sum_n (-1)**n s**n / b**(n+1); the series terminates
-        because the soul is nilpotent.
+        1/(b + s) = sum_n (-1)**n s**n / b**(n+1).
         """
-        body, soul = self.body_soul()
+        body = self.body()
         if not body:
             raise NotInvertible("supernumber with zero body has no inverse")
         inv_b = body.inverse()
-        out = Supernumber.scalar(self.L, inv_b)
-        power = Supernumber.one(self.L)
-        coeff = inv_b
-        for _ in range(self.L):
-            power = power * soul
-            if power.is_zero():
-                break
-            coeff = -coeff * inv_b
-            out = out + power.scale(coeff)
+        return self.soul_series(inv_b, lambda k: -inv_b)
+
+    def soul_series(self, c0, ratio):
+        """sum_k c_k s**k for the soul s, c_k = c_(k-1) ratio(k), up to the
+        first zero power of s: the soul is nilpotent, so the sum is finite."""
+        soul = term = self.soul()
+        out = Supernumber.scalar(self.L, c0)
+        coeff = c0
+        k = 1
+        while term.terms:
+            coeff = coeff * ratio(k)
+            out = out + term.scale(coeff)
+            term = term * soul
+            k += 1
         return out
 
     def __truediv__(self, other):

@@ -40,7 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import ONE, ZERO, dot, gauss_jordan, grat
+from .scalars import ONE, ZERO, add_terms, dot, gauss_jordan, grat
 from .grassmann import Supernumber
 from .superfield import SuperPolynomial, THETA_MINUS, THETA_PLUS
 
@@ -118,10 +118,7 @@ class NSElement:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            terms[key] = terms[key] + c if key in terms else c
-        return NSElement(terms)
+        return NSElement(add_terms(self.terms, other.terms))
 
     def __neg__(self):
         return NSElement({k: -c for k, c in self.terms.items()})
@@ -535,12 +532,12 @@ def pair_brackets(span, flag):
 
 
 def closure_violations(span):
-    """(i, j, reason) for each bracket pair of span's basis that leaves the
-    span, after (k1, k2, law) for each symbol pair breaking antisymmetry."""
-    skew, bad = pair_brackets(span, lambda i, j, product, coords: (
+    """(skew, bad): the `graded_pairs` violations of span's basis, and
+    (i, j, reason) for each bracket pair that leaves the span or carries a
+    central term."""
+    return pair_brackets(span, lambda i, j, product, coords: (
         (i, j, "central term") if product.central_coefficient()
         else (i, j, "outside span") if coords is None else None))
-    return [(key_str(k1), key_str(k2), law) for law, (k1, k2), _ in skew] + bad
 
 
 @lru_cache(maxsize=None)

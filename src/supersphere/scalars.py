@@ -11,7 +11,8 @@ compares the integer triple, and each field operation costs one integer
 gcd.  Sums of products (Grassmann and polynomial products, matrix
 entries) are instead accumulated as unreduced triples and reduced once
 per output coefficient (`triples`, `add_triple`, `reduce_triples`,
-`dot`).  `gauss_jordan` is the one row reduction of scalar matrices.
+`dot`).  `gauss_jordan` is the one row reduction of scalar matrices, and
+`add_terms` and `power` are the one sparse sum and power of every layer.
 The real and imaginary parts are available as fractions.Fraction
 through the `re` and `im` properties.
 """
@@ -215,16 +216,7 @@ class GaussianRational:
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self.inverse() if n < 0 else self, abs(n), lambda: ONE)
 
     def sqrt(self):
         """Exact square root in Q(i), or raise NotASquare.
@@ -313,6 +305,36 @@ def add_triple(acc, key, a, b, d):
         s[0] = s[0] * f + a * e
         s[1] = s[1] * f + b * e
         s[2] = sd * f
+
+
+def add_terms(left, right):
+    """left + right for sparse {key: coefficient} dicts, zeros dropped."""
+    out = dict(left)
+    for key, c in right.items():
+        s = out.get(key)
+        if s is None:
+            out[key] = c
+        else:
+            s = s + c
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    return out
+
+
+def power(base, n, one):
+    """base**n for an integer n >= 0, one factor at a time (squaring would
+    square large superpolynomials), ending at a zero power of a nilpotent;
+    one() makes the unit for n = 0."""
+    if n < 0:
+        raise ValueError("a negative power needs an inverse")
+    out = base if n else one()
+    for _ in range(n - 1):
+        out = out * base
+        if not out:
+            break
+    return out
 
 
 def reduce_triples(acc):

@@ -92,19 +92,10 @@ def transition_inverse(n, L):
 
 def invsqrt_one_plus_soul(x):
     """(1 + s)**(-1/2) for an even supernumber with body one, exactly."""
-    body, soul = x.body_soul()
-    if body != ONE:
+    if x.body() != ONE:
         raise InvalidParams("inverse square root needs body exactly one")
-    out = Supernumber.one(x.L)
-    power = Supernumber.one(x.L)
-    coeff = grat(1)
-    for k in range(1, x.L // 2 + 2):
-        power = power * soul
-        if power.is_zero():
-            break
-        coeff = coeff * grat(-2 * k + 1) / grat(2 * k)
-        out = out + power.scale(coeff)
-    return out
+    # the binomial series: c_k = c_(k-1) (1 - 2k) / (2k)
+    return x.soul_series(ONE, lambda k: grat(1 - 2 * k) / (2 * k))
 
 
 def normalize_determinant(a, b, c, d):

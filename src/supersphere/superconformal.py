@@ -365,9 +365,7 @@ def _check_coefficient_bound(m):
 def _scalar_part(F):
     """The scalar body rational function of a theta-free component."""
     body = F.num.body_scalar_poly()
-    num = SuperPolynomial(
-        F.L, F.n_odd, {(k, 0): Supernumber.scalar(F.L, c) for k, c in body.items()}
-    )
+    num = SuperPolynomial(F.L, F.n_odd, {(k, 0): c for k, c in body.items()})
     return RationalSuperfunction(num, F.den)
 
 

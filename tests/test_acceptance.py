@@ -176,7 +176,7 @@ def test_criterion_07_algebra_consistency():
 def test_criterion_08_subalgebras():
     for n in range(-6, 7):
         basis = ns.subalgebra_basis(n)
-        assert ns.closure_violations(ns.Span(basis)) == []
+        assert ns.closure_violations(ns.Span(basis)) == ([], [])
         even, odd = ns.subalgebra_dimensions(n)
         assert even == 4
         assert odd == (4 if abs(n) <= 2 else abs(n) + 2)

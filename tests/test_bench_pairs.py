@@ -69,6 +69,35 @@ def test_summarise_feeds_the_verdict():
     assert not verdict["met"]  # 3 wins of 4 is below ceil(0.9 * 4) = 4
 
 
+def _row(parent_runs, change_runs, bound=0.25, better="lower"):
+    metric = {"name": "m", "better": better, "bound": bound}
+    pairs = [{"parent": {"m": p, "failed": 0, "attempted": 1},
+              "change": {"m": c, "failed": 0, "attempted": 1}}
+             for p, c in zip(parent_runs, change_runs)]
+    return bench_pairs.summarise(pairs, [metric])["m"]
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved():
+    # parent median 1.0 and quartile distance 0.1
+    parent = [0.9, 0.95, 1.0, 1.05, 1.1]
+    level = [1.1, 0.9, 1.05, 0.95, 1.0]
+    row = _row(parent, level)
+    assert row["within_bound"] and row["resolved"]
+    # under a 5% bound the same spread hides the bound
+    row = _row(parent, level, bound=0.05)
+    assert row["within_bound"] and not row["resolved"]
+    # unless every change run beats every parent run
+    assert _row(parent, [0.8, 0.85, 0.7, 0.75, 0.8], bound=0.05)["resolved"]
+    # 0.9 ties the best parent run, and a tie is no win
+    assert not _row(parent, [0.8, 0.85, 0.9, 0.75, 0.8],
+                    bound=0.05)["resolved"]
+    # a higher-is-better metric wins upwards
+    assert _row(parent, [p + 1 for p in parent], bound=0.05,
+                better="higher")["resolved"]
+    assert not _row(parent, [p - 1 for p in parent], bound=0.05,
+                    better="higher")["resolved"]
+
+
 @pytest.mark.parametrize("claim", [
     "closure:wall",        # a metric typo
     "closure",             # no metric

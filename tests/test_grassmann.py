@@ -13,6 +13,7 @@ from supersphere.grassmann import (
 )
 from supersphere.matrixalgebra import Matrix
 from supersphere.scalars import GaussianRational, grat
+from supersphere.spheres import invsqrt_one_plus_soul
 from supersphere.superfield import ScalarPoly, SuperPolynomial
 
 L = 6
@@ -146,11 +147,53 @@ def test_nilpotency_and_inverse(x):
     assert (x.soul() ** (L + 1)).is_zero()
     if x.body():
         inv = x.inverse()
+        assert inv == reference_inverse(x)
         assert x * inv == Supernumber.one(L)
         assert inv * x == Supernumber.one(L)
     else:
         with pytest.raises(NotInvertible):
             x.inverse()
+
+
+def reference_inverse(x):
+    """The geometric series of `Supernumber.inverse` as its own loop."""
+    body, soul = x.body_soul()
+    inv_b = body.inverse()
+    out = Supernumber.scalar(x.L, inv_b)
+    power = Supernumber.one(x.L)
+    coeff = inv_b
+    for _ in range(x.L):
+        power = power * soul
+        if power.is_zero():
+            break
+        coeff = -coeff * inv_b
+        out = out + power.scale(coeff)
+    return out
+
+
+def reference_invsqrt(x):
+    """The binomial series of `spheres.invsqrt_one_plus_soul` as its own loop."""
+    soul = x.soul()
+    out = Supernumber.one(x.L)
+    power = Supernumber.one(x.L)
+    coeff = grat(1)
+    for k in range(1, x.L // 2 + 2):
+        power = power * soul
+        if power.is_zero():
+            break
+        coeff = coeff * grat(-2 * k + 1) / grat(2 * k)
+        out = out + power.scale(coeff)
+    return out
+
+
+@settings(max_examples=60)
+@given(homogeneous(parity=0), coeffs)
+def test_soul_series_matches_the_reference_loops(x, body):
+    soul = x.soul()
+    if body:
+        assert (soul + body).inverse() == reference_inverse(soul + body)
+    one_plus = soul + 1
+    assert invsqrt_one_plus_soul(one_plus) == reference_invsqrt(one_plus)
 
 
 @settings(max_examples=40)

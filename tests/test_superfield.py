@@ -516,6 +516,11 @@ def test_left_operands_without_an_rsf_operator():
     for left, right in ((F, other), (other, F)):
         with pytest.raises(TypeError, match="unsupported operand type.s. for /"):
             left / right
+    # a string is no scalar operand of a product either
+    for left in (s, P, F):
+        for text in ("1/2", "abc"):
+            with pytest.raises(TypeError):
+                left * text
 
 
 def test_subtraction_is_one_normalisation(monkeypatch):
@@ -614,20 +619,56 @@ _NILPOTENT_POLY = SuperPolynomial(L, 2, {
 })
 
 
+# z[1]z[2] + z[3]z[4]: its square is 2 z[1]z[2]z[3]z[4], its cube zero
+_NILPOTENT_SOUL = Supernumber(L, {0b11: 1, 0b1100: 1})
+_ONES = {GaussianRational: grat(1), ScalarPoly: ScalarPoly.one(),
+         Supernumber: Supernumber.one(L), SuperPolynomial: SuperPolynomial.one(L)}
+
+
 @pytest.mark.parametrize("P", [
     _NILPOTENT_POLY,
     SuperPolynomial.zero(L),
     SuperPolynomial.one(L),
     Sampler(random.Random(61), L).superpoly(max_terms=3),
     Sampler(random.Random(62), L).superpoly(max_terms=2, z_span=(-2, 2)),
+    grat(Fraction(2, 3), -1),
+    grat(0),
+    ScalarPoly({0: grat(2, 1), 2: grat(-1)}),
+    ScalarPoly({0: 3, 1: 1}),  # z + 3 takes the same-root product
+    _NILPOTENT_SOUL,
+    Supernumber.scalar(L, 2) + _NILPOTENT_SOUL,
+    Sampler(random.Random(63), L).supernumber(),
 ])
 def test_superpolynomial_power_is_the_repeated_product(P):
-    product = SuperPolynomial.one(L)
+    """One power serves all four types; n = 0 gives the type's one."""
+    product = _ONES[type(P)]
     for n in range(5):
         assert P ** n == product, n
         product = product * P
-    if P is _NILPOTENT_POLY:
+    if P is _NILPOTENT_POLY or P is _NILPOTENT_SOUL:
         assert P ** 2 and not P ** 3
+    if isinstance(P, Supernumber) and P.body():
+        assert P ** -2 == (P * P).inverse()
+    if isinstance(P, (ScalarPoly, SuperPolynomial)):
+        with pytest.raises(ValueError):
+            P ** -1
+
+
+@pytest.mark.parametrize("x, y", [
+    (Supernumber(L, {0: 1, 0b101: grat(2, 1), 0b11: -3}),
+     Supernumber(L, {0b11: 3, 0b1000: 1})),
+    (ScalarPoly({0: 1, 2: grat(0, 1), 5: 7}), ScalarPoly({2: grat(0, -1), 1: 1})),
+    (Sampler(random.Random(64), L).superpoly(max_terms=4),
+     Sampler(random.Random(65), L).superpoly(max_terms=4)),
+])
+def test_a_sum_stores_no_zero_terms(x, y):
+    def stored(v):
+        return v.coeffs if isinstance(v, ScalarPoly) else v.terms
+
+    assert stored(x + (-x)) == {}
+    total = stored(x + y)
+    assert all(total.values())
+    assert stored((x + y) + (-x)) == stored(y)
 
 
 def test_adding_zero_normalises_nothing(monkeypatch):

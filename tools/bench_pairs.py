@@ -13,11 +13,14 @@ not committed yet, stage it and pass `--change "$(git stash create)"`.
 For each workload, pair k runs `perfbench/run.py --trace 0` on the k-th
 seed on both sides, the parent first in even pairs and the change first in
 odd ones.  The output records each side's `env` line per workload (runs
-differ only in the seed), every pair, and per end-to-end metric of BENCHMARK.json each side's median and quartiles
-(`statistics.quantiles`, inclusive), the number of pairs the change won
-(ties count for neither), the median gap in the better direction, the
-parent's quartile distance and whether the change's median stays within
-the metric's regression bound.  `--claim W:M` adds the verdict of the gain
+differ only in the seed), every pair, and per end-to-end metric of
+BENCHMARK.json each side's median and quartiles (`statistics.quantiles`,
+inclusive), the number of pairs the change won (ties count for neither),
+the median gap in the better direction, the parent's quartile distance,
+whether the change's median stays within the metric's regression bound,
+and whether that is resolved: it is not when the parent's quartile
+distance exceeds the bound times the parent's median, unless every change
+run beats every parent run.  `--claim W:M` adds the verdict of the gain
 rule: the change wins at least nine tenths of the pairs and the median gap
 exceeds the parent's quartile distance.  W must be one of the `--workload`
 values and M an end-to-end metric; any other claim stops before the first
@@ -101,9 +104,12 @@ def summarise(pairs, metrics):
     for metric in metrics:
         name = metric["name"]
         sign = 1 if metric["better"] == "lower" else -1
-        parent = quartiles([p["parent"][name] for p in pairs])
-        change = quartiles([p["change"][name] for p in pairs])
+        parent_runs = [p["parent"][name] for p in pairs]
+        change_runs = [p["change"][name] for p in pairs]
+        parent = quartiles(parent_runs)
+        change = quartiles(change_runs)
         gap = sign * (parent["median"] - change["median"])
+        iqr = parent["q3"] - parent["q1"]
         out[name] = {
             "parent": parent,
             "change": change,
@@ -112,9 +118,14 @@ def summarise(pairs, metrics):
                 sign * (p["parent"][name] - p["change"][name]) > 0
                 for p in pairs),
             "median_gap": gap,
-            "parent_iqr": parent["q3"] - parent["q1"],
+            "parent_iqr": iqr,
             "bound": metric["bound"],
             "within_bound": -gap <= metric["bound"] * parent["median"],
+            # a spread wider than the bound cannot show a regression within
+            # it, unless every change run beats every parent run
+            "resolved": (iqr <= metric["bound"] * parent["median"]
+                         or all(sign * (p - c) > 0 for p in parent_runs
+                                for c in change_runs)),
         }
     return out
 
