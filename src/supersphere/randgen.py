@@ -166,17 +166,9 @@ class Sampler:
         plus_len, minus_len = AutomorphismParams.psi_lengths(n)
         psi_plus = [self.odd(1, bound) for _ in range(plus_len)]
         psi_minus = [self.odd(1, bound) for _ in range(minus_len)]
-        if n == 0:
-            eps_plus = self.even_invertible(2, bound)
-            want = (Supernumber.one(self.L)
-                    - psi_plus[1] * psi_minus[0] - psi_minus[1] * psi_plus[0])
-            eps_minus = eps_plus.inverse() * want
-            return AutomorphismParams(0, a, b, c, d, eps_plus=eps_plus,
-                                      eps_minus=eps_minus,
-                                      psi_plus=psi_plus, psi_minus=psi_minus)
         return AutomorphismParams(n, a, b, c, d,
-                                  eps=self.even_invertible(2, bound),
-                                  psi_plus=psi_plus, psi_minus=psi_minus)
+                                  self.even_invertible(2, bound),
+                                  psi_plus, psi_minus)
 
     def matrix_group_element(self):
         a, b, c, d = self.moebius_supernumbers()

@@ -16,11 +16,14 @@ a parametrized family depending on the regime of n:
 * the Moebius part is always f = (a z + b)/(c z + d) with even a, b, c, d
   and a d - b c = 1 exactly;
 * for n = 0 both psi+ and psi- are degree-one over (c z + d), with two
-  invertible factors eps+- tied by eps+ eps- = 1 - psi1+ psi0- - psi1- psi0+;
-* for n = 1 psi+ is constant and psi- quadratic over (c z + d)^2, with a
-  single invertible eps;
+  invertible factors tied by eps+ eps- = 1 - psi1+ psi0- - psi1- psi0+;
+* for n = 1 psi+ is constant and psi- quadratic over (c z + d)^2;
 * for n >= 2 psi+ vanishes, psi- has degree n+1 over (c z + d)^(n+1), and
   g+- = (eps (c z + d)^n)^(+-1) / (c z + d).
+
+Every regime has one free invertible even factor eps: the short-side one
+for n != 0 (g+ carries eps, g- eps^(-1) for n > 0) and eps+ at n = 0.
+`AutomorphismParams.factors` derives the other factor from it.
 
 Parameters are recovered from a map exactly: the scalar Moebius part is
 normalized to determinant one (sign fixed by a deterministic tie-break;
@@ -136,23 +139,19 @@ class AutomorphismParams:
     """The regime-dependent parameter tuple of a sphere automorphism.
 
     psi_plus and psi_minus are coefficient lists indexed by z-degree; the
-    constant psi of the n = +-1 regimes sits in the length-one list.  For
-    n = 0 the two invertible factors are eps_plus and eps_minus; otherwise
-    a single eps is used, on the short side (see `sides`).
+    constant psi of the n = +-1 regimes sits in the length-one list.  eps
+    is the one free invertible factor, on the short side (see `sides`) and
+    on + at n = 0; `factors()` derives the other one.
     """
 
-    __slots__ = ("n", "L", "a", "b", "c", "d",
-                 "eps", "eps_plus", "eps_minus", "psi_plus", "psi_minus",
+    __slots__ = ("n", "L", "a", "b", "c", "d", "eps", "psi_plus", "psi_minus",
                  "_member")
 
-    def __init__(self, n, a, b, c, d, eps=None, eps_plus=None, eps_minus=None,
-                 psi_plus=(), psi_minus=()):
+    def __init__(self, n, a, b, c, d, eps, psi_plus=(), psi_minus=()):
         self.n = n
         self.L = a.L
         self.a, self.b, self.c, self.d = a, b, c, d
         self.eps = eps
-        self.eps_plus = eps_plus
-        self.eps_minus = eps_minus
         self.psi_plus = tuple(psi_plus)
         self.psi_minus = tuple(psi_minus)
         self.validate()
@@ -185,24 +184,19 @@ class AutomorphismParams:
                     raise InvalidParams(
                         f"{side}[{j}] must be odd with generators <= {bound}"
                     )
-        if self.n == 0:
-            if self.eps is not None or self.eps_plus is None or self.eps_minus is None:
-                raise InvalidParams("the n=0 regime uses eps_plus and eps_minus")
-            for name, v in (("eps+", self.eps_plus), ("eps-", self.eps_minus)):
-                if not (v.is_even() and v.body() and v.in_subalgebra(bound)):
-                    raise InvalidParams(f"{name} must be even and invertible")
-            pp, pm = self.psi_plus, self.psi_minus
-            want = Supernumber.one(self.L) - pp[1] * pm[0] - pm[1] * pp[0]
-            if self.eps_plus * self.eps_minus != want:
-                raise InvalidParams(
-                    "eps+ eps- must equal 1 - psi1+ psi0- - psi1- psi0+"
-                )
-        else:
-            if self.eps is None or self.eps_plus is not None or self.eps_minus is not None:
-                raise InvalidParams(f"the n={self.n} regime uses a single eps")
-            if not (self.eps.is_even() and self.eps.body()
-                    and self.eps.in_subalgebra(bound)):
-                raise InvalidParams("eps must be even and invertible")
+        if not (self.eps.is_even() and self.eps.body()
+                and self.eps.in_subalgebra(bound)):
+            raise InvalidParams("eps must be even and invertible")
+
+    def factors(self):
+        """(eps+, eps-): eps and the factor it fixes, eps^(-1) for n != 0
+        and eps^(-1) (1 - psi1+ psi0- - psi1- psi0+) at n = 0."""
+        other = self.eps.inverse()
+        if self.n:
+            return sides(self.n, self.eps, other)
+        pp, pm = self.psi_plus, self.psi_minus
+        return self.eps, other * (Supernumber.one(self.L)
+                                  - pp[1] * pm[0] - pm[1] * pp[0])
 
     @property
     def tower(self):
@@ -217,8 +211,6 @@ class AutomorphismParams:
             and (self.a, self.b, self.c, self.d)
             == (other.a, other.b, other.c, other.d)
             and self.eps == other.eps
-            and self.eps_plus == other.eps_plus
-            and self.eps_minus == other.eps_minus
             and self.psi_plus == other.psi_plus
             and self.psi_minus == other.psi_minus
         )
@@ -272,7 +264,7 @@ def build_map(p):
         psi_m = _linear(L, p.psi_minus[1], p.psi_minus[0]) * inv
         inv2 = inv ** 2
         g = {}
-        for sign, eps in ((+1, p.eps_plus), (-1, p.eps_minus)):
+        for sign, eps in zip((+1, -1), p.factors()):
             lead, const = _y_linear(sign, p.psi_plus, p.psi_minus, p.c, p.d)
             g[sign] = (czd.scale_left(eps)
                        + _linear(L, eps * lead, eps * const)) * inv2
@@ -465,14 +457,14 @@ def validate_map(m, n):
 
     psi comes from multiplying by powers of c z + d; eps is read at the
     regular point z0 of `recover_moebius`, with delta = c z0 + d, as
-    g_short(z0) delta^(1 - |n|) for |n| >= 2 and as
-    g+-(z0) delta^2 / (delta + y+-(z0)) for n = 0, where the linear y+-
-    is given by g+- = eps+- (c z + d + y+-) / (c z + d)^2.  Data that is no
+    g_short(z0) delta^(1 - |n|) for n != 0 and as
+    g+(z0) delta^2 / (delta + y+(z0)) for n = 0, where the linear y+ is
+    given by g+ = eps (c z + d + y+) / (c z + d)^2.  Data that is no
     parameter set is not in the family either.  The recovered parameters
     must rebuild the map exactly, which pins every shape the point values
-    miss.  The map must pass `check()` first, so once the rebuilt member
-    equals it, the returned parameters carry the map itself, which
-    `SphereAutomorphism.build` returns as it is.
+    miss, g- at n = 0 included.  The map must pass `check()` first, so
+    once the rebuilt member equals it, the returned parameters carry the
+    map itself, which `SphereAutomorphism.build` returns as it is.
     """
     report = m.check()
     if not report.ok:
@@ -486,16 +478,13 @@ def validate_map(m, n):
     if n == 0:
         pp0, pp1 = _as_coeff_list(m.psi_plus, czd, 1, 2, "psi+")
         pm0, pm1 = _as_coeff_list(m.psi_minus, czd, 1, 2, "psi-")
-        # before the eps reads: even psi can make delta + y+- a non-unit
+        # before the eps read: even psi can make delta + y+ a non-unit
         if not all(v.is_odd() for v in (pp0, pp1, pm0, pm1)):
             raise NotInFamily("psi coefficients must be odd")
-        eps = {}
-        for sign, g in ((+1, m.g_plus), (-1, m.g_minus)):
-            lead, const = _y_linear(sign, (pp0, pp1), (pm0, pm1), c, d)
-            eps[sign] = (_values_at(g, z0)[0] * delta * delta
-                         * (delta + lead.scale(z0) + const).inverse())
-        fields = dict(eps_plus=eps[+1], eps_minus=eps[-1],
-                      psi_plus=[pp0, pp1], psi_minus=[pm0, pm1])
+        psi_plus, psi_minus = [pp0, pp1], [pm0, pm1]
+        lead, const = _y_linear(+1, psi_plus, psi_minus, c, d)
+        eps = (_values_at(m.g_plus, z0)[0] * delta * delta
+               * (delta + lead.scale(z0) + const).inverse())
     else:
         k = abs(n)
         s_name, t_name = sides(n, "+", "-")
@@ -509,16 +498,10 @@ def validate_map(m, n):
                               f"{'>= 2' if n > 0 else '<= -2'}")
         tower = _as_coeff_list(psi_t, czd, k + 1, k + 2, f"psi{t_name}")
         g_s = sides(n, m.g_plus, m.g_minus)[0]
-        if k == 1:
-            eps = _constant_or_fail(g_s, f"g{s_name}")
-        else:
-            eps = _values_at(g_s, z0)[0] * delta ** (1 - k)
-            if not eps.body():
-                raise NotInFamily("eps must be invertible")
+        eps = _values_at(g_s, z0)[0] * delta ** (1 - k)
         psi_plus, psi_minus = sides(n, short, tower)
-        fields = dict(eps=eps, psi_plus=psi_plus, psi_minus=psi_minus)
     try:
-        params = AutomorphismParams(n, a, b, c, d, **fields)
+        params = AutomorphismParams(n, a, b, c, d, eps, psi_plus, psi_minus)
     except InvalidParams as exc:
         raise NotInFamily(f"recovered data is no parameter set: {exc}") from exc
 
@@ -663,14 +646,9 @@ def group_action(n, alpha):
     L = alpha.a.L
     plus_len, minus_len = AutomorphismParams.psi_lengths(n)
     zero = Supernumber.zero(L)
-    eps_plus, eps_minus = alpha.eps, alpha.eps.inverse()
-    if n == 0:
-        factors = {"eps_plus": eps_plus, "eps_minus": eps_minus}
-    else:
-        factors = {"eps": sides(n, eps_plus, eps_minus)[0]}
-    params = AutomorphismParams(n, alpha.a, alpha.b, alpha.c, alpha.d,
-                                psi_plus=[zero] * plus_len,
-                                psi_minus=[zero] * minus_len, **factors)
+    eps = alpha.eps if n >= 0 else alpha.eps.inverse()
+    params = AutomorphismParams(n, alpha.a, alpha.b, alpha.c, alpha.d, eps,
+                                [zero] * plus_len, [zero] * minus_len)
     return SphereAutomorphism.build(params)
 
 

@@ -128,15 +128,21 @@ class ScalarPoly:
         return hash(frozenset(self.coeffs.items()))
 
     def __add__(self, other):
+        if not isinstance(other, ScalarPoly):
+            return NotImplemented
         return ScalarPoly._make(add_terms(self.coeffs, other.coeffs))
 
     def __neg__(self):
         return ScalarPoly._make({k: -c for k, c in self.coeffs.items()})
 
     def __sub__(self, other):
+        if not isinstance(other, ScalarPoly):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
+        if not isinstance(other, ScalarPoly):
+            return NotImplemented
         if other.is_one():
             return self
         if self.is_one():

@@ -64,7 +64,7 @@ def parse_coefficient(text):
         return grat(1)
     try:
         return GaussianRational.parse(text)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad coefficient {text!r}") from exc
 
 
@@ -123,6 +123,8 @@ def parse_superpoly(text, L, n_odd=2):
                 depth -= ch == ")"
                 if depth == 0:
                     break
+            else:
+                raise ParseError(f"unclosed parenthesis in {term!r}")
             coeff = parse_supernumber(rest[1:i], L)
             tail = rest[i + 1:].lstrip("*").strip()
             if tail:
@@ -238,16 +240,11 @@ def map_from_json(data):
 
 
 def params_to_json(p):
-    def sn(x):
-        return None if x is None else supernumber_to_json(x)
-
     return {
         "n": p.n,
         "L": p.L,
-        "a": sn(p.a), "b": sn(p.b), "c": sn(p.c), "d": sn(p.d),
-        "eps": sn(p.eps),
-        "eps_plus": sn(p.eps_plus),
-        "eps_minus": sn(p.eps_minus),
+        **{name: supernumber_to_json(getattr(p, name))
+           for name in ("a", "b", "c", "d", "eps")},
         "psi_plus": [supernumber_to_json(x) for x in p.psi_plus],
         "psi_minus": [supernumber_to_json(x) for x in p.psi_minus],
     }
@@ -257,16 +254,10 @@ def params_from_json(data):
     from .spheres import AutomorphismParams
 
     L = data["L"]
-
-    def sn(entry):
-        return None if entry is None else supernumber_from_json(entry, L)
-
     return AutomorphismParams(
         data["n"],
-        sn(data["a"]), sn(data["b"]), sn(data["c"]), sn(data["d"]),
-        eps=sn(data["eps"]),
-        eps_plus=sn(data["eps_plus"]),
-        eps_minus=sn(data["eps_minus"]),
+        *(supernumber_from_json(data[name], L)
+          for name in ("a", "b", "c", "d", "eps")),
         psi_plus=[supernumber_from_json(x, L) for x in data["psi_plus"]],
         psi_minus=[supernumber_from_json(x, L) for x in data["psi_minus"]],
     )

@@ -22,13 +22,14 @@ hidden by `Supernumber.restrict`).  A class attribute other than a
 dunder must be read as an attribute somewhere or by name in its class.
 Dunders are used by the language and are skipped.
 
-Within a function, every plain local it assigns (`name = ...`) must be
-read somewhere in it, nested functions included.  Tuple-unpacking
-targets are exempt, since they name the parts they skip.
+The locals and imports rules below hold for every scanned file: `src/`,
+`tests/`, `perfbench/` and `tools/`.  Within a function, every plain
+local it assigns (`name = ...`) must be read somewhere in it, nested
+functions included.  Tuple-unpacking targets are exempt, since they name
+the parts they skip.
 
-Every name that a module in `src/` or `tests/` imports must be read in
-it, unless it comes from `__future__` or the module lists it in
-`__all__`.
+Every name that a module imports must be read in it, unless it comes
+from `__future__` or the module lists it in `__all__`.
 """
 
 import ast
@@ -37,7 +38,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "supersphere"
-SCANNED = ("src", "tests", "perfbench")
+SCANNED = ("src", "tests", "perfbench", "tools")
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -123,9 +124,12 @@ class _Uses:
                         self.classes.add((head.rpartition(".")[2], last))
 
 
+def _scanned_paths():
+    return [path for top in SCANNED for path in sorted((ROOT / top).rglob("*.py"))]
+
+
 def _scanned_trees():
-    return [ast.parse(path.read_text(), str(path))
-            for top in SCANNED for path in sorted((ROOT / top).rglob("*.py"))]
+    return [ast.parse(path.read_text(), str(path)) for path in _scanned_paths()]
 
 
 def _package_trees():
@@ -256,7 +260,7 @@ def unread_locals(tree):
 
 
 def test_every_assigned_local_is_read():
-    dead = [f"{path.stem}.{entry}" for path in sorted(PACKAGE.glob("*.py"))
+    dead = [f"{path.relative_to(ROOT)}: {entry}" for path in _scanned_paths()
             for entry in unread_locals(ast.parse(path.read_text(), str(path)))]
     assert dead == []
 
@@ -293,9 +297,7 @@ def unread_imports(tree):
 
 
 def test_every_imported_name_is_read():
-    unread = [f"{path.relative_to(ROOT)}: {name}"
-              for top in ("src", "tests")
-              for path in sorted((ROOT / top).rglob("*.py"))
+    unread = [f"{path.relative_to(ROOT)}: {name}" for path in _scanned_paths()
               for name in unread_imports(ast.parse(path.read_text(), str(path)))]
     assert unread == []
 

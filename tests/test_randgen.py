@@ -19,8 +19,10 @@ from supersphere.scalars import GaussianRational
 
 
 def _params_fields(p):
-    return (p.n, p.a, p.b, p.c, p.d, p.eps, p.eps_plus, p.eps_minus,
-            p.psi_plus, p.psi_minus)
+    # the pinned (eps, eps+, eps-) layout: (eps, None, None) for n != 0 and
+    # (None, eps+, eps-) at n = 0, whose eps- the sampler used to compute
+    eps = (None, *p.factors()) if p.n == 0 else (p.eps, None, None)
+    return (p.n, p.a, p.b, p.c, p.d, *eps, p.psi_plus, p.psi_minus)
 
 
 def _battery(seed, L):

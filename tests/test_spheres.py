@@ -22,6 +22,7 @@ from supersphere.spheres import (
     normalize_determinant,
     odd_translation,
     recover_moebius,
+    sides,
     to_north,
     transition,
     transition_inverse,
@@ -145,16 +146,31 @@ class TestBuild:
         eps_plus = one + gen(1) * gen(2)
         want = one - psi_plus[1] * psi_minus[0] - psi_minus[1] * psi_plus[0]
         eps_minus = eps_plus.inverse() * want
-        params = AutomorphismParams(0, one, zero, zero, one,
-                                    eps_plus=eps_plus, eps_minus=eps_minus,
+        params = AutomorphismParams(0, one, zero, zero, one, eps=eps_plus,
                                     psi_plus=psi_plus, psi_minus=psi_minus)
+        assert params.factors() == (eps_plus, eps_minus)
         assert SphereAutomorphism.build(params).southern.check().ok
 
     def test_zero_regime_eps_condition_enforced(self):
-        with pytest.raises(InvalidParams):
-            AutomorphismParams(0, one, zero, zero, one,
-                               eps_plus=one.scale(2), eps_minus=one,
+        # eps+ eps- is tied by construction; eps itself must be invertible
+        with pytest.raises(InvalidParams, match="eps must be even and invertible"):
+            AutomorphismParams(0, one, zero, zero, one, eps=gen(1) * gen(2),
                                psi_plus=[zero, zero], psi_minus=[zero, zero])
+
+    @pytest.mark.parametrize("n", range(-4, 5))
+    def test_factors_place_eps_and_derive_the_other(self, n):
+        s = Sampler(random.Random(300 + n), L)
+        for _ in range(3):
+            p = s.automorphism_params(n)
+            eps_plus, eps_minus = p.factors()
+            if n == 0:
+                pp, pm = p.psi_plus, p.psi_minus
+                assert eps_plus == p.eps
+                assert eps_plus * eps_minus == (
+                    one - pp[1] * pm[0] - pm[1] * pp[0])
+            else:
+                assert eps_plus * eps_minus == one
+                assert sides(n, eps_plus, eps_minus)[0] == p.eps
 
     def test_determinant_enforced(self):
         with pytest.raises(InvalidParams):
@@ -297,8 +313,7 @@ def test_point_recovery_matches_substitution_recovery(body, n):
     scalars, z0 = RECOVERY_BODIES[body]
     entries = [Supernumber.scalar(L, x) + s.soul(2, 0, L - 2) for x in scalars]
     p = s.automorphism_params(n)
-    fields = dict(eps=p.eps, eps_plus=p.eps_plus, eps_minus=p.eps_minus,
-                  psi_plus=p.psi_plus, psi_minus=p.psi_minus)
+    fields = dict(eps=p.eps, psi_plus=p.psi_plus, psi_minus=p.psi_minus)
     p = AutomorphismParams(n, *normalize_determinant(*entries), **fields)
     m = build_map(p)
     assert spheres._regular_point(m.f, grat(scalars[2]), grat(scalars[3])) == z0

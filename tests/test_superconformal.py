@@ -409,7 +409,6 @@ class TestInversion:
     def test_inverse_with_souls(self):
         s = Sampler(random.Random(19), L)
         for _ in range(6):
-            params_map = moebius_map(1, 0, 0, 1)
             zeta = RSF.from_constant(L, s.odd(1, L - 2))
             one = RSF.one(L)
             m = SuperconformalMap(RSF.z(L), one, one, zeta, RSF.zero(L))

@@ -96,6 +96,13 @@ class TestScalarPoly:
         assert monic == ScalarPoly({2: grat(1), 0: grat(-2)})
         assert p.eval_scalar(grat(3)) == grat(14)
 
+    def test_foreign_operands_raise_type_error(self):
+        p = ScalarPoly({1: grat(1), 0: grat(1)})
+        for op, apply in (("[+]", lambda: p + 1), ("-", lambda: p - 1),
+                          ("[*]", lambda: p * 2)):
+            with pytest.raises(TypeError, match=f"for {op}: 'ScalarPoly'"):
+                apply()
+
 
 class TestOddDerivatives:
     def test_left_derivative_convention(self):

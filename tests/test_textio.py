@@ -7,7 +7,7 @@ from supersphere import textio
 from supersphere.grassmann import Supernumber
 from supersphere.randgen import Sampler
 from supersphere.scalars import grat
-from supersphere.spheres import transition
+from supersphere.spheres import build_map, transition
 from supersphere.superfield import SuperPolynomial
 
 L = 6
@@ -82,10 +82,14 @@ def test_map_json_roundtrip():
 
 def test_params_json_roundtrip():
     s = Sampler(random.Random(13), L)
-    for n in (-3, 0, 1, 2):
+    for n in range(-4, 5):
         p = s.automorphism_params(n)
-        blob = json.dumps(textio.params_to_json(p))
-        assert textio.params_from_json(json.loads(blob)) == p
+        data = textio.params_to_json(p)
+        assert list(data) == ["n", "L", "a", "b", "c", "d", "eps",
+                              "psi_plus", "psi_minus"]
+        back = textio.params_from_json(json.loads(json.dumps(data)))
+        assert back == p
+        assert build_map(back) == build_map(p)
 
 
 def test_parse_errors():
@@ -93,3 +97,9 @@ def test_parse_errors():
         textio.parse_supernumber("3 + q[1]", L)
     with pytest.raises(textio.ParseError):
         textio.parse_superpoly("t+t+*(1)", L)
+    # a zero denominator and an unclosed parenthesis are outside the grammar
+    for parse, text in ((textio.parse_supernumber, "1/0"),
+                        (textio.parse_superpoly, "t-*(1/0)"),
+                        (textio.parse_superpoly, "(1")):
+        with pytest.raises(textio.ParseError):
+            parse(text, L)
