@@ -57,6 +57,7 @@ from .superfield import (
     ScalarPoly,
     SuperPolynomial,
     SuperfieldError,
+    Substitution,
 )
 from .superconformal import SuperconformalMap
 
@@ -361,14 +362,31 @@ def _regular_point(f, c0, d0):
     return z0
 
 
-def _values_at(F, z0):
-    """[F(z0), F'(z0), F''(z0)] for a theta-free F and an integer z0, by the
-    quotient rule on the values of numerator and denominator.  A pole at
-    z0 means F is no family component."""
-    d1 = F.den.derivative()
-    q0, q1, q2 = (p.eval_scalar(z0) for p in (F.den, d1, d1.derivative()))
+def _den_at(F, z0):
+    """den(F)(z0) for a theta-free F and an integer z0.  A pole at z0
+    means F is no family component."""
+    q0 = F.den.eval_scalar(z0)
     if not q0 or (not z0 and F.num.min_z() < 0):
         raise NotInFamily(f"a component has a pole at z = {z0}")
+    return q0
+
+
+def _value_at(F, z0):
+    """F(z0), as `_values_at` gives it, without the derivatives."""
+    r0 = _den_at(F, z0).inverse()
+    z = Fraction(z0)
+    out = Supernumber.zero(F.L)
+    for (k, _), coeff in F.num.terms.items():
+        out = out + coeff.scale(z ** k * r0)
+    return out
+
+
+def _values_at(F, z0):
+    """[F(z0), F'(z0), F''(z0)] for a theta-free F and an integer z0, by the
+    quotient rule on the values of numerator and denominator."""
+    q0 = _den_at(F, z0)
+    d1 = F.den.derivative()
+    q1, q2 = d1.eval_scalar(z0), d1.derivative().eval_scalar(z0)
     r0 = q0.inverse()  # 1/den and its derivatives at z0
     r1, r2 = -q1 * r0 * r0, (q1 * q1 * r0 * 2 - q2) * r0 * r0
     z = Fraction(z0)
@@ -483,7 +501,7 @@ def validate_map(m, n):
             raise NotInFamily("psi coefficients must be odd")
         psi_plus, psi_minus = [pp0, pp1], [pm0, pm1]
         lead, const = _y_linear(+1, psi_plus, psi_minus, c, d)
-        eps = (_values_at(m.g_plus, z0)[0] * delta * delta
+        eps = (_value_at(m.g_plus, z0) * delta * delta
                * (delta + lead.scale(z0) + const).inverse())
     else:
         k = abs(n)
@@ -498,7 +516,7 @@ def validate_map(m, n):
                               f"{'>= 2' if n > 0 else '<= -2'}")
         tower = _as_coeff_list(psi_t, czd, k + 1, k + 2, f"psi{t_name}")
         g_s = sides(n, m.g_plus, m.g_minus)[0]
-        eps = _values_at(g_s, z0)[0] * delta ** (1 - k)
+        eps = _value_at(g_s, z0) * delta ** (1 - k)
         psi_plus, psi_minus = sides(n, short, tower)
     try:
         params = AutomorphismParams(n, a, b, c, d, eps, psi_plus, psi_minus)
@@ -527,12 +545,9 @@ def northern_formula(T):
     m = T.southern
     n = T.n
     L = m.L
-    inv_z = RationalSuperfunction.z_power(L, -1)
-    f1 = m.f.substitute(inv_z)
-    psi_p1 = m.psi_plus.substitute(inv_z)
-    psi_m1 = m.psi_minus.substitute(inv_z)
-    g_p1 = m.g_plus.substitute(inv_z)
-    g_m1 = m.g_minus.substitute(inv_z)
+    at_inv_z = Substitution(RationalSuperfunction.z_power(L, -1))
+    f1, psi_p1, psi_m1, g_p1, g_m1 = map(
+        at_inv_z, (m.f, m.psi_plus, m.psi_minus, m.g_plus, m.g_minus))
     f1_inv = f1.inverse()
 
     def fpow(k):

@@ -30,41 +30,50 @@ class ParseError(ValueError):
 
 _GEN = re.compile(r"z\[(\d+)\]")
 _ZPOW = re.compile(r"z(?:\^(-?\d+))?$")
+_RATIONAL = r"\d+(?:/\d+)?"
+_COEFF = re.compile(rf"{_RATIONAL}i?|\([+-]?{_RATIONAL}(?:[+-]{_RATIONAL}i)?\)")
 
 
 def _split_terms(text):
-    """Split on top-level + and -, keeping signs."""
+    """Split on top-level + and -, keeping signs; each sign takes a term."""
     terms = []
     depth = 0
     current = []
-    sign = 1
+    sign = None  # the sign read for the term being collected, if any
     for ch in text:
         if ch in "([":
             depth += 1
         elif ch in ")]":
             depth -= 1
         # 't' guards the odd symbols t+ and t-; '^' guards z^-k exponents
-        if depth == 0 and ch in "+-" and current and current[-1] not in "eE^*/(t":
-            terms.append((sign, "".join(current).strip()))
+        if depth == 0 and ch in "+-" and current and current[-1] not in "^*/(t":
+            terms.append((sign or 1, "".join(current).strip()))
             sign = 1 if ch == "+" else -1
             current = []
             continue
-        if not current and ch in "+-" and depth == 0:
-            sign = 1 if ch == "+" else -1
-            continue
+        if not current and depth == 0:
+            if ch.isspace():
+                continue
+            if ch in "+-":
+                if sign is not None:
+                    raise ParseError(f"two signs in a row in {text!r}")
+                sign = 1 if ch == "+" else -1
+                continue
         current.append(ch)
-    if "".join(current).strip():
-        terms.append((sign, "".join(current).strip()))
+    if current:
+        terms.append((sign or 1, "".join(current).strip()))
+    elif sign is not None:
+        raise ParseError(f"sign without a term in {text!r}")
     return terms
 
 
 def parse_coefficient(text):
     text = text.strip()
-    if not text:
-        return grat(1)
+    if not _COEFF.fullmatch(text):
+        raise ParseError(f"bad coefficient {text!r}")
     try:
         return GaussianRational.parse(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
         raise ParseError(f"bad coefficient {text!r}") from exc
 
 
@@ -72,11 +81,11 @@ def parse_supernumber(text, L):
     """Parse the textual supernumber grammar over L generators."""
     out = Supernumber.zero(L)
     for sign, term in _split_terms(text):
-        if not term:
-            raise ParseError("empty term")
         if "*" in term:
             coeff_text, _, mono_text = term.partition("*")
             coeff = parse_coefficient(coeff_text)
+            if not mono_text.strip():
+                raise ParseError(f"no monomial after '*' in {term!r}")
         elif term.startswith("z["):
             coeff, mono_text = grat(1), term
         else:
@@ -91,7 +100,11 @@ def parse_supernumber(text, L):
             rest = rest[m.end():]
         if sign < 0:
             coeff = -coeff
-        out = out + Supernumber(L, {mask_from_labels(tuple(labels), L): coeff})
+        try:
+            mask = mask_from_labels(tuple(labels), L)
+        except ValueError as exc:
+            raise ParseError(f"bad generator monomial: {mono_text!r}") from exc
+        out = out + Supernumber(L, {mask: coeff})
     return out
 
 

@@ -177,6 +177,19 @@ def test_report_bytes_are_pinned():
         "be810c1185b48b39141a54bba28f329fa29caa9bb76623c03b00e95a3055960a"
     assert digest(run_campaign(cfg, only="spheres.closure.n=1")) == \
         "7c08615f3634cdfeba671e10ed621f16fa65ddbb7fb9ec784f5db1b6fa64b92e"
+    towers = tiny_config(generators=6, n_range=(-3, 2))
+    assert digest(run_campaign(towers, only="spheres.translations.n=2")) == \
+        "f40fa8d680e8f0f0184b171e05a24b617c9c0d649875e4d4408056c5121ce4ab"
+    assert digest(run_campaign(towers, only="spheres.translations.n=-3")) == \
+        "79743169e03d25686dbed540f214d33d8dde3686fed290f084e2b07a302651b4"
+
+
+def test_default_report_bytes_are_pinned():
+    """The bytes `supersphere --report` writes with no other flag: the
+    fingerprint that every behaviour-preserving change keeps."""
+    report = report_bytes(run_campaign(CampaignConfig()))
+    assert hashlib.sha256(report).hexdigest() == \
+        "f23cae9e69ec1a3e503d3b6a5306693bd6b8a11ce56fa69c6cf7dd4e2a6d3706"
 
 
 def test_closure_rebuilds_the_composite_from_its_json_params(monkeypatch):
@@ -230,29 +243,65 @@ def test_recovery_is_canonical_rebuilds_the_recovered_params(monkeypatch):
         "parameter recovery is canonical"]
 
 
-def test_conjugate_outside_the_family_fails_its_law_with_operands(
-        monkeypatch):
-    """The conjugate of a translation is the one map the translations
-    suite recovers; a NotInFamily there fails the conjugation law with u
-    and alpha's entries, and the suite does not end in error."""
-    def reject(m, n):
-        raise spheres.NotInFamily("rejected for the test")
-
-    monkeypatch.setattr(spheres, "validate_map", reject)
-    cfg = tiny_config(generators=6, n_range=(2,))
-    record = run_campaign(cfg, only="spheres.translations.n=2")["checks"][0]
+def conjugation_failures(cfg, n):
+    """The failures of spheres.translations.n=n, each checked to be the
+    conjugation law with u and alpha's five entries as operands."""
+    record = run_campaign(cfg, only=f"spheres.translations.n={n}")["checks"][0]
     assert record["status"] == "fail"
-    assert len(record["failures"]) == cfg.samples
     for failure in record["failures"]:
         assert failure["law"] == "conjugation acts by the polynomial transform"
         example = failure["counterexample"]
-        assert example["error"] == "rejected for the test"
-        assert len(example["u"]) == 4
+        assert len(example["u"]) == abs(n) + 2
         alpha = {k: textio.supernumber_from_json(v, cfg.generators)
                  for k, v in example["alpha"].items()}
         assert sorted(alpha) == ["a", "b", "c", "d", "eps"]
         assert alpha["a"] * alpha["d"] - alpha["b"] * alpha["c"] == \
             Supernumber.one(cfg.generators)
+    return record["failures"]
+
+
+@pytest.mark.parametrize("n", [2, -3])
+def test_wrong_conjugation_weight_fails_its_law_with_operands(n, monkeypatch):
+    """The law compares whole maps, so a predicted vector off by eps^2
+    fails every sample where that changes it.  It may not: with
+    eps = 1 + s, a soul s that kills every entry leaves the vector as it
+    is."""
+    predict = campaign.conjugated_translation_coeffs
+    changed = []
+
+    def off_by_eps_squared(n, alpha, coeffs):
+        w = predict(n, alpha, coeffs)
+        wrong = [alpha.eps * alpha.eps * x for x in w]
+        changed.append(wrong != w)
+        return wrong
+
+    monkeypatch.setattr(campaign, "conjugated_translation_coeffs",
+                        off_by_eps_squared)
+    cfg = tiny_config(generators=6, n_range=(n,))
+    failures = conjugation_failures(cfg, n)
+    assert len(changed) == cfg.samples
+    assert len(failures) == sum(changed) >= 1
+    assert not any("error" in f["counterexample"] for f in failures)
+
+
+def test_conjugate_outside_the_family_fails_its_law_with_operands(
+        monkeypatch):
+    """A predicted vector that is no translation vector (an even entry)
+    makes odd_translation raise InvalidParams; that fails the conjugation
+    law with an error operand, and the suite does not end in error."""
+    predict = campaign.conjugated_translation_coeffs
+
+    def with_even_entry(n, alpha, coeffs):
+        w = predict(n, alpha, coeffs)
+        return [Supernumber.one(alpha.a.L)] + w[1:]
+
+    monkeypatch.setattr(campaign, "conjugated_translation_coeffs",
+                        with_even_entry)
+    cfg = tiny_config(generators=6, n_range=(2,))
+    failures = conjugation_failures(cfg, 2)
+    assert len(failures) == cfg.samples
+    for failure in failures:
+        assert "must be odd" in failure["counterexample"]["error"]
 
 
 def test_dependent_twist_basis_fails_solvability(monkeypatch):

@@ -432,15 +432,25 @@ def count_family_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [-3, 2])
-def test_translation_laws_compose_maps_and_recover_once(n, monkeypatch):
-    # the add and commute laws compare maps; only the conjugate is recovered
+def test_translation_laws_neither_invert_nor_recover(n, monkeypatch):
+    # every law compares composed maps, the conjugation law included:
+    # act t(u) against t(w) act, with no inverse and no recovery
     from supersphere.campaign import CampaignConfig, registry
     cfg = CampaignConfig(generators=6, samples=3, n_range=(n,), seed=5)
     calls = count_family_calls(monkeypatch)
+    inverts = []
+    invert = SuperconformalMap.invert
+
+    def counting_invert(self):
+        inverts.append(self)
+        return invert(self)
+
+    monkeypatch.setattr(SuperconformalMap, "invert", counting_invert)
     _, suite = registry(cfg)[f"spheres.translations.n={n}"]
     outcome = suite(cfg, random.Random(1))
     assert outcome.status == "pass"
-    assert calls == {"validate_map": cfg.samples, "compose": 0}
+    assert calls == {"validate_map": 0, "compose": 0}
+    assert inverts == []
 
 
 @pytest.mark.parametrize("n", [0, 3])

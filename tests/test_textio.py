@@ -103,3 +103,8 @@ def test_parse_errors():
                         (textio.parse_superpoly, "(1")):
         with pytest.raises(textio.ParseError):
             parse(text, L)
+    # the README grammar has no exponents, doubled or bare signs, dangling
+    # '*' or generators outside 1..L in increasing order
+    for text in ("1e3", "--1", "+", "2*", "z[0]", "z[5]", "z[1]z[1]"):
+        with pytest.raises(textio.ParseError):
+            textio.parse_supernumber(text, 4)
