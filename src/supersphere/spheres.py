@@ -15,15 +15,16 @@ a parametrized family depending on the regime of n:
 
 * the Moebius part is always f = (a z + b)/(c z + d) with even a, b, c, d
   and a d - b c = 1 exactly;
-* for n = 0 both psi+ and psi- are degree-one over (c z + d), with two
-  invertible factors tied by eps+ eps- = 1 - psi1+ psi0- - psi1- psi0+;
-* for n = 1 psi+ is constant and psi- quadratic over (c z + d)^2;
+* for n = 0 both psi+ and psi- are degree-one over (c z + d), and
+  g+ = eps (c z + d + y+) / (c z + d)^2 with y+ linear in z (`_y_linear`);
+* for n = 1 psi+ is constant, psi- quadratic over (c z + d)^2 and g+ = eps;
 * for n >= 2 psi+ vanishes, psi- has degree n+1 over (c z + d)^(n+1), and
-  g+- = (eps (c z + d)^n)^(+-1) / (c z + d).
+  g+ = eps (c z + d)^(n-1).
 
-Every regime has one free invertible even factor eps: the short-side one
-for n != 0 (g+ carries eps, g- eps^(-1) for n > 0) and eps+ at n = 0.
-`AutomorphismParams.factors` derives the other factor from it.
+Every regime has one free invertible even factor eps, carried by the
+short-side g (g+ for n >= 0).  The tower-side g is not written out: the
+superconformal constraint fixes it from f, psi+- and the short-side g,
+and `superconformal.completing_g` computes it.
 
 Parameters are recovered from a map exactly: the scalar Moebius part is
 normalized to determinant one (sign fixed by a deterministic tie-break;
@@ -31,8 +32,8 @@ the two-fold ambiguity is precisely the double cover below), the soul
 corrections are read off values and derivatives at one regular point, and
 the regime shapes are pinned by rebuilding the map and comparing.
 Recovered parameters carry the map they were verified against, so
-building from them again neither rebuilds nor rechecks it; parameters a
-caller constructs are rebuilt and checked on every build.
+building from them again does not rebuild it; parameters a caller
+constructs are rebuilt on every build.
 
 The matrix group SL(2) x GL(1) over the even coefficient algebra acts by
 
@@ -59,7 +60,7 @@ from .superfield import (
     SuperfieldError,
     Substitution,
 )
-from .superconformal import SuperconformalMap
+from .superconformal import SuperconformalMap, completing_g
 
 
 class SphereError(SuperfieldError):
@@ -141,8 +142,8 @@ class AutomorphismParams:
 
     psi_plus and psi_minus are coefficient lists indexed by z-degree; the
     constant psi of the n = +-1 regimes sits in the length-one list.  eps
-    is the one free invertible factor, on the short side (see `sides`) and
-    on + at n = 0; `factors()` derives the other one.
+    is the one free invertible factor, carried by the short-side g (see
+    `sides`) and by g+ at n = 0; `build_map` completes the other g.
     """
 
     __slots__ = ("n", "L", "a", "b", "c", "d", "eps", "psi_plus", "psi_minus",
@@ -189,16 +190,6 @@ class AutomorphismParams:
                 and self.eps.in_subalgebra(bound)):
             raise InvalidParams("eps must be even and invertible")
 
-    def factors(self):
-        """(eps+, eps-): eps and the factor it fixes, eps^(-1) for n != 0
-        and eps^(-1) (1 - psi1+ psi0- - psi1- psi0+) at n = 0."""
-        other = self.eps.inverse()
-        if self.n:
-            return sides(self.n, self.eps, other)
-        pp, pm = self.psi_plus, self.psi_minus
-        return self.eps, other * (Supernumber.one(self.L)
-                                  - pp[1] * pm[0] - pm[1] * pp[0])
-
     @property
     def tower(self):
         """The psi coefficient list of degree |n| + 1, for n != 0."""
@@ -240,20 +231,21 @@ def _poly(L, coeffs):
     )
 
 
-def _y_linear(sign, psi_plus, psi_minus, c, d):
-    """(lead, const) of the linear y+- with g+- = eps+- (c z + d + y+-) /
+def _y_linear(psi_plus, psi_minus, c, d):
+    """(lead, const) of the linear y+ with g+ = eps (c z + d + y+) /
     (c z + d)^2 in the n = 0 regime, from the psi coefficient lists."""
     (pp0, pp1), (pm0, pm1) = psi_plus, psi_minus
-    s = grat(sign)
-    return ((pp1 * pm1 * d).scale(-s),
-            (pp0 * pm0 * c).scale(s) - ((pp1 * pm0 - pm1 * pp0) * d).scale(s)
+    return (-(pp1 * pm1 * d),
+            pp0 * pm0 * c - (pp1 * pm0 - pm1 * pp0) * d
             - pp1 * pm1 * pp0 * pm0 * d)
 
 
 def build_map(p):
     """The southern-chart superconformal map of the automorphism with
-    parameters p, assembled from the regime formulas; for n != 0 they
-    are written for n > 0 and `sides` places them for n < 0."""
+    parameters p.  Each regime writes f, psi+- and the short-side g (g+
+    at n = 0); for n != 0 they are written for n > 0 and `sides` places
+    them for n < 0.  The tower-side g is the superconformal completion
+    `completing_g`, so the map is superconformal by construction."""
     L = p.L
     n = p.n
     czd = _linear(L, p.c, p.d)
@@ -261,37 +253,24 @@ def build_map(p):
     f = _linear(L, p.a, p.b) * inv
 
     if n == 0:
-        psi_p = _linear(L, p.psi_plus[1], p.psi_plus[0]) * inv
-        psi_m = _linear(L, p.psi_minus[1], p.psi_minus[0]) * inv
-        inv2 = inv ** 2
-        g = {}
-        for sign, eps in zip((+1, -1), p.factors()):
-            lead, const = _y_linear(sign, p.psi_plus, p.psi_minus, p.c, p.d)
-            g[sign] = (czd.scale_left(eps)
-                       + _linear(L, eps * lead, eps * const)) * inv2
-        return SuperconformalMap(f, g[+1], g[-1], psi_p, psi_m)
+        psi_plus = _linear(L, p.psi_plus[1], p.psi_plus[0]) * inv
+        psi_minus = _linear(L, p.psi_minus[1], p.psi_minus[0]) * inv
+        lead, const = _y_linear(p.psi_plus, p.psi_minus, p.c, p.d)
+        g_plus = _linear(L, p.c + lead, p.d + const).scale_left(p.eps) * inv ** 2
+        g_minus = completing_g(f, g_plus, psi_plus, psi_minus)
+        return SuperconformalMap(f, g_plus, g_minus, psi_plus, psi_minus)
 
     k = abs(n)
     short, tower = sides(n, p.psi_plus, p.psi_minus)
     if k == 1:
         psi_s = RationalSuperfunction.from_constant(L, short[0])
-        psi_t = _poly(L, tower) * inv ** 2
         g_s = RationalSuperfunction.from_constant(L, p.eps)
-        t0, t1, t2 = tower
-        corr = _poly(L, [
-            short[0] * (t1 * p.d - t0 * p.c.scale(2)),
-            short[0] * (t2 * p.d.scale(2) - t1 * p.c),
-        ])
-        g_t = (czd + corr).scale_left(p.eps.inverse()) * inv ** 3
     else:
         psi_s = RationalSuperfunction.zero(L)
-        inv_t = inv ** (k + 1)
-        psi_t = _poly(L, tower) * inv_t
         g_s = (czd ** (k - 1)).scale_left(p.eps)
-        g_t = inv_t.scale_left(p.eps.inverse())
-    g_plus, g_minus = sides(n, g_s, g_t)
-    psi_plus, psi_minus = sides(n, psi_s, psi_t)
-    return SuperconformalMap(f, g_plus, g_minus, psi_plus, psi_minus)
+    psi_plus, psi_minus = sides(n, psi_s, _poly(L, tower) * inv ** (k + 1))
+    g_t = completing_g(f, g_s, psi_plus, psi_minus)
+    return SuperconformalMap(f, *sides(n, g_s, g_t), psi_plus, psi_minus)
 
 
 class SphereAutomorphism:
@@ -307,13 +286,10 @@ class SphereAutomorphism:
     @classmethod
     def build(cls, params):
         """Parameters from `validate_map` bring the member it verified;
-        any others are built and checked every time, storing nothing."""
+        any others are built every time, storing nothing."""
         southern = params._member
         if southern is None:
             southern = build_map(params)
-            report = southern.check()
-            if not report.ok:
-                raise InvalidParams(f"built map fails {list(report.failures)}")
         return cls(params.n, params, southern)
 
     @classmethod
@@ -480,13 +456,11 @@ def validate_map(m, n):
     given by g+ = eps (c z + d + y+) / (c z + d)^2.  Data that is no
     parameter set is not in the family either.  The recovered parameters
     must rebuild the map exactly, which pins every shape the point values
-    miss, g- at n = 0 included.  The map must pass `check()` first, so
-    once the rebuilt member equals it, the returned parameters carry the
-    map itself, which `SphereAutomorphism.build` returns as it is.
+    miss, the tower-side g included.  The rebuilt member is superconformal
+    by construction, so a map that fails the constraint gets NotInFamily
+    here or in an earlier recovery step.  The returned parameters carry
+    the map itself, which `SphereAutomorphism.build` returns as it is.
     """
-    report = m.check()
-    if not report.ok:
-        raise NotInFamily(f"map fails superconformality: {list(report.failures)}")
     a, b, c, d = recover_moebius(m)
     L = m.L
     czd = _linear(L, c, d)
@@ -500,7 +474,7 @@ def validate_map(m, n):
         if not all(v.is_odd() for v in (pp0, pp1, pm0, pm1)):
             raise NotInFamily("psi coefficients must be odd")
         psi_plus, psi_minus = [pp0, pp1], [pm0, pm1]
-        lead, const = _y_linear(+1, psi_plus, psi_minus, c, d)
+        lead, const = _y_linear(psi_plus, psi_minus, c, d)
         eps = (_value_at(m.g_plus, z0) * delta * delta
                * (delta + lead.scale(z0) + const).inverse())
     else:

@@ -156,38 +156,19 @@ class SuperconformalMap:
     def check(self):
         """Diagnose the superconformality constraint clause by clause.
 
-        f' = (psi+)' psi- - psi+ (psi-)' + g+ g- is tested as one
-        polynomial identity.  Each term is an unreduced (numerator,
-        denominator) pair, a term with a zero factor is skipped, and the
-        numerators brought to the lcm of the denominators must sum to
-        zero.  The denominators are monic scalar polynomials, hence not
-        zero divisors, so this is the verdict of comparing the normalised
-        sides.
+        g+ g- = f' - (psi+)' psi- + psi+ (psi-)' (`_constraint_rest`) is
+        tested as one polynomial identity over the lcm of the denominators:
+        monic scalar polynomials, hence no zero divisors, so this is the
+        verdict of comparing the normalised sides.
         """
         failures = []
-        pp, pm, gp, gm = (self.psi_plus, self.psi_minus,
-                          self.g_plus, self.g_minus)
-        products = [(1, (gp.num, gp.den), (gm.num, gm.den))]
-        if pp and pm:
-            products += [(1, pp.diff_z_parts(), (pm.num, pm.den)),
-                         (-1, (pp.num, pp.den), pm.diff_z_parts())]
-        # (sign, numerator, denominator); a constant f has f' = 0 over 1
-        terms = [(-1, *self.f.diff_z_parts())] + [
-            (sign, ln * rn, ld * rd)
-            for sign, (ln, ld), (rn, rd) in products if ln and rn]
-        common = terms[0][2]
-        for _, _, den in terms[1:]:
-            if den != common:
-                common = common * den.divmod(common.gcd(den))[0]
-        total = SuperPolynomial.zero(self.L)
-        for sign, num, den in terms:
-            num = num.mul_scalar_poly(common.divmod(den)[0])
-            total = total + num if sign > 0 else total - num
-        if total:
+        gp, gm = self.g_plus, self.g_minus
+        rest = _constraint_rest(self.f, self.psi_plus, self.psi_minus)
+        if _common_sum([(1, *rest), (-1, gp.num * gm.num, gp.den * gm.den)])[0]:
             failures.append("constraint")
-        if self.g_plus.body_is_zero():
+        if gp.body_is_zero():
             failures.append("g_plus_body")
-        if self.g_minus.body_is_zero():
+        if gm.body_is_zero():
             failures.append("g_minus_body")
         return CheckReport(failures)
 
@@ -339,6 +320,41 @@ class SuperconformalMap:
                 return g
             g = g.compose(_first_order_inverse(e))
         raise NotInvertible("Newton steps did not reach the identity")
+
+
+def _common_sum(terms):
+    """sum(sign num / den) over the lcm of the denominators, unreduced:
+    (numerator, lcm), for (sign, num, den) terms."""
+    common = terms[0][2]
+    for _, _, den in terms[1:]:
+        if den != common:
+            common = common * den.divmod(common.gcd(den))[0]
+    total = SuperPolynomial.zero(terms[0][1].L)
+    for sign, num, den in terms:
+        num = num.mul_scalar_poly(common.divmod(den)[0])
+        total = total + num if sign > 0 else total - num
+    return total, common
+
+
+def _constraint_rest(f, psi_plus, psi_minus):
+    """f' - (psi+)' psi- + psi+ (psi-)', which the constraint equates with
+    g+ g-, as an unreduced (numerator, denominator) pair.  A constant f
+    has f' = 0 over 1, and a zero psi drops both psi terms."""
+    terms = [(1, *f.diff_z_parts())]
+    if psi_plus and psi_minus:
+        for sign, (ln, ld), (rn, rd) in (
+                (-1, psi_plus.diff_z_parts(), (psi_minus.num, psi_minus.den)),
+                (1, (psi_plus.num, psi_plus.den), psi_minus.diff_z_parts())):
+            if ln and rn:
+                terms.append((sign, ln * rn, ld * rd))
+    return _common_sum(terms)
+
+
+def completing_g(f, g, psi_plus, psi_minus):
+    """The g that makes (f, g, psi+, psi-) with either g in either place
+    superconformal: `_constraint_rest`, normalised once, over g."""
+    num, den = _constraint_rest(f, psi_plus, psi_minus)
+    return RationalSuperfunction(num, den) * g.inverse()
 
 
 def _first_order_inverse(e):

@@ -10,7 +10,8 @@ variable symbols, one parenthesized supernumber coefficient per term:
     t+t-*(1 + z[1]z[2])*z^-2 + (3/2)*z
 
 JSON forms carry exact rationals as strings; every container round-trips
-through its matching parse function.
+through its matching parse function, which reads a number only in the
+form `str` writes it (`-3`, `1/2`, `-2i`, `(1/2-3/4i)`).
 """
 
 from __future__ import annotations
@@ -183,11 +184,22 @@ def supernumber_to_json(x):
     return out
 
 
+def _exact(text, read):
+    """read(text), for text that is exactly what `str` writes for it."""
+    try:
+        if isinstance(text, str) and str(value := read(text)) == text:
+            return value
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ParseError(f"bad number {text!r}: not in the form str writes")
+
+
 def supernumber_from_json(data, L):
     terms = {}
     for entry in data:
         mask = mask_from_labels(tuple(entry["index"]), L)
-        terms[mask] = GaussianRational(Fraction(entry["re"]), Fraction(entry["im"]))
+        terms[mask] = GaussianRational(_exact(entry["re"], Fraction),
+                                       _exact(entry["im"], Fraction))
     return Supernumber(L, terms)
 
 
@@ -224,7 +236,8 @@ def rsf_to_json(F):
 def rsf_from_json(data, L, n_odd=2):
     num = superpoly_from_json(data["num"], L, n_odd)
     den = ScalarPoly({
-        int(k): GaussianRational.parse(c) for k, c in data["den"].items()
+        _exact(k, int): _exact(c, GaussianRational.parse)
+        for k, c in data["den"].items()
     })
     return RationalSuperfunction(num, den)
 

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import random
 
@@ -302,6 +303,33 @@ def test_conjugate_outside_the_family_fails_its_law_with_operands(
     assert len(failures) == cfg.samples
     for failure in failures:
         assert "must be odd" in failure["counterexample"]["error"]
+
+
+def short_side_exponent_mutant():
+    """build_map with the short-side g = eps (c z + d)^|n| in place of
+    eps (c z + d)^(|n| - 1).  The tower-side g is still completed from the
+    constraint, so every member is superconformal, but for |n| >= 2 it is
+    no member of the twist-n family."""
+    source = inspect.getsource(spheres.build_map)
+    assert source.count("czd ** (k - 1)") == 1
+    namespace = dict(vars(spheres))
+    exec(source.replace("czd ** (k - 1)", "czd ** k"), namespace)
+    return namespace["build_map"]
+
+
+@pytest.mark.parametrize("cid, law", [
+    ("spheres.north.n=3", "northern poles confined to -a_B/b_B"),
+    ("spheres.translations.n=3", "conjugation acts by the polynomial transform"),
+    ("flows.group", "diagonal flow vs action, twist 3"),
+])
+def test_short_side_exponent_mutant_fails_a_named_law(cid, law, monkeypatch):
+    """The mutant's members pass check(), so building one raises nothing:
+    the suite ends in fail with the law it breaks, not in error."""
+    monkeypatch.setattr(spheres, "build_map", short_side_exponent_mutant())
+    cfg = tiny_config(generators=6, n_range=(3,))
+    record = run_campaign(cfg, only=cid)["checks"][0]
+    assert record["status"] == "fail"
+    assert law in [f["law"] for f in record["failures"]]
 
 
 def test_dependent_twist_basis_fails_solvability(monkeypatch):

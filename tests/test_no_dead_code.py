@@ -30,6 +30,8 @@ the parts they skip.
 
 Every name that a module imports must be read in it, unless it comes
 from `__future__` or the module lists it in `__all__`.
+
+The package's `.py` files together stay below a fixed number of lines.
 """
 
 import ast
@@ -310,3 +312,14 @@ def test_unread_import_check_exempts_future_and_exports():
                      "__all__ = ['e']\n"
                      "print(os.sep, d)\n")
     assert unread_imports(tree) == ["b", "j"]
+
+
+# the size gate of the package (ROADMAP, "Less code, same bytes"): code
+# that a change adds is paid for by deletions elsewhere
+PACKAGE_LINE_GATE = 5731
+
+
+def test_package_stays_below_its_line_gate():
+    lines = sum(len(path.read_text().splitlines())
+                for path in PACKAGE.glob("*.py"))
+    assert lines < PACKAGE_LINE_GATE

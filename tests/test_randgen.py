@@ -21,7 +21,12 @@ from supersphere.scalars import GaussianRational
 def _params_fields(p):
     # the pinned (eps, eps+, eps-) layout: (eps, None, None) for n != 0 and
     # (None, eps+, eps-) at n = 0, whose eps- the sampler used to compute
-    eps = (None, *p.factors()) if p.n == 0 else (p.eps, None, None)
+    # as eps^(-1) (1 - psi1+ psi0- - psi1- psi0+)
+    eps = (p.eps, None, None)
+    if p.n == 0:
+        (pp0, pp1), (pm0, pm1) = p.psi_plus, p.psi_minus
+        one = p.eps.one(p.L)
+        eps = (None, p.eps, p.eps.inverse() * (one - pp1 * pm0 - pm1 * pp0))
     return (p.n, p.a, p.b, p.c, p.d, *eps, p.psi_plus, p.psi_minus)
 
 

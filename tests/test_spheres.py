@@ -22,7 +22,6 @@ from supersphere.spheres import (
     normalize_determinant,
     odd_translation,
     recover_moebius,
-    sides,
     to_north,
     transition,
     transition_inverse,
@@ -141,15 +140,15 @@ class TestBuild:
         assert triple.minus == zeta + tm
 
     def test_zero_regime_constraint(self):
-        psi_plus = [gen(1), gen(2)]
-        psi_minus = [gen(3), gen(4)]
-        eps_plus = one + gen(1) * gen(2)
-        want = one - psi_plus[1] * psi_minus[0] - psi_minus[1] * psi_plus[0]
-        eps_minus = eps_plus.inverse() * want
-        params = AutomorphismParams(0, one, zero, zero, one, eps=eps_plus,
-                                    psi_plus=psi_plus, psi_minus=psi_minus)
-        assert params.factors() == (eps_plus, eps_minus)
-        assert SphereAutomorphism.build(params).southern.check().ok
+        # g- is completed from g+, and it is the paper's g- with
+        # eps- = eps^(-1) (1 - psi1+ psi0- - psi1- psi0+)
+        params = AutomorphismParams(0, one, zero, zero, one,
+                                    eps=one + gen(1) * gen(2),
+                                    psi_plus=[gen(1), gen(2)],
+                                    psi_minus=[gen(3), gen(4)])
+        m = SphereAutomorphism.build(params).southern
+        assert m.check().ok
+        assert m == _handwritten_map(params)
 
     def test_zero_regime_eps_condition_enforced(self):
         # eps+ eps- is tied by construction; eps itself must be invertible
@@ -159,18 +158,15 @@ class TestBuild:
 
     @pytest.mark.parametrize("n", range(-4, 5))
     def test_factors_place_eps_and_derive_the_other(self, n):
+        # the short-side g carries eps, and the completed tower-side g
+        # carries the factor the paper derives from it: eps^(-1), or eps-
+        # at n = 0; both as the closed forms of `_handwritten_map`
         s = Sampler(random.Random(300 + n), L)
-        for _ in range(3):
+        for _ in range(4):
             p = s.automorphism_params(n)
-            eps_plus, eps_minus = p.factors()
-            if n == 0:
-                pp, pm = p.psi_plus, p.psi_minus
-                assert eps_plus == p.eps
-                assert eps_plus * eps_minus == (
-                    one - pp[1] * pm[0] - pm[1] * pp[0])
-            else:
-                assert eps_plus * eps_minus == one
-                assert sides(n, eps_plus, eps_minus)[0] == p.eps
+            m = build_map(p)
+            assert m == _handwritten_map(p)
+            assert m.check().ok
 
     def test_determinant_enforced(self):
         with pytest.raises(InvalidParams):
@@ -345,6 +341,22 @@ def test_data_that_is_no_parameter_set_is_not_in_family(n):
         validate_map(m, n)
 
 
+@pytest.mark.parametrize("n", [-2, -1, 0, 1, 3])
+def test_non_superconformal_map_is_not_in_family(n):
+    # one g of a member times the constant 1 + z[1]z[2]: the point read of
+    # eps absorbs the factor on the short side, so only the rebuilt
+    # member, superconformal by construction, tells the map apart
+    m = build_map(Sampler(random.Random(60 + n), L).automorphism_params(n))
+    factor = one + gen(1) * gen(2)
+    for bad in (SuperconformalMap(m.f, m.g_plus.scale_left(factor), m.g_minus,
+                                  m.psi_plus, m.psi_minus),
+                SuperconformalMap(m.f, m.g_plus, m.g_minus.scale_left(factor),
+                                  m.psi_plus, m.psi_minus)):
+        assert bad.check().failures == ("constraint",)
+        with pytest.raises(NotInFamily, match="map differs"):
+            validate_map(bad, n)
+
+
 def test_even_psi_is_not_in_family_at_n_zero():
     # superconformal, but psi+ = 1 and psi- = z have even coefficients, and
     # they make delta + y+-(z0) a non-unit: parity is checked before eps
@@ -385,8 +397,10 @@ def test_round_trip_normalisation_budget(n, monkeypatch):
 @pytest.mark.parametrize("n", [-3, 0, 1, 4])
 def test_family_pair_builds_and_checks_each_member_once(n, monkeypatch):
     # build(p1), build(p2), compose and build(composite.params): the
-    # composite is rebuilt and checked inside validate_map only, and
-    # rebuilding from its recovered parameters reuses that member
+    # composite is rebuilt inside validate_map only, and checked by the
+    # comparison with that member, superconformal by construction, so
+    # check() never runs; rebuilding from its recovered parameters reuses
+    # that member
     s = Sampler(random.Random(200 + n), L)
     p1, p2 = s.automorphism_params(n), s.automorphism_params(n)
     calls = {"build_map": 0, "check": 0}
@@ -404,13 +418,13 @@ def test_family_pair_builds_and_checks_each_member_once(n, monkeypatch):
     monkeypatch.setattr(SuperconformalMap, "check", counting_check)
     composite = SphereAutomorphism.build(p2).compose(SphereAutomorphism.build(p1))
     rebuilt = SphereAutomorphism.build(composite.params)
-    assert calls == {"build_map": 3, "check": 3}
+    assert calls == {"build_map": 3, "check": 0}
     assert rebuilt.southern == uncounted_build(composite.params)
     assert rebuilt.southern is composite.southern  # no second copy is kept
-    # parameters a caller constructs are rebuilt and checked on every build
+    # parameters a caller constructs are rebuilt, unchecked, on every build
     SphereAutomorphism.build(p1)
     SphereAutomorphism.build(p1)
-    assert calls == {"build_map": 5, "check": 5}
+    assert calls == {"build_map": 5, "check": 0}
 
 
 def count_family_calls(monkeypatch):
@@ -645,9 +659,54 @@ class TestOddTranslations:
             assert conj.params.a == one and conj.params.b == zero
 
 
-# The n = -1 and n <= -2 regimes as they were written out by hand before
-# they were derived from n > 0 by the theta+- swap: the reference that the
-# sigma-derived build_map and validate_map must reproduce.
+# The paper's closed forms, kept as the reference that build_map must
+# reproduce.  `_handwritten_map` writes every n >= 0 component, both g+-
+# included, as build_map did before it completed the tower-side g from the
+# constraint; `_handwritten_mirror_map` writes the n = -1 and n <= -2
+# regimes as they were before they were derived from n > 0 by the theta+-
+# swap.
+
+
+def _handwritten_map(p):
+    if p.n < 0:
+        return _handwritten_mirror_map(p)
+    n = p.n
+    czd = _linear(L, p.c, p.d)
+    inv = czd.inverse()
+    f = _linear(L, p.a, p.b) * inv
+    eps_inv = p.eps.inverse()
+    if n == 0:
+        (pp0, pp1), (pm0, pm1) = p.psi_plus, p.psi_minus
+        psi_p = _linear(L, pp1, pp0) * inv
+        psi_m = _linear(L, pm1, pm0) * inv
+        # g+- = eps+- (c z + d + y+-) / (c z + d)^2, with y+- linear and
+        # eps+ eps- = 1 - psi1+ psi0- - psi1- psi0+
+        eps_minus = eps_inv * (one - pp1 * pm0 - pm1 * pp0)
+        g = {}
+        for sign, eps in ((+1, p.eps), (-1, eps_minus)):
+            s = grat(sign)
+            lead = (pp1 * pm1 * p.d).scale(-s)
+            const = ((pp0 * pm0 * p.c).scale(s)
+                     - ((pp1 * pm0 - pm1 * pp0) * p.d).scale(s)
+                     - pp1 * pm1 * pp0 * pm0 * p.d)
+            g[sign] = (czd.scale_left(eps)
+                       + _linear(L, eps * lead, eps * const)) * inv ** 2
+        return SuperconformalMap(f, g[+1], g[-1], psi_p, psi_m)
+    if n == 1:
+        psi_p = RSF.from_constant(L, p.psi_plus[0])
+        psi_m = _poly(L, p.psi_minus) * inv ** 2
+        t0, t1, t2 = p.psi_minus
+        corr = _poly(L, [
+            p.psi_plus[0] * (t1 * p.d - t0 * p.c.scale(2)),
+            p.psi_plus[0] * (t2 * p.d.scale(2) - t1 * p.c),
+        ])
+        g_m = (czd + corr).scale_left(eps_inv) * inv ** 3
+        return SuperconformalMap(f, RSF.from_constant(L, p.eps), g_m,
+                                 psi_p, psi_m)
+    inv_t = inv ** (n + 1)
+    return SuperconformalMap(f, (czd ** (n - 1)).scale_left(p.eps),
+                             inv_t.scale_left(eps_inv),
+                             RSF.zero(L), _poly(L, p.psi_minus) * inv_t)
 
 
 def _handwritten_mirror_map(p):

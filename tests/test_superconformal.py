@@ -20,6 +20,7 @@ from supersphere.superconformal import (
     NotInvertibleComponent,
     NotSuperconformal,
     SuperconformalMap,
+    completing_g,
     from_n1,
     to_n1,
 )
@@ -153,6 +154,18 @@ def test_cross_multiplied_check_matches_normalised_sides(kind, seed, which):
     assert holds == normalised_constraint_holds(m)
     if which is None:
         assert holds
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(min_value=0, max_value=2 ** 32))
+def test_completing_g_gives_each_g_from_the_other(seed):
+    # check() and completing_g share _constraint_rest: the completion of a
+    # superconformal map is its other g, and a changed g fails check()
+    m = Sampler(random.Random(seed), L).superconformal_map()
+    assert completing_g(m.f, m.g_plus, m.psi_plus, m.psi_minus) == m.g_minus
+    assert completing_g(m.f, m.g_minus, m.psi_plus, m.psi_minus) == m.g_plus
+    for which in (1, 2):
+        assert "constraint" in perturbed(m, which, seed + 1).check().failures
 
 
 class TestExpansion:

@@ -8,7 +8,11 @@ from supersphere.grassmann import Supernumber
 from supersphere.randgen import Sampler
 from supersphere.scalars import grat
 from supersphere.spheres import build_map, transition
-from supersphere.superfield import SuperPolynomial
+from supersphere.superfield import (
+    RationalSuperfunction,
+    ScalarPoly,
+    SuperPolynomial,
+)
 
 L = 6
 
@@ -108,3 +112,24 @@ def test_parse_errors():
     for text in ("1e3", "--1", "+", "2*", "z[0]", "z[5]", "z[1]z[1]"):
         with pytest.raises(textio.ParseError):
             textio.parse_supernumber(text, 4)
+    # the JSON readers take a number only in the form str writes it
+    for text in ("1e3", " 2_0 ", "+3", "02", "2/4", "1/0", "2j", "-2i", 5):
+        with pytest.raises(textio.ParseError):
+            textio.supernumber_from_json([{"index": [], "re": text,
+                                           "im": "0"}], 4)
+    for den in ({"0": "1e3", "1": "2j"}, {"0": "-3", "1": " 1"},
+                {"0": "(0+1i)", "1": "1"}, {"0": "i", "1": "1"},
+                {"0": "1", "1": "(1)"}, {"00": "1"}, {"+0": "1"}):
+        with pytest.raises(textio.ParseError):
+            textio.rsf_from_json({"num": [], "den": den}, 4)
+    assert textio.rsf_from_json({"num": [], "den": {"0": "1"}}, 4).den.is_one()
+
+
+def test_rsf_json_roundtrip_of_signed_denominator_coefficients():
+    # str writes -3, -2i and (-1+2i); each is read back as it was written
+    z = SuperPolynomial.z_power(L, 1)
+    for root in (grat(3), grat(0, 2), grat(1, -2), grat("1/2", "-3/4")):
+        F = RationalSuperfunction(z, ScalarPoly({1: grat(1), 0: -root}))
+        data = json.loads(json.dumps(textio.rsf_to_json(F)))
+        assert data["den"]["0"] == str(-root)
+        assert textio.rsf_from_json(data, L) == F
