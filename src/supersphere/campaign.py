@@ -362,17 +362,24 @@ def _suite_spheres_closure(cfg, rng, n):
         if rebuilt.southern != composite.southern:
             out.fail("recovered parameters rebuild the composite", params=data)
     # recovery is canonical: validating the map built afresh from recovered
-    # parameters gives them back
+    # parameters gives them back, and a member it rejects fails the law
     p = s.automorphism_params(n)
     T = SphereAutomorphism.build(p)
-    first = spheres.validate_map(T.southern, n)
-    again = spheres.validate_map(spheres.build_map(first), n)
-    if first != again:
-        out.fail("parameter recovery is canonical", p=p)
+    law = "parameter recovery is canonical"
+    try:
+        first = spheres.validate_map(T.southern, n)
+        if spheres.validate_map(spheres.build_map(first), n) != first:
+            out.fail(law, p=p)
+    except NotInFamily as exc:
+        out.fail(law, error=str(exc), p=p)
     # inversion stays in the family
-    inv = T.invert().southern
-    if T.southern.compose(inv) != SuperconformalMap.identity(cfg.generators):
-        out.fail("inverse composes to the identity", p=p)
+    law = "inverse composes to the identity"
+    try:
+        inv = T.invert().southern
+        if T.southern.compose(inv) != SuperconformalMap.identity(cfg.generators):
+            out.fail(law, p=p)
+    except NotInFamily as exc:
+        out.fail(law, error=str(exc), p=p)
     # a wrong shape is rejected
     if abs(n) >= 2:
         wrong = spheres.build_map(s.automorphism_params(n))

@@ -30,7 +30,9 @@ Parameters are recovered from a map exactly: the scalar Moebius part is
 normalized to determinant one (sign fixed by a deterministic tie-break;
 the two-fold ambiguity is precisely the double cover below), the soul
 corrections are read off values and derivatives at one regular point, and
-the regime shapes are pinned by rebuilding the map and comparing.
+the regime shapes are pinned by exact reads of f and psi+-, by comparing
+the short-side g with the family's and by the constraint, which leaves
+the tower-side g one solution.
 Recovered parameters carry the map they were verified against, so
 building from them again does not rebuild it; parameters a caller
 constructs are rebuilt on every build.
@@ -240,10 +242,22 @@ def _y_linear(psi_plus, psi_minus, c, d):
             - pp1 * pm1 * pp0 * pm0 * d)
 
 
+def _short_g(p, czd, inv):
+    """The short-side g (g+ at n = 0) of the member with parameters p, for
+    czd = c z + d and inv = 1/czd; only n = 0 reads inv."""
+    k = abs(p.n)
+    if k == 0:
+        lead, const = _y_linear(p.psi_plus, p.psi_minus, p.c, p.d)
+        return _linear(p.L, p.c + lead, p.d + const).scale_left(p.eps) * inv ** 2
+    if k == 1:
+        return RationalSuperfunction.from_constant(p.L, p.eps)
+    return (czd ** (k - 1)).scale_left(p.eps)
+
+
 def build_map(p):
     """The southern-chart superconformal map of the automorphism with
-    parameters p.  Each regime writes f, psi+- and the short-side g (g+
-    at n = 0); for n != 0 they are written for n > 0 and `sides` places
+    parameters p.  Each regime writes f, psi+- and the short-side g
+    (`_short_g`); for n != 0 they are written for n > 0 and `sides` places
     them for n < 0.  The tower-side g is the superconformal completion
     `completing_g`, so the map is superconformal by construction."""
     L = p.L
@@ -251,23 +265,18 @@ def build_map(p):
     czd = _linear(L, p.c, p.d)
     inv = czd.inverse()
     f = _linear(L, p.a, p.b) * inv
+    g_s = _short_g(p, czd, inv)
 
     if n == 0:
         psi_plus = _linear(L, p.psi_plus[1], p.psi_plus[0]) * inv
         psi_minus = _linear(L, p.psi_minus[1], p.psi_minus[0]) * inv
-        lead, const = _y_linear(p.psi_plus, p.psi_minus, p.c, p.d)
-        g_plus = _linear(L, p.c + lead, p.d + const).scale_left(p.eps) * inv ** 2
-        g_minus = completing_g(f, g_plus, psi_plus, psi_minus)
-        return SuperconformalMap(f, g_plus, g_minus, psi_plus, psi_minus)
+        g_minus = completing_g(f, g_s, psi_plus, psi_minus)
+        return SuperconformalMap(f, g_s, g_minus, psi_plus, psi_minus)
 
     k = abs(n)
     short, tower = sides(n, p.psi_plus, p.psi_minus)
-    if k == 1:
-        psi_s = RationalSuperfunction.from_constant(L, short[0])
-        g_s = RationalSuperfunction.from_constant(L, p.eps)
-    else:
-        psi_s = RationalSuperfunction.zero(L)
-        g_s = (czd ** (k - 1)).scale_left(p.eps)
+    psi_s = (RationalSuperfunction.from_constant(L, short[0]) if k == 1
+             else RationalSuperfunction.zero(L))
     psi_plus, psi_minus = sides(n, psi_s, _poly(L, tower) * inv ** (k + 1))
     g_t = completing_g(f, g_s, psi_plus, psi_minus)
     return SuperconformalMap(f, *sides(n, g_s, g_t), psi_plus, psi_minus)
@@ -454,12 +463,12 @@ def validate_map(m, n):
     g_short(z0) delta^(1 - |n|) for n != 0 and as
     g+(z0) delta^2 / (delta + y+(z0)) for n = 0, where the linear y+ is
     given by g+ = eps (c z + d + y+) / (c z + d)^2.  Data that is no
-    parameter set is not in the family either.  The recovered parameters
-    must rebuild the map exactly, which pins every shape the point values
-    miss, the tower-side g included.  The rebuilt member is superconformal
-    by construction, so a map that fails the constraint gets NotInFamily
-    here or in an earlier recovery step.  The returned parameters carry
-    the map itself, which `SphereAutomorphism.build` returns as it is.
+    parameter set is not in the family either.  The reads pin f and psi+-
+    exactly; the short-side g must be `_short_g` ("short-side g differs
+    from the family's"), and, as it is invertible, the constraint leaves
+    the tower-side g one solution, which `check()` tests ("map fails the
+    superconformal constraint").  The returned parameters carry the map
+    itself, which `SphereAutomorphism.build` returns as it is.
     """
     a, b, c, d = recover_moebius(m)
     L = m.L
@@ -475,7 +484,8 @@ def validate_map(m, n):
             raise NotInFamily("psi coefficients must be odd")
         psi_plus, psi_minus = [pp0, pp1], [pm0, pm1]
         lead, const = _y_linear(psi_plus, psi_minus, c, d)
-        eps = (_value_at(m.g_plus, z0) * delta * delta
+        g_s, inv = m.g_plus, czd.inverse()
+        eps = (_value_at(g_s, z0) * delta * delta
                * (delta + lead.scale(z0) + const).inverse())
     else:
         k = abs(n)
@@ -489,7 +499,7 @@ def validate_map(m, n):
             raise NotInFamily(f"psi{s_name} must vanish for n "
                               f"{'>= 2' if n > 0 else '<= -2'}")
         tower = _as_coeff_list(psi_t, czd, k + 1, k + 2, f"psi{t_name}")
-        g_s = sides(n, m.g_plus, m.g_minus)[0]
+        g_s, inv = sides(n, m.g_plus, m.g_minus)[0], None
         eps = _value_at(g_s, z0) * delta ** (1 - k)
         psi_plus, psi_minus = sides(n, short, tower)
     try:
@@ -497,8 +507,10 @@ def validate_map(m, n):
     except InvalidParams as exc:
         raise NotInFamily(f"recovered data is no parameter set: {exc}") from exc
 
-    if build_map(params) != m:
-        raise NotInFamily("map differs from the family member its data suggests")
+    if g_s != _short_g(params, czd, inv):
+        raise NotInFamily("short-side g differs from the family's")
+    if not m.check().ok:
+        raise NotInFamily("map fails the superconformal constraint")
     params._member = m
     return params
 

@@ -1,5 +1,6 @@
 """The pure functions of tools/bench_pairs.py, which every BENCH_*.json
-relies on: seed parsing, quartiles and the verdict of the gain rule."""
+relies on: seed parsing, quartiles, the verdict of the gain rule and the
+regressions beside it."""
 
 import importlib.util
 import statistics
@@ -67,6 +68,41 @@ def test_summarise_feeds_the_verdict():
     verdict = bench_pairs.verdict({"closure": {"pairs": 4, "wall_s": row}},
                                   "closure:wall_s")
     assert not verdict["met"]  # 3 wins of 4 is below ceil(0.9 * 4) = 4
+
+
+_METRICS = [{"name": "wall_s", "better": "lower", "bound": 0.25},
+            {"name": "op_tail_ms", "better": "lower", "bound": 0.25},
+            {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
+
+
+def _workload(factors):
+    """summarise over four pairs whose change runs are the parent's times
+    factors[metric], or equal to them."""
+    def run(p, factor):
+        return {**{m["name"]: p * factor(m["name"]) for m in _METRICS},
+                "failed": 0, "attempted": 1}
+
+    pairs = [{"parent": run(p, lambda name: 1),
+              "change": run(p, lambda name: factors.get(name, 1))}
+             for p in [1.0, 1.1, 0.9, 1.0]]
+    return bench_pairs.summarise(pairs, _METRICS)
+
+
+def test_verdict_lists_every_metric_outside_its_bound():
+    summary = {
+        "closure": _workload({"wall_s": 0.8, "op_tail_ms": 1.3}),
+        # 20% is inside the 25% bound; 11% is outside the 10% one
+        "campaign": _workload({"wall_s": 1.2, "peak_rss_mb": 1.11}),
+    }
+    verdict = bench_pairs.verdict(summary, "closure:wall_s")
+    assert verdict["met"]  # the gain half holds; the list shows the other
+    assert [(r["workload"], r["metric"]) for r in verdict["regressions"]] == [
+        ("closure", "op_tail_ms"), ("campaign", "peak_rss_mb")]
+    assert [r["change_pct"] for r in verdict["regressions"]] == [
+        pytest.approx(30), pytest.approx(11)]
+    quiet = bench_pairs.verdict({"closure": _workload({"wall_s": 0.8})},
+                                "closure:wall_s")
+    assert quiet["regressions"] == []
 
 
 def _row(parent_runs, change_runs, bound=0.25, better="lower"):

@@ -306,27 +306,33 @@ def test_conjugate_outside_the_family_fails_its_law_with_operands(
 
 
 def short_side_exponent_mutant():
-    """build_map with the short-side g = eps (c z + d)^|n| in place of
-    eps (c z + d)^(|n| - 1).  The tower-side g is still completed from the
-    constraint, so every member is superconformal, but for |n| >= 2 it is
-    no member of the twist-n family."""
-    source = inspect.getsource(spheres.build_map)
+    """spheres._short_g with the short-side g = eps (c z + d)^|n| in place
+    of eps (c z + d)^(|n| - 1).  build_map still completes the tower-side
+    g from the constraint, so every member is superconformal, but for
+    |n| >= 2 it is no member of the twist-n family.  Building and recovery
+    both read the helper, so both see the mutant."""
+    source = inspect.getsource(spheres._short_g)
     assert source.count("czd ** (k - 1)") == 1
     namespace = dict(vars(spheres))
     exec(source.replace("czd ** (k - 1)", "czd ** k"), namespace)
-    return namespace["build_map"]
+    return namespace["_short_g"]
 
 
 @pytest.mark.parametrize("cid, law", [
+    ("spheres.closure.n=3", "parameter recovery is canonical"),
     ("spheres.north.n=3", "northern poles confined to -a_B/b_B"),
     ("spheres.translations.n=3", "conjugation acts by the polynomial transform"),
     ("flows.group", "diagonal flow vs action, twist 3"),
 ])
 def test_short_side_exponent_mutant_fails_a_named_law(cid, law, monkeypatch):
-    """The mutant's members pass check(), so building one raises nothing:
-    the suite ends in fail with the law it breaks, not in error."""
-    monkeypatch.setattr(spheres, "build_map", short_side_exponent_mutant())
-    cfg = tiny_config(generators=6, n_range=(3,))
+    """The mutant's members pass check(), so building one raises nothing,
+    and recovery rejects them as a law failure: the suite ends in fail with
+    the law it breaks, not in error."""
+    monkeypatch.setattr(spheres, "_short_g", short_side_exponent_mutant())
+    # seed 99 draws the recovery law a member with c z0 + d = 1, where the
+    # mutant's eps read is exact and recovery agrees with its build
+    seed = 1 if cid.startswith("spheres.closure") else 99
+    cfg = tiny_config(generators=6, n_range=(3,), seed=seed)
     record = run_campaign(cfg, only=cid)["checks"][0]
     assert record["status"] == "fail"
     assert law in [f["law"] for f in record["failures"]]

@@ -22,7 +22,9 @@ and whether that is resolved: it is not when the parent's quartile
 distance exceeds the bound times the parent's median, unless every change
 run beats every parent run.  `--claim W:M` adds the verdict of the gain
 rule: the change wins at least nine tenths of the pairs and the median gap
-exceeds the parent's quartile distance.  W must be one of the `--workload`
+exceeds the parent's quartile distance.  Its `regressions` list the other
+half of the rule, every workload and metric whose change median is outside
+its bound.  W must be one of the `--workload`
 values and M an end-to-end metric; any other claim stops before the first
 pair.  `--trace-seed S` adds one `--trace 1` run per side and workload
 with every per-layer count.  The file is rewritten after every pair, so an
@@ -152,6 +154,10 @@ def verdict(summary, claim):
         "parent_iqr": row["parent_iqr"],
         "met": (row["change_better_in"] >= math.ceil(0.9 * pairs)
                 and row["median_gap"] > row["parent_iqr"]),
+        "regressions": [
+            {"workload": name, "metric": key, "change_pct": value["change_pct"]}
+            for name, rows in summary.items() for key, value in rows.items()
+            if isinstance(value, dict) and value.get("within_bound") is False],
     }
 
 
