@@ -11,20 +11,23 @@ code writes each n != 0 family once, for n > 0, and `sides` derives n < 0
 from it by trading the + and - components.
 
 An automorphism is determined by its southern-chart map, which belongs to
-a parametrized family depending on the regime of n:
+a parametrized family depending on the regime of n.  The Moebius part is
+always f = (a z + b)/(c z + d) with even a, b, c, d and a d - b c = 1
+exactly.  Each psi is a polynomial of degree < l with odd coefficients
+over (c z + d)^(l - 1) (`_psi`), where (l+, l-) =
+`AutomorphismParams.psi_lengths(n)` is, for n >= 0,
 
-* the Moebius part is always f = (a z + b)/(c z + d) with even a, b, c, d
-  and a d - b c = 1 exactly;
-* for n = 0 both psi+ and psi- are degree-one over (c z + d), and
-  g+ = eps (c z + d + y+) / (c z + d)^2 with y+ linear in z (`_y_linear`);
-* for n = 1 psi+ is constant, psi- quadratic over (c z + d)^2 and g+ = eps;
-* for n >= 2 psi+ vanishes, psi- has degree n+1 over (c z + d)^(n+1), and
-  g+ = eps (c z + d)^(n-1).
+    n      0       1       >= 2
+    l+     2       1       0        (psi+ vanishes for l+ = 0)
+    l-     2       3       n + 2
+
+The short-side g (g+ for n >= 0) is eps (c z + d + y+) / (c z + d)^2 with
+y+ linear in z (`_y_linear`) for n = 0, and eps (c z + d)^(n-1) for n >= 1.
 
 Every regime has one free invertible even factor eps, carried by the
-short-side g (g+ for n >= 0).  The tower-side g is not written out: the
-superconformal constraint fixes it from f, psi+- and the short-side g,
-and `superconformal.completing_g` computes it.
+short-side g.  The tower-side g is not written out: the superconformal
+constraint fixes it from f, psi+- and the short-side g, and
+`superconformal.completing_g` computes it.
 
 Parameters are recovered from a map exactly: the scalar Moebius part is
 normalized to determinant one (sign fixed by a deterministic tie-break;
@@ -51,7 +54,6 @@ coefficient vectors act as an abelian group of translations.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .scalars import I as IMAG, NotASquare, ONE, grat
 from .grassmann import Supernumber
@@ -121,14 +123,13 @@ def normalize_determinant(a, b, c, d):
 
 
 def sides(n, plus, minus):
-    """The (short, tower) sides of a (plus, minus) pair for n != 0.
+    """The (short, tower) sides of a (plus, minus) pair.
 
-    For n > 0 the short side is + (psi+ constant or zero, g+ carrying eps)
-    and the tower is -; sigma trades them for n < 0.  The swap is an
-    involution, so the same call also places a (short, tower) pair back
-    as (plus, minus).
+    For n >= 0 the short side is + (g+ carrying eps) and the tower is -;
+    sigma trades them for n < 0.  The swap is an involution, so the same
+    call also places a (short, tower) pair back as (plus, minus).
     """
-    return (plus, minus) if n > 0 else (minus, plus)
+    return (plus, minus) if n >= 0 else (minus, plus)
 
 
 def _positive_leading(values):
@@ -145,7 +146,7 @@ class AutomorphismParams:
     psi_plus and psi_minus are coefficient lists indexed by z-degree; the
     constant psi of the n = +-1 regimes sits in the length-one list.  eps
     is the one free invertible factor, carried by the short-side g (see
-    `sides`) and by g+ at n = 0; `build_map` completes the other g.
+    `sides`); `build_map` completes the other g.
     """
 
     __slots__ = ("n", "L", "a", "b", "c", "d", "eps", "psi_plus", "psi_minus",
@@ -163,11 +164,10 @@ class AutomorphismParams:
 
     @staticmethod
     def psi_lengths(n):
-        """(len psi_plus, len psi_minus) for the regime of n."""
-        if n == 0:
-            return 2, 2
+        """(len psi_plus, len psi_minus) for the regime of n: the short
+        side has max(2 - |n|, 0) coefficients and the tower |n| + 2."""
         k = abs(n)
-        return sides(n, 1 if k == 1 else 0, k + 2)
+        return sides(n, max(2 - k, 0), k + 2)
 
     def validate(self):
         bound = self.L - 2
@@ -194,7 +194,7 @@ class AutomorphismParams:
 
     @property
     def tower(self):
-        """The psi coefficient list of degree |n| + 1, for n != 0."""
+        """The psi coefficient list of degree |n| + 1 on the tower side."""
         return sides(self.n, self.psi_plus, self.psi_minus)[1]
 
     def __eq__(self, other):
@@ -242,44 +242,42 @@ def _y_linear(psi_plus, psi_minus, c, d):
             - pp1 * pm1 * pp0 * pm0 * d)
 
 
-def _short_g(p, czd, inv):
-    """The short-side g (g+ at n = 0) of the member with parameters p, for
-    czd = c z + d and inv = 1/czd; only n = 0 reads inv."""
+def _times_power(F, base, j):
+    """F * base**j for j > 0 and F otherwise, with no product by one."""
+    return F * base ** j if j > 0 else F
+
+
+def _psi(L, coeffs, inv):
+    """sum coeffs[j] z^j * inv^(len(coeffs) - 1) for inv = 1/(c z + d): the
+    psi of every regime, zero for no coefficients."""
+    return _times_power(_poly(L, coeffs), inv, len(coeffs) - 1)
+
+
+def _short_g(p, czd):
+    """(numerator, j) with the short-side g of the member with parameters
+    p equal to numerator / czd^j, for czd = c z + d."""
     k = abs(p.n)
     if k == 0:
         lead, const = _y_linear(p.psi_plus, p.psi_minus, p.c, p.d)
-        return _linear(p.L, p.c + lead, p.d + const).scale_left(p.eps) * inv ** 2
-    if k == 1:
-        return RationalSuperfunction.from_constant(p.L, p.eps)
-    return (czd ** (k - 1)).scale_left(p.eps)
+        return _linear(p.L, p.c + lead, p.d + const).scale_left(p.eps), 2
+    return (czd ** (k - 1)).scale_left(p.eps), 0
 
 
 def build_map(p):
     """The southern-chart superconformal map of the automorphism with
-    parameters p.  Each regime writes f, psi+- and the short-side g
-    (`_short_g`); for n != 0 they are written for n > 0 and `sides` places
-    them for n < 0.  The tower-side g is the superconformal completion
-    `completing_g`, so the map is superconformal by construction."""
+    parameters p: f, psi+- (`_psi`) and the short-side g (`_short_g`),
+    placed through `sides`.  The tower-side g is the superconformal
+    completion `completing_g`, so the map is superconformal by
+    construction."""
     L = p.L
-    n = p.n
     czd = _linear(L, p.c, p.d)
     inv = czd.inverse()
     f = _linear(L, p.a, p.b) * inv
-    g_s = _short_g(p, czd, inv)
-
-    if n == 0:
-        psi_plus = _linear(L, p.psi_plus[1], p.psi_plus[0]) * inv
-        psi_minus = _linear(L, p.psi_minus[1], p.psi_minus[0]) * inv
-        g_minus = completing_g(f, g_s, psi_plus, psi_minus)
-        return SuperconformalMap(f, g_s, g_minus, psi_plus, psi_minus)
-
-    k = abs(n)
-    short, tower = sides(n, p.psi_plus, p.psi_minus)
-    psi_s = (RationalSuperfunction.from_constant(L, short[0]) if k == 1
-             else RationalSuperfunction.zero(L))
-    psi_plus, psi_minus = sides(n, psi_s, _poly(L, tower) * inv ** (k + 1))
+    psi_plus, psi_minus = _psi(L, p.psi_plus, inv), _psi(L, p.psi_minus, inv)
+    num, j = _short_g(p, czd)
+    g_s = _times_power(num, inv, j)
     g_t = completing_g(f, g_s, psi_plus, psi_minus)
-    return SuperconformalMap(f, *sides(n, g_s, g_t), psi_plus, psi_minus)
+    return SuperconformalMap(f, *sides(p.n, g_s, g_t), psi_plus, psi_minus)
 
 
 class SphereAutomorphism:
@@ -347,34 +345,18 @@ def _regular_point(f, c0, d0):
     return z0
 
 
-def _den_at(F, z0):
-    """den(F)(z0) for a theta-free F and an integer z0.  A pole at z0
-    means F is no family component."""
+def _values_at(F, z0):
+    """[F(z0), F'(z0), F''(z0)] for a theta-free F and an integer z0, by the
+    quotient rule on the values of numerator and denominator.  A pole at
+    z0 means F is no family component."""
     q0 = F.den.eval_scalar(z0)
     if not q0 or (not z0 and F.num.min_z() < 0):
         raise NotInFamily(f"a component has a pole at z = {z0}")
-    return q0
-
-
-def _value_at(F, z0):
-    """F(z0), as `_values_at` gives it, without the derivatives."""
-    r0 = _den_at(F, z0).inverse()
-    z = Fraction(z0)
-    out = Supernumber.zero(F.L)
-    for (k, _), coeff in F.num.terms.items():
-        out = out + coeff.scale(z ** k * r0)
-    return out
-
-
-def _values_at(F, z0):
-    """[F(z0), F'(z0), F''(z0)] for a theta-free F and an integer z0, by the
-    quotient rule on the values of numerator and denominator."""
-    q0 = _den_at(F, z0)
     d1 = F.den.derivative()
     q1, q2 = d1.eval_scalar(z0), d1.derivative().eval_scalar(z0)
     r0 = q0.inverse()  # 1/den and its derivatives at z0
     r1, r2 = -q1 * r0 * r0, (q1 * q1 * r0 * 2 - q2) * r0 * r0
-    z = Fraction(z0)
+    z = grat(z0)
     out = [Supernumber.zero(F.L)] * 3
     for (k, _), coeff in F.num.terms.items():
         # z^k and its derivatives at z0; the factor k or k (k - 1) is zero
@@ -383,7 +365,7 @@ def _values_at(F, z0):
         p1 = k * z ** (k - 1) if k else 0
         p2 = k * (k - 1) * z ** (k - 2) if k * (k - 1) else 0
         w = (p0 * r0, p1 * r0 + p0 * r1, p2 * r0 + 2 * p1 * r1 + p0 * r2)
-        out = [acc + coeff.scale(wj) for acc, wj in zip(out, w)]
+        out = [acc + coeff.scale(wj) if wj else acc for acc, wj in zip(out, w)]
     return out
 
 
@@ -432,34 +414,35 @@ def recover_moebius(m):
     return a, b, c, d
 
 
-def _as_coeff_list(F, czd, power, length, what):
-    """Read F = (polynomial of degree < length) / czd**power, or complain."""
-    poly = (F * czd ** power).as_superpolynomial()
-    if poly is None:
-        raise NotInFamily(f"{what} has a denominator outside (c z + d)^{power}")
-    if poly.min_z() < 0 or poly.max_z() >= length:
+def _psi_coeffs(F, czd, length, what, n):
+    """The coefficient list of F = `_psi`(L, coeffs, 1/czd) with
+    len(coeffs) = length, or NotInFamily naming F as `what`.  The
+    coefficients must be odd: at n = 0 an even psi can make the eps read
+    divide by a non-unit."""
+    poly = _times_power(F, czd, length - 1).as_superpolynomial()
+    if poly is None or any(not 0 <= k < length for k, _ in poly.terms):
+        if length == 0:
+            raise NotInFamily(
+                f"{what} must vanish for n {'>= 2' if n > 0 else '<= -2'}")
+        if length == 1:
+            raise NotInFamily(f"{what} must be constant")
+        if poly is None:
+            raise NotInFamily(
+                f"{what} has a denominator outside (c z + d)^{length - 1}")
         raise NotInFamily(f"{what} has degree outside the family bound")
-    L = F.L
-    coeffs = [Supernumber.zero(L) for _ in range(length)]
-    for (k, mask), coeff in poly.terms.items():
-        if mask:
-            raise NotInFamily(f"{what} carries odd variables")
+    coeffs = [Supernumber.zero(F.L)] * length
+    for (k, _), coeff in poly.terms.items():
         coeffs[k] = coeff
+    if not all(v.is_odd() for v in coeffs):
+        raise NotInFamily("psi coefficients must be odd")
     return coeffs
-
-
-def _constant_or_fail(F, what):
-    value = F.as_constant()
-    if value is None:
-        raise NotInFamily(f"{what} must be constant")
-    return value
 
 
 def validate_map(m, n):
     """Recover AutomorphismParams from a map, or raise NotInFamily.
 
-    psi comes from multiplying by powers of c z + d; eps is read at the
-    regular point z0 of `recover_moebius`, with delta = c z0 + d, as
+    psi+- are read by `_psi_coeffs`; eps is read at the regular point z0
+    of `recover_moebius`, with delta = c z0 + d, as
     g_short(z0) delta^(1 - |n|) for n != 0 and as
     g+(z0) delta^2 / (delta + y+(z0)) for n = 0, where the linear y+ is
     given by g+ = eps (c z + d + y+) / (c z + d)^2.  Data that is no
@@ -475,39 +458,24 @@ def validate_map(m, n):
     czd = _linear(L, c, d)
     z0 = _regular_point(m.f, c.body(), d.body())
     delta = c.scale(z0) + d
-
+    psi_plus, psi_minus = (
+        _psi_coeffs(F, czd, length, what, n) for F, length, what in zip(
+            (m.psi_plus, m.psi_minus), AutomorphismParams.psi_lengths(n),
+            ("psi+", "psi-")))
+    g_s = sides(n, m.g_plus, m.g_minus)[0]
     if n == 0:
-        pp0, pp1 = _as_coeff_list(m.psi_plus, czd, 1, 2, "psi+")
-        pm0, pm1 = _as_coeff_list(m.psi_minus, czd, 1, 2, "psi-")
-        # before the eps read: even psi can make delta + y+ a non-unit
-        if not all(v.is_odd() for v in (pp0, pp1, pm0, pm1)):
-            raise NotInFamily("psi coefficients must be odd")
-        psi_plus, psi_minus = [pp0, pp1], [pm0, pm1]
         lead, const = _y_linear(psi_plus, psi_minus, c, d)
-        g_s, inv = m.g_plus, czd.inverse()
-        eps = (_value_at(g_s, z0) * delta * delta
+        eps = (_values_at(g_s, z0)[0] * delta * delta
                * (delta + lead.scale(z0) + const).inverse())
     else:
-        k = abs(n)
-        s_name, t_name = sides(n, "+", "-")
-        psi_s, psi_t = sides(n, m.psi_plus, m.psi_minus)
-        if k == 1:
-            short = [_constant_or_fail(psi_s, f"psi{s_name}")]
-        elif psi_s.is_zero():
-            short = []
-        else:
-            raise NotInFamily(f"psi{s_name} must vanish for n "
-                              f"{'>= 2' if n > 0 else '<= -2'}")
-        tower = _as_coeff_list(psi_t, czd, k + 1, k + 2, f"psi{t_name}")
-        g_s, inv = sides(n, m.g_plus, m.g_minus)[0], None
-        eps = _value_at(g_s, z0) * delta ** (1 - k)
-        psi_plus, psi_minus = sides(n, short, tower)
+        eps = _values_at(g_s, z0)[0] * delta ** (1 - abs(n))
     try:
         params = AutomorphismParams(n, a, b, c, d, eps, psi_plus, psi_minus)
     except InvalidParams as exc:
         raise NotInFamily(f"recovered data is no parameter set: {exc}") from exc
 
-    if g_s != _short_g(params, czd, inv):
+    num, j = _short_g(params, czd)
+    if _times_power(g_s, czd, j) != num:
         raise NotInFamily("short-side g differs from the family's")
     if not m.check().ok:
         raise NotInFamily("map fails the superconformal constraint")

@@ -848,9 +848,12 @@ class RationalSuperfunction:
     def __pow__(self, n):
         """num**n / den**n, normalised once.  The one normalisation stays:
         Gauss's lemma fails over Grassmann coefficients, so a power of a
-        canonical numerator can share a factor with den**n."""
+        canonical numerator can share a factor with den**n.  The first
+        power is self, which is canonical already."""
         if not isinstance(n, int):
             return NotImplemented
+        if n == 1:
+            return self
         if n < 0:
             return self.inverse() ** (-n)
         return RationalSuperfunction(self.num ** n, self.den ** n)
