@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import inspect
 import json
@@ -143,6 +144,122 @@ def test_counterexample_operands_take_their_json_forms():
                                   "p": textio.params_to_json(p)}]
 
 
+def test_check_returns_the_verdict_and_records_a_failing_law_part():
+    L = 6
+    s = Sampler(random.Random(3), L)
+    x = s.supernumber(4)
+    alpha = s.matrix_group_element()
+    out = Outcome()
+    assert out.check("holds", lambda: x, x=x) is x
+    assert out.failures == []
+    assert out.check("false", lambda: 0, x=x, alpha=alpha) == 0
+
+    def rejects():
+        raise spheres.NotInFamily("off the family")
+
+    assert out.check("raises", rejects, alpha=alpha) is None
+    with pytest.raises(ValueError):
+        out.check("other", lambda: int("x"), x=x)
+    false, raised = out.failures
+    assert false["law"] == "false" and raised["law"] == "raises"
+    assert textio.supernumber_from_json(false["counterexample"]["x"], L) == x
+    assert false["counterexample"]["alpha"] == raised["counterexample"]["alpha"]
+    assert raised["counterexample"]["error"] == "off the family"
+    assert {k: textio.supernumber_from_json(v, L) for k, v in
+            raised["counterexample"]["alpha"].items()} == \
+        {k: getattr(alpha, k) for k in ("a", "b", "c", "d", "eps")}
+    json.dumps(out.failures)
+
+
+def probe(error):
+    """A stand-in for a package function that raises error("probe")."""
+    def raising(*args):
+        raise error("probe")
+    return raising
+
+
+def transition_inverse_laws(span):
+    """The law parts of spheres.transition that call transition_inverse."""
+    laws = []
+    for n in span:
+        laws.append(f"transition inverse n={n}")
+        if n in (span[0], 0, span[-1]):
+            laws.append(f"generic inversion of transition n={n}")
+    return laws
+
+
+PROBED_LAW_PARTS = [
+    ("spheres.transition", "transition_inverse",
+     transition_inverse_laws(range(-6, 7))),
+    ("superconformal.roundtrip", "to_n1",
+     ["N=1 -> N=2 -> N=1 roundtrip", "N=2 -> N=1 -> N=2 roundtrip"] * 2
+     + ["shifted-origin example roundtrip"]),
+    ("flows.group", "group_action",
+     [f"{label} flow vs action, twist {n}" for n in (-2, -1, 0, 1, 2)
+      for label in ("translation", "diagonal", "charge", "special")]),
+]
+
+
+@pytest.mark.parametrize("error", campaign._LAW_ERRORS)
+@pytest.mark.parametrize("cid, name, laws", PROBED_LAW_PARTS,
+                         ids=[cid for cid, _, _ in PROBED_LAW_PARTS])
+def test_a_package_verdict_fails_the_law_part_that_raises_it(
+        cid, name, laws, error, monkeypatch):
+    """Each law part that calls the probed function fails with the message
+    as its `error` operand, and the suite ends in fail, not in error."""
+    monkeypatch.setattr(campaign, name, probe(error))
+    record = run_campaign(tiny_config(), only=cid)["checks"][0]
+    assert record["status"] == "fail"
+    assert [f["law"] for f in record["failures"]] == laws
+    assert all(f["counterexample"]["error"] == "probe"
+               for f in record["failures"])
+
+
+@pytest.mark.parametrize("cid, name, laws", PROBED_LAW_PARTS,
+                         ids=[cid for cid, _, _ in PROBED_LAW_PARTS])
+def test_any_other_exception_in_a_law_part_ends_the_suite_in_error(
+        cid, name, laws, monkeypatch):
+    monkeypatch.setattr(campaign, name, probe(ValueError))
+    record = run_campaign(tiny_config(), only=cid)["checks"][0]
+    assert record["status"] == "error"
+    assert record["error"] == {"type": "ValueError", "message": "probe"}
+
+
+def test_the_law_error_rule_is_written_once():
+    """No suite catches an exception itself: `Outcome.check` is the one
+    place that turns a package verdict into a failed law part."""
+    tree = ast.parse(inspect.getsource(campaign))
+    suites = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name.startswith("_suite_")]
+    assert len(suites) == 17
+    assert [f.name for f in suites
+            if any(isinstance(node, ast.Try) for node in ast.walk(f))] == []
+    catching = [handler for node in ast.walk(tree)
+                if isinstance(node, ast.Try) for handler in node.handlers
+                if getattr(handler.type, "id", None) == "_LAW_ERRORS"]
+    check = inspect.getsource(Outcome.check)
+    assert len(catching) == 1 and "except _LAW_ERRORS" in check
+
+
+def test_cover_counterexamples_carry_their_matrix_operands(monkeypatch):
+    """A kernel predicate read at the wrong parity fails the cover laws,
+    and each counterexample carries the drawn alpha (and beta for the
+    two-to-one law) to replay."""
+    in_kernel = campaign.in_action_kernel
+    monkeypatch.setattr(campaign, "in_action_kernel",
+                        lambda n, a, b: in_kernel(n + 1, a, b))
+    cfg = tiny_config()
+    for cid in ("spheres.cover.even", "spheres.cover.odd"):
+        record = run_campaign(cfg, only=cid)["checks"][0]
+        assert record["status"] == "fail"
+        for failure in record["failures"]:
+            example = failure["counterexample"]
+            assert example["n"] in cfg.n_range
+            assert_matrix_group_element(example["alpha"], cfg.generators)
+            if failure["law"] == "two-to-one correspondence":
+                assert_matrix_group_element(example["beta"], cfg.generators)
+
+
 def test_campaign_passes_and_is_deterministic():
     cfg = tiny_config()
     first = run_campaign(cfg)
@@ -244,6 +361,13 @@ def test_recovery_is_canonical_rebuilds_the_recovered_params(monkeypatch):
         "parameter recovery is canonical"]
 
 
+def assert_matrix_group_element(form, L):
+    """form reads back to five entries (a, b, c, d; eps) with a d - b c = 1."""
+    g = {k: textio.supernumber_from_json(v, L) for k, v in form.items()}
+    assert sorted(g) == ["a", "b", "c", "d", "eps"]
+    assert g["a"] * g["d"] - g["b"] * g["c"] == Supernumber.one(L)
+
+
 def conjugation_failures(cfg, n):
     """The failures of spheres.translations.n=n, each checked to be the
     conjugation law with u and alpha's five entries as operands."""
@@ -253,11 +377,7 @@ def conjugation_failures(cfg, n):
         assert failure["law"] == "conjugation acts by the polynomial transform"
         example = failure["counterexample"]
         assert len(example["u"]) == abs(n) + 2
-        alpha = {k: textio.supernumber_from_json(v, cfg.generators)
-                 for k, v in example["alpha"].items()}
-        assert sorted(alpha) == ["a", "b", "c", "d", "eps"]
-        assert alpha["a"] * alpha["d"] - alpha["b"] * alpha["c"] == \
-            Supernumber.one(cfg.generators)
+        assert_matrix_group_element(example["alpha"], cfg.generators)
     return record["failures"]
 
 
