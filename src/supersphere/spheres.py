@@ -337,36 +337,52 @@ class SphereAutomorphism:
 # ---------------------------------------------------------------------------
 
 
-def _regular_point(f, c0, d0):
-    """The first z0 of 0, 1, 2, ... with c0 z0 + d0 != 0 where f is regular."""
+def _regular_point(f, c, d):
+    """The first z0 of 0, 1, 2, ... where f is regular and c z0 + d is a
+    unit other than 1 (unless c z + d = 1 everywhere): where it is 1, every
+    power of c z + d is 1.  c and d are supernumbers or their bodies."""
     z0 = 0 if f.num.min_z() >= 0 else 1
-    while not (c0 * z0 + d0 and f.den.eval_scalar(z0)):
+    one_everywhere = not c and d == 1
+    while True:
+        delta = c * z0 + d
+        unit = delta.body() if isinstance(delta, Supernumber) else delta
+        if unit and f.den.eval_scalar(z0) and (one_everywhere or delta != 1):
+            return z0
         z0 += 1
-    return z0
 
 
-def _values_at(F, z0):
-    """[F(z0), F'(z0), F''(z0)] for a theta-free F and an integer z0, by the
-    quotient rule on the values of numerator and denominator.  A pole at
-    z0 means F is no family component."""
+def _value_at(F, z0):
+    """F(z0) for a theta-free F and an integer z0, as the value of the
+    numerator over that of the denominator.  A pole at z0 means F is no
+    family component."""
     q0 = F.den.eval_scalar(z0)
     if not q0 or (not z0 and F.num.min_z() < 0):
         raise NotInFamily(f"a component has a pole at z = {z0}")
+    z = grat(z0)
+    return sum((c.scale(z ** k) for (k, _), c in F.num.terms.items()),
+               Supernumber.zero(F.L)).scale(q0.inverse())
+
+
+def _values_at(F, z0):
+    """[F(z0), F'(z0), F''(z0)]: the value by `_value_at`, the derivatives
+    by the quotient rule on the values of numerator and denominator."""
+    value = _value_at(F, z0)
+    q0 = F.den.eval_scalar(z0)
     d1 = F.den.derivative()
     q1, q2 = d1.eval_scalar(z0), d1.derivative().eval_scalar(z0)
     r0 = q0.inverse()  # 1/den and its derivatives at z0
     r1, r2 = -q1 * r0 * r0, (q1 * q1 * r0 * 2 - q2) * r0 * r0
     z = grat(z0)
-    out = [Supernumber.zero(F.L)] * 3
+    out = [Supernumber.zero(F.L)] * 2
     for (k, _), coeff in F.num.terms.items():
         # z^k and its derivatives at z0; the factor k or k (k - 1) is zero
         # wherever z0 = 0 would meet a negative power
         p0 = z ** k
         p1 = k * z ** (k - 1) if k else 0
         p2 = k * (k - 1) * z ** (k - 2) if k * (k - 1) else 0
-        w = (p0 * r0, p1 * r0 + p0 * r1, p2 * r0 + 2 * p1 * r1 + p0 * r2)
+        w = (p1 * r0 + p0 * r1, p2 * r0 + 2 * p1 * r1 + p0 * r2)
         out = [acc + coeff.scale(wj) if wj else acc for acc, wj in zip(out, w)]
-    return out
+    return [value, *out]
 
 
 def recover_moebius(m):
@@ -456,7 +472,7 @@ def validate_map(m, n):
     a, b, c, d = recover_moebius(m)
     L = m.L
     czd = _linear(L, c, d)
-    z0 = _regular_point(m.f, c.body(), d.body())
+    z0 = _regular_point(m.f, c, d)
     delta = c.scale(z0) + d
     psi_plus, psi_minus = (
         _psi_coeffs(F, czd, length, what, n) for F, length, what in zip(
@@ -465,10 +481,10 @@ def validate_map(m, n):
     g_s = sides(n, m.g_plus, m.g_minus)[0]
     if n == 0:
         lead, const = _y_linear(psi_plus, psi_minus, c, d)
-        eps = (_values_at(g_s, z0)[0] * delta * delta
+        eps = (_value_at(g_s, z0) * delta * delta
                * (delta + lead.scale(z0) + const).inverse())
     else:
-        eps = _values_at(g_s, z0)[0] * delta ** (1 - abs(n))
+        eps = _value_at(g_s, z0) * delta ** (1 - abs(n))
     try:
         params = AutomorphismParams(n, a, b, c, d, eps, psi_plus, psi_minus)
     except InvalidParams as exc:

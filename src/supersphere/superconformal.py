@@ -45,7 +45,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .scalars import grat
-from .grassmann import NotInvertible, Supernumber
+from .grassmann import NotInvertible
 from .superfield import (
     RationalSuperfunction,
     ScalarPoly,
@@ -55,6 +55,7 @@ from .superfield import (
     THETA_MINUS,
     THETA_PLUS,
     apply_D,
+    lcm_sum,
 )
 
 
@@ -67,8 +68,6 @@ class NotInvertibleComponent(SuperfieldError):
 
 
 def _theta_free_component(F, L, name):
-    if isinstance(F, (int, Supernumber)):
-        F = RationalSuperfunction.from_constant(L, F)
     if not isinstance(F, RationalSuperfunction):
         raise TypeError(f"component {name} must be a rational superfunction")
     if F.n_odd != 2 or F.L != L:
@@ -110,9 +109,9 @@ class SuperconformalMap:
 
     def __init__(self, f, g_plus, g_minus, psi_plus=None, psi_minus=None,
                  coefficient_bound=True):
-        L = f.L if isinstance(f, RationalSuperfunction) else g_plus.L
-        zero = RationalSuperfunction.zero(L)
+        L = getattr(f, "L", None)
         self.f = _theta_free_component(f, L, "f")
+        zero = RationalSuperfunction.zero(L)
         self.g_plus = _theta_free_component(g_plus, L, "g+")
         self.g_minus = _theta_free_component(g_minus, L, "g-")
         self.psi_plus = _theta_free_component(
@@ -157,14 +156,14 @@ class SuperconformalMap:
         """Diagnose the superconformality constraint clause by clause.
 
         g+ g- = f' - (psi+)' psi- + psi+ (psi-)' (`_constraint_rest`) is
-        tested as one polynomial identity over the lcm of the denominators:
-        monic scalar polynomials, hence no zero divisors, so this is the
-        verdict of comparing the normalised sides.
+        tested as one `lcm_sum`, the sum of rational superfunctions, over
+        monic scalar denominators: no zero divisors, so this is the verdict
+        of comparing the normalised sides.
         """
         failures = []
         gp, gm = self.g_plus, self.g_minus
         rest = _constraint_rest(self.f, self.psi_plus, self.psi_minus)
-        if _common_sum([(1, *rest), (-1, gp.num * gm.num, gp.den * gm.den)])[0]:
+        if lcm_sum([(1, *rest), (-1, gp.num * gm.num, gp.den * gm.den)])[0]:
             failures.append("constraint")
         if gp.body_is_zero():
             failures.append("g_plus_body")
@@ -322,24 +321,10 @@ class SuperconformalMap:
         raise NotInvertible("Newton steps did not reach the identity")
 
 
-def _common_sum(terms):
-    """sum(sign num / den) over the lcm of the denominators, unreduced:
-    (numerator, lcm), for (sign, num, den) terms."""
-    common = terms[0][2]
-    for _, _, den in terms[1:]:
-        if den != common:
-            common = common * den.divmod(common.gcd(den))[0]
-    total = SuperPolynomial.zero(terms[0][1].L)
-    for sign, num, den in terms:
-        num = num.mul_scalar_poly(common.divmod(den)[0])
-        total = total + num if sign > 0 else total - num
-    return total, common
-
-
 def _constraint_rest(f, psi_plus, psi_minus):
     """f' - (psi+)' psi- + psi+ (psi-)', which the constraint equates with
-    g+ g-, as an unreduced (numerator, denominator) pair.  A constant f
-    has f' = 0 over 1, and a zero psi drops both psi terms."""
+    g+ g-, as the unreduced (numerator, lcm) pair of `lcm_sum`.  A
+    constant f has f' = 0 over 1, and a zero psi drops both psi terms."""
     terms = [(1, *f.diff_z_parts())]
     if psi_plus and psi_minus:
         for sign, (ln, ld), (rn, rd) in (
@@ -347,12 +332,12 @@ def _constraint_rest(f, psi_plus, psi_minus):
                 (1, (psi_plus.num, psi_plus.den), psi_minus.diff_z_parts())):
             if ln and rn:
                 terms.append((sign, ln * rn, ld * rd))
-    return _common_sum(terms)
+    return lcm_sum(terms)
 
 
 def completing_g(f, g, psi_plus, psi_minus):
     """The g that makes (f, g, psi+, psi-) with either g in either place
-    superconformal: `_constraint_rest`, normalised once, over g."""
+    superconformal: `_constraint_rest` (one `lcm_sum`), normalised, over g."""
     num, den = _constraint_rest(f, psi_plus, psi_minus)
     return RationalSuperfunction(num, den) * g.inverse()
 
@@ -401,7 +386,7 @@ class N1SuperanalyticMap:
     __slots__ = ("f1", "xi", "psi", "g")
 
     def __init__(self, f1, xi, psi, g, coefficient_bound=True):
-        L = f1.L if isinstance(f1, RationalSuperfunction) else g.L
+        L = getattr(f1, "L", None)
         self.f1 = _theta_free_component(f1, L, "f1")
         self.xi = _theta_free_component(xi, L, "xi")
         self.psi = _theta_free_component(psi, L, "psi")

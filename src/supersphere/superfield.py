@@ -753,18 +753,8 @@ class RationalSuperfunction:
             return self
         if not self.num.terms and sign > 0:
             return other
-        if self.den == other.den:
-            left = right = ScalarPoly.one()
-        else:
-            shared = self.den.gcd(other.den)
-            if shared.degree() > 0:
-                left, _ = other.den.divmod(shared)
-                right, _ = self.den.divmod(shared)
-            else:
-                left, right = other.den, self.den
-        a = self.num.mul_scalar_poly(left)
-        b = other.num.mul_scalar_poly(right)
-        return RationalSuperfunction(a + b if sign > 0 else a - b, self.den * left)
+        return RationalSuperfunction(*lcm_sum(
+            [(1, self.num, self.den), (sign, other.num, other.den)]))
 
     def __neg__(self):
         return RationalSuperfunction(-self.num, self.den)
@@ -914,16 +904,36 @@ class RationalSuperfunction:
         return f"RSF(({self.num}) / {self.den})"
 
 
+def lcm_sum(terms):
+    """sum(sign * num / den) for (sign, num, den) terms, the first sign
+    positive, as the unreduced pair (numerator, lcm of the denominators):
+    each further term costs one gcd, none if its den is the running lcm."""
+    (_, total, common), *rest = terms
+    for sign, num, den in rest:
+        if den != common:
+            shared = common.gcd(den)
+            if shared.degree() > 0:
+                left, right = den.divmod(shared)[0], common.divmod(shared)[0]
+            else:
+                left, right = den, common
+            total = total.mul_scalar_poly(left)
+            num = num.mul_scalar_poly(right)
+            common = common * left
+        total = total + num if sign > 0 else total - num
+    return total, common
+
+
 class Substitution:
     """The change of variables z -> w, theta_b -> odd_images[b].
 
     w must be an even rational superfunction; odd images must be given
-    for every odd variable actually used.  Each theta component of a
-    numerator is evaluated at w by fraction-free Horner (`_poly_at`): w
-    is even, so it commutes with every coefficient and polynomial
-    evaluation is exact.  A denominator (z - r)**m becomes Y**m with
-    Y = 1/(w - r); applying one Substitution to several functions (the
-    components of a coordinate triple) computes each power of Y once.
+    for every odd variable actually used.  A Laurent numerator z**v P is
+    read as P over the pole z**(-v) at root 0.  Each theta component of P
+    is evaluated at w by fraction-free Horner (`_poly_at`): w is even, so
+    it commutes with every coefficient.  Every pole comes from one cache
+    (`_pole`): (z - r)**m, r = 0 included, becomes (1/(w - r))**m, and a
+    denominator with several roots 1/den(w); so applying one Substitution
+    to several functions (the components of a map) inverts each once.
     """
 
     __slots__ = ("w", "odd_images", "_inverse_powers")
@@ -937,15 +947,15 @@ class Substitution:
                 raise ValueError("substitution images have mismatched shapes")
         self.w = w
         self.odd_images = odd_images
-        self._inverse_powers = {}  # r -> [1, Y, Y**2, ...]
+        self._inverse_powers = {}  # root or den -> [1, Y, Y**2, ...]
 
     def __call__(self, F):
         w = self.w
-        shape = w.shape()
+        v = min(F.num.min_z(), 0)
         comps = {}
         for (k, m), c in F.num.terms.items():
-            comps.setdefault(m, {})[k] = c
-        result = RationalSuperfunction.zero(*shape)
+            comps.setdefault(m, {})[k - v] = c
+        result = RationalSuperfunction.zero(*w.shape())
         for mask, coeffs in sorted(comps.items()):
             total = _poly_at(coeffs, w)
             if mask:
@@ -958,33 +968,31 @@ class Substitution:
                         prefix = img if prefix is None else prefix * img
                 total = prefix * total
             result = result + total
+        if v:
+            result = result * self._pole(ZERO, -v)
         if F.den.is_one():
             return result
         root = F.den._linear_root()
         if root is None:
-            den_total = _poly_at(F.den.coeffs, w)
-            if den_total.body_is_zero():
-                raise SingularComposition(
-                    "denominator body vanishes after substitution"
-                )
-            return result * den_total.inverse()
-        powers = self._inverse_powers.get(root)
+            return result * self._pole(F.den, 1)
+        return result * self._pole(root, F.den.degree())
+
+    def _pole(self, key, m):
+        """Y**m from the cache of powers of Y: Y = 1/(w - key) for a root
+        key, and Y = 1/key(w) for a denominator key with several roots."""
+        powers = self._inverse_powers.get(key)
         if powers is None:
-            shifted = RationalSuperfunction(
-                w.num - SuperPolynomial.constant(shape[0], root, shape[1])
-                .mul_scalar_poly(w.den),
-                w.den,
-            )
-            if shifted.body_is_zero():
+            w = self.w
+            base = (_poly_at(key.coeffs, w) if isinstance(key, ScalarPoly)
+                    else w - key)
+            if base.body_is_zero():
                 raise SingularComposition(
-                    "denominator body vanishes after substitution"
-                )
-            powers = [RationalSuperfunction.one(*shape), shifted.inverse()]
-            self._inverse_powers[root] = powers
-        m = F.den.degree()
+                    "denominator body vanishes after substitution")
+            powers = [RationalSuperfunction.one(*w.shape()), base.inverse()]
+            self._inverse_powers[key] = powers
         while len(powers) <= m:
             powers.append(powers[-1] * powers[1])
-        return result * powers[m]
+        return powers[m]
 
 
 def _cancel_common_factor(num, den):
@@ -1053,33 +1061,23 @@ def _divide_out_root(dense, root, cap):
 def _poly_at(coeffs, w):
     """p(w) for p = sum of coeffs[k] * z**k and an even w, exactly.
 
-    coeffs maps integer exponents (negative ones too) to supernumber or
-    scalar coefficients.  Fraction-free Horner: with w = Wn/Wd and
-    exponents v..top (v <= 0), the sum of c_k Wn**(k-v) Wd**(top-k) is
-    accumulated as a superpolynomial and normalised once over
-    Wd**(top-v); a negative v then contributes the factor (1/w)**(-v).
+    coeffs maps nonnegative exponents to supernumber or scalar
+    coefficients.  Fraction-free Horner: with w = Wn/Wd, the sum of
+    c_k Wn**k Wd**(top-k) is normalised once over Wd**top.
     """
     L, n_odd = w.shape()
-    if not coeffs:
-        return RationalSuperfunction.zero(L, n_odd)
-    v = min(min(coeffs), 0)
     top = max(coeffs)
     wn, wd = w.num, w.den
     wd_power = ScalarPoly.one()
     acc = SuperPolynomial.constant(L, coeffs[top], n_odd)
-    for k in range(top - 1, v - 1, -1):
+    for k in range(top - 1, -1, -1):
         acc = acc * wn
         if not wd.is_one():
             wd_power = wd_power * wd
         c = coeffs.get(k)
         if c is not None:
             acc = acc + SuperPolynomial.constant(L, c, n_odd).mul_scalar_poly(wd_power)
-    out = RationalSuperfunction(acc, wd_power)
-    if v < 0:
-        if w.body_is_zero():
-            raise SingularComposition("negative power of a bodyless argument")
-        out = out * (w.inverse() ** (-v))
-    return out
+    return RationalSuperfunction(acc, wd_power)
 
 
 # ---------------------------------------------------------------------------

@@ -449,13 +449,27 @@ def test_short_side_exponent_mutant_fails_a_named_law(cid, law, monkeypatch):
     and recovery rejects them as a law failure: the suite ends in fail with
     the law it breaks, not in error."""
     monkeypatch.setattr(spheres, "_short_g", short_side_exponent_mutant())
-    # seed 99 draws the recovery law a member with c z0 + d = 1, where the
-    # mutant's eps read is exact and recovery agrees with its build
+    # seed 99 draws the recovery law a member with c = 0 and d = 1 exactly:
+    # c z + d is 1 everywhere, so the mutant builds that member unchanged
     seed = 1 if cid.startswith("spheres.closure") else 99
     cfg = tiny_config(generators=6, n_range=(3,), seed=seed)
     record = run_campaign(cfg, only=cid)["checks"][0]
     assert record["status"] == "fail"
     assert law in [f["law"] for f in record["failures"]]
+
+
+def test_short_side_exponent_mutant_is_rejected_where_d_is_one(monkeypatch):
+    """a = c = d = 1, b = 0: c z + d is 1 at z = 0 only, and the eps read
+    avoids that point, where every power of c z + d reads 1 and recovery
+    would agree with the mutant's build."""
+    L = 6
+    one, zero = Supernumber.one(L), Supernumber.zero(L)
+    p = spheres.AutomorphismParams(3, one, zero, one, one, one,
+                                   psi_minus=[zero] * 5)
+    monkeypatch.setattr(spheres, "_short_g", short_side_exponent_mutant())
+    member = spheres.build_map(p)
+    with pytest.raises(spheres.NotInFamily, match="short-side g differs"):
+        spheres.validate_map(member, 3)
 
 
 def test_dependent_twist_basis_fails_solvability(monkeypatch):

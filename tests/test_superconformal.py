@@ -548,10 +548,24 @@ class TestN1Correspondence:
         assert odd == theta
 
 
-@pytest.mark.parametrize("cls, components", [
+MAP_COMPONENTS = [
     (SuperconformalMap, (RSF.z(L), RSF.one(L), RSF.one(L), RSF.zero(L), RSF.zero(L))),
     (N1SuperanalyticMap, (RSF.z(L), RSF.zero(L), RSF.zero(L), RSF.one(L))),
-])
+]
+
+
+@pytest.mark.parametrize("cls, components", MAP_COMPONENTS)
+def test_every_component_must_be_a_rational_superfunction(cls, components):
+    """No component is coerced, not even a constant: an int in any place,
+    the first included, is a TypeError."""
+    for i in range(len(components)):
+        replaced = list(components)
+        replaced[i] = 1
+        with pytest.raises(TypeError, match="must be a rational superfunction"):
+            cls(*replaced)
+
+
+@pytest.mark.parametrize("cls, components", MAP_COMPONENTS)
 def test_component_coefficients_stay_two_generators_below_L(cls, components):
     """Generator L - 2 is allowed in every component and L - 1 in none,
     unless the caller lifts the bound."""

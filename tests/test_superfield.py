@@ -749,3 +749,64 @@ def test_linear_power_closed_forms_match_long_arithmetic(r, s, a, b):
                                side_effect=AssertionError("closed form used")):
             assert fresh * mixed == _long_product(p, mixed)
             assert fresh.divmod(mixed) == _long_division(p, mixed)
+
+
+_SUM_ROOTS = (grat(1), grat(-2), grat(1, 1))
+
+
+def lcm_sum_terms(seed):
+    """2-4 (sign, numerator, denominator) terms, the first sign positive,
+    whose denominators are all equal, all powers of linear factors (with
+    shared roots, and 1), or `quotient_operand` denominators."""
+    s = Sampler(random.Random(seed), L)
+    kind = s.rng.randrange(3)
+    shared = quotient_operand(seed).den
+    terms = []
+    for j in range(s.rng.randint(2, 4)):
+        if kind == 0:
+            den = shared
+        elif kind == 1:
+            den = _linear_factor(s.rng.choice(_SUM_ROOTS)) ** s.rng.randint(0, 3)
+        else:
+            den = quotient_operand(s.rng.getrandbits(32)).den
+        sign = 1 if not j else s.rng.choice((1, -1))
+        terms.append((sign, s.superpoly(max_terms=3), den))
+    return terms
+
+
+@settings(deadline=None, max_examples=60)
+@given(seeds.map(lcm_sum_terms))
+def test_lcm_sum_is_the_sum_over_the_least_common_denominator(terms):
+    num, den = superfield.lcm_sum(terms)
+    # the reference cross-multiplies over the product of the denominators
+    product = ScalarPoly.one()
+    for _, _, d in terms:
+        product = product * d
+    reference = SuperPolynomial.zero(L)
+    for sign, n, d in terms:
+        part = n.mul_scalar_poly(product.divmod(d)[0])
+        reference = reference + part if sign > 0 else reference - part
+    assert RSF(num, den) == RSF(reference, product)
+    assert all(den.divmod(d)[1].is_zero() for _, _, d in terms)
+    assert product.divmod(den)[1].is_zero()
+    if len({d for _, _, d in terms}) == 1:
+        assert den == terms[0][2]
+
+
+@settings(deadline=None, max_examples=40)
+@given(seeds)
+def test_a_laurent_numerator_substitutes_as_a_pole_at_zero(seed):
+    """F(w) = (F z**k)(w) / w**k: the powers of z that a Laurent numerator
+    carries are the pole at 0 of the one cache of inverse powers."""
+    s = Sampler(random.Random(seed), L)
+    F = s.rational_superfunction(max_terms=3, z_span=(-3, 2))
+    k = max(-F.num.min_z(), 0) + s.rng.randrange(2)
+    tp, tm = thetas()
+    w = rsf_z() + s.gaussian_rational(nonzero=True) \
+        + s.rational_superfunction(max_terms=2, parity=0)
+    images = (tp + s.rational_superfunction(max_terms=2, parity=1),
+              tm + s.rational_superfunction(max_terms=2, parity=1))
+    if w.body_is_zero():
+        return
+    shifted = (F * RSF.z(L) ** k).substitute(w, images)
+    assert F.substitute(w, images) == shifted * w.inverse() ** k
