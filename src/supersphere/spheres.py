@@ -337,18 +337,12 @@ class SphereAutomorphism:
 # ---------------------------------------------------------------------------
 
 
-def _regular_point(f, c, d):
-    """The first z0 of 0, 1, 2, ... where f is regular and c z0 + d is a
-    unit other than 1 (unless c z + d = 1 everywhere): where it is 1, every
-    power of c z + d is 1.  c and d are supernumbers or their bodies."""
-    z0 = 0 if f.num.min_z() >= 0 else 1
-    one_everywhere = not c and d == 1
-    while True:
-        delta = c * z0 + d
-        unit = delta.body() if isinstance(delta, Supernumber) else delta
-        if unit and f.den.eval_scalar(z0) and (one_everywhere or delta != 1):
-            return z0
+def _regular_point(f, c0, d0, start=0):
+    """The first z0 >= start with c0 z0 + d0 != 0 where f is regular."""
+    z0 = max(start, 0 if f.num.min_z() >= 0 else 1)
+    while not (c0 * z0 + d0 and f.den.eval_scalar(z0)):
         z0 += 1
+    return z0
 
 
 def _value_at(F, z0):
@@ -458,7 +452,8 @@ def validate_map(m, n):
     """Recover AutomorphismParams from a map, or raise NotInFamily.
 
     psi+- are read by `_psi_coeffs`; eps is read at the regular point z0
-    of `recover_moebius`, with delta = c z0 + d, as
+    of `recover_moebius`, or the next one if c z0 + d = 1 there while
+    c z + d is not 1 everywhere, with delta = c z0 + d, as
     g_short(z0) delta^(1 - |n|) for n != 0 and as
     g+(z0) delta^2 / (delta + y+(z0)) for n = 0, where the linear y+ is
     given by g+ = eps (c z + d + y+) / (c z + d)^2.  Data that is no
@@ -472,7 +467,11 @@ def validate_map(m, n):
     a, b, c, d = recover_moebius(m)
     L = m.L
     czd = _linear(L, c, d)
-    z0 = _regular_point(m.f, c, d)
+    z0 = _regular_point(m.f, c.body(), d.body())
+    if (c or d != 1) and c.scale(z0) + d == 1:
+        # where c z0 + d = 1 every power of c z + d is 1, so the eps read
+        # could not see a wrong exponent; no two points both give 1
+        z0 = _regular_point(m.f, c.body(), d.body(), z0 + 1)
     delta = c.scale(z0) + d
     psi_plus, psi_minus = (
         _psi_coeffs(F, czd, length, what, n) for F, length, what in zip(

@@ -328,12 +328,11 @@ def test_one_substitution_inverts_its_argument_once(n, monkeypatch):
                           (w ** (-n - 1)).scale_left(-I)]
 
 
-# integer Moebius bodies, each with the point z0 recovery reads f at; a
-# point with c0 z0 + d0 = 1 is skipped unless c0 z + d0 is 1 everywhere
+# integer Moebius bodies, each with the point z0 recovery reads f at
 RECOVERY_BODIES = {
-    "pole at 0": ((0, -1, 1, 0), 2),     # d body 0: Laurent numerators
-    "polynomial f": ((1, 2, 0, 1), 0),   # c0 z + d0 = 1 everywhere
-    "pole at 1": ((0, 1, -1, 1), 2),     # 1 at z0 = 0, the pole at 1
+    "pole at 0": ((0, -1, 1, 0), 1),     # d body 0: Laurent numerators
+    "polynomial f": ((1, 2, 0, 1), 0),   # c body 0
+    "pole at 1": ((0, 1, -1, 1), 0),
     "pole at 2": ((0, -1, 1, -2), 0),    # the tie-break flips its sign
 }
 
@@ -354,12 +353,13 @@ def test_point_recovery_matches_substitution_recovery(body, n):
 
 
 def test_regular_point_skips_poles_and_the_moebius_root():
-    # a Laurent numerator rules out 0, c0 z + d0 = z - 1 rules out 1 (a
-    # root) and 2 (the value 1), and the pole at 3 rules out 3
+    # a Laurent numerator rules out 0 and c0 z + d0 = z - 1 rules out 1
     laurent = RSF(SuperPolynomial(L, 2, {(-1, 0): one}),
                   ScalarPoly({2: grat(1), 0: grat(-9)}))
-    assert spheres._regular_point(laurent, grat(1), grat(-1)) == 4
+    assert spheres._regular_point(laurent, grat(1), grat(-1)) == 2
     assert spheres._regular_point(laurent, grat(1), grat(-2)) == 1
+    # from start = 2 on, z - 2 rules out 2 and the pole rules out 3
+    assert spheres._regular_point(laurent, grat(1), grat(-2), start=2) == 4
     # c0 z + d0 = z rules out 0, the poles at 1 and 2 the next two
     poles = RSF(SuperPolynomial(L, 2, {(0, 0): one}),
                 ScalarPoly({2: grat(1), 1: grat(-3), 0: grat(2)}))
