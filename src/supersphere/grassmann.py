@@ -268,9 +268,6 @@ class Supernumber:
             return self - Supernumber.scalar(self.L, other)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
     def __mul__(self, other):
         if not isinstance(other, Supernumber):
             if not isinstance(other, SCALAR_TYPES):
@@ -282,11 +279,6 @@ class Supernumber:
         acc = {}
         mul_into(acc, triples(self.terms.items()), triples(other.terms.items()))
         return Supernumber._make(self.L, reduce_triples(acc))
-
-    def __rmul__(self, other):
-        if isinstance(other, Supernumber):
-            return NotImplemented
-        return self.scale(other)
 
     def scale(self, value):
         c0 = grat(value)

@@ -78,10 +78,6 @@ class Matrix:
     def __neg__(self):
         return Matrix._make(tuple(tuple(-x for x in row) for row in self.rows))
 
-    def __sub__(self, other):
-        return Matrix._make(tuple(tuple(x - y for x, y in zip(r1, r2))
-                                  for r1, r2 in zip(self.rows, other.rows)))
-
     def scale(self, value):
         value = grat(value)
         return Matrix._make(tuple(

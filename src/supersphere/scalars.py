@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from sys import hash_info as _HASH
 
 _gcd = math.gcd
 
@@ -132,10 +133,13 @@ class GaussianRational:
         return NotImplemented
 
     def __hash__(self):
-        if not self._b:
-            # equal to an int or Fraction, so hash like one
-            return hash(Fraction(self._a, self._d))
-        return hash((self._a, self._b, self._d))
+        a, b, d = self._a, self._b, self._d
+        if b:
+            return hash((a, b, d))
+        # the numeric hash of the equal Fraction, without making one
+        p = _HASH.modulus
+        h = hash(abs(a)) * pow(d, -1, p) if d % p else _HASH.inf
+        return hash(h if a >= 0 else -h)
 
     def __add__(self, other):
         if type(other) is not GaussianRational:
@@ -206,12 +210,6 @@ class GaussianRational:
         if other is None:
             return NotImplemented
         return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
 
     def __pow__(self, n):
         if not isinstance(n, int):

@@ -274,9 +274,7 @@ class SuperconformalMap:
         p = ScalarPoly({k - v: c for k, c in num_body.items()})
         q = self.f.den.shift(-v) if v else self.f.den
         g = p.gcd(q)
-        if g.degree() > 0:
-            p, _ = p.divmod(g)
-            q, _ = q.divmod(g)
+        p, q = p.divmod(g)[0], q.divmod(g)[0]
         if p.degree() > 1 or q.degree() > 1:
             return None
         zero = grat(0)

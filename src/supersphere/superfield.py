@@ -23,7 +23,10 @@ terminates, so any such denominator is absorbed into the numerator.  The
 constructor cancels the gcd of the denominator with the scalar
 components of the numerator, so every rational superfunction is in one
 canonical form, unique for its value, and == compares fields.  No gcd
-theory over a non-domain is ever needed.
+theory over a non-domain is ever needed.  The families' denominators are
+products of linear factors over Q(i), so each carries its root map
+(`ScalarPoly.roots`), read from coefficients only where it is born from
+them; Euclid's algorithm serves only denominators of unknown roots.
 
 The odd superderivations
 
@@ -36,6 +39,7 @@ suites check these as operator identities.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 from .scalars import (
     ONE,
@@ -79,10 +83,15 @@ class SingularComposition(SuperfieldError):
 
 
 class ScalarPoly:
-    """Polynomial in z with Q(i) coefficients and nonnegative exponents."""
+    """Polynomial in z with Q(i) coefficients and nonnegative exponents.
 
-    # _root caches _linear_root(); it is unset until first asked for
-    __slots__ = ("coeffs", "_root")
+    Built from known factors (`_from_roots`, products, scaling, exact
+    quotients, gcds) it carries its root map, else `_find_roots` reads it
+    from the coefficients; `gcd` runs Euclid only if both maps are unknown.
+    """
+
+    # _roots caches roots(); it is unset until known or first asked for
+    __slots__ = ("coeffs", "_roots")
 
     def __init__(self, coeffs=None):
         clean = {}
@@ -96,15 +105,17 @@ class ScalarPoly:
         self.coeffs = clean
 
     @classmethod
-    def _make(cls, coeffs):
+    def _make(cls, coeffs, roots=None):
         # internal fast path: exponents nonnegative, coefficients nonzero
         out = cls.__new__(cls)
         out.coeffs = coeffs
+        if roots is not None:
+            out._roots = roots
         return out
 
     @classmethod
     def one(cls):
-        return cls._make({0: ONE})
+        return cls._make({0: ONE}, Counter())
 
     def is_zero(self):
         return not self.coeffs
@@ -147,22 +158,22 @@ class ScalarPoly:
             return self
         if self.is_one():
             return other
-        root = self._linear_root()
-        if root is not None and other._linear_root() == root:
-            return _linear_power(root, self.degree() + other.degree())
+        left, right = self.roots(), other.roots()
+        roots = None if left is None or right is None else left + right
         acc = {}
         right = triples(other.coeffs.items())
         for k1, a1, b1, d1 in triples(self.coeffs.items()):
             for k2, a2, b2, d2 in right:
                 add_triple(acc, k1 + k2, a1 * a2 - b1 * b2,
                            a1 * b2 + b1 * a2, d1 * d2)
-        return ScalarPoly._make(reduce_triples(acc))
+        return ScalarPoly._make(reduce_triples(acc), roots)
 
     def scale(self, c):
         c = grat(c)
         if not c:
             return ScalarPoly._make({})
-        return ScalarPoly._make({k: c * v for k, v in self.coeffs.items()})
+        return ScalarPoly._make({k: c * v for k, v in self.coeffs.items()},
+                                getattr(self, "_roots", None))
 
     def shift(self, n):
         """Multiply by z**n (n may be negative if valuation allows)."""
@@ -187,13 +198,16 @@ class ScalarPoly:
     def divmod(self, other):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        if other.is_one():
+            return self, ScalarPoly._make({})
         n = self.degree()
         d = other.degree()
         if n < d:
             return ScalarPoly._make({}), self
-        root = other._linear_root()
-        if root is not None and self._linear_root() == root:
-            return _linear_power(root, n - d), ScalarPoly._make({})
+        left, right = self.roots(), other.roots()
+        if left is not None and right is not None and not right - left:
+            quotient = _from_roots(left - right, self.leading() / other.leading())
+            return quotient, ScalarPoly._make({})
         rem = _dense(self.coeffs)
         lc_inv = other.leading().inverse()
         if d == 1:
@@ -225,38 +239,35 @@ class ScalarPoly:
         )
 
     def gcd(self, other):
-        # Denominators are almost always powers of one linear factor z - r;
-        # their gcd with anything is (z - r)**j, j found by synthetic division.
-        for lin, rest in ((self, other), (other, self)):
-            root = lin._linear_root()
-            if root is not None:
-                return _linear_power(root, rest._root_multiplicity(root, lin.degree()))
-        a, b = self, other
-        while not b.is_zero():
-            _, r = a.divmod(b)
-            a, b = b, r
-        if a.is_zero():
-            return a
-        return a.monic()[0]
+        """The monic gcd: each root's least multiplicity if either operand
+        knows its roots, else (or for a zero operand) Euclid's algorithm."""
+        left, right = self.roots(), other.roots()
+        if left is None:
+            self, other, left, right = other, self, right, left
+        if left is None or other.is_zero():
+            return _euclid(self, other)
+        common = left & (right if right is not None else _divide_out(other, left)[0])
+        return self.monic()[0] if common == left else _from_roots(common)
 
-    def _linear_root(self):
-        """r if self == (z - r)**m with m >= 1, else None."""
+    def roots(self):
+        """{root: multiplicity} with self == leading() * prod (z - root)**
+        multiplicity, or None where that is not known."""
         try:
-            return self._root
+            return self._roots
         except AttributeError:
-            pass
-        self._root = root = self._find_linear_root()
-        return root
+            self._roots = roots = self._find_roots()
+            return roots
 
-    def _find_linear_root(self):
+    def _find_roots(self):
+        """The root map of c or c (z - r)**m, read from the coefficients."""
         m = self.degree()
-        if m < 1 or self.coeffs[m] != ONE:
+        if m < 0:
             return None
         coeffs = self.coeffs
         expected = coeffs.get(m - 1)
-        if expected is None:
-            return ZERO if len(coeffs) == 1 else None
-        s = expected / m
+        if expected is None:  # c or c z**m
+            return +Counter({ZERO: m}) if len(coeffs) == 1 else None
+        s = expected / (coeffs[m] * m)
         # the coefficient e_k of z**k in (z + s)**m is C(m, k) s**(m - k),
         # so (m - k) e_k = (k + 1) s e_(k+1)
         for k in range(m - 2, -1, -1):
@@ -264,13 +275,7 @@ class ScalarPoly:
             if c is None or c * (m - k) != expected * s * (k + 1):
                 return None
             expected = c
-        return -s
-
-    def _root_multiplicity(self, root, cap):
-        """Largest j <= cap with (z - root)**j dividing self (cap if zero)."""
-        if not self.coeffs:
-            return cap
-        return len(_divide_out_root(_dense(self.coeffs), root, cap)) - 1
+        return Counter({-s: m})
 
     def derivative(self):
         return ScalarPoly._make({k - 1: c * k for k, c in self.coeffs.items() if k})
@@ -296,19 +301,33 @@ def _dense(coeffs, v=0):
     return out
 
 
-def _linear_power(root, j):
-    """(z - root)**j."""
-    s = -root
-    coeffs = {}
-    power = ONE
-    for k in range(j, -1, -1):
-        if power:
-            coeffs[k] = power * math.comb(j, k)
-        power = power * s
-    out = ScalarPoly._make(coeffs)
-    if j:
-        out._root = root
+def _from_roots(roots, lead=ONE):
+    """lead * prod (z - root)**j over the root map, in closed form."""
+    out = ScalarPoly._make({0: lead}, Counter())
+    for root, j in roots.items():
+        s, coeffs, power = -root, {}, ONE
+        for k in range(j, -1, -1):
+            if power:
+                coeffs[k] = power * math.comb(j, k)
+            power = power * s
+        out = out * ScalarPoly._make(coeffs, Counter({root: j}))
     return out
+
+
+def _divide_out(poly, roots):
+    """(multiplicities, quotient): each root out of poly as often as it goes."""
+    dense, found = _dense(poly.coeffs), Counter()
+    for root in roots:
+        chain = _divide_out_root(dense, root, len(dense))
+        found[root], dense = len(chain) - 1, chain[-1]
+    return +found, ScalarPoly._make({k: c for k, c in enumerate(dense) if c})
+
+
+def _euclid(a, b):
+    """The monic gcd of two polynomials whose roots are not known."""
+    while not b.is_zero():
+        a, b = b, a.divmod(b)[1]
+    return a if a.is_zero() else a.monic()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -806,8 +825,11 @@ class RationalSuperfunction:
         if body.is_zero():
             raise NotInvertible("rational superfunction has zero body part")
         soul = shifted - SuperPolynomial(self.L, self.n_odd, {
-            (k, 0): c for k, c in body.coeffs.items()
-        })
+            (k, 0): c for k, c in body.coeffs.items()})
+        if body.roots() is None:  # 0 and den's roots may leave one factor
+            found, rest = _divide_out(body, (ZERO, *(self.den.roots() or ())))
+            if rest.roots() is not None:
+                body = ScalarPoly._make(body.coeffs, found + rest.roots())
         # numerator of 1/(B+S): sum_j (-1)^j S^j B^(J-j), denominator B^(J+1)
         powers = [SuperPolynomial.one(self.L, self.n_odd)]
         while True:
@@ -912,10 +934,7 @@ def lcm_sum(terms):
     for sign, num, den in rest:
         if den != common:
             shared = common.gcd(den)
-            if shared.degree() > 0:
-                left, right = den.divmod(shared)[0], common.divmod(shared)[0]
-            else:
-                left, right = den, common
+            left, right = den.divmod(shared)[0], common.divmod(shared)[0]
             total = total.mul_scalar_poly(left)
             num = num.mul_scalar_poly(right)
             common = common * left
@@ -968,18 +987,15 @@ class Substitution:
                         prefix = img if prefix is None else prefix * img
                 total = prefix * total
             result = result + total
-        if v:
-            result = result * self._pole(ZERO, -v)
-        if F.den.is_one():
-            return result
-        root = F.den._linear_root()
-        if root is None:
-            return result * self._pole(F.den, 1)
-        return result * self._pole(root, F.den.degree())
+        roots = F.den.roots()
+        poles = [(F.den, 1)] if roots is None else list(roots.items())
+        for key, m in (poles + [(ZERO, -v)] if v else poles):
+            result = result * self._pole(key, m)
+        return result
 
     def _pole(self, key, m):
         """Y**m from the cache of powers of Y: Y = 1/(w - key) for a root
-        key, and Y = 1/key(w) for a denominator key with several roots."""
+        key, and Y = 1/key(w) for a denominator key of unknown roots."""
         powers = self._inverse_powers.get(key)
         if powers is None:
             w = self.w
@@ -996,53 +1012,54 @@ class Substitution:
 
 
 def _cancel_common_factor(num, den):
-    """Divide out the gcd of den with the scalar content of num."""
+    """Divide out the gcd of den with the scalar content of num: root by
+    root when den's roots are known, by Euclid's algorithm otherwise."""
     if den.degree() < 1:
         return num, den
     comps = {}
     for (k, m), c in num.terms.items():
         for gmask, q in c.terms.items():
             comps.setdefault((m, gmask), {})[k] = q
+    shifts = {key: min(poly) for key, poly in comps.items()}
     # low-degree components constrain the gcd fastest
-    order = sorted(comps, key=lambda key: max(comps[key]) - min(comps[key]))
-    root = den._linear_root()
-    if root is None:
-        g = den
+    order = sorted(comps, key=lambda key: max(comps[key]) - shifts[key])
+    roots = den.roots()
+    if roots is None:
+        g, polys = den, {}
         for key in order:
-            poly = comps[key]
-            v = min(poly)
-            g = g.gcd(ScalarPoly._make({k - v: q for k, q in poly.items()}))
+            polys[key] = ScalarPoly._make(
+                {k - shifts[key]: q for k, q in comps[key].items()})
+            g = g.gcd(polys[key])
             if g.degree() < 1:
                 return num, den
-        den_new, _ = den.divmod(g)
-        quotients = {}
-        for key, poly in comps.items():
-            v = min(poly)
-            quo, rem = ScalarPoly._make({k - v: q for k, q in poly.items()}).divmod(g)
+        den_new, dense = den.divmod(g)[0], {}
+        for key, poly in polys.items():
+            quo, rem = poly.divmod(g)
             assert rem.is_zero()
-            quotients[key] = (v, quo.coeffs.items())
+            dense[key] = _dense(quo.coeffs)
     else:
-        # den = (z - root)**m: the gcd is (z - root)**j for the smallest
-        # multiplicity j of root among the components.  This branch stays:
-        # through gcd and divmod the `closure` benchmark ran 23% slower
-        j = den.degree()
-        chains = {}
-        for key in order:
-            poly = comps[key]
-            v = min(poly)
-            chain = _divide_out_root(_dense(poly, v), root, j)
-            j = len(chain) - 1
-            if not j:
-                return num, den
-            chains[key] = (v, chain)
-        den_new = _linear_power(root, den.degree() - j)
-        quotients = {key: (v, enumerate(chain[j]))
-                     for key, (v, chain) in chains.items()}
+        # each root's multiplicity in the gcd is its least among the
+        # components: one chain of synthetic divisions per component
+        dense, common = {}, Counter()
+        for root, j in roots.items():
+            chains = {}
+            for key in order:
+                start = dense.get(key) or _dense(comps[key], shifts[key])
+                chains[key] = chain = _divide_out_root(start, root, j)
+                j = len(chain) - 1
+                if not j:
+                    break
+            if j:
+                common[root] = j
+                dense.update((key, chain[j]) for key, chain in chains.items())
+        if not common:
+            return num, den
+        den_new = _from_roots(roots - common)
     grouped = {}
-    for (m, gmask), (v, coeffs) in quotients.items():
-        for k, q in coeffs:
+    for (m, gmask), coeffs in dense.items():
+        for k, q in enumerate(coeffs, shifts[(m, gmask)]):
             if q:
-                grouped.setdefault((k + v, m), {})[gmask] = q
+                grouped.setdefault((k, m), {})[gmask] = q
     terms = {key: Supernumber._make(num.L, c) for key, c in grouped.items()}
     return SuperPolynomial._make(num.L, num.n_odd, terms), den_new
 

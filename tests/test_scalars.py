@@ -1,8 +1,9 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from supersphere.grassmann import Supernumber
 from supersphere.scalars import GaussianRational, NotASquare, grat, rational_sqrt
@@ -186,6 +187,30 @@ def test_mixed_operands_and_equality(p, k, q):
     assert hash(GaussianRational(k)) == hash(k)
     assert hash(GaussianRational(q)) == hash(q)
     assert GaussianRational(q) == GaussianRational(q.numerator) / q.denominator
+
+
+_MODULUS = sys.hash_info.modulus
+
+
+@given(st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 25))
+@example(-1, 1)
+@example(1, 1)
+@example(-1, 2)
+@example(-3, 1)
+@example(1, _MODULUS)
+@example(-1, _MODULUS)
+@example(2, 3 * _MODULUS)
+@example(-5, 7 * _MODULUS)
+@example(_MODULUS - 1, _MODULUS + 1)
+def test_a_real_scalar_hashes_like_the_equal_fraction(a, d):
+    """The hash of a real (a/d) follows Python's numeric rule without a
+    Fraction: d = 1, negative values, hash -1 taken to -2, and a d that
+    the hash modulus divides (which hashes like infinity)."""
+    q = Fraction(a, d)
+    x = grat(q)
+    assert hash(x) == hash(q)
+    if q.denominator == 1:
+        assert hash(x) == hash(q.numerator)
 
 
 @given(pairs, pairs)

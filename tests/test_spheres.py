@@ -429,12 +429,20 @@ def test_even_psi_is_not_in_family_at_n_zero():
 NORMALISATION_BUDGET = {0: 13, 1: 9, -1: 9, 3: 9, -3: 9}
 
 
-@pytest.mark.parametrize("n", sorted(NORMALISATION_BUDGET))
-def test_round_trip_normalisation_budget(n, monkeypatch):
-    s = Sampler(random.Random(100 + n), L)
+def params_with_a_pole(s, n):
     p = s.automorphism_params(n)
     while not p.c.body():  # c z + d has a root: denominators are not constant
         p = s.automorphism_params(n)
+    return p
+
+
+def round_trip_params(n):
+    return params_with_a_pole(Sampler(random.Random(100 + n), L), n)
+
+
+@pytest.mark.parametrize("n", sorted(NORMALISATION_BUDGET))
+def test_round_trip_normalisation_budget(n, monkeypatch):
+    p = round_trip_params(n)
     calls = []
     cancel = superfield._cancel_common_factor
 
@@ -481,6 +489,59 @@ def test_family_pair_builds_each_member_once_and_checks_the_composite(
     SphereAutomorphism.build(p1)
     SphereAutomorphism.build(p1)
     assert calls == {"build_map": 4, "check": 1}
+
+
+def test_automorphisms_are_equal_by_twist_and_southern_map():
+    """`==` (the benchmark's closure check `rebuilt == composite`): the
+    same twist and southern map, whatever object holds them."""
+    s = Sampler(random.Random(7), L)
+    p = s.automorphism_params(2)
+    T = SphereAutomorphism.build(p)
+    assert T == SphereAutomorphism.build(p)
+    assert T == SphereAutomorphism.from_map(build_map(p), 2)
+    assert T != SphereAutomorphism.build(s.automorphism_params(2))
+    identity = SuperconformalMap.identity(L)
+    assert SphereAutomorphism.from_map(identity, 0) != \
+        SphereAutomorphism.from_map(identity, 1)
+    assert T != T.southern
+
+
+def _round_trip(n):
+    validate_map(build_map(round_trip_params(n)), n)
+
+
+def _family_pair(n):
+    # both members have a pole, at different points: the composite's
+    # products carry two roots
+    s = Sampler(random.Random(200 + n), L)
+    p1, p2 = params_with_a_pole(s, n), params_with_a_pole(s, n)
+    SphereAutomorphism.build(p2).compose(SphereAutomorphism.build(p1))
+
+
+@pytest.mark.parametrize("run, n", [
+    *((_round_trip, n) for n in sorted(NORMALISATION_BUDGET)),
+    *((_family_pair, n) for n in (-3, 0, 1, 4)),
+])
+def test_family_denominators_never_run_euclid(run, n, monkeypatch):
+    """Every denominator that building, recovering or composing members
+    makes is a product of known linear factors: it carries its root map,
+    so neither the gcd loop of Euclid nor cancellation by it runs."""
+    euclid, unknown = [], []
+    loop, cancel = superfield._euclid, superfield._cancel_common_factor
+
+    def counting_loop(a, b):
+        euclid.append((a, b))
+        return loop(a, b)
+
+    def counting_cancel(num, den):
+        if den.degree() > 0 and den.roots() is None:
+            unknown.append(den)
+        return cancel(num, den)
+
+    monkeypatch.setattr(superfield, "_euclid", counting_loop)
+    monkeypatch.setattr(superfield, "_cancel_common_factor", counting_cancel)
+    run(n)
+    assert euclid == [] and unknown == []
 
 
 def count_family_calls(monkeypatch):

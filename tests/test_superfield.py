@@ -73,8 +73,10 @@ class TestScalarPoly:
         assert a.gcd(b) == f
 
     def test_gcd_with_a_power_of_one_linear_factor(self):
-        # powers of z - r take the synthetic-division path; multiplying by
-        # another factor sends the same gcd through Euclid's algorithm
+        # a power of z - r knows its root, so each gcd with it counts the
+        # multiplicity of r, by synthetic division where the other
+        # operand's roots are not known; two operands born from
+        # coefficients with several roots each take Euclid's algorithm
         rng = random.Random(6)
         for _ in range(60):
             r = grat(Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)),
@@ -88,6 +90,11 @@ class TestScalarPoly:
             assert other.gcd(lin ** m) == expected
             mixed = lin ** m * ScalarPoly({1: grat(1), 0: -(s + grat(0, 1))})
             assert mixed.gcd(other) == expected
+            # the same factors, read back from coefficients: unknown roots
+            far = ScalarPoly({1: grat(1), 0: -(s + grat(0, 2))})
+            born = ScalarPoly(mixed.coeffs), ScalarPoly((other * far).coeffs)
+            assert born[0].roots() is None and born[1].roots() is None
+            assert born[0].gcd(born[1]) == expected
 
     def test_monic_and_eval(self):
         p = ScalarPoly({2: grat(2), 0: grat(-4)})
@@ -479,6 +486,13 @@ def test_canonical_form_after_every_operation(F, G, s, seed):
         pass
     for result in results:
         assert_canonical(result)
+        # a known root map multiplies out to the denominator
+        roots = result.den.roots()
+        if roots is not None:
+            product = ScalarPoly.one()
+            for root, m in roots.items():
+                product = _long_product(product, _long_power(root, m))
+            assert product == result.den
 
 
 def test_cancelling_components_leave_no_denominator():
@@ -571,8 +585,10 @@ def _linear_factor(root):
 
 def quotient_operand(seed):
     """A `sampled_rsf`, or a sampled numerator over (z - r)**m, or over
-    (z - r1)**a (z - r2)**b with r1 != r2, whose gcds take the Euclid path.
-    Half of the sampled numerators get a scalar added: they are invertible."""
+    (z - r1)**a (z - r2)**b with r1 != r2, which half the time is built
+    from its coefficients: its roots are not known, so its gcds take the
+    Euclid path.  Half of the sampled numerators get a scalar added: they
+    are invertible."""
     s = Sampler(random.Random(seed), L)
     kind = s.rng.randrange(3)
     if kind == 0:
@@ -582,6 +598,8 @@ def quotient_operand(seed):
     if kind == 2:
         r2 = r1 + s.gaussian_rational(nonzero=True)
         den = den * _linear_factor(r2) ** s.rng.randint(1, 2)
+        if s.rng.randrange(2):
+            den = ScalarPoly(den.coeffs)
     num = s.superpoly(max_terms=3)
     if s.rng.randrange(2):
         num = num + s.gaussian_rational(nonzero=True)
@@ -641,7 +659,7 @@ _ONES = {GaussianRational: grat(1), ScalarPoly: ScalarPoly.one(),
     grat(Fraction(2, 3), -1),
     grat(0),
     ScalarPoly({0: grat(2, 1), 2: grat(-1)}),
-    ScalarPoly({0: 3, 1: 1}),  # z + 3 takes the same-root product
+    ScalarPoly({0: 3, 1: 1}),  # z + 3 multiplies by its root map
     _NILPOTENT_SOUL,
     Supernumber.scalar(L, 2) + _NILPOTENT_SOUL,
     Sampler(random.Random(63), L).supernumber(),
@@ -733,22 +751,31 @@ def _long_power(root, j):
 @example(grat(2), grat(2), 8, 8)
 def test_linear_power_closed_forms_match_long_arithmetic(r, s, a, b):
     """(z - r)**a times or over (z - r)**b is a closed-form power of z - r
-    that keeps its root; when the roots differ, the generic path must run
-    and agree with long multiplication and division."""
+    whose root map is {r: a + b} or {r: a - b}; powers of two roots
+    multiply by convolution, and their product divides back exactly to
+    the known factor.  Every result agrees with long multiplication and
+    division."""
     p, q = _long_power(r, a), _long_power(r, b)
     product = p * q
     assert product == _long_product(p, q)
-    if a + b:
-        assert product._linear_root() == r
+    assert dict(product.roots()) == ({r: a + b} if a + b else {})
     assert _long_power(r, a).divmod(q) == _long_division(p, q)
+    if a >= b:
+        assert dict(p.divmod(q)[0].roots()) == ({r: a - b} if a > b else {})
 
     mixed = _long_power(s, b)
     if r != s and a and b:
         fresh = _long_power(r, a)
-        with mock.patch.object(superfield, "_linear_power",
+        with mock.patch.object(superfield, "_from_roots",
                                side_effect=AssertionError("closed form used")):
-            assert fresh * mixed == _long_product(p, mixed)
+            two = fresh * mixed
             assert fresh.divmod(mixed) == _long_division(p, mixed)
+        assert two == _long_product(p, mixed)
+        assert dict(two.roots()) == {r: a, s: b}
+        quotient, remainder = two.divmod(_long_power(s, b))
+        assert quotient == p and remainder.is_zero()
+        assert dict(quotient.roots()) == {r: a}
+        assert (quotient, remainder) == _long_division(two, mixed)
 
 
 _SUM_ROOTS = (grat(1), grat(-2), grat(1, 1))
