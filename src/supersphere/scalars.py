@@ -136,9 +136,10 @@ class GaussianRational:
         a, b, d = self._a, self._b, self._d
         if b:
             return hash((a, b, d))
+        if d == 1:
+            return hash(a)
         # the numeric hash of the equal Fraction, without making one
-        p = _HASH.modulus
-        h = hash(abs(a)) * pow(d, -1, p) if d % p else _HASH.inf
+        h = hash(abs(a)) * pow(d, -1, _HASH.modulus) if d % _HASH.modulus else _HASH.inf
         return hash(h if a >= 0 else -h)
 
     def __add__(self, other):

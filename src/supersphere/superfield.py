@@ -63,6 +63,7 @@ from .grassmann import (
 
 THETA_PLUS = 0
 THETA_MINUS = 1
+_NO_ROOTS = Counter()  # the constants' root map; no map changes in place
 
 
 class SuperfieldError(Exception):
@@ -115,7 +116,7 @@ class ScalarPoly:
 
     @classmethod
     def one(cls):
-        return cls._make({0: ONE}, Counter())
+        return cls._make({0: ONE}, _NO_ROOTS)
 
     def is_zero(self):
         return not self.coeffs
@@ -261,11 +262,9 @@ class ScalarPoly:
     def _find_roots(self):
         """The root map of c or c (z - r)**m, read from the coefficients."""
         m = self.degree()
-        if m < 0:
-            return None
         coeffs = self.coeffs
         expected = coeffs.get(m - 1)
-        if expected is None:  # c or c z**m
+        if expected is None:  # 0, c or c z**m
             return +Counter({ZERO: m}) if len(coeffs) == 1 else None
         s = expected / (coeffs[m] * m)
         # the coefficient e_k of z**k in (z + s)**m is C(m, k) s**(m - k),
@@ -303,7 +302,7 @@ def _dense(coeffs, v=0):
 
 def _from_roots(roots, lead=ONE):
     """lead * prod (z - root)**j over the root map, in closed form."""
-    out = ScalarPoly._make({0: lead}, Counter())
+    out = ScalarPoly._make({0: lead}, _NO_ROOTS)
     for root, j in roots.items():
         s, coeffs, power = -root, {}, ONE
         for k in range(j, -1, -1):
