@@ -13,33 +13,21 @@ entries) are instead accumulated as unreduced triples and reduced once
 per output coefficient (`triples`, `add_triple`, `reduce_triples`,
 `dot`).  `gauss_jordan` is the one row reduction of scalar matrices, and
 `add_terms` and `power` are the one sparse sum and power of every layer.
-The real and imaginary parts are available as fractions.Fraction
-through the `re` and `im` properties.
+GaussianRational is the one scalar type of the arithmetic, whose operators
+take it and int only; fractions.Fraction is read (the constructor, `parse`)
+and written (`re`, `im`) only where a scalar crosses text.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from sys import hash_info as _HASH
 
 _gcd = math.gcd
 
 
 class NotASquare(ArithmeticError):
     """Raised when an exact square root does not exist in Q or Q(i)."""
-
-
-def rational_sqrt(q):
-    """Exact square root of a nonnegative rational, or raise NotASquare."""
-    q = Fraction(q)
-    if q < 0:
-        raise NotASquare(f"{q} is negative")
-    num, den = q.numerator, q.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn != num or rd * rd != den:
-        raise NotASquare(f"{q} is not a rational square")
-    return Fraction(rn, rd)
 
 
 def _new(a, b, d):
@@ -127,20 +115,13 @@ class GaussianRational:
                     and self._d == other._d)
         if isinstance(other, int):
             return not self._b and self._d == 1 and self._a == other
-        if isinstance(other, Fraction):
-            return (not self._b and self._a == other.numerator
-                    and self._d == other.denominator)
         return NotImplemented
 
     def __hash__(self):
-        a, b, d = self._a, self._b, self._d
-        if b:
-            return hash((a, b, d))
-        if d == 1:
-            return hash(a)
-        # the numeric hash of the equal Fraction, without making one
-        h = hash(abs(a)) * pow(d, -1, _HASH.modulus) if d % _HASH.modulus else _HASH.inf
-        return hash(h if a >= 0 else -h)
+        # an equal int hashes alike; any other value by its canonical triple
+        if not self._b and self._d == 1:
+            return hash(self._a)
+        return hash((self._a, self._b, self._d))
 
     def __add__(self, other):
         if type(other) is not GaussianRational:
@@ -220,20 +201,16 @@ class GaussianRational:
     def sqrt(self):
         """Exact square root in Q(i), or raise NotASquare.
 
-        For w = u + iv the root is found from u**2 - v**2 = re and
-        2uv = im, which needs the norm re**2 + im**2 to be a rational
-        square.
+        A root (p + q*i)/(2d) of (a + b*i)/d has p**2 = 2d(n + a) and
+        q**2 = 2d(n - a) with n**2 = a**2 + b**2, so p, q and n are
+        integers whenever the root exists.  The root returned has p >= 0
+        and q of the sign of b (q >= 0 on the reals).
         """
-        re, im = self.re, self.im
-        if not im:
-            if re >= 0:
-                return GaussianRational(rational_sqrt(re), 0)
-            return GaussianRational(0, rational_sqrt(-re))
-        norm_root = rational_sqrt(re * re + im * im)
-        u = rational_sqrt((re + norm_root) / 2)
-        if not u:
-            raise NotASquare(f"{self} is not a square in Q(i)")
-        root = GaussianRational(u, im / (2 * u))
+        a, b, d = self._a, self._b, self._d
+        n = math.isqrt(a * a + b * b)
+        p = math.isqrt(2 * d * (n + a))
+        q = math.isqrt(2 * d * (n - a))
+        root = _canonical(p, q if b >= 0 else -q, 2 * d)
         if root * root != self:
             raise NotASquare(f"{self} is not a square in Q(i)")
         return root
@@ -395,8 +372,6 @@ def _coerce(value):
         return value
     if isinstance(value, int):
         return _new(int(value), 0, 1)
-    if isinstance(value, Fraction):
-        return _new(value.numerator, 0, value.denominator)
     return None
 
 
@@ -407,10 +382,10 @@ def grat(re=0, im=0):
     return GaussianRational(re, im)
 
 
-# the operand types that every layer accepts as a Q(i) scalar
-SCALAR_TYPES = (int, Fraction, GaussianRational)
+# every layer's scalar operands: the one scalar type and int (no Fraction)
+SCALAR_TYPES = (int, GaussianRational)
 
 ZERO = GaussianRational(0, 0)
 ONE = GaussianRational(1, 0)
 I = GaussianRational(0, 1)
-HALF = GaussianRational(Fraction(1, 2), 0)
+HALF = _new(1, 0, 2)

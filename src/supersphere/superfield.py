@@ -211,29 +211,21 @@ class ScalarPoly:
             return quotient, ScalarPoly._make({})
         rem = _dense(self.coeffs)
         lc_inv = other.leading().inverse()
-        if d == 1:
-            # lead*z + const = lead*(z - root): divide by z - root, then
-            # scale the quotient by 1/lead
-            root = -(other.coeffs.get(0, ZERO) * lc_inv)
-            quo, r = divide_by_linear(rem, root)
-            quo = [q * lc_inv for q in quo]
-            rem = [r]
-        else:
-            quo = [ZERO] * (n - d + 1)
-            ocoef = _dense(other.coeffs)
-            for k in range(n, d - 1, -1):
-                c = rem[k]
-                if not c:
-                    continue
-                q = c * lc_inv
-                quo[k - d] = q
-                rem[k] = ZERO
-                base = k - d
-                for j in range(d):
-                    oc = ocoef[j]
-                    if oc:
-                        rem[base + j] = rem[base + j] - q * oc
-            rem = rem[:d]
+        quo = [ZERO] * (n - d + 1)
+        ocoef = _dense(other.coeffs)
+        for k in range(n, d - 1, -1):
+            c = rem[k]
+            if not c:
+                continue
+            q = c * lc_inv
+            quo[k - d] = q
+            rem[k] = ZERO
+            base = k - d
+            for j in range(d):
+                oc = ocoef[j]
+                if oc:
+                    rem[base + j] = rem[base + j] - q * oc
+        rem = rem[:d]
         return (
             ScalarPoly._make({k: c for k, c in enumerate(quo) if c}),
             ScalarPoly._make({k: c for k, c in enumerate(rem) if c}),
