@@ -27,7 +27,7 @@ _gcd = math.gcd
 
 
 class NotASquare(ArithmeticError):
-    """Raised when an exact square root does not exist in Q or Q(i)."""
+    """Raised when an exact square root does not exist in Q(i)."""
 
 
 def _new(a, b, d):
