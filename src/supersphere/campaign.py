@@ -22,9 +22,8 @@ import json
 import random
 import time
 from dataclasses import dataclass, fields
-from fractions import Fraction
 
-from .scalars import GaussianRational, grat
+from .scalars import HALF, GaussianRational, grat, ratio
 from .grassmann import NotInvertible, Supernumber
 from .superfield import (
     RationalSuperfunction,
@@ -331,9 +330,8 @@ def _suite_superconformal_roundtrip(cfg, rng):
     h = N1SuperanalyticMap(z, one, zero, one)
     tp = RationalSuperfunction.theta(L, THETA_PLUS)
     tm = RationalSuperfunction.theta(L, THETA_MINUS)
-    half = grat(Fraction(1, 2))
     out.check("shifted-origin example expansion", lambda: from_n1(h).expand()
-              == CoordinateTriple(z + tp * half, tp, one * half + tm))
+              == CoordinateTriple(z + tp * HALF, tp, one * HALF + tm))
     out.check("shifted-origin example roundtrip",
               lambda: to_n1(from_n1(h)) == h)
     return out
@@ -364,15 +362,28 @@ def _suite_spheres_transition(cfg, rng):
     return out
 
 
+# the law part that every sampled draw of the sphere suites runs in, so a
+# draw that the package rejects fails it; its operand is the draw's sample
+# index (the suite's seed replays it), and the rest of that sample is skipped
+_DRAWN = "sampled parameters are family members"
+
+
+def _member(s, n):
+    """A drawn twist-n parameter set and the automorphism built from it."""
+    p = s.automorphism_params(n)
+    return p, SphereAutomorphism.build(p)
+
+
 def _suite_spheres_closure(cfg, rng, n):
     out = Outcome(cfg.samples)
     s = Sampler(rng, cfg.generators)
     composite = None
-    for _ in range(cfg.samples):
-        p1 = s.automorphism_params(n)
-        p2 = s.automorphism_params(n)
-        T1 = SphereAutomorphism.build(p1)
-        T2 = SphereAutomorphism.build(p2)
+    for i in range(cfg.samples):
+        drawn = out.check(_DRAWN, lambda: (_member(s, n), _member(s, n)),
+                          sample=i)
+        if drawn is None:
+            continue
+        (p1, T1), (p2, T2) = drawn
         composite = out.check(
             "closure under composition", lambda: T2.compose(T1),
             p1=p1, p2=p2) or composite
@@ -385,18 +396,22 @@ def _suite_spheres_closure(cfg, rng, n):
                       data)).southern == composite.southern, params=data)
     # recovery is canonical: validating the map built afresh from recovered
     # parameters gives them back, and a member it rejects fails the law
-    p = s.automorphism_params(n)
-    T = SphereAutomorphism.build(p)
-    out.check("parameter recovery is canonical", lambda: spheres.validate_map(
-        spheres.build_map(first := spheres.validate_map(T.southern, n)), n)
-        == first, p=p)
-    # inversion stays in the family
-    out.check("inverse composes to the identity",
-              lambda: T.southern.compose(T.invert().southern)
-              == SuperconformalMap.identity(cfg.generators), p=p)
+    drawn = out.check(_DRAWN, lambda: _member(s, n), sample=cfg.samples)
+    if drawn is not None:
+        p, T = drawn
+        out.check("parameter recovery is canonical",
+                  lambda: spheres.validate_map(spheres.build_map(
+                      first := spheres.validate_map(T.southern, n)), n)
+                  == first, p=p)
+        # inversion stays in the family
+        out.check("inverse composes to the identity",
+                  lambda: T.southern.compose(T.invert().southern)
+                  == SuperconformalMap.identity(cfg.generators), p=p)
     # a wrong shape is rejected
-    if abs(n) >= 2:
-        wrong = spheres.build_map(s.automorphism_params(n))
+    wrong = abs(n) >= 2 and out.check(
+        _DRAWN, lambda: spheres.build_map(s.automorphism_params(n)),
+        sample=cfg.samples + 1)
+    if wrong:
         bump = RationalSuperfunction.from_constant(
             cfg.generators, Supernumber.generator(cfg.generators, 1))
         short, tower = spheres.sides(n, wrong.psi_plus, wrong.psi_minus)
@@ -410,9 +425,11 @@ def _suite_spheres_closure(cfg, rng, n):
 def _suite_spheres_north(cfg, rng, n):
     out = Outcome(cfg.samples)
     s = Sampler(rng, cfg.generators)
-    for _ in range(cfg.samples):
-        p = s.automorphism_params(n)
-        T = SphereAutomorphism.build(p)
+    for i in range(cfg.samples):
+        drawn = out.check(_DRAWN, lambda: _member(s, n), sample=i)
+        if drawn is None:
+            continue
+        p, T = drawn
         chart = to_north(T)
         out.check("northern map superconformal", chart.map.check, p=p)
         pole_failures = allowed_pole_check(T, chart.map)
@@ -435,7 +452,12 @@ def _suite_spheres_cover(cfg, rng, parity):
     wrong_gen = identity.negate_matrix(negate_eps=(parity == 1))
     for i in range(cfg.samples):
         n = members[i % len(members)]
-        alpha = s.matrix_group_element()
+        drawn = out.check(_DRAWN, lambda: (s.matrix_group_element(),
+                                           s.matrix_group_element()),
+                          sample=i)
+        if drawn is None:
+            continue
+        alpha, beta = drawn
         same = alpha.compose(kernel_gen)
         out.check("kernel element acts trivially",
                   lambda: acts_identically(n, alpha, same), n=n, alpha=alpha)
@@ -448,7 +470,6 @@ def _suite_spheres_cover(cfg, rng, parity):
         out.check("kernel predicate rejects the wrong sign",
                   lambda: not in_action_kernel(n, alpha, other),
                   n=n, alpha=alpha)
-        beta = s.matrix_group_element()
         out.check("two-to-one correspondence",
                   lambda: acts_identically(n, alpha, beta)
                   == in_action_kernel(n, alpha, beta),
@@ -469,9 +490,14 @@ def _suite_spheres_translations(cfg, rng, n):
     rank = abs(n) + 2
     L = cfg.generators
     zero = Supernumber.zero(L)
-    for _ in range(cfg.samples):
-        u = s.odd_vector(rank)
-        v = s.odd_vector(rank)
+    for i in range(cfg.samples):
+        drawn = out.check(_DRAWN, lambda: (s.odd_vector(rank),
+                                           s.odd_vector(rank),
+                                           s.matrix_group_element()),
+                          sample=i)
+        if drawn is None:
+            continue
+        u, v, alpha = drawn
         tu = odd_translation(n, u).southern
         tv = odd_translation(n, v).southern
         tu_tv = tu.compose(tv)
@@ -479,7 +505,6 @@ def _suite_spheres_translations(cfg, rng, n):
             n, [a + b for a, b in zip(u, v)]).southern, u=u, v=v)
         out.check("translations commute", lambda: tu_tv == tv.compose(tu),
                   u=u, v=v)
-        alpha = s.matrix_group_element()
         act = group_action(n, alpha).southern
         out.check("conjugation acts by the polynomial transform",
                   lambda: odd_translation(n, conjugated_translation_coeffs(
@@ -624,8 +649,8 @@ def _expected_flow_rows(kind, n, order, L):
         one_rows = []
         for k in range(order + 1):
             xb = sp.z_power(L, k + 1)
-            cp = _binom(n - 1, k) * Fraction((-1) ** k)
-            cm = _binom(-n - 1, k) * Fraction((-1) ** k)
+            cp = _binom(n - 1, k) * (-1) ** k
+            cm = _binom(-n - 1, k) * (-1) ** k
             one_rows.append((
                 xb,
                 sp.z_power(L, k).scale_left(grat(cp)) * phip if cp else zero,
@@ -633,8 +658,8 @@ def _expected_flow_rows(kind, n, order, L):
             ))
     elif kind == "shift":
         ex = ns.exp_coefficient_series(1, order)
-        ep = ns.exp_coefficient_series(Fraction(1 - n, 2), order)
-        em = ns.exp_coefficient_series(Fraction(1 + n, 2), order)
+        ep = ns.exp_coefficient_series(ratio(1 - n, 2), order)
+        em = ns.exp_coefficient_series(ratio(1 + n, 2), order)
         one_rows = [
             (x.scale_left(ex[k]), phip.scale_left(ep[k]), phim.scale_left(em[k]))
             for k in range(order + 1)
@@ -643,9 +668,10 @@ def _expected_flow_rows(kind, n, order, L):
 
 
 def _binom(a, k):
-    out = Fraction(1)
+    """a choose k for any integer a; each partial product is an integer."""
+    out = 1
     for i in range(k):
-        out *= Fraction(a - i, i + 1)
+        out = out * (a - i) // (i + 1)
     return out
 
 
@@ -673,7 +699,7 @@ def _suite_flows_closed_forms(cfg, rng):
         cases.append((f"special conformal, twist {n}",
                       e(ns.L(1)) - e(ns.J(1)).scale(n), "special", n))
         cases.append((f"diagonal shift, twist {n}",
-                      e(ns.L(0)) - e(ns.J(0)).scale(grat(Fraction(n, 2))),
+                      e(ns.L(0)) - e(ns.J(0)).scale(ratio(n, 2)),
                       "shift", n))
     for name, element, kind, n in cases:
         out.samples += 1
@@ -722,9 +748,9 @@ def _suite_flows_group(cfg, rng):
         # the diagonal shift has a = d^{-1} = exp(y/2), the charge eps = exp(y)
         for label, element, alpha in (
                 ("translation", e(ns.L(-1)), (one, y, zero, one, one)),
-                ("diagonal", e(ns.L(0)) - e(ns.J(0)).scale(grat(Fraction(n, 2))),
-                 (_exp_soul(y, Fraction(1, 2)), zero, zero,
-                  _exp_soul(y, Fraction(-1, 2)), one)),
+                ("diagonal", e(ns.L(0)) - e(ns.J(0)).scale(ratio(n, 2)),
+                 (_exp_soul(y, HALF), zero, zero,
+                  _exp_soul(y, ratio(-1, 2)), one)),
                 ("charge", e(ns.J(0)), (one, zero, zero, one, _exp_soul(y, 1))),
                 ("special", e(ns.L(1)) - e(ns.J(1)).scale(n),
                  (one, zero, -y, one, one))):
@@ -750,7 +776,7 @@ def _exp_soul(y, rate):
         power = power * y
         if power.is_zero():
             break
-        factor = factor * grat(Fraction(rate)) * grat(Fraction(1, k))
+        factor = factor * rate * ratio(1, k)
         out = out + power.scale(factor)
     return out
 

@@ -37,10 +37,9 @@ comparison is exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import ONE, ZERO, add_terms, dot, gauss_jordan, grat
+from .scalars import ONE, ZERO, add_terms, dot, gauss_jordan, grat, ratio
 from .grassmann import Supernumber
 from .superfield import SuperPolynomial, THETA_MINUS, THETA_PLUS
 
@@ -157,7 +156,7 @@ def _basis_bracket(k1, k2):
         m, n = k1[1], k2[1]
         out = {L(m + n): grat(m - n)}
         if m + n == 0:
-            out[CENTRAL] = grat(Fraction(m ** 3 - m, 12))
+            out[CENTRAL] = ratio(m ** 3 - m, 12)
         return out
     if t1 == "L" and t2 == "J":
         m, n = k1[1], k2[1]
@@ -166,10 +165,10 @@ def _basis_bracket(k1, k2):
         return _flip(_basis_bracket(k2, k1), 0, 0)
     if t1 == "J" and t2 == "J":
         m, n = k1[1], k2[1]
-        return {CENTRAL: grat(Fraction(m, 3))} if m + n == 0 else {}
+        return {CENTRAL: ratio(m, 3)} if m + n == 0 else {}
     if t1 == "L" and t2 == "G":
         m, (_, s, r2) = k1[1], k2
-        return {("G", s, r2 + 2 * m): grat(Fraction(m - r2, 2))}
+        return {("G", s, r2 + 2 * m): ratio(m - r2, 2)}
     if t1 == "G" and t2 == "L":
         return _flip(_basis_bracket(k2, k1), 0, 1)
     if t1 == "J" and t2 == "G":
@@ -185,9 +184,9 @@ def _basis_bracket(k1, k2):
         # odd-odd skew symmetry carries a plus sign
         return _basis_bracket(k2, k1)
     r, s = r2, s2r
-    out = {L((r + s) // 2): grat(2), J((r + s) // 2): grat(Fraction(r - s, 2))}
+    out = {L((r + s) // 2): grat(2), J((r + s) // 2): ratio(r - s, 2)}
     if r + s == 0:
-        out[CENTRAL] = grat(Fraction(r * r - 1, 12))
+        out[CENTRAL] = ratio(r * r - 1, 12)
     return out
 
 
@@ -367,7 +366,7 @@ def representation(key):
         return DerivationField(0, zero, zero, zero)
     if key[0] == "L":
         n = key[1]
-        half = grat(Fraction(n + 1, 2))
+        half = ratio(n + 1, 2)
         return DerivationField(0, poly({(n + 1, 0): grat(-1)}),
                                poly({(n, 1 << PHI_PLUS): -half}),
                                poly({(n, 1 << PHI_MINUS): -half}))
@@ -451,7 +450,7 @@ def subalgebra_basis(n):
     """
     if n < 0:
         return [swap(e) for e in subalgebra_basis(-n)]
-    half_n = grat(Fraction(n, 2))
+    half_n = ratio(n, 2)
     even = [
         NSElement.basis(L(-1)),
         NSElement.basis(L(0)) - NSElement.basis(J(0)).scale(half_n),
@@ -558,7 +557,7 @@ def tower_weights(n):
     ks = range(abs(n) + 2)
     return (
         (-1, tuple(grat(-k) for k in ks)),
-        (0, tuple(grat(Fraction(-2 * k + abs(n) + 1, 2)) for k in ks)),
+        (0, tuple(ratio(-2 * k + abs(n) + 1, 2) for k in ks)),
         (1, tuple(grat(-k + abs(n) + 1) for k in ks)),
         (0, (grat(-1),) * len(ks)),
     )
@@ -637,16 +636,17 @@ def flow(element, order=8):
     factor = ONE
     for k in range(1, order + 1):
         current = tuple(X.apply(g) for g in current)
-        factor = factor * grat(Fraction(-1, k))
+        factor = factor * ratio(-1, k)
         rows.append(tuple(g.scale_left(factor) for g in current))
     return FlowSeries(0, rows)
 
 
 def exp_coefficient_series(rate, order):
     """[rate**k / k!] for comparing flows against exponentials."""
+    rate = grat(rate)
     out = [ONE]
     acc = ONE
     for k in range(1, order + 1):
-        acc = acc * grat(rate) * grat(Fraction(1, k))
+        acc = acc * rate * ratio(1, k)
         out.append(acc)
     return out

@@ -8,8 +8,11 @@ cross-multiplication sizes desk-scale.
 
 The stream is a contract, pinned by `tests/test_randgen.py` and the report
 sha256s.  `rng` must be a `random.Random`: every bounded choice is drawn
-through `Sampler._below` from the bits `randrange` would use, and each
-scalar directly as a canonical integer triple (a + b*i)/d.
+from the bits `randrange` would use, through `Sampler._below` or, for the
+scalars, the same rejection loops written out in `gaussian_rational`.  A
+scalar draw is (numerator, denominator index) for each part, and each
+distinct draw gives one shared canonical `GaussianRational` (`_SHARED`),
+so equal draws are the same immutable object.
 """
 
 from __future__ import annotations
@@ -19,6 +22,19 @@ from .grassmann import Supernumber
 from .superfield import RationalSuperfunction, ScalarPoly, SuperPolynomial
 from .superconformal import N1SuperanalyticMap, from_n1
 from .spheres import AutomorphismParams, MatrixGroupElement, normalize_determinant
+
+
+_DENOMINATORS = (1, 1, 2, 3)
+
+# (numerator, denominator index) of the real and the imaginary part of a
+# scalar draw -> its one canonical scalar; at most (2 span + 1)^2 16 keys
+# per span, since a draw cannot give any other
+_SHARED = {}
+
+
+def _scalar(p, i, r, j):
+    q, t = _DENOMINATORS[i], _DENOMINATORS[j]
+    return _canonical(p * t, r * q, q * t)
 
 
 class Sampler:
@@ -39,23 +55,49 @@ class Sampler:
             r = self._bits(k)
         return r
 
-    def _ratio(self, span):
-        """(numerator, denominator) of a random rational, not reduced."""
-        return self._below(2 * span + 1) - span, (1, 1, 2, 3)[self._below(4)]
-
     def gaussian_rational(self, span=3, nonzero=False):
+        """A scalar with parts p/q, p in -span..span and q drawn from
+        (1, 1, 2, 3): both parts with chance 1/4, else only the imaginary
+        part with chance 1/5, else only the real part.  The loops below
+        are `_below(4)` for the kind, `_below(5)` for the part, and per
+        part `_below(2 span + 1)` and `_below(4)`, in that order."""
         if nonzero and not span:
             raise ValueError("no nonzero scalar in span 0")
-        below, ratio = self._below, self._ratio
+        bits = self._bits
+        n = 2 * span + 1
+        k = n.bit_length()
         while True:
-            if not below(4):
-                (p, q), (r, t) = ratio(span), ratio(span)
-            elif not below(5):
-                (p, q), (r, t) = (0, 1), ratio(span)
+            kind = bits(3)
+            while kind >= 4:
+                kind = bits(3)
+            if kind:
+                part = bits(3)
+                while part >= 5:
+                    part = bits(3)
+            p = bits(k)
+            while p >= n:
+                p = bits(k)
+            q = bits(3)
+            while q >= 4:
+                q = bits(3)
+            p -= span
+            if not kind:
+                r = bits(k)
+                while r >= n:
+                    r = bits(k)
+                t = bits(3)
+                while t >= 4:
+                    t = bits(3)
+                key = (p, q, r - span, t)
+            elif part:
+                key = (p, q, 0, 0)
             else:
-                (p, q), (r, t) = ratio(span), (0, 1)
-            if p or r or not nonzero:
-                return _canonical(p * t, r * q, q * t)
+                key = (0, 0, p, q)
+            if key[0] or key[2] or not nonzero:
+                value = _SHARED.get(key)
+                if value is None:
+                    value = _SHARED[key] = _scalar(*key)
+                return value
 
     def supernumber(self, max_terms=4, parity=None, bound=None, body=None):
         """A sparse supernumber; parity and generator bound are optional."""
@@ -64,16 +106,17 @@ class Sampler:
             raise ValueError(f"generator bound {bound} is outside 0..{self.L}")
         if parity == 1 and bound == 0:
             raise ValueError("no odd monomial on 0 generators")
+        bits, draw = self._bits, self.gaussian_rational
         terms = {}
         for _ in range(1 + self._below(max_terms)):
-            mask = self._bits(bound)
+            mask = bits(bound)
             while parity is not None and mask.bit_count() % 2 != parity:
-                mask = self._bits(bound)
+                mask = bits(bound)
             if body is False and mask == 0:
                 continue
-            terms[mask] = self.gaussian_rational(nonzero=True)
+            terms[mask] = draw(nonzero=True)
         if body is True:
-            terms[0] = self.gaussian_rational(nonzero=True)
+            terms[0] = draw(nonzero=True)
         return Supernumber._make(self.L, terms)
 
     def soul(self, max_terms=3, parity=None, bound=None):

@@ -15,7 +15,8 @@ per output coefficient (`triples`, `add_triple`, `reduce_triples`,
 `add_terms` and `power` are the one sparse sum and power of every layer.
 GaussianRational is the one scalar type of the arithmetic, whose operators
 take it and int only; fractions.Fraction is read (the constructor, `parse`)
-and written (`re`, `im`) only where a scalar crosses text.
+and written (`re`, `im`) only where a scalar crosses text.  `ratio` builds
+an integer ratio p/q directly as the triple (p, 0, q).
 """
 
 from __future__ import annotations
@@ -380,6 +381,11 @@ def grat(re=0, im=0):
     if type(re) is GaussianRational and not im:
         return re
     return GaussianRational(re, im)
+
+
+def ratio(p, q):
+    """The real scalar p/q for integers p and q != 0."""
+    return _canonical(p, 0, q)
 
 
 # every layer's scalar operands: the one scalar type and int (no Fraction)

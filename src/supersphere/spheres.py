@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .scalars import I as IMAG, NotASquare, ONE, grat
+from .scalars import HALF, I as IMAG, NotASquare, ONE, grat
 from .grassmann import Supernumber
 from .superfield import (
     RationalSuperfunction,
@@ -412,7 +412,7 @@ def recover_moebius(m):
         raise NotInFamily("f does not reduce to a unimodular Moebius map")
     delta = invsqrt_one_plus_soul(u).scale(delta0)
     beta = f0 * delta
-    c = (f2 * delta ** 3).scale(grat("-1/2"))
+    c = (f2 * delta ** 3).scale(-HALF)
     a = (Supernumber.one(L) + beta * c) * delta.inverse()
     b = beta - a.scale(z0)
     d = delta - c.scale(z0)

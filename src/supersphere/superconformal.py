@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .scalars import grat
+from .scalars import HALF, grat
 from .grassmann import NotInvertible
 from .superfield import (
     RationalSuperfunction,
@@ -436,8 +436,8 @@ def from_n1(h):
     the caller can confirm with .check().
     """
     g_inv = h.g.inverse()
-    f = h.f1 - (h.psi * h.xi) * g_inv * grat("1/2")
+    f = h.f1 - (h.psi * h.xi) * g_inv * HALF
     g_minus = h.f1.diff_z() * g_inv - (h.psi.diff_z() * h.xi) * (g_inv * g_inv)
-    psi_minus = h.xi * g_inv * grat("1/2")
+    psi_minus = h.xi * g_inv * HALF
     return SuperconformalMap(f, h.g, g_minus, h.psi, psi_minus,
                              coefficient_bound=False)

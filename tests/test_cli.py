@@ -21,6 +21,7 @@ from supersphere.campaign import (
 from supersphere.cli import main, parse_n_range
 from supersphere.grassmann import Supernumber
 from supersphere.randgen import Sampler
+from supersphere.scalars import HALF
 from supersphere.superconformal import SuperconformalMap
 
 
@@ -223,6 +224,39 @@ def test_any_other_exception_in_a_law_part_ends_the_suite_in_error(
     record = run_campaign(tiny_config(), only=cid)["checks"][0]
     assert record["status"] == "error"
     assert record["error"] == {"type": "ValueError", "message": "probe"}
+
+
+def truncated_invsqrt(x):
+    """(1 + s)^(-1/2) cut to 1 - s/2: wrong exactly when s^2 != 0."""
+    one = x.one(x.L)
+    return one - (x - one).scale(HALF)
+
+
+# the truncation only shows on a draw whose determinant soul squares to
+# nonzero, so each suite runs at a seed where one of its first two draws does
+DRAW_PROBES = [
+    ("spheres.closure.n=2", 2, "determinant a d - b c must be exactly one", 0),
+    ("spheres.north.n=0", 2, "determinant a d - b c must be exactly one", 0),
+    ("spheres.translations.n=-2", 6, "matrix part must have determinant one",
+     1),
+]
+
+
+@pytest.mark.parametrize("cid, seed, message, sample", DRAW_PROBES,
+                         ids=[cid for cid, *_ in DRAW_PROBES])
+def test_a_rejected_draw_fails_its_law_part(cid, seed, message, sample,
+                                            monkeypatch):
+    """Every sampled draw of a sphere suite runs inside a law part, so a
+    defect that makes the package reject its own draws fails that part,
+    with the sample index to replay it, and the suite ends in fail."""
+    monkeypatch.setattr(spheres, "invsqrt_one_plus_soul", truncated_invsqrt)
+    cfg = CampaignConfig(generators=6, band=1, flow_order=2,
+                         n_range=(-2, 0, 2), samples=2, seed=seed)
+    record = run_campaign(cfg, only=cid)["checks"][0]
+    assert record["status"] == "fail"
+    assert {"law": campaign._DRAWN,
+            "counterexample": {"error": message, "sample": sample}
+            } in record["failures"]
 
 
 def test_the_law_error_rule_is_written_once():

@@ -314,6 +314,20 @@ def test_unread_import_check_exempts_future_and_exports():
     assert unread_imports(tree) == ["b", "j"]
 
 
+def test_only_the_text_boundary_imports_fractions():
+    """Q(i) arithmetic has one scalar type, so `fractions` is imported
+    only where a scalar crosses text: `scalars` (the constructor, `parse`,
+    `re`, `im`) and `textio`."""
+    importing = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.ImportFrom) and node.module == "fractions"
+                    or isinstance(node, ast.Import)
+                    and any(a.name == "fractions" for a in node.names)):
+                importing.add(path.stem)
+    assert importing <= {"scalars", "textio"}
+
+
 # the size gate of the package (ROADMAP, "Less code, same bytes"): code
 # that a change adds is paid for by deletions elsewhere
 PACKAGE_LINE_GATE = 5731

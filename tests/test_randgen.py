@@ -119,6 +119,19 @@ def test_gaussian_rational_matches_fraction_reference(seed, span, nonzero):
     assert ours.random() == ref.random()
 
 
+def test_equal_draws_share_one_scalar():
+    # each distinct draw gives one canonical scalar, so two samplers on one
+    # seed hand out the very same objects, coefficients of supernumbers too
+    first, second = Sampler(random.Random(7), 6), Sampler(random.Random(7), 6)
+    for span in (3, 2, 1, 0):
+        for _ in range(40):
+            assert first.gaussian_rational(span) is second.gaussian_rational(span)
+    for _ in range(10):
+        x, y = first.supernumber(), second.supernumber()
+        assert x == y
+        assert all(x.terms[m] is y.terms[m] for m in x.terms)
+
+
 def test_odd_draw_without_odd_monomial_raises():
     s = Sampler(random.Random(1), 2)
     with pytest.raises(ValueError):
