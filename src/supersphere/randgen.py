@@ -27,8 +27,9 @@ from .spheres import AutomorphismParams, MatrixGroupElement, normalize_determina
 _DENOMINATORS = (1, 1, 2, 3)
 
 # (numerator, denominator index) of the real and the imaginary part of a
-# scalar draw -> its one canonical scalar; at most (2 span + 1)^2 16 keys
-# per span, since a draw cannot give any other
+# scalar draw -> its canonical scalar, built once: a value depends on its
+# key alone and scalars are immutable, so every sampler shares the table.
+# It holds at most (2 span + 1)^2 16 keys per span.
 _SHARED = {}
 
 
