@@ -27,7 +27,8 @@ y+ linear in z (`_y_linear`) for n = 0, and eps (c z + d)^(n-1) for n >= 1.
 Every regime has one free invertible even factor eps, carried by the
 short-side g.  The tower-side g is not written out: the superconformal
 constraint fixes it from f, psi+- and the short-side g, and
-`superconformal.completing_g` computes it.
+`superconformal.completing_g` computes it, dividing by the short-side g
+through that g's own factors eps^(-1) (c z + d)^(1-|n|) for n != 0.
 
 Parameters are recovered from a map exactly: the scalar Moebius part is
 normalized to determinant one (sign fixed by a deterministic tie-break;
@@ -253,13 +254,14 @@ def _psi(L, coeffs, inv):
 
 
 def _short_g(p, czd):
-    """(numerator, j) with the short-side g of the member with parameters
-    p equal to numerator / czd^j, for czd = c z + d."""
+    """(F, j) with the short-side g of the member with parameters p equal
+    to eps F / czd^j, for czd = c z + d.  For n != 0, F is a power of czd
+    alone, so F at czd = 1/(c z + d) is eps g^(-1)."""
     k = abs(p.n)
     if k == 0:
         lead, const = _y_linear(p.psi_plus, p.psi_minus, p.c, p.d)
-        return _linear(p.L, p.c + lead, p.d + const).scale_left(p.eps), 2
-    return (czd ** (k - 1)).scale_left(p.eps), 0
+        return _linear(p.L, p.c + lead, p.d + const), 2
+    return czd ** (k - 1), 0
 
 
 def build_map(p):
@@ -267,15 +269,21 @@ def build_map(p):
     parameters p: f, psi+- (`_psi`) and the short-side g (`_short_g`),
     placed through `sides`.  The tower-side g is the superconformal
     completion `completing_g`, so the map is superconformal by
-    construction."""
+    construction.  It divides by the short-side g through that g's own
+    factors, eps^(-1) (1/(c z + d))^(|n| - 1), for n != 0, and through
+    the generic inverse for n = 0."""
     L = p.L
     czd = _linear(L, p.c, p.d)
     inv = czd.inverse()
     f = _linear(L, p.a, p.b) * inv
     psi_plus, psi_minus = _psi(L, p.psi_plus, inv), _psi(L, p.psi_minus, inv)
     num, j = _short_g(p, czd)
-    g_s = _times_power(num, inv, j)
-    g_t = completing_g(f, g_s, psi_plus, psi_minus)
+    g_s = _times_power(num.scale_left(p.eps), inv, j)
+    if p.n:
+        g_t = completing_g(f, _short_g(p, inv)[0], psi_plus, psi_minus,
+                           p.eps.inverse())
+    else:
+        g_t = completing_g(f, g_s.inverse(), psi_plus, psi_minus)
     return SuperconformalMap(f, *sides(p.n, g_s, g_t), psi_plus, psi_minus)
 
 
@@ -388,7 +396,8 @@ def recover_moebius(m):
     delta = delta0 (f'(z0) delta0^2)^(-1/2) for delta0 = c0 z0 + d0, then
     a z0 + b = f(z0) delta, c = -f''(z0) delta^3 / 2 and, by the
     determinant, a = (1 + (a z0 + b) c)/delta.  A unimodular quadruple
-    with a given body sign is unique, and f (c z + d) = a z + b confirms it.
+    with a given body sign is unique, and f (c z + d) = a z + b, checked
+    cross-multiplied as N_f (c z + d) = (a z + b) D_f, confirms it.
     """
     scalars = m.moebius_body()
     if scalars is None:
@@ -407,18 +416,16 @@ def recover_moebius(m):
     z0 = _regular_point(m.f, c0, d0)
     delta0 = c0 * z0 + d0
     f0, f1, f2 = _values_at(m.f, z0)
-    u = f1.scale(delta0 * delta0)
-    if u.body() != ONE:
-        raise NotInFamily("f does not reduce to a unimodular Moebius map")
-    delta = invsqrt_one_plus_soul(u).scale(delta0)
+    # f'(z0) delta0^2 has body one, as body(f)' = (c0 z + d0)^(-2) at det one
+    delta = invsqrt_one_plus_soul(f1.scale(delta0 * delta0)).scale(delta0)
     beta = f0 * delta
     c = (f2 * delta ** 3).scale(-HALF)
     a = (Supernumber.one(L) + beta * c) * delta.inverse()
     b = beta - a.scale(z0)
     d = delta - c.scale(z0)
 
-    czd = _linear(L, c, d)
-    if m.f * czd != _linear(L, a, b):
+    if m.f.num * _linear(L, c, d).num != \
+            _linear(L, a, b).num.mul_scalar_poly(m.f.den):
         raise NotInFamily("f is not of the form (a z + b)/(c z + d)")
     return a, b, c, d
 
@@ -489,7 +496,7 @@ def validate_map(m, n):
         raise NotInFamily(f"recovered data is no parameter set: {exc}") from exc
 
     num, j = _short_g(params, czd)
-    if _times_power(g_s, czd, j) != num:
+    if _times_power(g_s, czd, j) != num.scale_left(eps):
         raise NotInFamily("short-side g differs from the family's")
     if not m.check().ok:
         raise NotInFamily("map fails the superconformal constraint")

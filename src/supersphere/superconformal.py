@@ -333,11 +333,15 @@ def _constraint_rest(f, psi_plus, psi_minus):
     return lcm_sum(terms)
 
 
-def completing_g(f, g, psi_plus, psi_minus):
+def completing_g(f, g_inverse, psi_plus, psi_minus, scale=None):
     """The g that makes (f, g, psi+, psi-) with either g in either place
-    superconformal: `_constraint_rest` (one `lcm_sum`), normalised, over g."""
+    superconformal, from the other g's inverse, scale * g_inverse (an even
+    supernumber scale, or None for one): `_constraint_rest` (one
+    `lcm_sum`), scaled before its one normalisation, times g_inverse."""
     num, den = _constraint_rest(f, psi_plus, psi_minus)
-    return RationalSuperfunction(num, den) * g.inverse()
+    if scale is not None:
+        num = num.scale_left(scale)
+    return RationalSuperfunction(num, den) * g_inverse
 
 
 def _first_order_inverse(e):

@@ -807,32 +807,31 @@ class RationalSuperfunction:
     def inverse(self):
         """Reciprocal; needs a nonvanishing scalar body part.
 
-        The numerator is split as z**v * (B + S) with B the scalar body
-        polynomial and S nilpotent; the finite geometric series clears S.
+        The numerator is split as z**v * (B + S), B the scalar body
+        polynomial and S nilpotent, read off its terms; the finite
+        geometric series clears S.
         """
         v = self.num.min_z()
-        shifted = self.num.shift_z(-v) if v else self.num
-        body = ScalarPoly(shifted.body_scalar_poly())
-        if body.is_zero():
+        body, soul = {}, {}
+        for (k, m), c in self.num.terms.items():
+            if not m and 0 in c.terms:
+                body[k - v] = c.terms[0]
+                c = c.soul()
+            if c:
+                soul[(k - v, m)] = c
+        if not body:
             raise NotInvertible("rational superfunction has zero body part")
-        soul = shifted - SuperPolynomial(self.L, self.n_odd, {
-            (k, 0): c for k, c in body.coeffs.items()})
+        body = ScalarPoly._make(body)
         if body.roots() is None:  # 0 and den's roots may leave one factor
             found, rest = _divide_out(body, (ZERO, *(self.den.roots() or ())))
             if rest.roots() is not None:
                 body = ScalarPoly._make(body.coeffs, found + rest.roots())
-        # numerator of 1/(B+S): sum_j (-1)^j S^j B^(J-j), denominator B^(J+1)
-        powers = [SuperPolynomial.one(self.L, self.n_odd)]
-        while True:
-            nxt = powers[-1] * soul
-            if nxt.is_zero():
-                break
-            powers.append(nxt)
-        J = len(powers) - 1
-        acc = SuperPolynomial.zero(self.L, self.n_odd)
-        for j, sp in enumerate(powers):
-            term = sp.mul_scalar_poly(body ** (J - j))
-            acc = acc + (term if j % 2 == 0 else -term)
+        # numerator of 1/(B+S): sum_j (-S)^j B^(J-j) by Horner in B, over
+        # B^(J+1), where (-S)^J is the last nonzero power
+        step = -SuperPolynomial._make(self.L, self.n_odd, soul)
+        acc, power, J = SuperPolynomial.one(self.L, self.n_odd), step, 0
+        while power:
+            acc, power, J = acc.mul_scalar_poly(body) + power, power * step, J + 1
         num = acc.mul_scalar_poly(self.den).shift_z(-v)
         return RationalSuperfunction(num, body ** (J + 1))
 

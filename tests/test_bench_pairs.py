@@ -1,17 +1,27 @@
 """The pure functions of tools/bench_pairs.py, which every BENCH_*.json
 relies on: seed parsing, quartiles, the verdict of the gain rule and the
-regressions beside it."""
+regressions beside it, and the opcode count beside the wall clock."""
 
 import importlib.util
+import random
 import statistics
+import sys
 from pathlib import Path
 
 import pytest
+
+from supersphere.randgen import Sampler
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
+
+_WORKLOADS_SPEC = importlib.util.spec_from_file_location(
+    "bench_pairs_workloads", _PATH.parent.parent / "perfbench" / "workloads.py")
+workloads = importlib.util.module_from_spec(_WORKLOADS_SPEC)
+sys.modules[_WORKLOADS_SPEC.name] = workloads   # for its dataclass
+_WORKLOADS_SPEC.loader.exec_module(workloads)
 
 
 def test_parse_seeds_reads_single_seeds_and_ranges():
@@ -171,3 +181,16 @@ def test_bad_claim_exits_before_any_pair(monkeypatch, tmp_path, capsys):
     assert exited.value.code == 2
     assert "'closure:wall'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_two_counts_of_one_op_are_equal():
+    """The opcode count is deterministic: the same benchmark op, counted
+    twice, runs the same opcodes.  One untraced run fills the caches first
+    (an `lru_cache` hit runs no opcodes); the tool counts every pass in a
+    fresh child, so its counts all start from empty caches."""
+    s = Sampler(random.Random(5), workloads.CLOSURE_L)
+    op = (workloads.family_pair, -2, s.automorphism_params(-2),
+          s.automorphism_params(-2))
+    assert op[0](*op[1:]) is True
+    first, second = bench_pairs.opcodes(*op), bench_pairs.opcodes(*op)
+    assert first == second and first[0] is True and first[1] > 10_000

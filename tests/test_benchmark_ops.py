@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from supersphere import campaign
+from supersphere import campaign, textio
+from supersphere.spheres import SphereAutomorphism
 
 _PATH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 _SPEC = importlib.util.spec_from_file_location("perfbench_workloads", _PATH)
@@ -41,6 +42,33 @@ def test_one_pinned_pass_passes(name):
     [ops] = workload.make_passes(SEED, 1)
     done = workload.run_pass(ops)
     assert len(done) == len(ops) and not _failed(done)
+
+
+def test_closure_composites_rebuild_from_json(monkeypatch):
+    """`family_pair` compares the composite with `build(composite.params)`,
+    which returns the member recovery verified, so it builds nothing.  Here
+    each composite of the warm-up and of one pinned pass is rebuilt from its
+    JSON parameters, as the campaign does, which runs `build_map` on the
+    benchmark's own inputs."""
+    labels = []
+
+    def family_pair_from_json(n, p1, p2):
+        labels.append(f"family n={n}")
+        composite = SphereAutomorphism.build(p2).compose(
+            SphereAutomorphism.build(p1))
+        params = textio.params_from_json(
+            textio.params_to_json(composite.params))
+        return params.n == n and SphereAutomorphism.build(params) == composite
+
+    monkeypatch.setattr(workloads, "family_pair", family_pair_from_json)
+    workload = workloads.Closure()
+    warm = workload.warm_up(SEED)
+    [ops] = workload.make_passes(SEED, 1)
+    done = workload.run_pass(ops)
+    assert not _failed(warm) and not _failed(done)
+    assert labels == [op.label for op in warm + done
+                      if op.label.startswith("family")]
+    assert len(labels) == 1 + len(workloads.TWISTS)
 
 
 @pytest.mark.parametrize("seed", sorted(workloads.CAMPAIGN_SHA256))

@@ -6,7 +6,7 @@ import pytest
 from supersphere import spheres, superfield
 from supersphere.grassmann import Supernumber
 from supersphere.randgen import Sampler
-from supersphere.scalars import I, grat
+from supersphere.scalars import HALF, I, grat
 from supersphere.spheres import (
     AutomorphismParams,
     InvalidParams,
@@ -32,7 +32,7 @@ from supersphere.spheres import (
     _psi,
     _psi_coeffs,
 )
-from supersphere.superconformal import SuperconformalMap, to_n1
+from supersphere.superconformal import SuperconformalMap, completing_g, to_n1
 from supersphere.superfield import RationalSuperfunction as RSF
 from supersphere.superfield import (
     ScalarPoly,
@@ -423,10 +423,12 @@ def test_even_psi_is_not_in_family_at_n_zero():
 
 
 # _cancel_common_factor calls in one build_map + validate_map round trip,
-# as measured with each power, derivative and difference normalised once
-# and with validate_map building nothing; normalising factor by factor
-# again, or rebuilding the member in validate_map, exceeds them
-NORMALISATION_BUDGET = {0: 13, 1: 9, -1: 9, 3: 9, -3: 9}
+# as measured with each power, derivative and difference normalised once,
+# with validate_map building nothing, the tower g divided by the short g's
+# factors for n != 0 and f checked cross-multiplied; normalising factor by
+# factor again, rebuilding the member in validate_map, or the generic
+# inverse of the short g at n = +-1, exceeds them
+NORMALISATION_BUDGET = {0: 12, 1: 7, -1: 7, 3: 8, -3: 8}
 
 
 def params_with_a_pole(s, n):
@@ -456,6 +458,48 @@ def test_round_trip_normalisation_budget(n, monkeypatch):
     monkeypatch.undo()
     assert build_map(recovered) == m
     assert len(calls) <= NORMALISATION_BUDGET[n]
+
+
+@pytest.mark.parametrize("n", [n for n in range(-4, 5) if n])
+def test_tower_g_divides_by_the_short_g_factors(n):
+    # for n != 0 build_map divides by the short-side g = eps (c z + d)^(|n|-1)
+    # through _short_g at 1/(c z + d) and eps^(-1); the reference completes
+    # the tower g with the generic inverse of that g
+    s = Sampler(random.Random(400 + n), L)
+    for p in (params_with_a_pole(s, n), s.automorphism_params(n),
+              s.automorphism_params(n)):
+        czd = _linear(L, p.c, p.d)
+        inv = czd.inverse()
+        g_s = (czd ** (abs(n) - 1)).scale_left(p.eps)
+        factor_inverse, j = spheres._short_g(p, inv)
+        assert j == 0
+        assert factor_inverse.scale_left(p.eps.inverse()) * g_s == RSF.one(L)
+        f = _linear(L, p.a, p.b) * inv
+        psi_plus, psi_minus = _psi(L, p.psi_plus, inv), _psi(L, p.psi_minus, inv)
+        g_t = completing_g(f, g_s.inverse(), psi_plus, psi_minus)
+        m = build_map(p)
+        assert m == SuperconformalMap(f, *spheres.sides(n, g_s, g_t),
+                                      psi_plus, psi_minus)
+        assert m.check().ok
+
+
+@pytest.mark.parametrize("n", [0, 2])
+@pytest.mark.parametrize("f, g_plus, message", [
+    (RSF.z_power(L, 2), RSF.one(L), "body of f is not a Moebius map"),
+    (RSF.z_power(L, 1, coeff=HALF), RSF.one(L),
+     "Moebius determinant is not a square"),
+    # z + z[1]z[2] z^2 would be z/(1 - z[1]z[2] z), a Moebius map
+    (RSF(SuperPolynomial(L, 2, {(1, 0): one, (3, 0): gen(1) * gen(2)})),
+     RSF.one(L), "f is not of the form"),
+    (RSF.z(L), RSF.z_power(L, -1), "a component has a pole at z = 0"),
+], ids=["z^2", "z/2", "soul z^3", "g+ = 1/z"])
+def test_forged_map_is_rejected_for_its_condition(f, g_plus, message, n):
+    # each forgery breaks one condition of recovery: f's body, its
+    # determinant over Q(i) (over C, z/2 with a matching g is a member),
+    # f's soul, or the short-side g's regularity at the read point
+    m = SuperconformalMap(f, g_plus, RSF.one(L), coefficient_bound=False)
+    with pytest.raises(NotInFamily, match=message):
+        validate_map(m, n)
 
 
 @pytest.mark.parametrize("n", [-3, 0, 1, 4])

@@ -162,8 +162,10 @@ def test_completing_g_gives_each_g_from_the_other(seed):
     # check() and completing_g share _constraint_rest: the completion of a
     # superconformal map is its other g, and a changed g fails check()
     m = Sampler(random.Random(seed), L).superconformal_map()
-    assert completing_g(m.f, m.g_plus, m.psi_plus, m.psi_minus) == m.g_minus
-    assert completing_g(m.f, m.g_minus, m.psi_plus, m.psi_minus) == m.g_plus
+    assert completing_g(m.f, m.g_plus.inverse(), m.psi_plus,
+                        m.psi_minus) == m.g_minus
+    assert completing_g(m.f, m.g_minus.inverse(), m.psi_plus,
+                        m.psi_minus) == m.g_plus
     for which in (1, 2):
         assert "constraint" in perturbed(m, which, seed + 1).check().failures
 

@@ -27,8 +27,13 @@ half of the rule, every workload and metric whose change median is outside
 its bound.  W must be one of the `--workload`
 values and M an end-to-end metric; any other claim stops before the first
 pair.  `--trace-seed S` adds one `--trace 1` run per side and workload
-with every per-layer count.  The file is rewritten after every pair, so an
-interrupted set keeps its pairs.
+with every per-layer count, and a deterministic cost beside the wall
+clock: the Python opcodes of one pass of `make_passes(S, 1)`, counted
+with `sys.settrace` and `f_trace_opcodes` (`opcodes`) in a child started
+in each side's tree, which imports that tree's `perfbench/workloads.py`
+under PYTHONHASHSEED=0.  The file records both counts, the change in %
+and each side's failed ops of that pass.  The file is rewritten after
+every pair, so an interrupted set keeps its pairs.
 """
 
 from __future__ import annotations
@@ -44,6 +49,15 @@ import tempfile
 from pathlib import Path
 
 CHILD_TIMEOUT_S = 600
+HERE = Path(__file__).resolve().parent
+# the child that counts a pass: cwd is an exported tree, and this file
+# (which the parent revision may lack) is imported from HERE
+OPCODE_CHILD = """\
+import json, sys
+sys.path[:0] = [{here!r}, "src", "perfbench"]
+from bench_pairs import pass_opcodes
+print(json.dumps(pass_opcodes({workload!r}, {seed})))
+"""
 
 
 def git(*args):
@@ -88,6 +102,51 @@ def run_child(tree, workload, seed, seconds, trace):
     run["info"] = [line for line in lines[:-1]
                    if line != env_line and line not in metric_lines]
     return json.loads(env_line[4:]), run
+
+
+def opcodes(call, *args):
+    """(call(*args), the number of Python opcodes it ran on this thread),
+    counted with `sys.settrace` and `f_trace_opcodes`.  Work inside C, such
+    as big-integer arithmetic or a cache hit, counts nothing."""
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        if event == "opcode":
+            count += 1
+        elif event == "call":
+            frame.f_trace_opcodes = True
+        return trace
+
+    sys.settrace(trace)
+    try:
+        result = call(*args)
+    finally:
+        sys.settrace(None)
+    return result, count
+
+
+def pass_opcodes(workload, seed):
+    """The opcodes and failed ops of one pass of `make_passes(seed, 1)` of
+    a workload; the inputs are made untraced.  Runs in OPCODE_CHILD."""
+    from workloads import WORKLOADS
+    wl = WORKLOADS[workload]()
+    [inputs] = wl.make_passes(seed, 1)
+    done, count = opcodes(wl.run_pass, inputs)
+    return {"opcodes": count,
+            "failed": sum(op.error is not None for op in done)}
+
+
+def run_opcode_child(tree, workload, seed):
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONHASHSEED="0")
+    code = OPCODE_CHILD.format(here=str(HERE), workload=workload, seed=seed)
+    done = subprocess.run([sys.executable, "-c", code], cwd=tree, env=env,
+                          capture_output=True, text=True,
+                          timeout=CHILD_TIMEOUT_S)
+    if done.returncode != 0:
+        raise RuntimeError(f"opcode count of {workload} in {tree} exited "
+                           f"{done.returncode}: {done.stderr[-2000:]}")
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def quartiles(values):
@@ -197,6 +256,7 @@ def main(argv=None):
         "pairs": [],
         "summary": {},
         "traced": {},
+        "opcodes": {},
     }
 
     def save():
@@ -228,6 +288,18 @@ def main(argv=None):
                     m["name"]: {side: traced[side][m["name"]]
                                 for side in ("parent", "change")}
                     for m in spec["per_layer"]}
+                counts = {side: run_opcode_child(trees[side], workload,
+                                                 args.trace_seed)
+                          for side in ("parent", "change")}
+                result["opcodes"][workload] = {
+                    "seed": args.trace_seed,
+                    "parent": counts["parent"]["opcodes"],
+                    "change": counts["change"]["opcodes"],
+                    "change_pct": 100 * (counts["change"]["opcodes"]
+                                         / counts["parent"]["opcodes"] - 1),
+                    "failed": {side: counts[side]["failed"]
+                               for side in ("parent", "change")},
+                }
             save()
     if args.claim:
         result["verdict"] = verdict(result["summary"], args.claim)
