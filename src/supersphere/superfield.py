@@ -831,7 +831,8 @@ class RationalSuperfunction:
         step = -SuperPolynomial._make(self.L, self.n_odd, soul)
         acc, power, J = SuperPolynomial.one(self.L, self.n_odd), step, 0
         while power:
-            acc, power, J = acc.mul_scalar_poly(body) + power, power * step, J + 1
+            acc = acc.mul_scalar_poly(body) + power
+            power, J = power * step, J + 1
         num = acc.mul_scalar_poly(self.den).shift_z(-v)
         return RationalSuperfunction(num, body ** (J + 1))
 
