@@ -577,7 +577,7 @@ def _suite_matrix_osp(cfg, rng):
     table = msa.osp_table()
     _record_table(out, msa.verify_table(table), "table injectivity",
                   "matrix shape constraint",
-                  [msa.osp_pattern_violations(m) for _, m in table])
+                  [msa.shape_violations(m, msa.OSP_SHAPE) for _, m in table])
     return out
 
 
@@ -589,7 +589,7 @@ def _suite_matrix_p(cfg, rng):
         _record_table(out, msa.verify_table(table),
                       f"injectivity of the twist {sign} table",
                       "p-shape of an image matrix",
-                      [[] if idx == 3 else msa.p_pattern_violations(m)
+                      [[] if idx == 3 else msa.shape_violations(m, msa.P_SHAPE)
                        for idx, (_, m) in enumerate(table)])
     return out
 

@@ -7,13 +7,16 @@ matrices is X Y - (-1)^(parity product) Y X.
 The tables in this module map bases of the infinitesimal automorphism
 algebras to matrices:
 
-* twist 0 onto osp(2|2), matrices of the shape
-      [[a, b, s, q], [c, -a, -r, -p], [p, q, d, 0], [r, s, 0, -d]];
-* twist +-1 onto gl(1) acting on p(2|2), matrices of the shape
-      [[a, b, p, q], [c, -a, q, r], [0, s, -a, -c], [-s, 0, -b, a]]
-  with the gl(1) generator added on the lower diagonal block;
+* twist 0 onto osp(2|2), the matrices of the template `OSP_SHAPE`;
+* twist +-1 onto gl(1) acting on p(2|2), the matrices of `P_SHAPE` with
+  the gl(1) generator added on the lower diagonal block;
 * twist |n| >= 2 onto (sl(2) + gl(1)) acting on an abelian odd tower,
   held as semidirect-product data.
+
+Each shape is written once, as a template of signed symbols parsed at
+import: `shape_violations` checks a matrix against it, and `_image` builds
+every in-shape image from symbol values.  The sl(2) values of the three
+even generators every twist shares are written once, in `_SL2_VALUES`.
 
 The tables are data; the homomorphism property is the test.  The checker
 compares the image of every basis bracket against the bracket of images
@@ -145,73 +148,62 @@ class Matrix:
         return f"Matrix([{body}])"
 
 
-def osp_pattern_violations(m):
-    """Constraints of the osp(2|2) shape that the matrix breaks."""
-    r = m.rows
-    checks = [
-        (r[1][1] == -r[0][0], "lower-right of sl2 block"),
-        (r[3][3] == -r[2][2], "even diagonal block trace"),
-        (not r[2][3], "entry (2,3)"),
-        (not r[3][2], "entry (3,2)"),
-        (r[0][2] == r[3][1], "s entries"),
-        (r[0][3] == r[2][1], "q entries"),
-        (r[1][2] == -r[3][0], "r entries"),
-        (r[1][3] == -r[2][0], "p entries"),
-    ]
-    return [label for ok, label in checks if not ok]
+def _template(*rows):
+    """A matrix shape, one string of signed symbols per row: entry (i, j)
+    is (sign, symbol), and the symbol 0 marks an entry that vanishes."""
+    return tuple(tuple((-1, entry[1:]) if entry.startswith("-") else (1, entry)
+                       for entry in row.split())
+                 for row in rows)
 
 
-def p_pattern_violations(m):
-    """Constraints of the p(2|2) shape that the matrix breaks."""
-    r = m.rows
-    checks = [
-        (r[1][1] == -r[0][0], "upper even block is traceless"),
-        (r[2][2] == -r[0][0], "lower block repeats -a"),
-        (r[3][3] == r[0][0], "lower block repeats a"),
-        (r[2][3] == -r[1][0], "-c entry"),
-        (r[3][2] == -r[0][1], "-b entry"),
-        (not r[2][0], "entry (2,0)"),
-        (not r[3][1], "entry (3,1)"),
-        (r[3][0] == -r[2][1], "s antisymmetry"),
-        (r[0][3] == r[1][2], "q symmetry"),
-    ]
-    return [label for ok, label in checks if not ok]
+OSP_SHAPE = _template(" a  b  s  q",
+                      " c -a -r -p",
+                      " p  q  d  0",
+                      " r  s  0 -d")
+P_SHAPE = _template(" a  b  p  q",
+                    " c -a  q  r",
+                    " 0  s -a -c",
+                    "-s  0 -b  a")
+_SL2_SHAPE = _template(" a  b",
+                       " c -a")
+# the sl(2) values of the first three basis elements of every twist:
+# L(-1), L(0) - (n/2) J(0) and L(1) - n J(1)
+_SL2_VALUES = ({"b": 1}, {"a": HALF}, {"c": -1})
 
 
-def _sl2_into_osp(a, b, c):
-    return Matrix([
-        [a, b, 0, 0],
-        [c, -a, 0, 0],
-        [0, 0, 0, 0],
-        [0, 0, 0, 0],
-    ])
+def shape_violations(m, shape):
+    """The entries of m that break the shape, each naming its symbol.
+
+    The first entry of each symbol fixes the symbol's value; each later
+    entry of it, and each 0 entry, is one constraint.
+    """
+    values = {"0": ZERO}
+    out = []
+    # both are square, so the rows decide the size
+    for i, (row, symbols) in enumerate(zip(m.rows, shape, strict=True)):
+        for j, (x, (sign, symbol)) in enumerate(zip(row, symbols)):
+            value = x if sign > 0 else -x
+            if values.setdefault(symbol, value) != value:
+                signed = "-" + symbol if sign < 0 else symbol
+                out.append(f"entry ({i},{j}) is not {signed}")
+    return out
 
 
-def _sl2_into_p(a, b, c):
-    return Matrix([
-        [a, b, 0, 0],
-        [c, -a, 0, 0],
-        [0, 0, -a, -c],
-        [0, 0, -b, a],
-    ])
+def _image(shape, values):
+    """The matrix of the shape whose symbols take the given values, the
+    other symbols 0."""
+    return Matrix._make(tuple(
+        tuple(grat(sign * values[symbol]) if symbol in values else ZERO
+              for sign, symbol in row)
+        for row in shape))
 
 
 def osp_table():
-    """The twist-0 basis mapped into osp(2|2)."""
+    """The twist-0 basis mapped into osp(2|2): the sl(2) triple, then
+    J(0) and the four odd generators, each image one symbol."""
     return list(zip(ns.subalgebra_basis(0), [
-        _sl2_into_osp(0, 1, 0),
-        _sl2_into_osp(HALF, 0, 0),
-        _sl2_into_osp(0, 0, -1),
-        Matrix([[0, 0, 0, 0], [0, 0, 0, 0],
-                [0, 0, 1, 0], [0, 0, 0, -1]]),
-        Matrix([[0, 0, 0, 1], [0, 0, 0, 0],
-                [0, 1, 0, 0], [0, 0, 0, 0]]),
-        Matrix([[0, 0, 0, 0], [0, 0, 0, -1],
-                [1, 0, 0, 0], [0, 0, 0, 0]]),
-        Matrix([[0, 0, 1, 0], [0, 0, 0, 0],
-                [0, 0, 0, 0], [0, 1, 0, 0]]),
-        Matrix([[0, 0, 0, 0], [0, 0, -1, 0],
-                [0, 0, 0, 0], [1, 0, 0, 0]]),
+        _image(OSP_SHAPE, values) for values in (
+            *_SL2_VALUES, {"d": 1}, {"q": 1}, {"p": 1}, {"s": 1}, {"r": 1})
     ], strict=True))
 
 
@@ -223,21 +215,13 @@ def p_table(sign):
     """
     if sign not in (1, -1):
         raise ValueError("sign selects the twist +1 or -1 table")
-    return list(zip(ns.subalgebra_basis(sign), [
-        _sl2_into_p(0, 1, 0),
-        _sl2_into_p(HALF, 0, 0),
-        _sl2_into_p(0, 0, -1),
-        Matrix([[0, 0, 0, 0], [0, 0, 0, 0],
-                [0, 0, 1, 0], [0, 0, 0, 1]]),
-        Matrix([[0, 0, 0, 0], [0, 0, 0, 0],
-                [0, 1, 0, 0], [-1, 0, 0, 0]]),
-        Matrix([[0, 0, 2, 0], [0, 0, 0, 0],
-                [0, 0, 0, 0], [0, 0, 0, 0]]),
-        Matrix([[0, 0, 0, -1], [0, 0, -1, 0],
-                [0, 0, 0, 0], [0, 0, 0, 0]]),
-        Matrix([[0, 0, 0, 0], [0, 0, 0, 2],
-                [0, 0, 0, 0], [0, 0, 0, 0]]),
-    ], strict=True))
+    in_shape = [_image(P_SHAPE, values) for values in (
+        *_SL2_VALUES, {"s": 1}, {"p": 2}, {"q": -1}, {"r": 2})]
+    # J(0) is the gl(1) generator, outside the p(2|2) shape
+    charge = Matrix([[0, 0, 0, 0], [0, 0, 0, 0],
+                     [0, 0, 1, 0], [0, 0, 0, 1]])
+    return list(zip(ns.subalgebra_basis(sign),
+                    in_shape[:3] + [charge] + in_shape[3:], strict=True))
 
 
 def verify_table(pairs):
@@ -324,13 +308,19 @@ class SemidirectElement:
         return f"SemidirectElement({self.mat!r}, gl1={self.gl1}, v={self.vector})"
 
 
-# the four even generators in the order of `GnSemidirect.sigma`
-_ACTING_IMAGES = (
-    (Matrix([[0, 1], [0, 0]]), ZERO),
-    (Matrix([[HALF, 0], [0, -HALF]]), ZERO),
-    (Matrix([[0, 0], [-1, 0]]), ZERO),
-    (Matrix.zero(2), ONE),
-)
+# the four even generators in the order of `GnSemidirect.sigma`: the sl(2)
+# triple, then the gl(1) charge
+_ACTING_IMAGES = tuple((_image(_SL2_SHAPE, values), ZERO)
+                       for values in _SL2_VALUES) + ((Matrix.zero(2), ONE),)
+
+# where `GnSemidirect._acting_entries` reads the sl(2) part: the entry
+# (i, j) of each image's one symbol, and w, one over the image there, which
+# turns the entry of a combination of the images into its coordinate
+_SL2_READS = tuple(
+    next((i, j, x.inverse()) for i, row in enumerate(m.rows)
+         for j, x in enumerate(row) if x)
+    for m, _ in _ACTING_IMAGES[:3])
+_ACTING_WEIGHTS = tuple(w for _, _, w in _SL2_READS) + (ONE,)
 
 
 class GnSemidirect:
@@ -376,22 +366,25 @@ class GnSemidirect:
         front of sigma_{u'}(v) is plain because the acting part is even.
         """
         cs, moved = [], []
-        for idx, (cx, cy) in enumerate(zip(self._acting_coordinates(x),
-                                           self._acting_coordinates(y))):
-            if cx:
-                cs.append(cx)
+        for idx, (w, ex, ey) in enumerate(zip(_ACTING_WEIGHTS,
+                                              self._acting_entries(x),
+                                              self._acting_entries(y))):
+            if ex:
+                cs.append(ex * w)
                 moved.append(self.sigma(idx, y.vector))
-            if cy:
-                cs.append(-cy)
+            if ey:
+                cs.append(-ey * w)
                 moved.append(self.sigma(idx, x.vector))
         return SemidirectElement(
             x.mat.commutator(y.mat), ZERO,
             [dot(cs, [v[k] for v in moved]) for k in range(self.rank)])
 
-    def _acting_coordinates(self, x):
-        """Coordinates of x's even part along the four acting generators."""
+    def _acting_entries(self, x):
+        """The entries of x's even part that, times `_ACTING_WEIGHTS`, are
+        its coordinates along the four acting generators; a zero entry is
+        never weighed."""
         m = x.mat.rows
-        return (m[0][1], m[0][0] * 2, -m[1][0], x.gl1)
+        return [m[i][j] for i, j, _ in _SL2_READS] + [x.gl1]
 
     def verify(self):
         """Homomorphism check of the semidirect data against the algebra;

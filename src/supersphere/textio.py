@@ -9,6 +9,10 @@ variable symbols, one parenthesized supernumber coefficient per term:
 
     t+t-*(1 + z[1]z[2])*z^-2 + (3/2)*z
 
+Each grammar is one term pattern, `_SUPERNUMBER_TERM` and
+`_SUPERPOLY_TERM`, which `_signed_terms` matches from the start of the
+text to its end.
+
 JSON forms carry exact rationals as strings; every container round-trips
 through its matching parse function, which reads a number only in the
 form `str` writes it (`-3`, `1/2`, `-2i`, `(1/2-3/4i)`).
@@ -29,43 +33,40 @@ class ParseError(ValueError):
     pass
 
 
-_GEN = re.compile(r"z\[(\d+)\]")
-_ZPOW = re.compile(r"z(?:\^(-?\d+))?$")
+# Every term may open with a sign, and every term but the first must.
+# Whitespace may stand around a sign and around "*", and at either end of
+# the text, but nowhere inside a coefficient, a monomial or a power of z.
+_SIGN = r"\s*(?P<sign>[+-]?)\s*"
 _RATIONAL = r"\d+(?:/\d+)?"
 _COEFF = re.compile(rf"{_RATIONAL}i?|\([+-]?{_RATIONAL}(?:[+-]{_RATIONAL}i)?\)")
+_MONOMIAL = r"(?:z\[\d+\])+"
+_GEN = re.compile(r"z\[(\d+)\]")
+_SUPERNUMBER_TERM = re.compile(
+    rf"{_SIGN}(?:(?P<coeff>{_COEFF.pattern})(?:\s*\*\s*(?P<mono>{_MONOMIAL}))?"
+    rf"|(?P<bare_mono>{_MONOMIAL}))")
+_ZPOW = r"z(?:\^-?\d+)?"
+# the odd symbols in one and in two odd variables, as `str` writes them
+_ODD_NAMES = {1: ("t",), 2: ("t+", "t-")}
+_ODD_PATTERN = {1: r"t", 2: r"t\+(?:t-)?|t-"}
+# a coefficient is a parenthesized supernumber, whose own coefficients
+# may be parenthesized once more
+_SUPERPOLY_TERM = {n_odd: re.compile(
+    rf"{_SIGN}(?P<odd>{odd})?(?:\s*\*\s*)?"
+    rf"(?:\((?P<coeff>(?:[^()]|\([^()]*\))*)\)(?:\s*\*\s*(?P<zpow>{_ZPOW}))?"
+    rf"|(?P<bare_zpow>{_ZPOW}))") for n_odd, odd in _ODD_PATTERN.items()}
 
 
-def _split_terms(text):
-    """Split on top-level + and -, keeping signs; each sign takes a term."""
-    terms = []
-    depth = 0
-    current = []
-    sign = None  # the sign read for the term being collected, if any
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        # 't' guards the odd symbols t+ and t-; '^' guards z^-k exponents
-        if depth == 0 and ch in "+-" and current and current[-1] not in "^*/(t":
-            terms.append((sign or 1, "".join(current).strip()))
-            sign = 1 if ch == "+" else -1
-            current = []
-            continue
-        if not current and depth == 0:
-            if ch.isspace():
-                continue
-            if ch in "+-":
-                if sign is not None:
-                    raise ParseError(f"two signs in a row in {text!r}")
-                sign = 1 if ch == "+" else -1
-                continue
-        current.append(ch)
-    if current:
-        terms.append((sign or 1, "".join(current).strip()))
-    elif sign is not None:
-        raise ParseError(f"sign without a term in {text!r}")
-    return terms
+def _signed_terms(term, text):
+    """The matches of the term pattern that fill text from start to end."""
+    pos, end = 0, len(text.rstrip())
+    while True:
+        m = term.match(text, pos)
+        if m is None or (pos and not m["sign"]):
+            raise ParseError(f"{text!r} leaves the grammar at {text[pos:]!r}")
+        yield m
+        pos = m.end()
+        if pos == end:
+            return
 
 
 def parse_coefficient(text):
@@ -81,90 +82,47 @@ def parse_coefficient(text):
 def parse_supernumber(text, L):
     """Parse the textual supernumber grammar over L generators."""
     out = Supernumber.zero(L)
-    for sign, term in _split_terms(text):
-        if "*" in term:
-            coeff_text, _, mono_text = term.partition("*")
-            coeff = parse_coefficient(coeff_text)
-            if not mono_text.strip():
-                raise ParseError(f"no monomial after '*' in {term!r}")
-        elif term.startswith("z["):
-            coeff, mono_text = grat(1), term
-        else:
-            coeff, mono_text = parse_coefficient(term), ""
-        labels = []
-        rest = mono_text.strip()
-        while rest:
-            m = _GEN.match(rest)
-            if not m:
-                raise ParseError(f"bad generator monomial: {mono_text!r}")
-            labels.append(int(m.group(1)))
-            rest = rest[m.end():]
-        if sign < 0:
+    for m in _signed_terms(_SUPERNUMBER_TERM, text):
+        coeff = (grat(1) if m["coeff"] is None
+                 else parse_coefficient(m["coeff"]))
+        if m["sign"] == "-":
             coeff = -coeff
+        mono = m["mono"] or m["bare_mono"] or ""
         try:
-            mask = mask_from_labels(tuple(labels), L)
+            mask = mask_from_labels(tuple(map(int, _GEN.findall(mono))), L)
         except ValueError as exc:
-            raise ParseError(f"bad generator monomial: {mono_text!r}") from exc
+            raise ParseError(f"bad generator monomial: {mono!r}") from exc
         out = out + Supernumber(L, {mask: coeff})
     return out
 
 
 def parse_superpoly(text, L, n_odd=2):
-    """Parse the superpolynomial grammar: [odd*](supernumber)[*z^k]."""
-    names = ["t+", "t-"] if n_odd == 2 else ["t"]
+    """Parse the superpolynomial grammar: [odd][*](supernumber)[*z^k] or
+    [odd][*]z^k terms, or the 0 that `str` writes for zero."""
     out = SuperPolynomial.zero(L, n_odd)
-    for sign, term in _split_terms(text):
-        mask = 0
-        rest = term.strip()
-        matched = True
-        while matched:
-            matched = False
-            for bit, name in enumerate(names):
-                if rest.startswith(name):
-                    if mask & (1 << bit):
-                        raise ParseError(f"repeated odd symbol in {term!r}")
-                    mask |= 1 << bit
-                    rest = rest[len(name):].lstrip("*").strip()
-                    matched = True
-                    break
-        zexp = 0
-        if not rest:
-            coeff = Supernumber.one(L)
-        elif rest.startswith("("):
-            depth = 0
-            for i, ch in enumerate(rest):
-                depth += ch == "("
-                depth -= ch == ")"
-                if depth == 0:
-                    break
-            else:
-                raise ParseError(f"unclosed parenthesis in {term!r}")
-            coeff = parse_supernumber(rest[1:i], L)
-            tail = rest[i + 1:].lstrip("*").strip()
-            if tail:
-                m = _ZPOW.match(tail)
-                if not m:
-                    raise ParseError(f"bad z power: {tail!r}")
-                zexp = int(m.group(1) or 1)
-        else:
-            m = _ZPOW.match(rest)
-            if m:
-                zexp = int(m.group(1) or 1)
-                coeff = Supernumber.one(L)
-            elif "*" in rest:
-                head, _, tail = rest.rpartition("*")
-                m = _ZPOW.match(tail.strip())
-                if m:
-                    zexp = int(m.group(1) or 1)
-                    coeff = parse_supernumber(head, L)
-                else:
-                    coeff = parse_supernumber(rest, L)
-            else:
-                coeff = parse_supernumber(rest, L)
-        if sign < 0:
+    if text.strip() == "0":
+        return out
+    for m in _signed_terms(_SUPERPOLY_TERM[n_odd], text):
+        mask = _odd_mask(m["odd"] or "", n_odd)
+        coeff = (Supernumber.one(L) if m["coeff"] is None
+                 else parse_supernumber(m["coeff"], L))
+        if m["sign"] == "-":
             coeff = -coeff
+        zpow = m["zpow"] or m["bare_zpow"]
+        zexp = 0 if zpow is None else int(zpow[2:] or 1)
         out = out + SuperPolynomial(L, n_odd, {(zexp, mask): coeff})
     return out
+
+
+def _odd_mask(symbols, n_odd):
+    """The odd mask of the symbols, read by name: "t+t-" or ["t+", "t-"]."""
+    return sum(1 << b for b, name in enumerate(_ODD_NAMES[n_odd])
+               if name in symbols)
+
+
+def _odd_symbols(mask, n_odd):
+    """The odd symbols of the mask, in the order `str` writes them."""
+    return [name for b, name in enumerate(_ODD_NAMES[n_odd]) if mask >> b & 1]
 
 
 # ---------------------------------------------------------------------------
@@ -194,35 +152,50 @@ def _exact(text, read):
     raise ParseError(f"bad number {text!r}: not in the form str writes")
 
 
+def _integer(value):
+    """value, if it is a JSON integer and not a bool."""
+    if type(value) is not int:
+        raise ParseError(f"{value!r} is not an integer")
+    return value
+
+
 def supernumber_from_json(data, L):
     terms = {}
     for entry in data:
-        mask = mask_from_labels(tuple(entry["index"]), L)
+        labels = tuple(map(_integer, entry["index"]))
+        try:
+            mask = mask_from_labels(labels, L)
+        except ValueError as exc:
+            raise ParseError(f"bad generator index {labels}") from exc
+        if mask in terms:
+            raise ParseError(f"repeated generator index {labels}")
         terms[mask] = GaussianRational(_exact(entry["re"], Fraction),
                                        _exact(entry["im"], Fraction))
     return Supernumber(L, terms)
 
 
 def superpoly_to_json(p):
-    names = ["t+", "t-"] if p.n_odd == 2 else ["t"]
     out = []
     for (k, mask) in sorted(p.terms, key=lambda km: (km[1], km[0])):
         out.append({
             "z": k,
-            "odd": [names[b] for b in range(p.n_odd) if mask & (1 << b)],
+            "odd": _odd_symbols(mask, p.n_odd),
             "coeff": supernumber_to_json(p.terms[(k, mask)]),
         })
     return out
 
 
 def superpoly_from_json(data, L, n_odd=2):
-    names = {"t+": 0, "t-": 1} if n_odd == 2 else {"t": 0}
     terms = {}
     for entry in data:
-        mask = 0
-        for name in entry["odd"]:
-            mask |= 1 << names[name]
-        terms[(entry["z"], mask)] = supernumber_from_json(entry["coeff"], L)
+        mask = _odd_mask(entry["odd"], n_odd)
+        if entry["odd"] != _odd_symbols(mask, n_odd):
+            raise ParseError(f"odd symbols {entry['odd']!r} are not "
+                             f"{_ODD_NAMES[n_odd]}, in order, at most once")
+        key = (_integer(entry["z"]), mask)
+        if key in terms:
+            raise ParseError(f"repeated term {key}")
+        terms[key] = supernumber_from_json(entry["coeff"], L)
     return SuperPolynomial(L, n_odd, terms)
 
 

@@ -115,6 +115,29 @@ def test_verdict_lists_every_metric_outside_its_bound():
     assert quiet["regressions"] == []
 
 
+def test_no_loss_lists_regressions_and_unresolved_metrics():
+    summary = {
+        "closure": _workload({"wall_s": 0.8}),
+        "campaign": _workload({"peak_rss_mb": 1.11}),
+    }
+    # a parent spread wider than the bound: quartile distance 0.1 of 1.0
+    parent = [0.9, 0.95, 1.0, 1.05, 1.1]
+    summary["algebra"] = {"wall_s": _row(parent, parent[::-1], bound=0.05),
+                          "op_p50_ms": _row(parent, [1.3] * 5)}
+    assert bench_pairs.no_loss(summary) == {
+        "regressions": [
+            {"workload": "campaign", "metric": "peak_rss_mb",
+             "change_pct": pytest.approx(11)},
+            {"workload": "algebra", "metric": "op_p50_ms",
+             "change_pct": pytest.approx(30)}],
+        "unresolved": [
+            {"workload": "algebra", "metric": "wall_s",
+             "change_pct": pytest.approx(0)}],
+    }
+    assert bench_pairs.no_loss({"closure": summary["closure"]}) == {
+        "regressions": [], "unresolved": []}
+
+
 def _row(parent_runs, change_runs, bound=0.25, better="lower"):
     metric = {"name": "m", "better": better, "bound": bound}
     pairs = [{"parent": {"m": p, "failed": 0, "attempted": 1},

@@ -82,7 +82,7 @@ class TestOspTable:
 
     def test_shape(self):
         for _, matrix in msa.osp_table():
-            assert msa.osp_pattern_violations(matrix) == []
+            assert msa.shape_violations(matrix, msa.OSP_SHAPE) == []
 
     def test_homomorphism(self):
         report = msa.verify_table(msa.osp_table())
@@ -114,9 +114,9 @@ class TestPTables:
         for sign in (+1, -1):
             for idx, (_, matrix) in enumerate(msa.p_table(sign)):
                 if idx == 3:  # J(0) sits outside the p-shape
-                    assert msa.p_pattern_violations(matrix) != []
+                    assert msa.shape_violations(matrix, msa.P_SHAPE) != []
                 else:
-                    assert msa.p_pattern_violations(matrix) == []
+                    assert msa.shape_violations(matrix, msa.P_SHAPE) == []
 
     def test_dimensions(self):
         table = msa.p_table(+1)
@@ -124,6 +124,25 @@ class TestPTables:
         evens = [m for m in inner if m.block_parity() == 0]
         odds = [m for m in inner if m.block_parity() == 1]
         assert len(evens) == 3 and len(odds) == 4
+
+
+def free_symbols(shape):
+    return {symbol for row in shape for _, symbol in row} - {"0"}
+
+
+def test_each_shape_has_a_symbol_per_in_shape_image():
+    # with injectivity, the in-shape images then span their shape
+    assert len(free_symbols(msa.OSP_SHAPE)) == len(msa.osp_table()) == 8
+    in_p_shape = [m for _, m in msa.p_table(+1)
+                  if not msa.shape_violations(m, msa.P_SHAPE)]
+    assert len(free_symbols(msa.P_SHAPE)) == len(in_p_shape) == 7
+
+
+def test_shape_violations_name_the_symbol_and_entry():
+    rows = [list(row) for row in osp_image(ns.L(0)).rows]
+    rows[1][1], rows[2][3] = grat(1), grat(2)
+    assert msa.shape_violations(msa.Matrix(rows), msa.OSP_SHAPE) == [
+        "entry (1,1) is not -a", "entry (2,3) is not 0"]
 
 
 def test_table_sources_are_the_twist_bases():

@@ -42,11 +42,12 @@ def test_supernumber_json_roundtrip():
         assert textio.supernumber_from_json(json.loads(blob), L) == x
 
 
-def test_superpoly_text_roundtrip():
+@pytest.mark.parametrize("n_odd", [1, 2])
+def test_superpoly_text_roundtrip(n_odd):
     s = Sampler(random.Random(7), L)
-    for _ in range(30):
-        p = s.superpoly(z_span=(-2, 3))
-        assert textio.parse_superpoly(str(p), L) == p
+    polys = [s.superpoly(n_odd, z_span=(-2, 3)) for _ in range(30)]
+    for p in polys + [SuperPolynomial.zero(L, n_odd)]:
+        assert textio.parse_superpoly(str(p), L, n_odd) == p
 
 
 def test_superpoly_handwritten():
@@ -101,6 +102,14 @@ def test_parse_errors():
         textio.parse_supernumber("3 + q[1]", L)
     with pytest.raises(textio.ParseError):
         textio.parse_superpoly("t+t+*(1)", L)
+    # a superpolynomial term needs a parenthesized coefficient or a power
+    # of z, with "*" before the power; blank text is no supernumber
+    for text in ("3/2*z", "3", "t+", "(1)z", "()", ""):
+        with pytest.raises(textio.ParseError):
+            textio.parse_superpoly(text, L)
+    for text in ("", "  "):
+        with pytest.raises(textio.ParseError):
+            textio.parse_supernumber(text, L)
     # a zero denominator and an unclosed parenthesis are outside the grammar
     for parse, text in ((textio.parse_supernumber, "1/0"),
                         (textio.parse_superpoly, "t-*(1/0)"),
@@ -123,6 +132,40 @@ def test_parse_errors():
         with pytest.raises(textio.ParseError):
             textio.rsf_from_json({"num": [], "den": den}, 4)
     assert textio.rsf_from_json({"num": [], "den": {"0": "1"}}, 4).den.is_one()
+
+
+def test_a_term_may_open_with_its_star():
+    # sterm ::= [odd] ["*"] "(" supernumber ")" ... | [odd] ["*"] zpow
+    assert textio.parse_superpoly("*z", L) == SuperPolynomial.z_power(L, 1)
+    assert textio.parse_superpoly("*(2)", L) == \
+        SuperPolynomial(L, 2, {(0, 0): Supernumber.scalar(L, 2)})
+
+
+def test_json_superpolynomials_are_read_strictly():
+    one = [{"index": [], "re": "1", "im": "0"}]
+    for z, odd, n_odd in (("1", [], 2), (1.0, [], 2), (True, [], 2),
+                          (0, ["t"], 2), (0, ["t+", "t+"], 2),
+                          (0, ["t-", "t+"], 2), (0, ["t+"], 1),
+                          (0, "t+", 2)):
+        with pytest.raises(textio.ParseError):
+            textio.superpoly_from_json([{"z": z, "odd": odd, "coeff": one}],
+                                       L, n_odd)
+    twice = [{"z": 1, "odd": ["t-"], "coeff": one}] * 2
+    with pytest.raises(textio.ParseError):
+        textio.superpoly_from_json(twice, L)
+    assert textio.superpoly_from_json(twice[:1], L) == \
+        SuperPolynomial(L, 2, {(1, 2): Supernumber.one(L)})
+
+
+def test_json_supernumbers_are_read_strictly():
+    def entry(index):
+        return {"index": index, "re": "1", "im": "0"}
+
+    with pytest.raises(textio.ParseError):
+        textio.supernumber_from_json([entry([1, 2]), entry([1, 2])], L)
+    for index in ([0], [L + 1], [2, 1], [1, 1], [True], [1.0], "1"):
+        with pytest.raises(textio.ParseError):
+            textio.supernumber_from_json([entry(index)], L)
 
 
 def test_rsf_json_roundtrip_of_signed_denominator_coefficients():

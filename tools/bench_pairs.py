@@ -22,18 +22,20 @@ and whether that is resolved: it is not when the parent's quartile
 distance exceeds the bound times the parent's median, unless every change
 run beats every parent run.  `--claim W:M` adds the verdict of the gain
 rule: the change wins at least nine tenths of the pairs and the median gap
-exceeds the parent's quartile distance.  Its `regressions` list the other
-half of the rule, every workload and metric whose change median is outside
-its bound.  W must be one of the `--workload`
-values and M an end-to-end metric; any other claim stops before the first
-pair.  `--trace-seed S` adds one `--trace 1` run per side and workload
-with every per-layer count, and a deterministic cost beside the wall
-clock: the Python opcodes of one pass of `make_passes(S, 1)`, counted
-with `sys.settrace` and `f_trace_opcodes` (`opcodes`) in a child started
-in each side's tree, which imports that tree's `perfbench/workloads.py`
-under PYTHONHASHSEED=0.  The file records both counts, the change in %
-and each side's failed ops of that pass.  The file is rewritten after
-every pair, so an interrupted set keeps its pairs.
+exceeds the parent's quartile distance.  W must be one of the
+`--workload` values and M an end-to-end metric; any other claim stops
+before the first pair.  Every set, with or without a claim, writes the
+other half of the rule (`no_loss`): `regressions`, every workload and
+metric whose change median is outside its bound, and `unresolved`, every
+one whose parent spread hides its bound.  `--trace-seed S` adds one
+`--trace 1` run per side and workload with every per-layer count, and a
+deterministic cost beside the wall clock: the Python opcodes of one pass
+of `make_passes(S, 1)`, counted with `sys.settrace` and
+`f_trace_opcodes` (`opcodes`) in a child started in each side's tree,
+which imports that tree's `perfbench/workloads.py` under
+PYTHONHASHSEED=0.  The file records both counts, the change in % and
+each side's failed ops of that pass.  The file is rewritten after every
+pair, so an interrupted set keeps its pairs.
 """
 
 from __future__ import annotations
@@ -200,6 +202,21 @@ def check_claim(claim, workloads, metrics):
                          f"{sorted(set(workloads))} and M in {sorted(metrics)}")
 
 
+def no_loss(summary):
+    """The no-loss half of the rule, over every workload of the summary:
+    the metrics whose change median is outside its bound (`regressions`)
+    and those whose parent spread is too wide to tell (`unresolved`)."""
+    def failing(check):
+        return [{"workload": name, "metric": key,
+                 "change_pct": value["change_pct"]}
+                for name, rows in summary.items()
+                for key, value in rows.items()
+                if isinstance(value, dict) and value.get(check) is False]
+
+    return {"regressions": failing("within_bound"),
+            "unresolved": failing("resolved")}
+
+
 def verdict(summary, claim):
     workload, metric = claim.split(":")
     row = summary[workload][metric]
@@ -213,10 +230,7 @@ def verdict(summary, claim):
         "parent_iqr": row["parent_iqr"],
         "met": (row["change_better_in"] >= math.ceil(0.9 * pairs)
                 and row["median_gap"] > row["parent_iqr"]),
-        "regressions": [
-            {"workload": name, "metric": key, "change_pct": value["change_pct"]}
-            for name, rows in summary.items() for key, value in rows.items()
-            if isinstance(value, dict) and value.get("within_bound") is False],
+        **no_loss(summary),
     }
 
 
@@ -255,6 +269,8 @@ def main(argv=None):
         "env": {},
         "pairs": [],
         "summary": {},
+        "regressions": [],
+        "unresolved": [],
         "traced": {},
         "opcodes": {},
     }
@@ -280,6 +296,7 @@ def main(argv=None):
                 save()
                 print(f"{workload} pair {k} seed {seed} done", flush=True)
             result["summary"][workload] = summarise(pairs, spec["end_to_end"])
+            result.update(no_loss(result["summary"]))
             if args.trace_seed is not None:
                 traced = {side: run_child(trees[side], workload,
                                           args.trace_seed, args.seconds, 1)[1]
