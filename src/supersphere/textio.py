@@ -57,7 +57,8 @@ _SUPERPOLY_TERM = {n_odd: re.compile(
 
 
 def _signed_terms(term, text):
-    """The matches of the term pattern that fill text from start to end."""
+    """The matches of the term pattern that fill text from start to end;
+    ParseError where none matches or a later term has no sign."""
     pos, end = 0, len(text.rstrip())
     while True:
         m = term.match(text, pos)
