@@ -269,6 +269,9 @@ class Supernumber:
         return self + (-other)
 
     def __mul__(self, other):
+        """The Grassmann product.  A body-only factor commutes with
+        everything, so it scales the other operand, and a factor exactly 1
+        returns the other operand itself: values are immutable."""
         if not isinstance(other, Supernumber):
             if not isinstance(other, SCALAR_TYPES):
                 return NotImplemented
@@ -276,6 +279,10 @@ class Supernumber:
         self._check(other)
         if not self.terms or not other.terms:
             return Supernumber._make(self.L, {})
+        for x, y in ((self, other), (other, self)):
+            if len(y.terms) == 1 and 0 in y.terms:
+                s = y.terms[0]
+                return x if s == ONE else x.scale(s)
         acc = {}
         mul_into(acc, triples(self.terms.items()), triples(other.terms.items()))
         return Supernumber._make(self.L, reduce_triples(acc))

@@ -242,15 +242,10 @@ def _y_linear(psi_plus, psi_minus, c, d):
             - pp1 * pm1 * pp0 * pm0 * d)
 
 
-def _times_power(F, base, j):
-    """F * base**j for j > 0 and F otherwise, with no product by one."""
-    return F * base ** j if j > 0 else F
-
-
 def _psi(L, coeffs, inv):
     """sum coeffs[j] z^j * inv^(len(coeffs) - 1) for inv = 1/(c z + d): the
     psi of every regime, zero for no coefficients."""
-    return _times_power(_poly(L, coeffs), inv, len(coeffs) - 1)
+    return _poly(L, coeffs) * inv ** max(len(coeffs) - 1, 0)
 
 
 def _short_g(p, czd):
@@ -278,7 +273,7 @@ def build_map(p):
     f = _linear(L, p.a, p.b) * inv
     psi_plus, psi_minus = _psi(L, p.psi_plus, inv), _psi(L, p.psi_minus, inv)
     num, j = _short_g(p, czd)
-    g_s = _times_power(num.scale_left(p.eps), inv, j)
+    g_s = num.scale_left(p.eps) * inv ** j
     if p.n:
         g_t = completing_g(f, _short_g(p, inv)[0], psi_plus, psi_minus,
                            p.eps.inverse())
@@ -435,7 +430,7 @@ def _psi_coeffs(F, czd, length, what, n):
     len(coeffs) = length, or NotInFamily naming F as `what`.  The
     coefficients must be odd: at n = 0 an even psi can make the eps read
     divide by a non-unit."""
-    poly = _times_power(F, czd, length - 1).as_superpolynomial()
+    poly = (F * czd ** max(length - 1, 0)).as_superpolynomial()
     if poly is None or any(not 0 <= k < length for k, _ in poly.terms):
         if length == 0:
             raise NotInFamily(
@@ -496,7 +491,7 @@ def validate_map(m, n):
         raise NotInFamily(f"recovered data is no parameter set: {exc}") from exc
 
     num, j = _short_g(params, czd)
-    if _times_power(g_s, czd, j) != num.scale_left(eps):
+    if g_s * czd ** j != num.scale_left(eps):
         raise NotInFamily("short-side g differs from the family's")
     if not m.check().ok:
         raise NotInFamily("map fails the superconformal constraint")

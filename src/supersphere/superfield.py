@@ -432,6 +432,10 @@ class SuperPolynomial:
         return self + (-other)
 
     def __mul__(self, other):
+        """The product.  A factor s z^j with no odd variable and a body-only
+        s commutes with everything, so the product is the other factor
+        shifted by j and scaled by s, with no sign; for s = 1 it is
+        `shift_z(j)`, which keeps the other factor's coefficients."""
         if not isinstance(other, SuperPolynomial):
             if not isinstance(other, (Supernumber,) + SCALAR_TYPES):
                 return NotImplemented
@@ -439,6 +443,15 @@ class SuperPolynomial:
         self._check(other)
         if not self.terms or not other.terms:
             return SuperPolynomial._make(self.L, self.n_odd, {})
+        for x, mono in ((self, other), (other, self)):
+            if len(mono.terms) != 1:
+                continue
+            [((j, m), c)] = mono.terms.items()
+            if not m and len(c.terms) == 1 and 0 in c.terms:
+                s = c.terms[0]
+                return x.shift_z(j) if s == ONE else SuperPolynomial._make(
+                    self.L, self.n_odd,
+                    {(k + j, odd): x_c.scale(s) for (k, odd), x_c in x.terms.items()})
         # one unreduced accumulator per (z exponent, odd mask); each
         # coefficient is reduced once, after every product has been added
         acc = {}
@@ -789,6 +802,14 @@ class RationalSuperfunction:
             other = RationalSuperfunction(other)
         if isinstance(other, RationalSuperfunction):
             self._check(other)
+            # a zero factor is the product, and a unit factor returns the
+            # other, which is canonical already
+            for x, y in ((self, other), (other, self)):
+                if not y.num.terms:
+                    return y
+                if (len(y.num.terms) == 1 and y.den.is_one()
+                        and y.num.terms == {(0, 0): Supernumber.one(self.L)}):
+                    return x
             return RationalSuperfunction(self.num * other.num, self.den * other.den)
         if not isinstance(other, (Supernumber,) + SCALAR_TYPES):
             return NotImplemented
@@ -944,9 +965,11 @@ class Substitution:
     (`_pole`): (z - r)**m, r = 0 included, becomes (1/(w - r))**m, and a
     denominator with several roots 1/den(w); so applying one Substitution
     to several functions (the components of a map) inverts each once.
+    At w = z a theta-free function is returned as it is, and at
+    w = z**(+-1) each Horner step is a shift (`SuperPolynomial.__mul__`).
     """
 
-    __slots__ = ("w", "odd_images", "_inverse_powers")
+    __slots__ = ("w", "odd_images", "_inverse_powers", "_identity")
 
     def __init__(self, w, odd_images=()):
         if not isinstance(w, RationalSuperfunction):
@@ -958,9 +981,14 @@ class Substitution:
         self.w = w
         self.odd_images = odd_images
         self._inverse_powers = {}  # root or den -> [1, Y, Y**2, ...]
+        self._identity = (w.den.is_one()
+                          and w.num.terms == {(1, 0): Supernumber.one(w.L)})
 
     def __call__(self, F):
         w = self.w
+        w._check(F)
+        if self._identity and F.is_theta_free():
+            return F
         v = min(F.num.min_z(), 0)
         comps = {}
         for (k, m), c in F.num.terms.items():
@@ -1080,8 +1108,7 @@ def _poly_at(coeffs, w):
     acc = SuperPolynomial.constant(L, coeffs[top], n_odd)
     for k in range(top - 1, -1, -1):
         acc = acc * wn
-        if not wd.is_one():
-            wd_power = wd_power * wd
+        wd_power = wd_power * wd
         c = coeffs.get(k)
         if c is not None:
             acc = acc + SuperPolynomial.constant(L, c, n_odd).mul_scalar_poly(wd_power)

@@ -20,6 +20,7 @@ form `str` writes it (`-3`, `1/2`, `-2i`, `(1/2-3/4i)`).
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
 
@@ -132,15 +133,26 @@ def _odd_symbols(mask, n_odd):
 
 
 def supernumber_to_json(x):
-    out = []
-    for mask in sorted(x.terms, key=lambda m: (m.bit_count(), m)):
-        c = x.terms[mask]
-        out.append({
-            "index": list(labels_from_mask(mask)),
-            "re": str(c.re),
-            "im": str(c.im),
-        })
-    return out
+    return [{"index": list(labels_from_mask(mask)), "re": str(c.re),
+             "im": str(c.im)}
+            for mask, c in sorted(x.terms.items(),
+                                  key=lambda mc: (mc[0].bit_count(), mc[0]))]
+
+
+def _reader(read):
+    """read, raising ParseError, its message led by the reader's name, for
+    data that is not the JSON form it reads: a missing key, a wrong
+    container, a bad value or a zero denominator."""
+    @functools.wraps(read)
+    def checked(*args, **kwargs):
+        try:
+            return read(*args, **kwargs)
+        except ParseError:
+            raise
+        except (AttributeError, LookupError, TypeError, ValueError,
+                ZeroDivisionError) as exc:
+            raise ParseError(f"{read.__name__}: {exc!r}") from exc
+    return checked
 
 
 def _exact(text, read):
@@ -160,32 +172,28 @@ def _integer(value):
     return value
 
 
+@_reader
 def supernumber_from_json(data, L):
     terms = {}
     for entry in data:
         labels = tuple(map(_integer, entry["index"]))
-        try:
-            mask = mask_from_labels(labels, L)
-        except ValueError as exc:
-            raise ParseError(f"bad generator index {labels}") from exc
+        mask = mask_from_labels(labels, L)
         if mask in terms:
             raise ParseError(f"repeated generator index {labels}")
         terms[mask] = GaussianRational(_exact(entry["re"], Fraction),
                                        _exact(entry["im"], Fraction))
+    if not all(terms.values()):
+        raise ParseError("str writes no zero coefficient")
     return Supernumber(L, terms)
 
 
 def superpoly_to_json(p):
-    out = []
-    for (k, mask) in sorted(p.terms, key=lambda km: (km[1], km[0])):
-        out.append({
-            "z": k,
-            "odd": _odd_symbols(mask, p.n_odd),
-            "coeff": supernumber_to_json(p.terms[(k, mask)]),
-        })
-    return out
+    return [{"z": k, "odd": _odd_symbols(mask, p.n_odd),
+             "coeff": supernumber_to_json(p.terms[(k, mask)])}
+            for (k, mask) in sorted(p.terms, key=lambda km: (km[1], km[0]))]
 
 
+@_reader
 def superpoly_from_json(data, L, n_odd=2):
     terms = {}
     for entry in data:
@@ -207,12 +215,15 @@ def rsf_to_json(F):
     }
 
 
+@_reader
 def rsf_from_json(data, L, n_odd=2):
     num = superpoly_from_json(data["num"], L, n_odd)
     den = ScalarPoly({
         _exact(k, int): _exact(c, GaussianRational.parse)
         for k, c in data["den"].items()
     })
+    if len(den.coeffs) != len(data["den"]):
+        raise ParseError("str writes no zero coefficient")
     return RationalSuperfunction(num, den)
 
 
@@ -226,17 +237,12 @@ def map_to_json(m):
     }
 
 
+@_reader
 def map_from_json(data):
-    L = data["L"]
-    comps = data["components"]
     return SuperconformalMap(
-        rsf_from_json(comps["f"], L),
-        rsf_from_json(comps["g+"], L),
-        rsf_from_json(comps["g-"], L),
-        rsf_from_json(comps["psi+"], L),
-        rsf_from_json(comps["psi-"], L),
-        coefficient_bound=False,
-    )
+        *(rsf_from_json(data["components"][name], data["L"])
+          for name in ("f", "g+", "g-", "psi+", "psi-")),
+        coefficient_bound=False)
 
 
 def params_to_json(p):
@@ -250,6 +256,7 @@ def params_to_json(p):
     }
 
 
+@_reader
 def params_from_json(data):
     from .spheres import AutomorphismParams
 

@@ -1,6 +1,7 @@
 """The pure functions of tools/bench_pairs.py, which every BENCH_*.json
 relies on: seed parsing, quartiles, the verdict of the gain rule and the
-regressions beside it, and the opcode count beside the wall clock."""
+regressions beside it, and the opcode count beside the wall clock, in
+total and per campaign suite."""
 
 import importlib.util
 import random
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from supersphere import campaign
 from supersphere.randgen import Sampler
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
@@ -217,3 +219,32 @@ def test_two_counts_of_one_op_are_equal():
     assert op[0](*op[1:]) is True
     first, second = bench_pairs.opcodes(*op), bench_pairs.opcodes(*op)
     assert first == second and first[0] is True and first[1] > 10_000
+
+
+def test_compare_gives_the_change_in_percent():
+    assert bench_pairs.compare(200, 150) == {
+        "parent": 200, "change": 150, "change_pct": -25.0}
+    # a suite one side lacks has no change
+    assert bench_pairs.compare(None, 7)["change_pct"] is None
+    assert bench_pairs.compare(7, None)["change_pct"] is None
+
+
+def test_suite_opcodes_split_a_tiny_campaign():
+    """Each suite's count is the opcodes of its `_run_one` call; counted
+    alone, after an untraced run has filled the caches, a suite runs the
+    opcodes it ran inside the whole campaign."""
+    cfg = campaign.CampaignConfig(generators=4, band=1, flow_order=2,
+                                  n_range=(2,), samples=1)
+    campaign.run_campaign(cfg)
+    report, total, suites = bench_pairs.opcodes(
+        campaign.run_campaign, cfg, within=campaign._run_one)
+    assert report["summary"]["status"] == "pass"
+    assert list(suites) == list(campaign.registry(cfg))
+    assert all(count > 0 for count in suites.values())
+    assert sum(suites.values()) < total
+    cid = "spheres.translations.n=2"
+    _, alone, parts = bench_pairs.opcodes(
+        campaign.run_campaign, cfg, cid, within=campaign._run_one)
+    assert parts == {cid: suites[cid]} and alone > suites[cid]
+    # without `within` nothing is split
+    assert bench_pairs.opcodes(len, [])[1:] == (0, {})

@@ -454,6 +454,11 @@ _SQUARE_CANCELS = RSF(SuperPolynomial(L, 2, {
 @given(rsfs, rsfs, supernumbers, seeds)
 @example(_THETA_PART, RSF.z(L), _Z1, 0)
 @example(_GENERATOR_PART, RSF.z(L), _Z1, 0)
+# the trivial operands of the product and substitution shortcuts
+@example(RSF.one(L), RSF.zero(L), Supernumber.one(L), 0)
+@example(RSF.zero(L), RSF.one(L), Supernumber.scalar(L, grat(0, 2)), 0)
+@example(_GENERATOR_PART, RSF.z_power(L, -2, coeff=grat(3)), Supernumber.one(L), 0)
+@example(RSF.z_power(L, 2, coeff=grat(-1)), _THETA_PART, Supernumber.scalar(L, 5), 0)
 def test_canonical_form_after_every_operation(F, G, s, seed):
     sampler = Sampler(random.Random(seed), L)
     c = sampler.gaussian_rational()

@@ -176,3 +176,38 @@ def test_rsf_json_roundtrip_of_signed_denominator_coefficients():
         data = json.loads(json.dumps(textio.rsf_to_json(F)))
         assert data["den"]["0"] == str(-root)
         assert textio.rsf_from_json(data, L) == F
+
+
+@pytest.mark.parametrize("read, data", [
+    (textio.superpoly_from_json, [{"z": 0, "coeff": []}]),
+    (textio.supernumber_from_json, [{"index": [], "im": "0"}]),
+    (textio.supernumber_from_json, [{"index": []}]),
+    (textio.supernumber_from_json, {"index": [], "re": "1", "im": "0"}),
+    (textio.supernumber_from_json, [[]]),
+    (textio.supernumber_from_json, None),
+    # a zero coefficient, which str never writes
+    (textio.supernumber_from_json, [{"index": [1], "re": "0", "im": "0"}]),
+    (textio.superpoly_from_json, [{"z": 0, "odd": [], "coeff": [
+        {"index": [], "re": "0", "im": "0"}]}]),
+    (textio.rsf_from_json, {"num": [], "den": {}}),
+    (textio.rsf_from_json, {"num": [], "den": {"0": "0"}}),
+    (textio.rsf_from_json, {"num": [], "den": {"0": "1", "1": "0"}}),
+    (textio.rsf_from_json, {"num": []}),
+    (textio.rsf_from_json, {"den": {"0": "1"}}),
+    (textio.rsf_from_json, {"num": [], "den": ["1"]}),
+])
+def test_malformed_json_forms_raise_parse_error(read, data):
+    with pytest.raises(textio.ParseError):
+        read(data, 4)
+
+
+@pytest.mark.parametrize("read, data", [
+    (textio.params_from_json, {"n": 1}),
+    (textio.params_from_json, []),
+    (textio.map_from_json, {"components": {}}),
+    (textio.map_from_json, {"L": 4, "components": {"f": {}}}),
+    (textio.map_from_json, {"L": 4}),
+])
+def test_malformed_map_and_params_forms_raise_parse_error(read, data):
+    with pytest.raises(textio.ParseError):
+        read(data)

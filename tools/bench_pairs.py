@@ -34,8 +34,10 @@ of `make_passes(S, 1)`, counted with `sys.settrace` and
 `f_trace_opcodes` (`opcodes`) in a child started in each side's tree,
 which imports that tree's `perfbench/workloads.py` under
 PYTHONHASHSEED=0.  The file records both counts, the change in % and
-each side's failed ops of that pass.  The file is rewritten after every
-pair, so an interrupted set keeps its pairs.
+each side's failed ops of that pass, and for `campaign`, whose pass runs
+one pinned configuration, the same per suite (`suites`), so it shows
+where a saving sits.  The file is rewritten after every pair, so an
+interrupted set keeps its pairs.
 """
 
 from __future__ import annotations
@@ -106,11 +108,15 @@ def run_child(tree, workload, seed, seconds, trace):
     return json.loads(env_line[4:]), run
 
 
-def opcodes(call, *args):
-    """(call(*args), the number of Python opcodes it ran on this thread),
-    counted with `sys.settrace` and `f_trace_opcodes`.  Work inside C, such
-    as big-integer arithmetic or a cache hit, counts nothing."""
+def opcodes(call, *args, within=None):
+    """(call(*args), the number of Python opcodes it ran on this thread,
+    and {first argument: opcodes} over the calls of the function `within`,
+    its own and those of everything it called), counted with `sys.settrace`
+    and `f_trace_opcodes`.  Work inside C, such as big-integer arithmetic
+    or a cache hit, counts nothing."""
     count = 0
+    code = getattr(within, "__code__", None)
+    starts, parts = {}, {}
 
     def trace(frame, event, arg):
         nonlocal count
@@ -118,6 +124,11 @@ def opcodes(call, *args):
             count += 1
         elif event == "call":
             frame.f_trace_opcodes = True
+            if frame.f_code is code:
+                starts[frame] = count
+        elif event == "return" and frame.f_code is code:
+            key = frame.f_locals[code.co_varnames[0]]
+            parts[key] = parts.get(key, 0) + count - starts.pop(frame)
         return trace
 
     sys.settrace(trace)
@@ -125,18 +136,32 @@ def opcodes(call, *args):
         result = call(*args)
     finally:
         sys.settrace(None)
-    return result, count
+    return result, count, parts
 
 
 def pass_opcodes(workload, seed):
     """The opcodes and failed ops of one pass of `make_passes(seed, 1)` of
-    a workload; the inputs are made untraced.  Runs in OPCODE_CHILD."""
+    a workload, and the opcodes of each campaign suite the pass runs
+    (`suites`, by suite id: the calls of `campaign._run_one`, empty for
+    the other workloads); the inputs are made untraced.  Runs in
+    OPCODE_CHILD."""
     from workloads import WORKLOADS
+    from supersphere import campaign
     wl = WORKLOADS[workload]()
     [inputs] = wl.make_passes(seed, 1)
-    done, count = opcodes(wl.run_pass, inputs)
+    done, count, suites = opcodes(wl.run_pass, inputs,
+                                  within=getattr(campaign, "_run_one", None))
     return {"opcodes": count,
-            "failed": sum(op.error is not None for op in done)}
+            "failed": sum(op.error is not None for op in done),
+            "suites": suites}
+
+
+def compare(parent, change):
+    """Both sides' counts of one thing and the change in %; a count one
+    side lacks is None, and so is its change."""
+    return {"parent": parent, "change": change,
+            "change_pct": (100 * (change / parent - 1)
+                           if parent and change is not None else None)}
 
 
 def run_opcode_child(tree, workload, seed):
@@ -308,14 +333,16 @@ def main(argv=None):
                 counts = {side: run_opcode_child(trees[side], workload,
                                                  args.trace_seed)
                           for side in ("parent", "change")}
+                parent, change = (counts[side]["suites"]
+                                  for side in ("parent", "change"))
                 result["opcodes"][workload] = {
                     "seed": args.trace_seed,
-                    "parent": counts["parent"]["opcodes"],
-                    "change": counts["change"]["opcodes"],
-                    "change_pct": 100 * (counts["change"]["opcodes"]
-                                         / counts["parent"]["opcodes"] - 1),
+                    **compare(counts["parent"]["opcodes"],
+                              counts["change"]["opcodes"]),
                     "failed": {side: counts[side]["failed"]
                                for side in ("parent", "change")},
+                    "suites": {cid: compare(parent.get(cid), change.get(cid))
+                               for cid in {**parent, **change}},
                 }
             save()
     if args.claim:
