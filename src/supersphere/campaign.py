@@ -99,7 +99,7 @@ class Outcome:
     """Result of one suite run.
 
     Counterexample operands and discrepancy items are kept in their JSON
-    forms (`_json_form`), so a report holds what a replay needs.
+    forms (`textio.to_json`), so a report holds what a replay needs.
     """
 
     def __init__(self, samples=0):
@@ -110,7 +110,7 @@ class Outcome:
     def fail(self, law_part, **operands):
         self.failures.append({
             "law": law_part,
-            "counterexample": _json_form(operands) if operands else None,
+            "counterexample": textio.to_json(operands) if operands else None,
         })
 
     def check(self, law_part, holds, **operands):
@@ -128,7 +128,7 @@ class Outcome:
         return verdict
 
     def note_discrepancy(self, **item):
-        self.discrepancies.append(_json_form(item))
+        self.discrepancies.append(textio.to_json(item))
 
     @property
     def status(self):
@@ -137,30 +137,6 @@ class Outcome:
         if self.discrepancies:
             return "discrepancies"
         return "pass"
-
-
-# the `textio` encoder of each operand type a counterexample can hold
-_JSON_FORMS = {
-    Supernumber: textio.supernumber_to_json,
-    RationalSuperfunction: textio.rsf_to_json,
-    SuperconformalMap: textio.map_to_json,
-    N1SuperanalyticMap: textio.map_to_json,
-    spheres.AutomorphismParams: textio.params_to_json,
-    MatrixGroupElement: lambda g: {k: textio.supernumber_to_json(getattr(g, k))
-                                   for k in g.__slots__},
-}
-
-
-def _json_form(value):
-    """value in its JSON form: package values through their `textio`
-    encoder, the values of a dict and the elements of a list one by one;
-    tuples and plain JSON values stay as they are."""
-    if isinstance(value, dict):
-        return {k: _json_form(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_json_form(x) for x in value]
-    encode = _JSON_FORMS.get(type(value))
-    return value if encode is None else encode(value)
 
 
 # ---------------------------------------------------------------------------

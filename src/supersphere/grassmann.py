@@ -269,9 +269,10 @@ class Supernumber:
         return self + (-other)
 
     def __mul__(self, other):
-        """The Grassmann product.  A body-only factor commutes with
-        everything, so it scales the other operand, and a factor exactly 1
-        returns the other operand itself: values are immutable."""
+        """The Grassmann product.  A factor exactly 1 returns the other
+        operand itself, as values are immutable; the left one where both
+        are 1.  Any other body-only factor commutes with everything, so it
+        scales the other operand."""
         if not isinstance(other, Supernumber):
             if not isinstance(other, SCALAR_TYPES):
                 return NotImplemented
@@ -280,15 +281,20 @@ class Supernumber:
         if not self.terms or not other.terms:
             return Supernumber._make(self.L, {})
         for x, y in ((self, other), (other, self)):
+            if len(y.terms) == 1 and y.terms.get(0) == ONE:
+                return x
+        for x, y in ((self, other), (other, self)):
             if len(y.terms) == 1 and 0 in y.terms:
-                s = y.terms[0]
-                return x if s == ONE else x.scale(s)
+                return x.scale(y.terms[0])
         acc = {}
         mul_into(acc, triples(self.terms.items()), triples(other.terms.items()))
         return Supernumber._make(self.L, reduce_triples(acc))
 
     def scale(self, value):
+        """self times the scalar value; self itself for 1 (values are immutable)."""
         c0 = grat(value)
+        if c0 == ONE:
+            return self
         if not c0:
             return Supernumber._make(self.L, {})
         return Supernumber._make(self.L, {m: c0 * c for m, c in self.terms.items()})

@@ -142,9 +142,9 @@ class Sampler:
             terms[(k, mask)] = self.supernumber(2, coeff_parity, bound)
         return SuperPolynomial(self.L, n_odd, terms)
 
-    def rational_superfunction(self, n_odd=2, max_terms=4, z_span=(0, 3),
-                               parity=None, bound=None, with_denominator=True):
-        num = self.superpoly(n_odd, max_terms, z_span, parity, bound)
+    def rational_superfunction(self, max_terms=4, z_span=(0, 3), parity=None,
+                               with_denominator=True):
+        num = self.superpoly(2, max_terms, z_span, parity)
         if with_denominator and self._below(2):
             den = ScalarPoly({1: grat(1), 0: self.gaussian_rational(2)})
         else:
@@ -153,7 +153,7 @@ class Sampler:
 
     # -- maps -----------------------------------------------------------------
 
-    def n1_map(self, z_deg=2):
+    def n1_map(self):
         """A random invertible N=1 superanalytic map with small components."""
         bound = self.L - 2
         L = self.L
@@ -162,19 +162,20 @@ class Sampler:
             if self._below(2):
                 f1_terms[(k, 0)] = self.supernumber(2, 0, bound)
         f1 = RationalSuperfunction(SuperPolynomial(L, 2, f1_terms))
-        xi = self._odd_poly(z_deg, bound)
-        psi = self._odd_poly(z_deg, bound)
+        xi = self._odd_poly()
+        psi = self._odd_poly()
         g_terms = {(0, 0): self.even_invertible(2, bound)}
         if self._below(2):
             g_terms[(1, 0)] = self.soul(1, 0, bound)
         g = RationalSuperfunction(SuperPolynomial(L, 2, g_terms))
         return N1SuperanalyticMap(f1, xi, psi, g)
 
-    def _odd_poly(self, z_deg, bound):
+    def _odd_poly(self):
+        """An odd polynomial of degree at most 2 over generators 1..L-2."""
         terms = {}
-        for k in range(z_deg + 1):
+        for k in range(3):
             if self._below(2):
-                value = self.odd(1, bound)
+                value = self.odd(1, self.L - 2)
                 if value:
                     terms[(k, 0)] = value
         return RationalSuperfunction(SuperPolynomial(self.L, 2, terms))

@@ -14,8 +14,8 @@ per output coefficient (`triples`, `add_triple`, `reduce_triples`,
 `dot`).  `gauss_jordan` is the one row reduction of scalar matrices, and
 `add_terms` and `power` are the one sparse sum and power of every layer.
 GaussianRational is the one scalar type of the arithmetic, whose operators
-take it and int only; fractions.Fraction is read (the constructor, `parse`)
-and written (`re`, `im`) only where a scalar crosses text.  `ratio` builds
+take it and int only; fractions.Fraction is read (the constructor) and
+written (`re`, `im`) only where a scalar crosses text.  `ratio` builds
 an integer ratio p/q directly as the triple (p, 0, q).
 """
 
@@ -87,25 +87,6 @@ class GaussianRational:
     @property
     def im(self):
         return Fraction(self._b, self._d)
-
-    @classmethod
-    def parse(cls, text):
-        """Parse "3/2", "-1/3i", or "(3/2+1i)" style literals."""
-        s = text.strip().replace(" ", "")
-        if s.startswith("(") and s.endswith(")"):
-            s = s[1:-1]
-        if s.endswith(("i", "I", "j")):
-            body = s[:-1]
-            # split off an optional real part: a+bi / a-bi / bi
-            for k in range(len(body) - 1, 0, -1):
-                if body[k] in "+-" and body[k - 1] not in "+-/eE":
-                    return cls(Fraction(body[:k]), Fraction(body[k:] or "1"))
-            if body in ("", "+"):
-                return cls(0, 1)
-            if body == "-":
-                return cls(0, -1)
-            return cls(0, Fraction(body))
-        return cls(Fraction(s), 0)
 
     def __bool__(self):
         return bool(self._a or self._b)

@@ -67,16 +67,6 @@ class NotInvertibleComponent(SuperfieldError):
     """A component function that must be invertible has zero body."""
 
 
-def _theta_free_component(F, L, name):
-    if not isinstance(F, RationalSuperfunction):
-        raise TypeError(f"component {name} must be a rational superfunction")
-    if F.n_odd != 2 or F.L != L:
-        raise ValueError(f"component {name} has shape {F.shape()}, wanted ({L}, 2)")
-    if not F.is_theta_free():
-        raise ValueError(f"component {name} must not contain odd variables")
-    return F
-
-
 # a full coordinate map (even, odd+, odd-) in (1,2)-variables
 CoordinateTriple = namedtuple("CoordinateTriple", "even plus minus")
 
@@ -102,53 +92,63 @@ class CheckReport:
         return f"CheckReport(failed={list(self.failures)})"
 
 
-class SuperconformalMap:
-    """An N=2 superconformal map, stored by its five component functions."""
+class _ComponentMap:
+    """A map by its components, theta-free functions of z of shape (L, 2)
+    in `__slots__`, named `_NAMES`; unless coefficient_bound is false,
+    they use generators 1..L-2 only, leaving room for the odd variables."""
 
-    __slots__ = ("f", "g_plus", "g_minus", "psi_plus", "psi_minus")
+    __slots__ = ()
+    _NAMES = ()
 
-    def __init__(self, f, g_plus, g_minus, psi_plus=None, psi_minus=None,
-                 coefficient_bound=True):
-        L = getattr(f, "L", None)
-        self.f = _theta_free_component(f, L, "f")
-        zero = RationalSuperfunction.zero(L)
-        self.g_plus = _theta_free_component(g_plus, L, "g+")
-        self.g_minus = _theta_free_component(g_minus, L, "g-")
-        self.psi_plus = _theta_free_component(
-            zero if psi_plus is None else psi_plus, L, "psi+"
-        )
-        self.psi_minus = _theta_free_component(
-            zero if psi_minus is None else psi_minus, L, "psi-"
-        )
-        if coefficient_bound:
-            _check_coefficient_bound(self)
+    def __init__(self, *components, coefficient_bound=True):
+        L = getattr(components[0], "L", None)
+        for slot, name, F in zip(self.__slots__, self._NAMES, components):
+            if not isinstance(F, RationalSuperfunction):
+                raise TypeError(f"component {name} must be a rational superfunction")
+            if F.n_odd != 2 or F.L != L:
+                raise ValueError(f"component {name} has shape {F.shape()}, wanted ({L}, 2)")
+            if not F.is_theta_free():
+                raise ValueError(f"component {name} must not contain odd variables")
+            if coefficient_bound and L >= 2 and not all(
+                    c.in_subalgebra(L - 2) for c in F.num.terms.values()):
+                raise ValueError(f"component {name} uses generators above {L - 2}; "
+                                 "coefficients must leave room for the odd variables")
+            setattr(self, slot, F)
 
     @property
     def L(self):
-        return self.f.L
-
-    @classmethod
-    def identity(cls, L):
-        one = RationalSuperfunction.one(L)
-        return cls(RationalSuperfunction.z(L), one, one)
+        return getattr(self, self.__slots__[0]).L
 
     def components(self):
-        return {
-            "f": self.f,
-            "g+": self.g_plus,
-            "g-": self.g_minus,
-            "psi+": self.psi_plus,
-            "psi-": self.psi_minus,
-        }
+        return {name: getattr(self, slot)
+                for name, slot in zip(self._NAMES, self.__slots__)}
 
     def __eq__(self, other):
-        if not isinstance(other, SuperconformalMap):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self.components() == other.components()
 
     def __repr__(self):
         comps = ", ".join(f"{k}={v!r}" for k, v in self.components().items())
-        return f"SuperconformalMap({comps})"
+        return f"{type(self).__name__}({comps})"
+
+
+class SuperconformalMap(_ComponentMap):
+    """An N=2 superconformal map, stored by its five component functions."""
+
+    __slots__ = ("f", "g_plus", "g_minus", "psi_plus", "psi_minus")
+    _NAMES = ("f", "g+", "g-", "psi+", "psi-")
+
+    def __init__(self, f, g_plus, g_minus, psi_plus=None, psi_minus=None,
+                 coefficient_bound=True):
+        zero = RationalSuperfunction.zero(getattr(f, "L", None))
+        psi = [zero if p is None else p for p in (psi_plus, psi_minus)]
+        super().__init__(f, g_plus, g_minus, *psi, coefficient_bound=coefficient_bound)
+
+    @classmethod
+    def identity(cls, L):
+        one = RationalSuperfunction.one(L)
+        return cls(RationalSuperfunction.z(L), one, one)
 
     # -- the defining constraint ------------------------------------------
 
@@ -194,7 +194,7 @@ class SuperconformalMap:
         return CoordinateTriple(zt, ttp, ttm)
 
     @classmethod
-    def extract(cls, triple, coefficient_bound=True):
+    def extract(cls, triple):
         """Read components off a coordinate triple, checking the two
         defining conditions first: the tests' reference reader."""
         for sign, image in ((+1, triple.minus), (-1, triple.plus)):
@@ -215,8 +215,7 @@ class SuperconformalMap:
         psi_minus = triple.minus.theta_component(0)
         g_plus = triple.plus.theta_component(1 << THETA_PLUS)
         g_minus = triple.minus.theta_component(1 << THETA_MINUS)
-        return cls(f, g_plus, g_minus, psi_plus, psi_minus,
-                   coefficient_bound=coefficient_bound)
+        return cls(f, g_plus, g_minus, psi_plus, psi_minus)
 
     # -- group operations ----------------------------------------------------
 
@@ -354,17 +353,6 @@ def _first_order_inverse(e):
                                       coefficient_bound=False))
 
 
-def _check_coefficient_bound(m):
-    """Component coefficients must use generators 1..L-2 only, leaving
-    room for the odd variables."""
-    L = m.L
-    for name, comp in m.components().items():
-        coeffs = comp.num.terms.values()
-        if L >= 2 and not all(c.in_subalgebra(L - 2) for c in coeffs):
-            raise ValueError(f"component {name} uses generators above {L - 2}; "
-                             "coefficients must leave room for the odd variables")
-
-
 def _scalar_part(F):
     """The scalar body rational function of a theta-free component."""
     body = F.num.body_scalar_poly()
@@ -377,7 +365,7 @@ def _scalar_part(F):
 # ---------------------------------------------------------------------------
 
 
-class N1SuperanalyticMap:
+class N1SuperanalyticMap(_ComponentMap):
     """An invertible N=1 superanalytic map (f1 + theta xi, psi + theta g).
 
     Component coefficients live two generators below the ambient algebra,
@@ -385,34 +373,12 @@ class N1SuperanalyticMap:
     nonvanishing body.
     """
 
-    __slots__ = ("f1", "xi", "psi", "g")
+    __slots__ = _NAMES = ("f1", "xi", "psi", "g")
 
     def __init__(self, f1, xi, psi, g, coefficient_bound=True):
-        L = getattr(f1, "L", None)
-        self.f1 = _theta_free_component(f1, L, "f1")
-        self.xi = _theta_free_component(xi, L, "xi")
-        self.psi = _theta_free_component(psi, L, "psi")
-        self.g = _theta_free_component(g, L, "g")
+        super().__init__(f1, xi, psi, g, coefficient_bound=coefficient_bound)
         if self.g.body_is_zero():
             raise NotInvertibleComponent("g must have nonvanishing body")
-        if coefficient_bound:
-            _check_coefficient_bound(self)
-
-    @property
-    def L(self):
-        return self.f1.L
-
-    def components(self):
-        return {"f1": self.f1, "xi": self.xi, "psi": self.psi, "g": self.g}
-
-    def __eq__(self, other):
-        if not isinstance(other, N1SuperanalyticMap):
-            return NotImplemented
-        return self.components() == other.components()
-
-    def __repr__(self):
-        comps = ", ".join(f"{k}={v!r}" for k, v in self.components().items())
-        return f"N1SuperanalyticMap({comps})"
 
     def expand(self):
         """The coordinate pair (f1 + theta xi, psi + theta g) in (1,1)-variables."""

@@ -13,9 +13,10 @@ Each grammar is one term pattern, `_SUPERNUMBER_TERM` and
 `_SUPERPOLY_TERM`, which `_signed_terms` matches from the start of the
 text to its end.
 
-JSON forms carry exact rationals as strings; every container round-trips
-through its matching parse function, which reads a number only in the
-form `str` writes it (`-3`, `1/2`, `-2i`, `(1/2-3/4i)`).
+JSON forms carry exact rationals as strings; `to_json` writes each
+package value through its one writer, and every form but the matrix group
+element's reads back through its parse function, which reads a number
+only in the form `str` writes it (`-3`, `1/2`, `-2i`, `(1/2-3/4i)`).
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from fractions import Fraction
 from .scalars import GaussianRational, grat
 from .grassmann import Supernumber, labels_from_mask, mask_from_labels
 from .superfield import RationalSuperfunction, ScalarPoly, SuperPolynomial
-from .superconformal import SuperconformalMap
+from .superconformal import N1SuperanalyticMap, SuperconformalMap
+from .spheres import AutomorphismParams, MatrixGroupElement
 
 
 class ParseError(ValueError):
@@ -39,7 +41,10 @@ class ParseError(ValueError):
 # the text, but nowhere inside a coefficient, a monomial or a power of z.
 _SIGN = r"\s*(?P<sign>[+-]?)\s*"
 _RATIONAL = r"\d+(?:/\d+)?"
-_COEFF = re.compile(rf"{_RATIONAL}i?|\([+-]?{_RATIONAL}(?:[+-]{_RATIONAL}i)?\)")
+# the imaginary form before the real one, so that 3/2i is read whole
+_COEFF = re.compile(rf"(?P<im>{_RATIONAL})i|(?P<re>{_RATIONAL})"
+                    rf"|\((?P<pre>[+-]?{_RATIONAL})(?:(?P<pim>[+-]{_RATIONAL})i)?\)")
+_SIGNED_COEFF = re.compile(rf"(?P<sign>[+-]?)(?:{_COEFF.pattern})")
 _MONOMIAL = r"(?:z\[\d+\])+"
 _GEN = re.compile(r"z\[(\d+)\]")
 _SUPERNUMBER_TERM = re.compile(
@@ -71,22 +76,28 @@ def _signed_terms(term, text):
             return
 
 
-def parse_coefficient(text):
-    text = text.strip()
-    if not _COEFF.fullmatch(text):
-        raise ParseError(f"bad coefficient {text!r}")
+def _scalar(m):
+    """The scalar of the `_COEFF` groups of match m."""
     try:
-        return GaussianRational.parse(text)
+        return GaussianRational(m["re"] or m["pre"] or 0, m["im"] or m["pim"] or 0)
     except ZeroDivisionError as exc:
-        raise ParseError(f"bad coefficient {text!r}") from exc
+        raise ParseError(f"bad coefficient {m[0].strip()!r}") from exc
+
+
+def parse_coefficient(text):
+    """A coefficient of the grammar led by an optional sign, so also every
+    form `str` writes for a scalar: `-3`, `1/2`, `-2i`, `(1/2-3/4i)`."""
+    m = _SIGNED_COEFF.fullmatch(text.strip())
+    if m is None:
+        raise ParseError(f"bad coefficient {text!r}")
+    return -_scalar(m) if m["sign"] == "-" else _scalar(m)
 
 
 def parse_supernumber(text, L):
     """Parse the textual supernumber grammar over L generators."""
     out = Supernumber.zero(L)
     for m in _signed_terms(_SUPERNUMBER_TERM, text):
-        coeff = (grat(1) if m["coeff"] is None
-                 else parse_coefficient(m["coeff"]))
+        coeff = grat(1) if m["coeff"] is None else _scalar(m)
         if m["sign"] == "-":
             coeff = -coeff
         mono = m["mono"] or m["bare_mono"] or ""
@@ -216,10 +227,10 @@ def rsf_to_json(F):
 
 
 @_reader
-def rsf_from_json(data, L, n_odd=2):
-    num = superpoly_from_json(data["num"], L, n_odd)
+def rsf_from_json(data, L):
+    num = superpoly_from_json(data["num"], L)
     den = ScalarPoly({
-        _exact(k, int): _exact(c, GaussianRational.parse)
+        _exact(k, int): _exact(c, parse_coefficient)
         for k, c in data["den"].items()
     })
     if len(den.coeffs) != len(data["den"]):
@@ -239,10 +250,12 @@ def map_to_json(m):
 
 @_reader
 def map_from_json(data):
-    return SuperconformalMap(
-        *(rsf_from_json(data["components"][name], data["L"])
-          for name in ("f", "g+", "g-", "psi+", "psi-")),
-        coefficient_bound=False)
+    """The map of `map_to_json`'s form: N=1 superanalytic when its
+    components are named f1, xi, psi, g, else N=2 superconformal."""
+    comps = data["components"]
+    cls = N1SuperanalyticMap if "f1" in comps else SuperconformalMap
+    return cls(*(rsf_from_json(comps[name], data["L"]) for name in cls._NAMES),
+               coefficient_bound=False)
 
 
 def params_to_json(p):
@@ -258,8 +271,6 @@ def params_to_json(p):
 
 @_reader
 def params_from_json(data):
-    from .spheres import AutomorphismParams
-
     L = data["L"]
     return AutomorphismParams(
         data["n"],
@@ -268,3 +279,30 @@ def params_from_json(data):
         psi_plus=[supernumber_from_json(x, L) for x in data["psi_plus"]],
         psi_minus=[supernumber_from_json(x, L) for x in data["psi_minus"]],
     )
+
+
+def matrix_element_to_json(g):
+    """A matrix group element by its supernumbers a, b, c, d and eps."""
+    return {k: supernumber_to_json(getattr(g, k)) for k in g.__slots__}
+
+
+# the writer of each package type a report operand can hold
+_WRITERS = {
+    Supernumber: supernumber_to_json,
+    RationalSuperfunction: rsf_to_json,
+    SuperconformalMap: map_to_json,
+    N1SuperanalyticMap: map_to_json,
+    AutomorphismParams: params_to_json,
+    MatrixGroupElement: matrix_element_to_json,
+}
+
+
+def to_json(value):
+    """value in its JSON form: package values through their writer, dicts
+    and lists entry by entry; tuples and plain JSON values as they are."""
+    if isinstance(value, dict):
+        return {k: to_json(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [to_json(x) for x in value]
+    write = _WRITERS.get(type(value))
+    return value if write is None else write(value)

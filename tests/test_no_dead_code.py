@@ -316,8 +316,8 @@ def test_unread_import_check_exempts_future_and_exports():
 
 def test_only_the_text_boundary_imports_fractions():
     """Q(i) arithmetic has one scalar type, so `fractions` is imported
-    only where a scalar crosses text: `scalars` (the constructor, `parse`,
-    `re`, `im`) and `textio`."""
+    only where a scalar crosses text: `scalars` (the constructor, `re`,
+    `im`) and `textio`."""
     importing = set()
     for path in PACKAGE.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):

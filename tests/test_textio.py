@@ -8,6 +8,7 @@ from supersphere.grassmann import Supernumber
 from supersphere.randgen import Sampler
 from supersphere.scalars import grat
 from supersphere.spheres import build_map, transition
+from supersphere.superconformal import to_n1
 from supersphere.superfield import (
     RationalSuperfunction,
     ScalarPoly,
@@ -79,10 +80,36 @@ def test_rsf_json_roundtrip():
         assert back == F
 
 
-def test_map_json_roundtrip():
-    m = transition(3, L)
+@pytest.mark.parametrize("m", [
+    transition(3, L), Sampler(random.Random(19), L).n1_map(),
+], ids=["n2", "n1"])
+def test_map_json_roundtrip(m):
     blob = json.dumps(textio.map_to_json(m))
-    assert textio.map_from_json(json.loads(blob)) == m
+    back = textio.map_from_json(json.loads(blob))
+    assert type(back) is type(m) and back == m
+
+
+def test_to_json_writes_every_writer_type_through_its_writer():
+    s = Sampler(random.Random(23), L)
+    m = s.superconformal_map()
+    values = [
+        (s.supernumber(4), textio.supernumber_to_json),
+        (s.rational_superfunction(), textio.rsf_to_json),
+        (m, textio.map_to_json),
+        (to_n1(m), textio.map_to_json),
+        (s.automorphism_params(2), textio.params_to_json),
+        (s.matrix_group_element(), textio.matrix_element_to_json),
+    ]
+    assert {type(v) for v, _ in values} == set(textio._WRITERS)
+    for value, write in values:
+        assert textio.to_json(value) == write(value)
+        json.dumps(textio.to_json(value))
+    g = values[-1][0]
+    assert textio.to_json(g) == {k: textio.supernumber_to_json(getattr(g, k))
+                                 for k in ("a", "b", "c", "d", "eps")}
+    x = values[0][0]
+    assert textio.to_json({"xs": [x], "pair": (1, 2), "n": 3}) == \
+        {"xs": [textio.supernumber_to_json(x)], "pair": (1, 2), "n": 3}
 
 
 def test_params_json_roundtrip():
@@ -207,6 +234,10 @@ def test_malformed_json_forms_raise_parse_error(read, data):
     (textio.map_from_json, {"components": {}}),
     (textio.map_from_json, {"L": 4, "components": {"f": {}}}),
     (textio.map_from_json, {"L": 4}),
+    # an N=1 form without its "xi"
+    (textio.map_from_json, {"L": 4, "components": {
+        name: textio.rsf_to_json(RationalSuperfunction.one(4))
+        for name in ("f1", "psi", "g")}}),
 ])
 def test_malformed_map_and_params_forms_raise_parse_error(read, data):
     with pytest.raises(textio.ParseError):

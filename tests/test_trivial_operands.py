@@ -7,7 +7,7 @@ x * (s + y) - x * y for a generic y, so s + y takes no shortcut."""
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from supersphere.grassmann import DimensionMismatch, Supernumber
 from supersphere.randgen import Sampler
@@ -39,6 +39,10 @@ def _assert_distributes(x, s, y):
 
 @settings(max_examples=60, deadline=None)
 @given(seeds, st.booleans())
+# x a bare scalar: 3/2 - i, 1/3 and 1
+@example(593999759, True)
+@example(122902368, True)
+@example(860681051, True)
 def test_a_body_only_supernumber_factor_scales(seed, unit):
     sampler = Sampler(random.Random(seed), L)
     x, y = sampler.supernumber(4), sampler.supernumber(4)
@@ -47,7 +51,8 @@ def test_a_body_only_supernumber_factor_scales(seed, unit):
     _assert_distributes(x, s, y)
     assert x * s == x.scale(value) == s * x
     if unit:
-        assert x * s is x and s * x is x
+        # a factor 1 returns the other operand; the left one if both are 1
+        assert x * s is x and s * x is (s if x == s else x)
 
 
 @settings(max_examples=60, deadline=None)
