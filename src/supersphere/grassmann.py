@@ -281,11 +281,12 @@ class Supernumber:
         if not self.terms or not other.terms:
             return Supernumber._make(self.L, {})
         for x, y in ((self, other), (other, self)):
-            if len(y.terms) == 1 and y.terms.get(0) == ONE:
-                return x
-        for x, y in ((self, other), (other, self)):
             if len(y.terms) == 1 and 0 in y.terms:
-                return x.scale(y.terms[0])
+                s = y.terms[0]
+                if s == ONE:
+                    return x
+                if x.terms != {0: ONE}:  # else the next pair returns y
+                    return x.scale(s)
         acc = {}
         mul_into(acc, triples(self.terms.items()), triples(other.terms.items()))
         return Supernumber._make(self.L, reduce_triples(acc))

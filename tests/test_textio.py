@@ -80,13 +80,12 @@ def test_rsf_json_roundtrip():
         assert back == F
 
 
-@pytest.mark.parametrize("m", [
-    transition(3, L), Sampler(random.Random(19), L).n1_map(),
-], ids=["n2", "n1"])
-def test_map_json_roundtrip(m):
-    blob = json.dumps(textio.map_to_json(m))
-    back = textio.map_from_json(json.loads(blob))
-    assert type(back) is type(m) and back == m
+def test_map_json_roundtrip():
+    # an N=2 superconformal map and an N=1 superanalytic one
+    for m in (transition(3, L), Sampler(random.Random(19), L).n1_map()):
+        blob = json.dumps(textio.map_to_json(m))
+        back = textio.map_from_json(json.loads(blob))
+        assert type(back) is type(m) and back == m
 
 
 def test_to_json_writes_every_writer_type_through_its_writer():
