@@ -3,8 +3,9 @@
 The library provides, over exact Gaussian-rational scalars:
 
 * finite Grassmann algebras with body/soul decomposition and inversion;
-* Laurent superpolynomials and rational superfunctions in one even and up
-  to two odd variables, with the odd superderivations D+ and D-;
+* Laurent superpolynomials and rational superfunctions in one even and
+  two odd variables (z, theta+, theta-), with the odd superderivations D+
+  and D-;
 * N=2 superconformal maps in component form, composition, inversion, and
   the correspondence with N=1 superanalytic maps;
 * the two-chart super-Riemann spheres, their transition maps, and the

@@ -92,7 +92,8 @@ class CampaignConfig:
 
 
 # the package's verdicts that fail the law part raising them
-_LAW_ERRORS = (NotSuperconformal, spheres.InvalidParams, NotInFamily)
+_LAW_ERRORS = (NotSuperconformal, spheres.InvalidParams, NotInFamily,
+               textio.ParseError)
 
 
 class Outcome:
@@ -256,7 +257,7 @@ def _even_argument(s, rng):
         (0, 1 << THETA_MINUS): s.odd(1, L - 2),
         (0, (1 << THETA_PLUS) | (1 << THETA_MINUS)): s.soul(1, 0, L - 2),
     }
-    return RationalSuperfunction(SuperPolynomial(L, 2, terms))
+    return RationalSuperfunction(SuperPolynomial(L, terms))
 
 
 def _suite_superconformal_closure(cfg, rng):
@@ -607,7 +608,7 @@ def _expected_flow_rows(kind, n, order, L):
     x = sp.z_power(L, 1)
     phip = sp.theta(L, THETA_PLUS)
     phim = sp.theta(L, THETA_MINUS)
-    zero = sp.zero(L, 2)
+    zero = sp.zero(L)
     one_rows = []
     if kind == "translate":
         one_rows = [(x, phip, phim), (sp.one(L), zero, zero)]
@@ -652,7 +653,7 @@ def _binom(a, k):
 
 
 def _flow_matches(series, expected):
-    rows = series.rows + [(SuperPolynomial.zero(0, 2),) * 3] * (
+    rows = series.rows + [(SuperPolynomial.zero(0),) * 3] * (
         len(expected) - len(series.rows))
     for row, want in zip(rows, expected):
         for got, exp in zip(row, want):
@@ -688,12 +689,12 @@ def _suite_flows_closed_forms(cfg, rng):
     x = sp.z_power(L0, 1)
     phip = sp.theta(L0, THETA_PLUS)
     phim = sp.theta(L0, THETA_MINUS)
-    zero = sp.zero(L0, 2)
+    zero = sp.zero(L0)
     pair = (1 << THETA_PLUS) | (1 << THETA_MINUS)
     for k in range(0, 4):
         out.samples += 2
         xk = sp.z_power(L0, k)
-        bump = SuperPolynomial(L0, 2, {(k - 1, pair): grat(k)}) if k else zero
+        bump = SuperPolynomial(L0, {(k - 1, pair): grat(k)}) if k else zero
         for label, generator, other, plus, minus in (
                 ("raising", ns.Gp, phim, xk + bump, zero),
                 ("lowering", ns.Gm, phip, zero, xk - bump)):

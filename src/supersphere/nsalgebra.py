@@ -306,7 +306,7 @@ class DerivationField:
 
     @classmethod
     def zero(cls, parity=0, L=0):
-        z = SuperPolynomial.zero(L, 2)
+        z = SuperPolynomial.zero(L)
         return cls(parity, z, z, z)
 
     def coefficients(self):
@@ -359,7 +359,7 @@ class DerivationField:
 def representation(key):
     """The superderivation representing a basis symbol (central -> 0)."""
     def poly(entries):
-        return SuperPolynomial(0, 2, entries)  # zero coefficients drop out
+        return SuperPolynomial(0, entries)  # zero coefficients drop out
 
     zero = poly({})
     if key == CENTRAL:

@@ -130,21 +130,20 @@ class Sampler:
     def even_invertible(self, max_terms=3, bound=None):
         return self.supernumber(max_terms, parity=0, bound=bound, body=True)
 
-    def superpoly(self, n_odd=2, max_terms=4, z_span=(0, 4), parity=None,
-                  bound=None):
+    def superpoly(self, max_terms=4, z_span=(0, 4), parity=None, bound=None):
         terms = {}
         for _ in range(1 + self._below(max_terms)):
             k = z_span[0] + self._below(z_span[1] + 1 - z_span[0])
-            mask = self._below(1 << n_odd)
+            mask = self._below(4)
             coeff_parity = None
             if parity is not None:
                 coeff_parity = (parity + mask.bit_count()) % 2
             terms[(k, mask)] = self.supernumber(2, coeff_parity, bound)
-        return SuperPolynomial(self.L, n_odd, terms)
+        return SuperPolynomial(self.L, terms)
 
     def rational_superfunction(self, max_terms=4, z_span=(0, 3), parity=None,
                                with_denominator=True):
-        num = self.superpoly(2, max_terms, z_span, parity)
+        num = self.superpoly(max_terms, z_span, parity)
         if with_denominator and self._below(2):
             den = ScalarPoly({1: grat(1), 0: self.gaussian_rational(2)})
         else:
@@ -161,13 +160,13 @@ class Sampler:
         for k in (0, 2):
             if self._below(2):
                 f1_terms[(k, 0)] = self.supernumber(2, 0, bound)
-        f1 = RationalSuperfunction(SuperPolynomial(L, 2, f1_terms))
+        f1 = RationalSuperfunction(SuperPolynomial(L, f1_terms))
         xi = self._odd_poly()
         psi = self._odd_poly()
         g_terms = {(0, 0): self.even_invertible(2, bound)}
         if self._below(2):
             g_terms[(1, 0)] = self.soul(1, 0, bound)
-        g = RationalSuperfunction(SuperPolynomial(L, 2, g_terms))
+        g = RationalSuperfunction(SuperPolynomial(L, g_terms))
         return N1SuperanalyticMap(f1, xi, psi, g)
 
     def _odd_poly(self):
@@ -178,7 +177,7 @@ class Sampler:
                 value = self.odd(1, self.L - 2)
                 if value:
                     terms[(k, 0)] = value
-        return RationalSuperfunction(SuperPolynomial(self.L, 2, terms))
+        return RationalSuperfunction(SuperPolynomial(self.L, terms))
 
     def superconformal_map(self):
         """A random valid superconformal map, via the N=1 correspondence."""

@@ -222,14 +222,14 @@ class AutomorphismParams:
 def _linear(L, lead, const):
     """The polynomial lead*z + const as a rational superfunction."""
     return RationalSuperfunction(
-        SuperPolynomial(L, 2, {(1, 0): lead, (0, 0): const})
+        SuperPolynomial(L, {(1, 0): lead, (0, 0): const})
     )
 
 
 def _poly(L, coeffs):
     """sum coeffs[j] z^j as a rational superfunction."""
     return RationalSuperfunction(
-        SuperPolynomial(L, 2, {(j, 0): c for j, c in enumerate(coeffs)})
+        SuperPolynomial(L, {(j, 0): c for j, c in enumerate(coeffs)})
     )
 
 
@@ -683,12 +683,12 @@ def conjugated_translation_coeffs(n, alpha, coeffs):
     with the weight eps^(-1) for n >= 2 and eps for n <= -2.
     """
     L = alpha.a.L
-    lin_num = SuperPolynomial(L, 2, {(1, 0): alpha.d, (0, 0): -alpha.b})
-    lin_den = SuperPolynomial(L, 2, {(1, 0): -alpha.c, (0, 0): alpha.a})
+    lin_num = SuperPolynomial(L, {(1, 0): alpha.d, (0, 0): -alpha.b})
+    lin_den = SuperPolynomial(L, {(1, 0): -alpha.c, (0, 0): alpha.a})
     top = abs(n) + 1
-    acc = SuperPolynomial.zero(L, 2)
-    num_pow = SuperPolynomial.one(L, 2)
-    den_pows = [SuperPolynomial.one(L, 2)]
+    acc = SuperPolynomial.zero(L)
+    num_pow = SuperPolynomial.one(L)
+    den_pows = [SuperPolynomial.one(L)]
     for _ in range(top):
         den_pows.append(den_pows[-1] * lin_den)
     for j, u in enumerate(coeffs):

@@ -67,7 +67,7 @@ class NotInvertibleComponent(SuperfieldError):
     """A component function that must be invertible has zero body."""
 
 
-# a full coordinate map (even, odd+, odd-) in (1,2)-variables
+# a full coordinate map (even, odd+, odd-) in (z, theta+, theta-)
 CoordinateTriple = namedtuple("CoordinateTriple", "even plus minus")
 
 
@@ -93,7 +93,7 @@ class CheckReport:
 
 
 class _ComponentMap:
-    """A map by its components, theta-free functions of z of shape (L, 2)
+    """A map by its components, theta-free functions of z over L generators
     in `__slots__`, named `_NAMES`; unless coefficient_bound is false,
     they use generators 1..L-2 only, leaving room for the odd variables."""
 
@@ -105,8 +105,8 @@ class _ComponentMap:
         for slot, name, F in zip(self.__slots__, self._NAMES, components):
             if not isinstance(F, RationalSuperfunction):
                 raise TypeError(f"component {name} must be a rational superfunction")
-            if F.n_odd != 2 or F.L != L:
-                raise ValueError(f"component {name} has shape {F.shape()}, wanted ({L}, 2)")
+            if F.L != L:
+                raise ValueError(f"component {name} has L = {F.L}, wanted {L}")
             if not F.is_theta_free():
                 raise ValueError(f"component {name} must not contain odd variables")
             if coefficient_bound and L >= 2 and not all(
@@ -301,7 +301,7 @@ class SuperconformalMap(_ComponentMap):
         a, b, c, d = moebius
         L = self.L
         f0_inv = RationalSuperfunction(
-            SuperPolynomial(L, 2, {(1, 0): grat(d), (0, 0): -grat(b)}),
+            SuperPolynomial(L, {(1, 0): grat(d), (0, 0): -grat(b)}),
             ScalarPoly({1: -c, 0: a}),
         )
         g = SuperconformalMap(
@@ -356,7 +356,7 @@ def _first_order_inverse(e):
 def _scalar_part(F):
     """The scalar body rational function of a theta-free component."""
     body = F.num.body_scalar_poly()
-    num = SuperPolynomial(F.L, F.n_odd, {(k, 0): c for k, c in body.items()})
+    num = SuperPolynomial(F.L, {(k, 0): c for k, c in body.items()})
     return RationalSuperfunction(num, F.den)
 
 
@@ -368,9 +368,11 @@ def _scalar_part(F):
 class N1SuperanalyticMap(_ComponentMap):
     """An invertible N=1 superanalytic map (f1 + theta xi, psi + theta g).
 
-    Component coefficients live two generators below the ambient algebra,
-    matching the superconformal side of the correspondence; g must have
-    nonvanishing body.
+    Its odd variable theta is theta+: a function free of theta- is a
+    function of (z, theta), with the same d/dz and d/dtheta.  Component
+    coefficients live two generators below the ambient algebra, matching
+    the superconformal side of the correspondence; g must have nonvanishing
+    body.
     """
 
     __slots__ = _NAMES = ("f1", "xi", "psi", "g")
@@ -381,14 +383,9 @@ class N1SuperanalyticMap(_ComponentMap):
             raise NotInvertibleComponent("g must have nonvanishing body")
 
     def expand(self):
-        """The coordinate pair (f1 + theta xi, psi + theta g) in (1,1)-variables."""
-        theta = RationalSuperfunction.theta(self.L, 0, n_odd=1)
-        # the components are theta-free, so their terms carry over as they are
-        f1, xi, psi, g = (
-            RationalSuperfunction(SuperPolynomial(self.L, 1, comp.num.terms), comp.den)
-            for comp in (self.f1, self.xi, self.psi, self.g)
-        )
-        return (f1 + theta * xi, psi + theta * g)
+        """The coordinate pair (f1 + theta+ xi, psi + theta+ g)."""
+        theta = RationalSuperfunction.theta(self.L, THETA_PLUS)
+        return (self.f1 + theta * self.xi, self.psi + theta * self.g)
 
 
 def to_n1(m):

@@ -1,7 +1,7 @@
 """Laurent superpolynomials and rational superfunctions.
 
-Functions of one even variable z and up to two odd variables are
-represented exactly.  A superpolynomial is a finite sum of terms
+Functions of one even variable z and the two odd variables theta+ and
+theta- are represented exactly.  A superpolynomial is a finite sum of terms
 
     t^M * c * z^k
 
@@ -63,6 +63,7 @@ from .grassmann import (
 
 THETA_PLUS = 0
 THETA_MINUS = 1
+ODD_NAMES = ("t+", "t-")  # theta+ and theta- in the text and JSON forms
 _NO_ROOTS = Counter()  # the constants' root map; no map changes in place
 
 
@@ -330,21 +331,17 @@ class SuperPolynomial:
     """Laurent polynomial in z and the odd variables, over a Grassmann algebra.
 
     terms maps (z exponent, odd monomial bitmask) to a supernumber
-    coefficient; bit 0 is theta+ (or the single theta), bit 1 is theta-.
+    coefficient; bit 0 is theta+, bit 1 is theta-.
     """
 
-    __slots__ = ("L", "n_odd", "terms")
+    __slots__ = ("L", "terms")
 
-    def __init__(self, L, n_odd, terms=None):
-        if n_odd not in (1, 2):
-            raise ValueError("superpolynomials carry one or two odd variables")
+    def __init__(self, L, terms=None):
         self.L = L
-        self.n_odd = n_odd
-        limit = 1 << n_odd
         clean = {}
         if terms:
             for (k, mask), coeff in terms.items():
-                if not 0 <= mask < limit:
+                if not 0 <= mask < 4:
                     raise ValueError(f"odd monomial {mask} out of range")
                 if not isinstance(coeff, Supernumber):
                     coeff = Supernumber.scalar(L, coeff)
@@ -355,39 +352,38 @@ class SuperPolynomial:
         self.terms = clean
 
     @classmethod
-    def _make(cls, L, n_odd, terms):
+    def _make(cls, L, terms):
         out = cls.__new__(cls)
         out.L = L
-        out.n_odd = n_odd
         out.terms = terms
         return out
 
     @classmethod
-    def zero(cls, L, n_odd=2):
-        return cls._make(L, n_odd, {})
+    def zero(cls, L):
+        return cls._make(L, {})
 
     @classmethod
-    def constant(cls, L, value, n_odd=2):
+    def constant(cls, L, value):
         if not isinstance(value, Supernumber):
             value = Supernumber.scalar(L, value)
-        return cls._make(L, n_odd, {(0, 0): value} if value else {})
+        return cls._make(L, {(0, 0): value} if value else {})
 
     @classmethod
-    def one(cls, L, n_odd=2):
-        return cls.constant(L, ONE, n_odd)
+    def one(cls, L):
+        return cls.constant(L, ONE)
 
     @classmethod
-    def z_power(cls, L, k, n_odd=2, coeff=ONE):
-        return cls(L, n_odd, {(k, 0): coeff})
+    def z_power(cls, L, k, coeff=ONE):
+        return cls(L, {(k, 0): coeff})
 
     @classmethod
-    def theta(cls, L, which=THETA_PLUS, n_odd=2):
-        if which >= n_odd:
+    def theta(cls, L, which=THETA_PLUS):
+        if which not in (THETA_PLUS, THETA_MINUS):
             raise ValueError("odd variable index out of range")
-        return cls._make(L, n_odd, {(0, 1 << which): Supernumber.one(L)})
+        return cls._make(L, {(0, 1 << which): Supernumber.one(L)})
 
     def _check(self, other):
-        if self.L != other.L or self.n_odd != other.n_odd:
+        if self.L != other.L:
             raise ValueError("superpolynomial shape mismatch")
 
     def is_zero(self):
@@ -399,36 +395,29 @@ class SuperPolynomial:
     def __eq__(self, other):
         if not isinstance(other, SuperPolynomial):
             return NotImplemented
-        return (
-            self.L == other.L
-            and self.n_odd == other.n_odd
-            and self.terms == other.terms
-        )
+        return self.L == other.L and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.L, self.n_odd, frozenset(self.terms.items())))
+        return hash((self.L, frozenset(self.terms.items())))
 
     def __add__(self, other):
         if not isinstance(other, SuperPolynomial):
             if not isinstance(other, (Supernumber,) + SCALAR_TYPES):
                 return NotImplemented
-            other = SuperPolynomial.constant(self.L, other, self.n_odd)
+            other = SuperPolynomial.constant(self.L, other)
         self._check(other)
-        return SuperPolynomial._make(self.L, self.n_odd,
-                                     add_terms(self.terms, other.terms))
+        return SuperPolynomial._make(self.L, add_terms(self.terms, other.terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SuperPolynomial._make(
-            self.L, self.n_odd, {key: -c for key, c in self.terms.items()}
-        )
+        return SuperPolynomial._make(self.L, {key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, SuperPolynomial):
             if not isinstance(other, (Supernumber,) + SCALAR_TYPES):
                 return NotImplemented
-            other = SuperPolynomial.constant(self.L, other, self.n_odd)
+            other = SuperPolynomial.constant(self.L, other)
         return self + (-other)
 
     def __mul__(self, other):
@@ -442,16 +431,15 @@ class SuperPolynomial:
             return self.scale_right(other)
         self._check(other)
         if not self.terms or not other.terms:
-            return SuperPolynomial._make(self.L, self.n_odd, {})
+            return SuperPolynomial._make(self.L, {})
         for x, mono in ((self, other), (other, self)):
             if len(mono.terms) != 1:
                 continue
             [((j, m), c)] = mono.terms.items()
             if not m and len(c.terms) == 1 and 0 in c.terms:
                 s = c.terms[0]
-                return x.shift_z(j) if s == ONE else SuperPolynomial._make(
-                    self.L, self.n_odd,
-                    {(k + j, odd): x_c.scale(s) for (k, odd), x_c in x.terms.items()})
+                return x.shift_z(j) if s == ONE else SuperPolynomial._make(self.L, {
+                    (k + j, odd): x_c.scale(s) for (k, odd), x_c in x.terms.items()})
         # one unreduced accumulator per (z exponent, odd mask); each
         # coefficient is reduced once, after every product has been added
         acc = {}
@@ -470,7 +458,7 @@ class SuperPolynomial:
             coeffs = reduce_triples(coeffs)
             if coeffs:
                 terms[key] = Supernumber._make(self.L, coeffs)
-        return SuperPolynomial._make(self.L, self.n_odd, terms)
+        return SuperPolynomial._make(self.L, terms)
 
     def scale_right(self, value):
         """Multiply every coefficient on the right by a supernumber."""
@@ -481,7 +469,7 @@ class SuperPolynomial:
             s = c * value
             if s:
                 terms[key] = s
-        return SuperPolynomial._make(self.L, self.n_odd, terms)
+        return SuperPolynomial._make(self.L, terms)
 
     def scale_left(self, value):
         """Multiply by a supernumber on the left (signs from odd monomials)."""
@@ -493,23 +481,22 @@ class SuperPolynomial:
             s = a * c
             if s:
                 terms[(k, m)] = s
-        return SuperPolynomial._make(self.L, self.n_odd, terms)
+        return SuperPolynomial._make(self.L, terms)
 
     def mul_scalar_poly(self, poly):
         if poly.is_one():
             return self
-        return self * SuperPolynomial._make(self.L, self.n_odd, {
+        return self * SuperPolynomial._make(self.L, {
             (j, 0): Supernumber._make(self.L, {0: q})
             for j, q in poly.coeffs.items()
         })
 
     def shift_z(self, n):
         return SuperPolynomial._make(
-            self.L, self.n_odd, {(k + n, m): c for (k, m), c in self.terms.items()}
-        )
+            self.L, {(k + n, m): c for (k, m), c in self.terms.items()})
 
     def __pow__(self, n):
-        return power(self, n, lambda: SuperPolynomial.one(self.L, self.n_odd))
+        return power(self, n, lambda: SuperPolynomial.one(self.L))
 
     # -- calculus ------------------------------------------------------------
 
@@ -521,11 +508,11 @@ class SuperPolynomial:
             s = c.scale(k)
             if s:
                 terms[(k - 1, m)] = s
-        return SuperPolynomial._make(self.L, self.n_odd, terms)
+        return SuperPolynomial._make(self.L, terms)
 
     def diff_theta(self, which):
         """Left partial derivative with respect to an odd variable."""
-        if which >= self.n_odd:
+        if which not in (THETA_PLUS, THETA_MINUS):
             raise ValueError("odd variable index out of range")
         bit = 1 << which
         below = bit - 1
@@ -536,7 +523,7 @@ class SuperPolynomial:
             if (m & below).bit_count() & 1:
                 c = -c
             terms[(k, m ^ bit)] = c
-        return SuperPolynomial._make(self.L, self.n_odd, terms)
+        return SuperPolynomial._make(self.L, terms)
 
     # -- structure -----------------------------------------------------------
 
@@ -549,10 +536,7 @@ class SuperPolynomial:
     def theta_component(self, mask):
         """The theta-free superpolynomial A_M with self = sum t^M A_M."""
         return SuperPolynomial._make(
-            self.L,
-            self.n_odd,
-            {(k, 0): c for (k, m), c in self.terms.items() if m == mask},
-        )
+            self.L, {(k, 0): c for (k, m), c in self.terms.items() if m == mask})
 
     def body_scalar_poly(self):
         """Scalar Laurent part: bodies of the theta-free coefficients.
@@ -589,10 +573,7 @@ class SuperPolynomial:
 
     def extend(self, L_new):
         return SuperPolynomial._make(
-            L_new,
-            self.n_odd,
-            {key: c.extend(L_new) for key, c in self.terms.items()},
-        )
+            L_new, {key: c.extend(L_new) for key, c in self.terms.items()})
 
     def __repr__(self):
         return f"SuperPolynomial({self})"
@@ -600,11 +581,10 @@ class SuperPolynomial:
     def __str__(self):
         if not self.terms:
             return "0"
-        names = ["t+", "t-"] if self.n_odd == 2 else ["t"]
         parts = []
         for (k, m) in sorted(self.terms, key=lambda km: (km[1], km[0])):
             c = self.terms[(k, m)]
-            mono = "".join(names[b] for b in range(self.n_odd) if m & (1 << b))
+            mono = "".join(name for b, name in enumerate(ODD_NAMES) if m >> b & 1)
             zpart = "" if k == 0 else ("z" if k == 1 else f"z^{k}")
             pieces = [p for p in (mono, f"({c})", zpart) if p]
             parts.append("*".join(pieces))
@@ -612,16 +592,18 @@ class SuperPolynomial:
 
 
 class SuperPoint:
-    """An evaluation point: an even z and odd theta supernumber values."""
+    """An evaluation point: an even z and odd theta+ and theta- values."""
 
-    __slots__ = ("z", "thetas", "n_odd")
+    __slots__ = ("z", "thetas")
 
-    def __init__(self, z, thetas=()):
+    def __init__(self, z, thetas):
         if not isinstance(z, Supernumber):
             raise TypeError("z must be a supernumber")
         if not z.is_even():
             raise ValueError("z value must be even")
         thetas = tuple(thetas)
+        if len(thetas) != 2:
+            raise ValueError("a point has one theta+ and one theta- value")
         for t in thetas:
             if not isinstance(t, Supernumber) or not t.is_odd():
                 raise ValueError("theta values must be odd supernumbers")
@@ -629,7 +611,6 @@ class SuperPoint:
                 raise ValueError("point components over different algebras")
         self.z = z
         self.thetas = thetas
-        self.n_odd = len(thetas)
 
 
 # ---------------------------------------------------------------------------
@@ -671,42 +652,35 @@ class RationalSuperfunction:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def from_constant(cls, L, value, n_odd=2):
-        return cls(SuperPolynomial.constant(L, value, n_odd))
+    def from_constant(cls, L, value):
+        return cls(SuperPolynomial.constant(L, value))
 
     @classmethod
-    def zero(cls, L, n_odd=2):
-        return cls(SuperPolynomial.zero(L, n_odd))
+    def zero(cls, L):
+        return cls(SuperPolynomial.zero(L))
 
     @classmethod
-    def one(cls, L, n_odd=2):
-        return cls.from_constant(L, ONE, n_odd)
+    def one(cls, L):
+        return cls.from_constant(L, ONE)
 
     @classmethod
-    def z(cls, L, n_odd=2):
-        return cls(SuperPolynomial.z_power(L, 1, n_odd))
+    def z(cls, L):
+        return cls(SuperPolynomial.z_power(L, 1))
 
     @classmethod
-    def z_power(cls, L, k, n_odd=2, coeff=ONE):
-        return cls(SuperPolynomial.z_power(L, k, n_odd, coeff))
+    def z_power(cls, L, k, coeff=ONE):
+        return cls(SuperPolynomial.z_power(L, k, coeff))
 
     @classmethod
-    def theta(cls, L, which=THETA_PLUS, n_odd=2):
-        return cls(SuperPolynomial.theta(L, which, n_odd))
+    def theta(cls, L, which=THETA_PLUS):
+        return cls(SuperPolynomial.theta(L, which))
 
     @property
     def L(self):
         return self.num.L
 
-    @property
-    def n_odd(self):
-        return self.num.n_odd
-
-    def shape(self):
-        return (self.num.L, self.num.n_odd)
-
     def _check(self, other):
-        if self.shape() != other.shape():
+        if self.num.L != other.num.L:
             raise ValueError("rational superfunction shape mismatch")
 
     # -- predicates ----------------------------------------------------------
@@ -790,11 +764,11 @@ class RationalSuperfunction:
         return NotImplemented if other is None else other._combine(self, -1)
 
     def _lift(self, other):
-        """other as a rational superfunction of this shape, or None."""
+        """other as a rational superfunction over this algebra, or None."""
         if isinstance(other, SuperPolynomial):
             return RationalSuperfunction(other)
         if isinstance(other, (Supernumber,) + SCALAR_TYPES):
-            return RationalSuperfunction.from_constant(self.L, other, self.n_odd)
+            return RationalSuperfunction.from_constant(self.L, other)
         return None
 
     def __mul__(self, other):
@@ -849,8 +823,8 @@ class RationalSuperfunction:
                 body = ScalarPoly._make(body.coeffs, found + rest.roots())
         # numerator of 1/(B+S): sum_j (-S)^j B^(J-j) by Horner in B, over
         # B^(J+1), where (-S)^J is the last nonzero power
-        step = -SuperPolynomial._make(self.L, self.n_odd, soul)
-        acc, power, J = SuperPolynomial.one(self.L, self.n_odd), step, 0
+        step = -SuperPolynomial._make(self.L, soul)
+        acc, power, J = SuperPolynomial.one(self.L), step, 0
         while power:
             acc = acc.mul_scalar_poly(body) + power
             power, J = power * step, J + 1
@@ -907,12 +881,10 @@ class RationalSuperfunction:
 
     def evaluate(self, point):
         """Exact value at a point: the substitution of its constants."""
-        if point.n_odd != self.n_odd:
-            raise ValueError("point and function have different odd arity")
         if point.z.L != self.L:
             raise DimensionMismatch(
                 f"point over {point.z.L} generators, function over {self.L}")
-        z, *thetas = (RationalSuperfunction.from_constant(self.L, v, self.n_odd)
+        z, *thetas = (RationalSuperfunction.from_constant(self.L, v)
                       for v in (point.z, *point.thetas))
         try:
             return Substitution(z, thetas)(self).as_constant()
@@ -976,7 +948,7 @@ class Substitution:
             w = RationalSuperfunction(w)
         odd_images = tuple(odd_images)
         for img in odd_images:
-            if img.shape() != w.shape():
+            if img.L != w.L:
                 raise ValueError("substitution images have mismatched shapes")
         self.w = w
         self.odd_images = odd_images
@@ -993,12 +965,12 @@ class Substitution:
         comps = {}
         for (k, m), c in F.num.terms.items():
             comps.setdefault(m, {})[k - v] = c
-        result = RationalSuperfunction.zero(*w.shape())
+        result = RationalSuperfunction.zero(w.L)
         for mask, coeffs in sorted(comps.items()):
             total = _poly_at(coeffs, w)
             if mask:
                 prefix = None
-                for b in range(F.n_odd):
+                for b in (THETA_PLUS, THETA_MINUS):
                     if mask & (1 << b):
                         if b >= len(self.odd_images):
                             raise ValueError("missing odd substitution image")
@@ -1023,7 +995,7 @@ class Substitution:
             if base.body_is_zero():
                 raise SingularComposition(
                     "denominator body vanishes after substitution")
-            powers = [RationalSuperfunction.one(*w.shape()), base.inverse()]
+            powers = [RationalSuperfunction.one(w.L), base.inverse()]
             self._inverse_powers[key] = powers
         while len(powers) <= m:
             powers.append(powers[-1] * powers[1])
@@ -1080,7 +1052,7 @@ def _cancel_common_factor(num, den):
             if q:
                 grouped.setdefault((k, m), {})[gmask] = q
     terms = {key: Supernumber._make(num.L, c) for key, c in grouped.items()}
-    return SuperPolynomial._make(num.L, num.n_odd, terms), den_new
+    return SuperPolynomial._make(num.L, terms), den_new
 
 
 def _divide_out_root(dense, root, cap):
@@ -1101,17 +1073,17 @@ def _poly_at(coeffs, w):
     coefficients.  Fraction-free Horner: with w = Wn/Wd, the sum of
     c_k Wn**k Wd**(top-k) is normalised once over Wd**top.
     """
-    L, n_odd = w.shape()
+    L = w.L
     top = max(coeffs)
     wn, wd = w.num, w.den
     wd_power = ScalarPoly.one()
-    acc = SuperPolynomial.constant(L, coeffs[top], n_odd)
+    acc = SuperPolynomial.constant(L, coeffs[top])
     for k in range(top - 1, -1, -1):
         acc = acc * wn
         wd_power = wd_power * wd
         c = coeffs.get(k)
         if c is not None:
-            acc = acc + SuperPolynomial.constant(L, c, n_odd).mul_scalar_poly(wd_power)
+            acc = acc + SuperPolynomial.constant(L, c).mul_scalar_poly(wd_power)
     return RationalSuperfunction(acc, wd_power)
 
 
@@ -1121,9 +1093,7 @@ def _poly_at(coeffs, w):
 
 
 def apply_D(F, sign):
-    """D+ (sign=+1) or D- (sign=-1) applied to a (1,2)-variable function."""
-    if F.n_odd != 2:
-        raise ValueError("D+ and D- act on (1,2)-variable functions")
+    """D+ (sign=+1) or D- (sign=-1) applied to a function of (z, theta+, theta-)."""
     which = THETA_PLUS if sign > 0 else THETA_MINUS
     other = THETA_MINUS if sign > 0 else THETA_PLUS
     theta_other = RationalSuperfunction.theta(F.L, other)

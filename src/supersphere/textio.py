@@ -27,7 +27,8 @@ from fractions import Fraction
 
 from .scalars import GaussianRational, grat
 from .grassmann import Supernumber, labels_from_mask, mask_from_labels
-from .superfield import RationalSuperfunction, ScalarPoly, SuperPolynomial
+from .superfield import (ODD_NAMES, RationalSuperfunction, ScalarPoly,
+                         SuperPolynomial, SuperfieldError)
 from .superconformal import N1SuperanalyticMap, SuperconformalMap
 from .spheres import AutomorphismParams, MatrixGroupElement
 
@@ -51,15 +52,14 @@ _SUPERNUMBER_TERM = re.compile(
     rf"{_SIGN}(?:(?P<coeff>{_COEFF.pattern})(?:\s*\*\s*(?P<mono>{_MONOMIAL}))?"
     rf"|(?P<bare_mono>{_MONOMIAL}))")
 _ZPOW = r"z(?:\^-?\d+)?"
-# the odd symbols in one and in two odd variables, as `str` writes them
-_ODD_NAMES = {1: ("t",), 2: ("t+", "t-")}
-_ODD_PATTERN = {1: r"t", 2: r"t\+(?:t-)?|t-"}
-# a coefficient is a parenthesized supernumber, whose own coefficients
-# may be parenthesized once more
-_SUPERPOLY_TERM = {n_odd: re.compile(
-    rf"{_SIGN}(?P<odd>{odd})?(?:\s*\*\s*)?"
+# the odd monomial is t+, t- or t+t-, as `str` writes it; a coefficient is
+# a parenthesized supernumber, whose own coefficients may be parenthesized
+# once more
+_PLUS, _MINUS = map(re.escape, ODD_NAMES)
+_SUPERPOLY_TERM = re.compile(
+    rf"{_SIGN}(?P<odd>{_PLUS}(?:{_MINUS})?|{_MINUS})?(?:\s*\*\s*)?"
     rf"(?:\((?P<coeff>(?:[^()]|\([^()]*\))*)\)(?:\s*\*\s*(?P<zpow>{_ZPOW}))?"
-    rf"|(?P<bare_zpow>{_ZPOW}))") for n_odd, odd in _ODD_PATTERN.items()}
+    rf"|(?P<bare_zpow>{_ZPOW}))")
 
 
 def _signed_terms(term, text):
@@ -109,33 +109,32 @@ def parse_supernumber(text, L):
     return out
 
 
-def parse_superpoly(text, L, n_odd=2):
+def parse_superpoly(text, L):
     """Parse the superpolynomial grammar: [odd][*](supernumber)[*z^k] or
     [odd][*]z^k terms, or the 0 that `str` writes for zero."""
-    out = SuperPolynomial.zero(L, n_odd)
+    out = SuperPolynomial.zero(L)
     if text.strip() == "0":
         return out
-    for m in _signed_terms(_SUPERPOLY_TERM[n_odd], text):
-        mask = _odd_mask(m["odd"] or "", n_odd)
+    for m in _signed_terms(_SUPERPOLY_TERM, text):
+        mask = _odd_mask(m["odd"] or "")
         coeff = (Supernumber.one(L) if m["coeff"] is None
                  else parse_supernumber(m["coeff"], L))
         if m["sign"] == "-":
             coeff = -coeff
         zpow = m["zpow"] or m["bare_zpow"]
         zexp = 0 if zpow is None else int(zpow[2:] or 1)
-        out = out + SuperPolynomial(L, n_odd, {(zexp, mask): coeff})
+        out = out + SuperPolynomial(L, {(zexp, mask): coeff})
     return out
 
 
-def _odd_mask(symbols, n_odd):
+def _odd_mask(symbols):
     """The odd mask of the symbols, read by name: "t+t-" or ["t+", "t-"]."""
-    return sum(1 << b for b, name in enumerate(_ODD_NAMES[n_odd])
-               if name in symbols)
+    return sum(1 << b for b, name in enumerate(ODD_NAMES) if name in symbols)
 
 
-def _odd_symbols(mask, n_odd):
+def _odd_symbols(mask):
     """The odd symbols of the mask, in the order `str` writes them."""
-    return [name for b, name in enumerate(_ODD_NAMES[n_odd]) if mask >> b & 1]
+    return [name for b, name in enumerate(ODD_NAMES) if mask >> b & 1]
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +152,8 @@ def supernumber_to_json(x):
 def _reader(read):
     """read, raising ParseError, its message led by the reader's name, for
     data that is not the JSON form it reads: a missing key, a wrong
-    container, a bad value or a zero denominator."""
+    container, a bad value, a zero denominator, or a value the package
+    refuses (a `SuperfieldError`, such as `InvalidParams`)."""
     @functools.wraps(read)
     def checked(*args, **kwargs):
         try:
@@ -161,7 +161,7 @@ def _reader(read):
         except ParseError:
             raise
         except (AttributeError, LookupError, TypeError, ValueError,
-                ZeroDivisionError) as exc:
+                ZeroDivisionError, SuperfieldError) as exc:
             raise ParseError(f"{read.__name__}: {exc!r}") from exc
     return checked
 
@@ -199,24 +199,24 @@ def supernumber_from_json(data, L):
 
 
 def superpoly_to_json(p):
-    return [{"z": k, "odd": _odd_symbols(mask, p.n_odd),
+    return [{"z": k, "odd": _odd_symbols(mask),
              "coeff": supernumber_to_json(p.terms[(k, mask)])}
             for (k, mask) in sorted(p.terms, key=lambda km: (km[1], km[0]))]
 
 
 @_reader
-def superpoly_from_json(data, L, n_odd=2):
+def superpoly_from_json(data, L):
     terms = {}
     for entry in data:
-        mask = _odd_mask(entry["odd"], n_odd)
-        if entry["odd"] != _odd_symbols(mask, n_odd):
+        mask = _odd_mask(entry["odd"])
+        if entry["odd"] != _odd_symbols(mask):
             raise ParseError(f"odd symbols {entry['odd']!r} are not "
-                             f"{_ODD_NAMES[n_odd]}, in order, at most once")
+                             f"{ODD_NAMES}, in order, at most once")
         key = (_integer(entry["z"]), mask)
         if key in terms:
             raise ParseError(f"repeated term {key}")
         terms[key] = supernumber_from_json(entry["coeff"], L)
-    return SuperPolynomial(L, n_odd, terms)
+    return SuperPolynomial(L, terms)
 
 
 def rsf_to_json(F):

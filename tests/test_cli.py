@@ -375,6 +375,33 @@ def test_closure_rebuilds_the_composite_from_its_json_params(monkeypatch):
         "recovered parameters rebuild the composite"]
 
 
+@pytest.mark.parametrize("eps", ["dropped", []], ids=["dropped", "empty"])
+def test_a_params_form_the_reader_refuses_fails_the_rebuild_law(
+        eps, monkeypatch):
+    """A writer that drops "eps", or writes it empty (eps = 0 is no
+    invertible factor), gives a form params_from_json refuses with a
+    ParseError; "recovered parameters rebuild the composite" then fails
+    with that message and the form as operands, and the suite ends in
+    fail, not in error."""
+    params_to_json = textio.params_to_json
+
+    def faulty_writer(p):
+        data = params_to_json(p)
+        if eps == "dropped":
+            del data["eps"]
+        else:
+            data["eps"] = eps
+        return data
+
+    monkeypatch.setattr(textio, "params_to_json", faulty_writer)
+    record = run_campaign(tiny_config(), only="spheres.closure.n=1")["checks"][0]
+    assert record["status"] == "fail"
+    [failure] = record["failures"]
+    assert failure["law"] == "recovered parameters rebuild the composite"
+    assert failure["counterexample"]["error"].startswith("params_from_json: ")
+    assert ("eps" in failure["counterexample"]["params"]) == (eps != "dropped")
+
+
 def test_recovery_is_canonical_rebuilds_the_recovered_params(monkeypatch):
     """"parameter recovery is canonical" validates the map that build_map
     makes afresh from the recovered parameters, not the member that

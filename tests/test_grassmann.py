@@ -293,7 +293,7 @@ def theta_superpolys(generators):
         st.tuples(st.integers(-2, 2), st.integers(0, 3)),
         dense_supernumbers(generators).filter(bool),
         max_size=4,
-    ).map(lambda terms: SuperPolynomial(generators, 2, terms))
+    ).map(lambda terms: SuperPolynomial(generators, terms))
 
 
 @pytest.mark.parametrize("generators", [6, 8])
@@ -318,7 +318,7 @@ def test_superpolynomial_product_matches_label_oracle(generators, data):
     _assert_matches_reference(P * Q, P, Q)
     # an element of odd total parity squares to zero: its theta and
     # generator signs cancel the pairs against each other
-    odd = SuperPolynomial(generators, 2, {
+    odd = SuperPolynomial(generators, {
         (k, m): c.even_part() if m.bit_count() % 2 else c.odd_part()
         for (k, m), c in P.terms.items()})
     _assert_matches_reference(odd * odd, odd, odd)

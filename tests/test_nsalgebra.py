@@ -73,13 +73,13 @@ class TestRepresentation:
     def test_charge_rotation_field(self):
         field = ns.representation(ns.J(0))
         assert field.c_x.is_zero()
-        assert field.c_plus == SuperPolynomial(0, 2, {(0, 1): grat(-1)})
-        assert field.c_minus == SuperPolynomial(0, 2, {(0, 2): grat(1)})
+        assert field.c_plus == SuperPolynomial(0, {(0, 1): grat(-1)})
+        assert field.c_minus == SuperPolynomial(0, {(0, 2): grat(1)})
 
     def test_lowest_supercharge_field(self):
         field = ns.representation(ns.Gp(-1))
-        assert field.c_plus == SuperPolynomial(0, 2, {(0, 0): grat(-1)})
-        assert field.c_x == SuperPolynomial(0, 2, {(0, 2): grat(1)})
+        assert field.c_plus == SuperPolynomial(0, {(0, 0): grat(-1)})
+        assert field.c_x == SuperPolynomial(0, {(0, 2): grat(1)})
         assert field.c_minus.is_zero()
 
     def test_central_maps_to_zero(self):
@@ -297,7 +297,7 @@ def _swap_phis(p):
     for (k, mask), c in p.terms.items():
         swapped = ((mask & 1) << 1) | (mask >> 1)
         out[(k, swapped)] = -c if mask == 3 else c
-    return SuperPolynomial(p.L, 2, out)
+    return SuperPolynomial(p.L, out)
 
 
 @pytest.mark.parametrize("key", ns.band_symbols(2))
@@ -339,7 +339,7 @@ class TestFlows:
             assert series.rows[k][0] == SuperPolynomial.z_power(0, k + 1)
         # phi+ side carries (1 - y x)^(n-1) = 1 - y x for n = 2
         assert series.rows[1][1] == SuperPolynomial(
-            0, 2, {(1, 1): grat(-1)})
+            0, {(1, 1): grat(-1)})
         assert series.rows[2][1].is_zero()
 
     def test_flow_parameter_parity_checked(self):

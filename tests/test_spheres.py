@@ -293,7 +293,7 @@ def substitution_recovery(m):
     a0, b0, c0, d0 = (x * lam for x in (a0, b0, c0, d0))
     if not spheres._positive_leading((d0, c0, b0, a0)):
         a0, b0, c0, d0 = -a0, -b0, -c0, -d0
-    fhat = m.f.substitute(RSF(SuperPolynomial(L, 2, {(1, 0): d0, (0, 0): -b0}),
+    fhat = m.f.substitute(RSF(SuperPolynomial(L, {(1, 0): d0, (0, 0): -b0}),
                               ScalarPoly({1: -c0, 0: a0})))
     origin = SuperPoint(zero, (zero, zero))
     e0, e1, e2 = (F.evaluate(origin)
@@ -354,14 +354,14 @@ def test_point_recovery_matches_substitution_recovery(body, n):
 
 def test_regular_point_skips_poles_and_the_moebius_root():
     # a Laurent numerator rules out 0 and c0 z + d0 = z - 1 rules out 1
-    laurent = RSF(SuperPolynomial(L, 2, {(-1, 0): one}),
+    laurent = RSF(SuperPolynomial(L, {(-1, 0): one}),
                   ScalarPoly({2: grat(1), 0: grat(-9)}))
     assert spheres._regular_point(laurent, grat(1), grat(-1)) == 2
     assert spheres._regular_point(laurent, grat(1), grat(-2)) == 1
     # from start = 2 on, z - 2 rules out 2 and the pole rules out 3
     assert spheres._regular_point(laurent, grat(1), grat(-2), start=2) == 4
     # c0 z + d0 = z rules out 0, the poles at 1 and 2 the next two
-    poles = RSF(SuperPolynomial(L, 2, {(0, 0): one}),
+    poles = RSF(SuperPolynomial(L, {(0, 0): one}),
                 ScalarPoly({2: grat(1), 1: grat(-3), 0: grat(2)}))
     assert spheres._regular_point(poles, grat(1), grat(0)) == 3
 
@@ -371,7 +371,7 @@ def test_data_that_is_no_parameter_set_is_not_in_family(n):
     # f = z + z[5] z[6] is superconformal with g+- = 1, but b = z[5] z[6]
     # uses generators above L - 2, so no parameter set holds it
     high = Supernumber.monomial(L, (L - 1, L))
-    f = RSF(SuperPolynomial(L, 2, {(1, 0): one, (0, 0): high}))
+    f = RSF(SuperPolynomial(L, {(1, 0): one, (0, 0): high}))
     m = SuperconformalMap(f, RSF.one(L), RSF.one(L), coefficient_bound=False)
     assert m.check().ok
     with pytest.raises(NotInFamily, match="no parameter set"):
@@ -489,7 +489,7 @@ def test_tower_g_divides_by_the_short_g_factors(n):
     (RSF.z_power(L, 1, coeff=HALF), RSF.one(L),
      "Moebius determinant is not a square"),
     # z + z[1]z[2] z^2 would be z/(1 - z[1]z[2] z), a Moebius map
-    (RSF(SuperPolynomial(L, 2, {(1, 0): one, (3, 0): gen(1) * gen(2)})),
+    (RSF(SuperPolynomial(L, {(1, 0): one, (3, 0): gen(1) * gen(2)})),
      RSF.one(L), "f is not of the form"),
     (RSF.z(L), RSF.z_power(L, -1), "a component has a pole at z = 0"),
 ], ids=["z^2", "z/2", "soul z^3", "g+ = 1/z"])
@@ -772,7 +772,7 @@ class TestOddTranslations:
         triple = T.southern.expand()
         tp = RSF.theta(L, THETA_PLUS)
         tm = RSF.theta(L, THETA_MINUS)
-        poly = RSF(SuperPolynomial(L, 2, {(3, 0): gen(1)}))
+        poly = RSF(SuperPolynomial(L, {(3, 0): gen(1)}))
         assert triple.even == RSF.z(L) + tp * poly
         assert triple.plus == tp
         # the third coordinate carries the derivative correction forced by

@@ -48,11 +48,11 @@ def transition(n):
 
 
 def moebius_map(a, b, c, d):
-    num = SuperPolynomial(L, 2, {(1, 0): Supernumber.scalar(L, a),
+    num = SuperPolynomial(L, {(1, 0): Supernumber.scalar(L, a),
                                  (0, 0): Supernumber.scalar(L, b)})
     den = ScalarPoly({1: grat(c), 0: grat(d)})
     f = RSF(num, den)
-    czd = RSF(SuperPolynomial(L, 2, {(1, 0): Supernumber.scalar(L, c),
+    czd = RSF(SuperPolynomial(L, {(1, 0): Supernumber.scalar(L, c),
                                      (0, 0): Supernumber.scalar(L, d)}))
     return SuperconformalMap(f, czd.inverse(), czd.inverse())
 
@@ -95,7 +95,7 @@ def two_root_map(s):
     """A map whose components have denominators with the two distinct
     roots 1 and -2: from_n1 makes it superconformal by construction."""
     def over(den, *values):
-        return RSF(SuperPolynomial(L, 2, {(k, 0): v for k, v in
+        return RSF(SuperPolynomial(L, {(k, 0): v for k, v in
                                           enumerate(values)}), den)
     lin = ScalarPoly({1: grat(1), 0: grat(-1)})
     two = lin * ScalarPoly({1: grat(1), 0: grat(2)})
@@ -128,7 +128,7 @@ def perturbed(m, which, seed):
     c = s.odd(2, L - 2) if odd else s.supernumber(2, 0, L - 2)
     if not c:
         c = Supernumber.generator(L, 1) if odd else Supernumber.one(L)
-    term = RSF(SuperPolynomial(L, 2, {(s.rng.randint(-2, 2), 0): c}),
+    term = RSF(SuperPolynomial(L, {(s.rng.randint(-2, 2), 0): c}),
                ScalarPoly({1: grat(1), 0: grat(-3)}) if s.rng.randrange(2)
                else None)
     comps[which] = comps[which] + term
@@ -539,15 +539,20 @@ class TestN1Correspondence:
             N1SuperanalyticMap(z, zero, zero, soul)
 
     def test_n1_expansion_pair(self):
+        """expand gives (f1 + theta+ xi, psi + theta+ g): free of theta-,
+        with theta-free parts f1 and psi and d/dtheta+ parts xi and g."""
         z = RSF.z(L)
         one = RSF.one(L)
         zero = RSF.zero(L)
-        h = N1SuperanalyticMap(z, one, zero, one)
-        even, odd = h.expand()
-        theta = RSF.theta(L, 0, n_odd=1)
-        z1 = RSF.z(L, n_odd=1)
-        assert even == z1 + theta
-        assert odd == theta
+        theta = RSF.theta(L, THETA_PLUS)
+        assert N1SuperanalyticMap(z, one, zero, one).expand() == (z + theta, theta)
+        s = Sampler(random.Random(71), L)
+        for _ in range(20):
+            h = s.n1_map()
+            for image, body, slope in zip(h.expand(), (h.f1, h.psi), (h.xi, h.g)):
+                assert image.diff_theta(THETA_MINUS).is_zero()
+                assert image.theta_component(0) == body
+                assert image.diff_theta(THETA_PLUS) == slope
 
 
 MAP_COMPONENTS = [

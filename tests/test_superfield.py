@@ -195,17 +195,20 @@ class TestEvaluation:
             assert (F * G).evaluate(point) == F.evaluate(point) * G.evaluate(point)
 
     def test_point_parity_validation(self):
-        with pytest.raises(ValueError):
-            SuperPoint(Supernumber.generator(L, 1), ())
-        with pytest.raises(ValueError):
-            SuperPoint(Supernumber.one(L), (Supernumber.one(L),))
+        zero = Supernumber.zero(L)
+        with pytest.raises(ValueError, match="must be even"):
+            SuperPoint(Supernumber.generator(L, 1), (zero, zero))
+        with pytest.raises(ValueError, match="odd supernumbers"):
+            SuperPoint(Supernumber.one(L), (Supernumber.one(L), zero))
+        # a point carries exactly one theta+ and one theta- value
+        for thetas in ((), (zero,), (zero, zero, zero)):
+            with pytest.raises(ValueError, match="one theta\\+ and one theta-"):
+                SuperPoint(Supernumber.one(L), thetas)
 
     def test_point_shape_must_match_the_function(self):
         with pytest.raises(DimensionMismatch):
             rsf_z().evaluate(SuperPoint(Supernumber.one(L + 1), (
                 Supernumber.zero(L + 1), Supernumber.zero(L + 1))))
-        with pytest.raises(ValueError, match="odd arity"):
-            rsf_z().evaluate(SuperPoint(Supernumber.one(L), ()))
 
 
 class TestSubstitution:
@@ -248,10 +251,10 @@ class TestSubstitution:
                 (0, 1): s.odd(1, L - 2),
                 (0, 2): s.odd(1, L - 2),
             }
-            w1 = RSF(SuperPolynomial(L, 2, terms))
+            w1 = RSF(SuperPolynomial(L, terms))
             terms2 = dict(terms)
             terms2[(1, 0)] = s.even_invertible(2, L - 2)
-            w2 = RSF(SuperPolynomial(L, 2, terms2))
+            w2 = RSF(SuperPolynomial(L, terms2))
             inner = w2.substitute(w1, (tp, tm))
             assert F.substitute(inner, (tp, tm)) == \
                 F.substitute(w2, (tp, tm)).substitute(w1, (tp, tm))
@@ -267,7 +270,7 @@ class TestSubstitution:
 class TestCanonicalForm:
     def test_grassmann_denominator_cleared(self):
         a = Supernumber.one(L) + Supernumber.monomial(L, (1, 2))
-        den = RSF(SuperPolynomial(L, 2, {(1, 0): a, (0, 0): Supernumber.one(L)}))
+        den = RSF(SuperPolynomial(L, {(1, 0): a, (0, 0): Supernumber.one(L)}))
         f = RSF.one(L) / den
         # denominator is a plain scalar polynomial, monic
         assert f.den.leading() == grat(1)
@@ -296,7 +299,7 @@ class TestCanonicalForm:
         for k in range(4):
             coeffs = {0: body.coeffs.get(k, grat(0)), 0b11: soul.coeffs.get(k, grat(0))}
             terms[(k, 0)] = Supernumber(L, coeffs)
-        num = SuperPolynomial(L, 2, terms)
+        num = SuperPolynomial(L, terms)
         F = RSF(num, lin ** 3)
         assert F.den == lin ** 2
         assert F.num.mul_scalar_poly(lin ** 3) == num.mul_scalar_poly(F.den)
@@ -323,7 +326,7 @@ class TestCanonicalForm:
         assert zero == RSF.zero(L)
 
     def test_laurent_normalization(self):
-        num = SuperPolynomial(L, 2, {(0, 0): Supernumber.one(L)})
+        num = SuperPolynomial(L, {(0, 0): Supernumber.one(L)})
         f = RSF(num, ScalarPoly({3: grat(2)}))
         assert f == RSF.z_power(L, -3, coeff=grat("1/2"))
         assert f.den.is_one()
@@ -389,7 +392,7 @@ def reference_evaluate(F, point):
     num = Supernumber.zero(z.L)
     for (k, mask), c in F.num.terms.items():
         value = c * z ** k
-        for b in reversed(range(F.n_odd)):
+        for b in (THETA_MINUS, THETA_PLUS):
             if mask & (1 << b):
                 value = point.thetas[b] * value
         num = num + value
@@ -435,16 +438,16 @@ def test_evaluation_matches_the_direct_reference(seed):
 # z[1] (_GENERATOR_PART)
 _Z1 = Supernumber.generator(L, 1)
 _ZP1 = ScalarPoly({1: grat(1), 0: grat(1)})
-_THETA_PART = RSF(SuperPolynomial(L, 2, {
+_THETA_PART = RSF(SuperPolynomial(L, {
     (1, 1): Supernumber.one(L), (0, 1): Supernumber.one(L),
     (0, 0): Supernumber.monomial(L, (1, 2)),
 }), _ZP1)  # (t+ (z+1) + z[1]z[2]) / (z+1)
-_GENERATOR_PART = RSF(SuperPolynomial(L, 2, {
+_GENERATOR_PART = RSF(SuperPolynomial(L, {
     (1, 0): Supernumber.one(L), (0, 0): Supernumber.one(L) + _Z1,
 }), _ZP1)  # (z + 1 + z[1]) / (z+1)
 # canonical, but its square is 2 z[1]z[2]z[3]z[4] (z + 1) / (z + 1)**2:
 # over Grassmann coefficients a power of a canonical form can cancel
-_SQUARE_CANCELS = RSF(SuperPolynomial(L, 2, {
+_SQUARE_CANCELS = RSF(SuperPolynomial(L, {
     (1, 0): Supernumber.monomial(L, (1, 2)),
     (0, 0): Supernumber.monomial(L, (1, 2)) + Supernumber.monomial(L, (3, 4)),
 }), _ZP1)  # (z[1]z[2] (z + 1) + z[3]z[4]) / (z + 1)
@@ -644,7 +647,7 @@ def test_power_and_derivative_match_references(F, n):
 
 # theta+ theta- z + z[1]z[2]: its square is 2 theta+ theta- z z[1]z[2] and
 # its cube vanishes, so a power loop must stop at the zero product
-_NILPOTENT_POLY = SuperPolynomial(L, 2, {
+_NILPOTENT_POLY = SuperPolynomial(L, {
     (1, 3): Supernumber.one(L), (0, 0): Supernumber.monomial(L, (1, 2)),
 })
 

@@ -43,18 +43,17 @@ def test_supernumber_json_roundtrip():
         assert textio.supernumber_from_json(json.loads(blob), L) == x
 
 
-@pytest.mark.parametrize("n_odd", [1, 2])
-def test_superpoly_text_roundtrip(n_odd):
+def test_superpoly_text_roundtrip():
     s = Sampler(random.Random(7), L)
-    polys = [s.superpoly(n_odd, z_span=(-2, 3)) for _ in range(30)]
-    for p in polys + [SuperPolynomial.zero(L, n_odd)]:
-        assert textio.parse_superpoly(str(p), L, n_odd) == p
+    polys = [s.superpoly(z_span=(-2, 3)) for _ in range(30)]
+    for p in polys + [SuperPolynomial.zero(L)]:
+        assert textio.parse_superpoly(str(p), L) == p
 
 
 def test_superpoly_handwritten():
     text = "z^2 + t+t-*(1 + z[1]z[2])*z^-1 - t-*(1/2)"
     p = textio.parse_superpoly(text, L)
-    expected = SuperPolynomial(L, 2, {
+    expected = SuperPolynomial(L, {
         (2, 0): Supernumber.one(L),
         (-1, 3): Supernumber.one(L) + Supernumber.monomial(L, (1, 2)),
         (0, 2): Supernumber.scalar(L, grat("-1/2")),
@@ -63,12 +62,10 @@ def test_superpoly_handwritten():
 
 
 def test_single_odd_variable_grammar():
-    p = textio.parse_superpoly("t*(z[1])*z + (2)", L, n_odd=1)
-    expected = SuperPolynomial(L, 1, {
-        (1, 1): Supernumber.generator(L, 1),
-        (0, 0): Supernumber.scalar(L, 2),
-    })
-    assert p == expected
+    """Every superpolynomial carries t+ and t-: a bare t is no odd symbol."""
+    for text in ("t*(z[1])*z + (2)", "t*z", "(2) + t*(1)", "t+t*(1)"):
+        with pytest.raises(textio.ParseError):
+            textio.parse_superpoly(text, L)
 
 
 def test_rsf_json_roundtrip():
@@ -164,23 +161,20 @@ def test_a_term_may_open_with_its_star():
     # sterm ::= [odd] ["*"] "(" supernumber ")" ... | [odd] ["*"] zpow
     assert textio.parse_superpoly("*z", L) == SuperPolynomial.z_power(L, 1)
     assert textio.parse_superpoly("*(2)", L) == \
-        SuperPolynomial(L, 2, {(0, 0): Supernumber.scalar(L, 2)})
+        SuperPolynomial(L, {(0, 0): Supernumber.scalar(L, 2)})
 
 
 def test_json_superpolynomials_are_read_strictly():
     one = [{"index": [], "re": "1", "im": "0"}]
-    for z, odd, n_odd in (("1", [], 2), (1.0, [], 2), (True, [], 2),
-                          (0, ["t"], 2), (0, ["t+", "t+"], 2),
-                          (0, ["t-", "t+"], 2), (0, ["t+"], 1),
-                          (0, "t+", 2)):
+    for z, odd in (("1", []), (1.0, []), (True, []), (0, ["t"]),
+                   (0, ["t+", "t+"]), (0, ["t-", "t+"]), (0, "t+")):
         with pytest.raises(textio.ParseError):
-            textio.superpoly_from_json([{"z": z, "odd": odd, "coeff": one}],
-                                       L, n_odd)
+            textio.superpoly_from_json([{"z": z, "odd": odd, "coeff": one}], L)
     twice = [{"z": 1, "odd": ["t-"], "coeff": one}] * 2
     with pytest.raises(textio.ParseError):
         textio.superpoly_from_json(twice, L)
     assert textio.superpoly_from_json(twice[:1], L) == \
-        SuperPolynomial(L, 2, {(1, 2): Supernumber.one(L)})
+        SuperPolynomial(L, {(1, 2): Supernumber.one(L)})
 
 
 def test_json_supernumbers_are_read_strictly():
@@ -227,6 +221,11 @@ def test_malformed_json_forms_raise_parse_error(read, data):
         read(data, 4)
 
 
+ONE_FORM = textio.rsf_to_json(RationalSuperfunction.one(4))
+PARAMS_FORM = textio.params_to_json(
+    Sampler(random.Random(13), 4).automorphism_params(1))
+
+
 @pytest.mark.parametrize("read, data", [
     (textio.params_from_json, {"n": 1}),
     (textio.params_from_json, []),
@@ -237,6 +236,13 @@ def test_malformed_json_forms_raise_parse_error(read, data):
     (textio.map_from_json, {"L": 4, "components": {
         name: textio.rsf_to_json(RationalSuperfunction.one(4))
         for name in ("f1", "psi", "g")}}),
+    # the package's refusals of the value read: an N=1 form whose g has
+    # zero body (NotInvertibleComponent), and parameters with a psi list of
+    # the wrong length (InvalidParams)
+    (textio.map_from_json, {"L": 4, "components": {
+        "f1": ONE_FORM, "xi": ONE_FORM, "psi": ONE_FORM,
+        "g": textio.rsf_to_json(RationalSuperfunction.zero(4))}}),
+    (textio.params_from_json, dict(PARAMS_FORM, psi_plus=[])),
 ])
 def test_malformed_map_and_params_forms_raise_parse_error(read, data):
     with pytest.raises(textio.ParseError):
