@@ -83,33 +83,18 @@ def _above_parity(a):
     return out
 
 
-def reorder_sign(a, b):
-    """Sign of z^a * z^b -> z^(a|b) for disjoint masks a, b.
-
-    Each pair of a generator in b and a generator of a above it is one
-    transposition; _above_parity(a) marks the bits where a has an odd
-    number of generators above, so the count's parity is that of
-    _above_parity(a) & b.
-    """
-    return -1 if (_above_parity(a) & b).bit_count() & 1 else 1
-
-
-def mul_into(acc, left, right, negate=False, odd_flip=False):
+def mul_into(acc, left, right):
     """Add the Grassmann product left * right into acc, unreduced.
 
     left and right are `scalars.triples` lists of (mask, a, b, d); acc
     maps masks to [a, b, d] sums, reduced later by `scalars.reduce_triples`.
-    The product is negated when negate is set, and with odd_flip the
-    odd-mask terms of left change sign (left has moved past an odd
-    monomial).  The sum step is `scalars.add_triple`, written out here:
-    this loop runs once per term pair, and the call cost 3% of a dense
-    product.
+    The sign of z^g1 z^g2 is the parity of _above_parity(g1) & g2: each
+    generator of g2 below one of g1 is one transposition.  The sum step
+    is `scalars.add_triple`, written out here: this loop runs once per
+    term pair, and the call cost 3% of a dense product.
     """
     gcd = math.gcd
     for g1, a1, b1, d1 in left:
-        if negate ^ bool(odd_flip and g1.bit_count() & 1):
-            a1 = -a1
-            b1 = -b1
         above = _above_parity(g1)
         for g2, a2, b2, d2 in right:
             if g1 & g2:

@@ -355,7 +355,7 @@ def _value_at(F, z0):
     if not q0 or (not z0 and F.num.min_z() < 0):
         raise NotInFamily(f"a component has a pole at z = {z0}")
     z = grat(z0)
-    return sum((c.scale(z ** k) for (k, _), c in F.num.terms.items()),
+    return sum((c.scale(z ** k) for (k, _), c in F.num.coefficients().items()),
                Supernumber.zero(F.L)).scale(q0.inverse())
 
 
@@ -370,7 +370,7 @@ def _values_at(F, z0):
     r1, r2 = -q1 * r0 * r0, (q1 * q1 * r0 * 2 - q2) * r0 * r0
     z = grat(z0)
     out = [Supernumber.zero(F.L)] * 2
-    for (k, _), coeff in F.num.terms.items():
+    for (k, _), coeff in F.num.coefficients().items():
         # z^k and its derivatives at z0; the factor k or k (k - 1) is zero
         # wherever z0 = 0 would meet a negative power
         p0 = z ** k
@@ -442,7 +442,7 @@ def _psi_coeffs(F, czd, length, what, n):
                 f"{what} has a denominator outside (c z + d)^{length - 1}")
         raise NotInFamily(f"{what} has degree outside the family bound")
     coeffs = [Supernumber.zero(F.L)] * length
-    for (k, _), coeff in poly.terms.items():
+    for (k, _), coeff in poly.coefficients().items():
         coeffs[k] = coeff
     if not all(v.is_odd() for v in coeffs):
         raise NotInFamily("psi coefficients must be odd")
@@ -697,7 +697,8 @@ def conjugated_translation_coeffs(n, alpha, coeffs):
         num_pow = num_pow * lin_num
     weight = sides(n, alpha.eps, alpha.eps.inverse())[1]
     out = [Supernumber.zero(L) for _ in range(top + 1)]
-    for (k, mask), coeff in acc.terms.items():
-        assert mask == 0
+    for (k, mask), coeff in acc.coefficients().items():
+        if mask:
+            raise SphereError("a conjugated translation has an odd variable")
         out[k] = weight * coeff
     return out

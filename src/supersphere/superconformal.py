@@ -109,8 +109,7 @@ class _ComponentMap:
                 raise ValueError(f"component {name} has L = {F.L}, wanted {L}")
             if not F.is_theta_free():
                 raise ValueError(f"component {name} must not contain odd variables")
-            if coefficient_bound and L >= 2 and not all(
-                    c.in_subalgebra(L - 2) for c in F.num.terms.values()):
+            if coefficient_bound and L >= 2 and not F.num.in_subalgebra(L - 2):
                 raise ValueError(f"component {name} uses generators above {L - 2}; "
                                  "coefficients must leave room for the odd variables")
             setattr(self, slot, F)

@@ -7,8 +7,13 @@ theta- are represented exactly.  A superpolynomial is a finite sum of terms
 
 where t^M is an ordered monomial in the odd variables (theta+ before
 theta-), c is a supernumber coefficient and k is a (possibly negative)
-integer.  Odd monomials are kept on the left of their coefficients, and
-odd differentiation is the left partial derivative:
+integer.  Odd monomials are kept on the left of their coefficients, so
+theta+ and theta- are the two lowest generators of one Grassmann algebra
+on L + 2 generators, and each term is stored flat, as one of its
+monomials: {(k, theta bits | generator mask << 2): Q(i) scalar}.  A
+product of two terms takes the sign of sorting that algebra's monomial
+z^a z^b, the parity of the pairs of a generator of b below one of a.
+Odd differentiation is the left partial derivative:
 
     d/dtheta+ (theta+ A) = A,   d/dtheta- (theta+ theta- A) = -theta+ A.
 
@@ -57,8 +62,7 @@ from .grassmann import (
     DimensionMismatch,
     NotInvertible,
     Supernumber,
-    mul_into,
-    reorder_sign,
+    _above_parity,
 )
 
 THETA_PLUS = 0
@@ -330,15 +334,19 @@ def _euclid(a, b):
 class SuperPolynomial:
     """Laurent polynomial in z and the odd variables, over a Grassmann algebra.
 
-    terms maps (z exponent, odd monomial bitmask) to a supernumber
-    coefficient; bit 0 is theta+, bit 1 is theta-.
+    terms maps (z exponent, mask) to a nonzero Q(i) scalar: each term is
+    one monomial of the Grassmann algebra on L + 2 generators whose two
+    lowest are theta+ (bit 0) and theta- (bit 1); generator j of the
+    coefficient algebra is bit j + 1.  The constructor takes the nested
+    form {(z exponent, odd mask): supernumber or scalar}, and
+    `coefficients` gives it back.
     """
 
     __slots__ = ("L", "terms")
 
     def __init__(self, L, terms=None):
         self.L = L
-        clean = {}
+        flat = {}
         if terms:
             for (k, mask), coeff in terms.items():
                 if not 0 <= mask < 4:
@@ -347,9 +355,9 @@ class SuperPolynomial:
                     coeff = Supernumber.scalar(L, coeff)
                 if coeff.L != L:
                     raise ValueError("coefficient generator count mismatch")
-                if coeff:
-                    clean[(k, mask)] = coeff
-        self.terms = clean
+                for g, q in coeff.terms.items():
+                    flat[(k, mask | g << 2)] = q
+        self.terms = flat
 
     @classmethod
     def _make(cls, L, terms):
@@ -366,11 +374,14 @@ class SuperPolynomial:
     def constant(cls, L, value):
         if not isinstance(value, Supernumber):
             value = Supernumber.scalar(L, value)
-        return cls._make(L, {(0, 0): value} if value else {})
+        elif value.L != L:
+            raise DimensionMismatch(f"a constant over {value.L} generators, "
+                                    f"wanted {L}")
+        return cls._make(L, {(0, g << 2): q for g, q in value.terms.items()})
 
     @classmethod
     def one(cls, L):
-        return cls.constant(L, ONE)
+        return cls._make(L, {(0, 0): ONE})
 
     @classmethod
     def z_power(cls, L, k, coeff=ONE):
@@ -380,7 +391,14 @@ class SuperPolynomial:
     def theta(cls, L, which=THETA_PLUS):
         if which not in (THETA_PLUS, THETA_MINUS):
             raise ValueError("odd variable index out of range")
-        return cls._make(L, {(0, 1 << which): Supernumber.one(L)})
+        return cls._make(L, {(0, 1 << which): ONE})
+
+    def coefficients(self):
+        """The nested form {(z exponent, odd mask): nonzero supernumber}."""
+        grouped = {}
+        for (k, m), q in self.terms.items():
+            grouped.setdefault((k, m & 3), {})[m >> 2] = q
+        return {key: Supernumber._make(self.L, c) for key, c in grouped.items()}
 
     def _check(self, other):
         if self.L != other.L:
@@ -421,10 +439,12 @@ class SuperPolynomial:
         return self + (-other)
 
     def __mul__(self, other):
-        """The product.  A factor s z^j with no odd variable and a body-only
-        s commutes with everything, so the product is the other factor
-        shifted by j and scaled by s, with no sign; for s = 1 it is
-        `shift_z(j)`, which keeps the other factor's coefficients."""
+        """The product: one Grassmann product over the flat terms, whose
+        sign moves each left monomial's generators, the odd variables
+        among them, past the right one's.  A factor s z^j with no odd
+        variable and a scalar s commutes with everything, so the product
+        is the other factor shifted by j and scaled by s, with no sign;
+        for s = 1 it is `shift_z(j)`, which keeps the other's terms."""
         if not isinstance(other, SuperPolynomial):
             if not isinstance(other, (Supernumber,) + SCALAR_TYPES):
                 return NotImplemented
@@ -433,63 +453,57 @@ class SuperPolynomial:
         if not self.terms or not other.terms:
             return SuperPolynomial._make(self.L, {})
         for x, mono in ((self, other), (other, self)):
-            if len(mono.terms) != 1:
-                continue
-            [((j, m), c)] = mono.terms.items()
-            if not m and len(c.terms) == 1 and 0 in c.terms:
-                s = c.terms[0]
-                return x.shift_z(j) if s == ONE else SuperPolynomial._make(self.L, {
-                    (k + j, odd): x_c.scale(s) for (k, odd), x_c in x.terms.items()})
-        # one unreduced accumulator per (z exponent, odd mask); each
-        # coefficient is reduced once, after every product has been added
+            if len(mono.terms) == 1:
+                [((j, m), s)] = mono.terms.items()
+                if not m:
+                    return x.shift_z(j) if s == ONE else SuperPolynomial._make(
+                        self.L, {(k + j, xm): q * s for (k, xm), q in x.terms.items()})
+        # one unreduced [a, b, d] per key, reduced once after every product
+        # has been added; the sum step is `scalars.add_triple`, written out
         acc = {}
-        right = [(k2, m2, m2.bit_count() & 1, triples(c2.terms.items()))
-                 for (k2, m2), c2 in other.terms.items()]
-        for (k1, m1), c1 in self.terms.items():
-            left = triples(c1.terms.items())
-            for k2, m2, m2_odd, c2 in right:
+        gcd = math.gcd
+        right = [(k, m, a, b, d) for (k, m), a, b, d in triples(other.terms.items())]
+        for (k1, m1), a1, b1, d1 in triples(self.terms.items()):
+            above = _above_parity(m1)
+            for k2, m2, a2, b2, d2 in right:
                 if m1 & m2:
                     continue
-                # c1 moves through the odd monomial of the second factor
-                mul_into(acc.setdefault((k1 + k2, m1 | m2), {}), left, c2,
-                         bool(m1 and m2 and reorder_sign(m1, m2) < 0), m2_odd)
-        terms = {}
-        for key, coeffs in acc.items():
-            coeffs = reduce_triples(coeffs)
-            if coeffs:
-                terms[key] = Supernumber._make(self.L, coeffs)
-        return SuperPolynomial._make(self.L, terms)
+                pa = a1 * a2 - b1 * b2
+                pb = a1 * b2 + b1 * a2
+                pd = d1 * d2
+                if (above & m2).bit_count() & 1:
+                    pa = -pa
+                    pb = -pb
+                key = (k1 + k2, m1 | m2)
+                cur = acc.get(key)
+                if cur is None:
+                    acc[key] = [pa, pb, pd]
+                elif cur[2] == pd:
+                    cur[0] += pa
+                    cur[1] += pb
+                else:
+                    d = cur[2]
+                    g = gcd(d, pd)
+                    f = pd // g
+                    e = d // g
+                    cur[0] = cur[0] * f + pa * e
+                    cur[1] = cur[1] * f + pb * e
+                    cur[2] = d * f
+        return SuperPolynomial._make(self.L, reduce_triples(acc))
 
     def scale_right(self, value):
         """Multiply every coefficient on the right by a supernumber."""
-        if not isinstance(value, Supernumber):
-            value = Supernumber.scalar(self.L, value)
-        terms = {}
-        for key, c in self.terms.items():
-            s = c * value
-            if s:
-                terms[key] = s
-        return SuperPolynomial._make(self.L, terms)
+        return self * SuperPolynomial.constant(self.L, value)
 
     def scale_left(self, value):
         """Multiply by a supernumber on the left (signs from odd monomials)."""
-        if not isinstance(value, Supernumber):
-            value = Supernumber.scalar(self.L, value)
-        terms = {}
-        for (k, m), c in self.terms.items():
-            a = value.grade_involution() if m.bit_count() & 1 else value
-            s = a * c
-            if s:
-                terms[(k, m)] = s
-        return SuperPolynomial._make(self.L, terms)
+        return SuperPolynomial.constant(self.L, value) * self
 
     def mul_scalar_poly(self, poly):
         if poly.is_one():
             return self
-        return self * SuperPolynomial._make(self.L, {
-            (j, 0): Supernumber._make(self.L, {0: q})
-            for j, q in poly.coeffs.items()
-        })
+        return self * SuperPolynomial._make(
+            self.L, {(j, 0): q for j, q in poly.coeffs.items()})
 
     def shift_z(self, n):
         return SuperPolynomial._make(
@@ -501,14 +515,9 @@ class SuperPolynomial:
     # -- calculus ------------------------------------------------------------
 
     def diff_z(self):
-        terms = {}
-        for (k, m), c in self.terms.items():
-            if k == 0:
-                continue
-            s = c.scale(k)
-            if s:
-                terms[(k - 1, m)] = s
-        return SuperPolynomial._make(self.L, terms)
+        return SuperPolynomial._make(self.L, {
+            (k - 1, m): q if k == 1 else q * k
+            for (k, m), q in self.terms.items() if k})
 
     def diff_theta(self, which):
         """Left partial derivative with respect to an odd variable."""
@@ -535,8 +544,8 @@ class SuperPolynomial:
 
     def theta_component(self, mask):
         """The theta-free superpolynomial A_M with self = sum t^M A_M."""
-        return SuperPolynomial._make(
-            self.L, {(k, 0): c for (k, m), c in self.terms.items() if m == mask})
+        return SuperPolynomial._make(self.L, {
+            (k, m ^ mask): q for (k, m), q in self.terms.items() if m & 3 == mask})
 
     def body_scalar_poly(self):
         """Scalar Laurent part: bodies of the theta-free coefficients.
@@ -544,23 +553,11 @@ class SuperPolynomial:
         Returned as an exponent-to-coefficient dict (may contain negative
         exponents).
         """
-        out = {}
-        for (k, m), c in self.terms.items():
-            if m:
-                continue
-            b = c.body()
-            if b:
-                out[k] = b
-        return out
+        return {k: q for (k, m), q in self.terms.items() if not m}
 
     def parity(self):
         """Total parity if homogeneous, else None."""
-        seen = set()
-        for (k, m), c in self.terms.items():
-            p = c.parity()
-            if p is None:
-                return None
-            seen.add((p + m.bit_count()) & 1)
+        seen = {m.bit_count() & 1 for _, m in self.terms}
         if not seen:
             return 0
         return seen.pop() if len(seen) == 1 else None
@@ -571,9 +568,14 @@ class SuperPolynomial:
     def is_odd(self):
         return self.is_zero() or self.parity() == 1
 
+    def in_subalgebra(self, limit):
+        """True if every coefficient uses only generators 1..limit."""
+        return all(m < 4 << limit for _, m in self.terms)
+
     def extend(self, L_new):
-        return SuperPolynomial._make(
-            L_new, {key: c.extend(L_new) for key, c in self.terms.items()})
+        if L_new < self.L:
+            raise DimensionMismatch(f"cannot extend from {self.L} to {L_new}")
+        return SuperPolynomial._make(L_new, dict(self.terms))
 
     def __repr__(self):
         return f"SuperPolynomial({self})"
@@ -582,8 +584,8 @@ class SuperPolynomial:
         if not self.terms:
             return "0"
         parts = []
-        for (k, m) in sorted(self.terms, key=lambda km: (km[1], km[0])):
-            c = self.terms[(k, m)]
+        for (k, m), c in sorted(self.coefficients().items(),
+                                key=lambda kc: (kc[0][1], kc[0][0])):
             mono = "".join(name for b, name in enumerate(ODD_NAMES) if m >> b & 1)
             zpart = "" if k == 0 else ("z" if k == 1 else f"z^{k}")
             pieces = [p for p in (mono, f"({c})", zpart) if p]
@@ -692,7 +694,7 @@ class RationalSuperfunction:
         return bool(self.num)
 
     def is_theta_free(self):
-        return all(not m for (_, m) in self.num.terms)
+        return all(not m & 3 for (_, m) in self.num.terms)
 
     def parity(self):
         return self.num.parity()
@@ -714,13 +716,10 @@ class RationalSuperfunction:
     def as_constant(self):
         """The constant supernumber value, or None."""
         poly = self.as_superpolynomial()
-        if poly is None:
+        if poly is None or any(k or m & 3 for k, m in poly.terms):
             return None
-        if not poly.terms:
-            return Supernumber.zero(self.L)
-        if set(poly.terms) == {(0, 0)}:
-            return poly.terms[(0, 0)]
-        return None
+        return Supernumber._make(
+            self.L, {m >> 2: q for (_, m), q in poly.terms.items()})
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -781,8 +780,7 @@ class RationalSuperfunction:
             for x, y in ((self, other), (other, self)):
                 if not y.num.terms:
                     return y
-                if (len(y.num.terms) == 1 and y.den.is_one()
-                        and y.num.terms == {(0, 0): Supernumber.one(self.L)}):
+                if y.den.is_one() and y.num.terms == {(0, 0): ONE}:
                     return x
             return RationalSuperfunction(self.num * other.num, self.den * other.den)
         if not isinstance(other, (Supernumber,) + SCALAR_TYPES):
@@ -808,12 +806,11 @@ class RationalSuperfunction:
         """
         v = self.num.min_z()
         body, soul = {}, {}
-        for (k, m), c in self.num.terms.items():
-            if not m and 0 in c.terms:
-                body[k - v] = c.terms[0]
-                c = c.soul()
-            if c:
-                soul[(k - v, m)] = c
+        for (k, m), q in self.num.terms.items():
+            if m:
+                soul[(k - v, m)] = q
+            else:
+                body[k - v] = q
         if not body:
             raise NotInvertible("rational superfunction has zero body part")
         body = ScalarPoly._make(body)
@@ -953,8 +950,7 @@ class Substitution:
         self.w = w
         self.odd_images = odd_images
         self._inverse_powers = {}  # root or den -> [1, Y, Y**2, ...]
-        self._identity = (w.den.is_one()
-                          and w.num.terms == {(1, 0): Supernumber.one(w.L)})
+        self._identity = w.den.is_one() and w.num.terms == {(1, 0): ONE}
 
     def __call__(self, F):
         w = self.w
@@ -963,8 +959,8 @@ class Substitution:
             return F
         v = min(F.num.min_z(), 0)
         comps = {}
-        for (k, m), c in F.num.terms.items():
-            comps.setdefault(m, {})[k - v] = c
+        for (k, m), q in F.num.terms.items():
+            comps.setdefault(m & 3, {}).setdefault(k - v, {})[(0, m & ~3)] = q
         result = RationalSuperfunction.zero(w.L)
         for mask, coeffs in sorted(comps.items()):
             total = _poly_at(coeffs, w)
@@ -990,8 +986,8 @@ class Substitution:
         powers = self._inverse_powers.get(key)
         if powers is None:
             w = self.w
-            base = (_poly_at(key.coeffs, w) if isinstance(key, ScalarPoly)
-                    else w - key)
+            base = (_poly_at({k: {(0, 0): q} for k, q in key.coeffs.items()}, w)
+                    if isinstance(key, ScalarPoly) else w - key)
             if base.body_is_zero():
                 raise SingularComposition(
                     "denominator body vanishes after substitution")
@@ -1008,9 +1004,8 @@ def _cancel_common_factor(num, den):
     if den.degree() < 1:
         return num, den
     comps = {}
-    for (k, m), c in num.terms.items():
-        for gmask, q in c.terms.items():
-            comps.setdefault((m, gmask), {})[k] = q
+    for (k, m), q in num.terms.items():
+        comps.setdefault(m, {})[k] = q
     shifts = {key: min(poly) for key, poly in comps.items()}
     # low-degree components constrain the gcd fastest
     order = sorted(comps, key=lambda key: max(comps[key]) - shifts[key])
@@ -1026,7 +1021,8 @@ def _cancel_common_factor(num, den):
         den_new, dense = den.divmod(g)[0], {}
         for key, poly in polys.items():
             quo, rem = poly.divmod(g)
-            assert rem.is_zero()
+            if not rem.is_zero():
+                raise SuperfieldError("the gcd leaves a remainder")
             dense[key] = _dense(quo.coeffs)
     else:
         # each root's multiplicity in the gcd is its least among the
@@ -1046,12 +1042,8 @@ def _cancel_common_factor(num, den):
         if not common:
             return num, den
         den_new = _from_roots(roots - common)
-    grouped = {}
-    for (m, gmask), coeffs in dense.items():
-        for k, q in enumerate(coeffs, shifts[(m, gmask)]):
-            if q:
-                grouped.setdefault((k, m), {})[gmask] = q
-    terms = {key: Supernumber._make(num.L, c) for key, c in grouped.items()}
+    terms = {(k, m): q for m, coeffs in dense.items()
+             for k, q in enumerate(coeffs, shifts[m]) if q}
     return SuperPolynomial._make(num.L, terms), den_new
 
 
@@ -1067,23 +1059,23 @@ def _divide_out_root(dense, root, cap):
 
 
 def _poly_at(coeffs, w):
-    """p(w) for p = sum of coeffs[k] * z**k and an even w, exactly.
+    """p(w) for p = sum of c_k z**k and an even w, exactly.
 
-    coeffs maps nonnegative exponents to supernumber or scalar
-    coefficients.  Fraction-free Horner: with w = Wn/Wd, the sum of
-    c_k Wn**k Wd**(top-k) is normalised once over Wd**top.
+    coeffs maps each nonnegative exponent k to the flat terms of the
+    theta-free constant c_k.  Fraction-free Horner: with w = Wn/Wd, the
+    sum of c_k Wn**k Wd**(top-k) is normalised once over Wd**top.
     """
     L = w.L
     top = max(coeffs)
     wn, wd = w.num, w.den
     wd_power = ScalarPoly.one()
-    acc = SuperPolynomial.constant(L, coeffs[top])
+    acc = SuperPolynomial._make(L, coeffs[top])
     for k in range(top - 1, -1, -1):
         acc = acc * wn
         wd_power = wd_power * wd
         c = coeffs.get(k)
         if c is not None:
-            acc = acc + SuperPolynomial.constant(L, c).mul_scalar_poly(wd_power)
+            acc = acc + SuperPolynomial._make(L, c).mul_scalar_poly(wd_power)
     return RationalSuperfunction(acc, wd_power)
 
 

@@ -199,9 +199,9 @@ def supernumber_from_json(data, L):
 
 
 def superpoly_to_json(p):
-    return [{"z": k, "odd": _odd_symbols(mask),
-             "coeff": supernumber_to_json(p.terms[(k, mask)])}
-            for (k, mask) in sorted(p.terms, key=lambda km: (km[1], km[0]))]
+    return [{"z": k, "odd": _odd_symbols(mask), "coeff": supernumber_to_json(c)}
+            for (k, mask), c in sorted(p.coefficients().items(),
+                                       key=lambda kc: (kc[0][1], kc[0][0]))]
 
 
 @_reader
@@ -252,9 +252,9 @@ def map_to_json(m):
 def map_from_json(data):
     """The map of `map_to_json`'s form: N=1 superanalytic when its
     components are named f1, xi, psi, g, else N=2 superconformal."""
-    comps = data["components"]
+    comps, L = data["components"], _integer(data["L"])
     cls = N1SuperanalyticMap if "f1" in comps else SuperconformalMap
-    return cls(*(rsf_from_json(comps[name], data["L"]) for name in cls._NAMES),
+    return cls(*(rsf_from_json(comps[name], L) for name in cls._NAMES),
                coefficient_bound=False)
 
 
@@ -271,9 +271,9 @@ def params_to_json(p):
 
 @_reader
 def params_from_json(data):
-    L = data["L"]
+    L = _integer(data["L"])
     return AutomorphismParams(
-        data["n"],
+        _integer(data["n"]),
         *(supernumber_from_json(data[name], L)
           for name in ("a", "b", "c", "d", "eps")),
         psi_plus=[supernumber_from_json(x, L) for x in data["psi_plus"]],

@@ -8,6 +8,7 @@ composite that no longer equals its rebuild, a campaign report whose bytes
 move) fails here and not only when the benchmark runs.
 """
 
+import importlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -17,11 +18,19 @@ import pytest
 from supersphere import campaign, textio
 from supersphere.spheres import SphereAutomorphism
 
-_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-_SPEC = importlib.util.spec_from_file_location("perfbench_workloads", _PATH)
-workloads = importlib.util.module_from_spec(_SPEC)
-sys.modules[_SPEC.name] = workloads   # dataclasses look the module up here
-_SPEC.loader.exec_module(workloads)
+_PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name, filename):
+    spec = importlib.util.spec_from_file_location(name, _PERFBENCH / filename)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module   # dataclasses look the module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load("perfbench_workloads", "workloads.py")
+bench_run = _load("perfbench_run", "run.py")
 
 SEED = 3
 
@@ -78,3 +87,34 @@ def test_campaign_pass_keeps_its_pinned_report(seed):
     # fails or the report's sha256 differs from CAMPAIGN_SHA256[seed]
     assert [op.label for op in ops] == list(campaign.registry(cfg))
     assert not _failed(ops)
+
+
+class _RecordingTracer:
+    """The part of `layertrace.Tracer` that `install_counters` uses; it
+    records the (module, qualname) of every hook."""
+
+    def __init__(self):
+        self.counts, self.maxima, self.hooked = {}, {}, []
+
+    def hook(self, module, qualname, counter):
+        self.hooked.append((module, qualname))
+
+
+def _unresolved(module, qualname):
+    """True unless qualname is a function of supersphere.module, or a
+    method of one of its classes, defined there: what the tracer wraps."""
+    owner = importlib.import_module(f"supersphere.{module}")
+    for part in qualname.split("."):
+        owner = vars(owner).get(part)
+        if owner is None:
+            return True
+    return False
+
+
+def test_every_counter_hook_resolves_in_the_package():
+    """A renamed hook target zeroes its per-layer counter, which a traced
+    run shows only as `missing_hooks`; here it fails Tier-1."""
+    tracer = _RecordingTracer()
+    bench_run.install_counters(tracer)
+    assert tracer.hooked
+    assert [hook for hook in tracer.hooked if _unresolved(*hook)] == []

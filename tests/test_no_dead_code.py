@@ -31,7 +31,8 @@ the parts they skip.
 Every name that a module imports must be read in it, unless it comes
 from `__future__` or the module lists it in `__all__`.
 
-The package's `.py` files together stay below a fixed number of lines.
+The package's `.py` files together stay below a fixed number of lines,
+and none has an `assert` statement.
 """
 
 import ast
@@ -326,6 +327,15 @@ def test_only_the_text_boundary_imports_fractions():
                     and any(a.name == "fractions" for a in node.names)):
                 importing.add(path.stem)
     assert importing <= {"scalars", "textio"}
+
+
+def test_the_package_has_no_assert():
+    """`python -O` strips `assert`, so an invariant the package checks is
+    an explicit raise."""
+    asserts = [f"{path.name}:{node.lineno}" for path in PACKAGE.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.Assert)]
+    assert asserts == []
 
 
 # the size gate of the package (ROADMAP, "Less code, same bytes"): code

@@ -908,7 +908,7 @@ def _coeffs_over(F, czd, power, length, what):
     if poly is None or poly.min_z() < 0 or poly.max_z() >= length:
         raise NotInFamily(f"{what} is not of degree < {length} over "
                           f"(c z + d)^{power}")
-    return [poly.terms.get((k, 0), zero) for k in range(length)]
+    return [poly.coefficients().get((k, 0), zero) for k in range(length)]
 
 
 def _handwritten_mirror_params(m, n):

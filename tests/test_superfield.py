@@ -390,7 +390,7 @@ def reference_evaluate(F, point):
     A pole raises NotInvertible, from 1/z or from 1/den(z)."""
     z = point.z
     num = Supernumber.zero(z.L)
-    for (k, mask), c in F.num.terms.items():
+    for (k, mask), c in F.num.coefficients().items():
         value = c * z ** k
         for b in (THETA_MINUS, THETA_PLUS):
             if mask & (1 << b):
@@ -845,3 +845,43 @@ def test_a_laurent_numerator_substitutes_as_a_pole_at_zero(seed):
         return
     shifted = (F * RSF.z(L) ** k).substitute(w, images)
     assert F.substitute(w, images) == shifted * w.inverse() ** k
+
+
+def nested_product(x, y):
+    """The reference product over the nested form, one supernumber per
+    (z exponent, odd mask): t^M1 c1 * t^M2 c2 = sign t^(M1|M2) c1' c2,
+    where c1' is c1 with its odd part negated when t^M2 is odd (c1 moves
+    past it), and sign is -1 when the theta- of t^M1 passes the theta+
+    of t^M2."""
+    out = {}
+    for (k1, m1), c1 in x.coefficients().items():
+        for (k2, m2), c2 in y.coefficients().items():
+            if m1 & m2:
+                continue
+            p = (c1.grade_involution() if m2.bit_count() & 1 else c1) * c2
+            if m1 >> THETA_MINUS & 1 and m2 >> THETA_PLUS & 1:
+                p = -p
+            key = (k1 + k2, m1 | m2)
+            out[key] = out[key] + p if key in out else p
+    return SuperPolynomial(x.L, out)
+
+
+def mixed_superpoly(sampler):
+    """A superpolynomial of mixed parity; over L > 0 generators it has odd
+    coefficients after theta+, after theta- and after both."""
+    x = sampler.superpoly(max_terms=4, z_span=(-2, 3))
+    if sampler.L:
+        x = x + SuperPolynomial(sampler.L, {
+            (k, mask): sampler.odd(2) for k, mask in ((0, 1), (1, 2), (-1, 3))})
+    return x
+
+
+@pytest.mark.parametrize("generators", [0, 6, 8])
+@settings(deadline=None, max_examples=40)
+@given(seeds)
+def test_the_flat_product_is_the_nested_product(generators, seed):
+    sampler = Sampler(random.Random(seed), generators)
+    x, y = mixed_superpoly(sampler), mixed_superpoly(sampler)
+    assert x * y == nested_product(x, y)
+    assert y * x == nested_product(y, x)
+    assert x * x == nested_product(x, x)

@@ -7,7 +7,12 @@ from supersphere import textio
 from supersphere.grassmann import Supernumber
 from supersphere.randgen import Sampler
 from supersphere.scalars import grat
-from supersphere.spheres import build_map, transition
+from supersphere.spheres import (
+    MatrixGroupElement,
+    build_map,
+    group_action,
+    transition,
+)
 from supersphere.superconformal import to_n1
 from supersphere.superfield import (
     RationalSuperfunction,
@@ -224,6 +229,10 @@ def test_malformed_json_forms_raise_parse_error(read, data):
 ONE_FORM = textio.rsf_to_json(RationalSuperfunction.one(4))
 PARAMS_FORM = textio.params_to_json(
     Sampler(random.Random(13), 4).automorphism_params(1))
+# the identity at twist 1: body-only values, which read at any L >= 0
+IDENTITY = group_action(1, MatrixGroupElement.identity(4))
+IDENTITY_PARAMS_FORM = textio.params_to_json(IDENTITY.params)
+IDENTITY_MAP_FORM = textio.map_to_json(IDENTITY.southern)
 
 
 @pytest.mark.parametrize("read, data", [
@@ -243,6 +252,13 @@ PARAMS_FORM = textio.params_to_json(
         "f1": ONE_FORM, "xi": ONE_FORM, "psi": ONE_FORM,
         "g": textio.rsf_to_json(RationalSuperfunction.zero(4))}}),
     (textio.params_from_json, dict(PARAMS_FORM, psi_plus=[])),
+    # n and L are JSON integers, not bools (True == 1) or floats
+    (textio.params_from_json, dict(IDENTITY_PARAMS_FORM, n=True)),
+    (textio.params_from_json, dict(IDENTITY_PARAMS_FORM, n=1.0)),
+    (textio.params_from_json, dict(IDENTITY_PARAMS_FORM, L=True)),
+    (textio.params_from_json, dict(IDENTITY_PARAMS_FORM, L=4.0)),
+    (textio.map_from_json, dict(IDENTITY_MAP_FORM, L=True)),
+    (textio.map_from_json, dict(IDENTITY_MAP_FORM, L=4.0)),
 ])
 def test_malformed_map_and_params_forms_raise_parse_error(read, data):
     with pytest.raises(textio.ParseError):

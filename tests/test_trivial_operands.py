@@ -27,7 +27,7 @@ def _generic(x):
     if isinstance(x, Supernumber):
         return len(x.terms) > 1 or bool(x.terms) and 0 not in x.terms
     terms = x.num.terms if isinstance(x, RSF) else x.terms
-    return len(terms) > 1 or any(m or c.soul() for (_, m), c in terms.items())
+    return len(terms) > 1 or any(m for _, m in terms)
 
 
 def _assert_distributes(x, s, y):
