@@ -210,6 +210,14 @@ class TestEvaluation:
             rsf_z().evaluate(SuperPoint(Supernumber.one(L + 1), (
                 Supernumber.zero(L + 1), Supernumber.zero(L + 1))))
 
+    def test_a_supernumber_operand_must_match_the_superpolynomial(self):
+        P = SuperPolynomial.theta(L) + SuperPolynomial.z_power(L, 1)
+        other = Supernumber.generator(L - 2, 1)
+        for operation in (lambda: P * other, lambda: P.scale_left(other),
+                          lambda: P + other, lambda: P - other):
+            with pytest.raises(DimensionMismatch):
+                operation()
+
 
 class TestSubstitution:
     def test_identity_function(self):

@@ -229,7 +229,8 @@ def test_malformed_json_forms_raise_parse_error(read, data):
 ONE_FORM = textio.rsf_to_json(RationalSuperfunction.one(4))
 PARAMS_FORM = textio.params_to_json(
     Sampler(random.Random(13), 4).automorphism_params(1))
-# the identity at twist 1: body-only values, which read at any L >= 0
+# the identity at twist 1: its values are body-only, so its map form reads
+# at L = 1 too
 IDENTITY = group_action(1, MatrixGroupElement.identity(4))
 IDENTITY_PARAMS_FORM = textio.params_to_json(IDENTITY.params)
 IDENTITY_MAP_FORM = textio.map_to_json(IDENTITY.southern)
