@@ -462,10 +462,10 @@ class SuperPolynomial:
         # has been added; the sum step is `scalars.add_triple`, written out
         acc = {}
         gcd = math.gcd
-        right = [(k, m, a, b, d) for (k, m), a, b, d in triples(other.terms.items())]
+        right = triples(other.terms.items())
         for (k1, m1), a1, b1, d1 in triples(self.terms.items()):
             above = _above_parity(m1)
-            for k2, m2, a2, b2, d2 in right:
+            for (k2, m2), a2, b2, d2 in right:
                 if m1 & m2:
                     continue
                 pa = a1 * a2 - b1 * b2
