@@ -33,7 +33,7 @@ through that g's own factors eps^(-1) (c z + d)^(1-|n|) for n != 0.
 Parameters are recovered from a map exactly: the scalar Moebius part is
 normalized to determinant one (sign fixed by a deterministic tie-break;
 the two-fold ambiguity is precisely the double cover below), the soul
-corrections are read off values and derivatives at one regular point, and
+corrections are read off values of f at three regular points, and
 the regime shapes are pinned by exact reads of f and psi+-, by comparing
 the short-side g with the family's and by the constraint, which leaves
 the tower-side g one solution.
@@ -56,9 +56,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .scalars import HALF, I as IMAG, NotASquare, ONE, grat
+from .scalars import I as IMAG, NotASquare, ONE, grat, ratio
 from .grassmann import Supernumber
 from .superfield import (
+    PoleAtPoint,
     RationalSuperfunction,
     SuperPolynomial,
     SuperfieldError,
@@ -347,53 +348,8 @@ def _regular_point(f, c0, d0, start=0):
     return z0
 
 
-def _value_at(F, z0):
-    """F(z0) for a theta-free F and an integer z0, as the value of the
-    numerator over that of the denominator.  A pole at z0 means F is no
-    family component."""
-    q0 = F.den.eval_scalar(z0)
-    if not q0 or (not z0 and F.num.min_z() < 0):
-        raise NotInFamily(f"a component has a pole at z = {z0}")
-    z = grat(z0)
-    return sum((c.scale(z ** k) for (k, _), c in F.num.coefficients().items()),
-               Supernumber.zero(F.L)).scale(q0.inverse())
-
-
-def _values_at(F, z0):
-    """[F(z0), F'(z0), F''(z0)]: the value by `_value_at`, the derivatives
-    by the quotient rule on the values of numerator and denominator."""
-    value = _value_at(F, z0)
-    q0 = F.den.eval_scalar(z0)
-    d1 = F.den.derivative()
-    q1, q2 = d1.eval_scalar(z0), d1.derivative().eval_scalar(z0)
-    r0 = q0.inverse()  # 1/den and its derivatives at z0
-    r1, r2 = -q1 * r0 * r0, (q1 * q1 * r0 * 2 - q2) * r0 * r0
-    z = grat(z0)
-    out = [Supernumber.zero(F.L)] * 2
-    for (k, _), coeff in F.num.coefficients().items():
-        # z^k and its derivatives at z0; the factor k or k (k - 1) is zero
-        # wherever z0 = 0 would meet a negative power
-        p0 = z ** k
-        p1 = k * z ** (k - 1) if k else 0
-        p2 = k * (k - 1) * z ** (k - 2) if k * (k - 1) else 0
-        w = (p1 * r0 + p0 * r1, p2 * r0 + 2 * p1 * r1 + p0 * r2)
-        out = [acc + coeff.scale(wj) if wj else acc for acc, wj in zip(out, w)]
-    return [value, *out]
-
-
-def recover_moebius(m):
-    """Exact (a, b, c, d) with f = (a z + b)/(c z + d) and det one.
-
-    The scalar part (a0, b0, c0, d0) is normalized by an exact
-    Gaussian-rational square root and the sign tie-break.  The soul
-    correction is read off f at one regular point z0: with delta = c z0 + d,
-    f' = (c z + d)^-2 and f'' = -2c (c z + d)^-3 give
-    delta = delta0 (f'(z0) delta0^2)^(-1/2) for delta0 = c0 z0 + d0, then
-    a z0 + b = f(z0) delta, c = -f''(z0) delta^3 / 2 and, by the
-    determinant, a = (1 + (a z0 + b) c)/delta.  A unimodular quadruple
-    with a given body sign is unique, and f (c z + d) = a z + b, checked
-    cross-multiplied as N_f (c z + d) = (a z + b) D_f, confirms it.
-    """
+def _moebius_and_points(m):
+    """`recover_moebius`'s (a, b, c, d), and the points z0 and z1 it read f at."""
     scalars = m.moebius_body()
     if scalars is None:
         raise NotInFamily("body of f is not a Moebius map")
@@ -409,20 +365,40 @@ def recover_moebius(m):
 
     L = m.L
     z0 = _regular_point(m.f, c0, d0)
-    delta0 = c0 * z0 + d0
-    f0, f1, f2 = _values_at(m.f, z0)
-    # f'(z0) delta0^2 has body one, as body(f)' = (c0 z + d0)^(-2) at det one
-    delta = invsqrt_one_plus_soul(f1.scale(delta0 * delta0)).scale(delta0)
-    beta = f0 * delta
-    c = (f2 * delta ** 3).scale(-HALF)
-    a = (Supernumber.one(L) + beta * c) * delta.inverse()
-    b = beta - a.scale(z0)
-    d = delta - c.scale(z0)
+    z1 = _regular_point(m.f, c0, d0, z0 + 1)
+    z2 = _regular_point(m.f, c0, d0, z1 + 1)
+    f0, f1, f2 = m.f.values_at((z0, z1, z2))
+    u1, u2 = ((f - f0).inverse().scale(z - z0) for f, z in ((f1, z1), (f2, z2)))
+    cd0 = (u1 - u2).scale(ratio(1, z1 - z2))  # c delta
+    delta0 = c0 * z0 + d0  # the body of delta, so x = (delta/delta0)^2 is 1 + soul
+    x = (u1 - cd0.scale(z1 - z0)).scale((delta0 * delta0).inverse())
+    root = invsqrt_one_plus_soul(x)
+    delta, inv = (x * root).scale(delta0), root.scale(delta0.inverse())
+    a, c = (Supernumber.one(L) + f0 * cd0) * inv, cd0 * inv
+    b, d = f0 * delta - a.scale(z0), delta - c.scale(z0)
 
     if m.f.num * _linear(L, c, d).num != \
             _linear(L, a, b).num.mul_scalar_poly(m.f.den):
         raise NotInFamily("f is not of the form (a z + b)/(c z + d)")
-    return a, b, c, d
+    return (a, b, c, d), (z0, z1)
+
+
+def recover_moebius(m):
+    """Exact (a, b, c, d) with f = (a z + b)/(c z + d) and det one.
+
+    The scalar part (a0, b0, c0, d0) is normalized by an exact
+    Gaussian-rational square root and the sign tie-break.  The soul
+    correction is read off f at the regular point z0 and the next two,
+    z1 and z2: as f(x) - f(y) = (x - y)/((c x + d)(c y + d)), with
+    delta = c z0 + d and h_i = z_i - z0,
+        h_i / (f(z_i) - f(z0)) = delta^2 + c delta h_i
+    gives c delta and delta^2; delta is the root with body c0 z0 + d0,
+    and a z0 + b = f(z0) delta, a delta = 1 + f(z0) c delta by the
+    determinant.  A unimodular quadruple with a given body sign is unique,
+    and f (c z + d) = a z + b, checked cross-multiplied as
+    N_f (c z + d) = (a z + b) D_f, confirms it.
+    """
+    return _moebius_and_points(m)[0]
 
 
 def _psi_coeffs(F, czd, length, what, n):
@@ -452,11 +428,12 @@ def _psi_coeffs(F, czd, length, what, n):
 def validate_map(m, n):
     """Recover AutomorphismParams from a map, or raise NotInFamily.
 
-    psi+- are read by `_psi_coeffs`; eps is read at the regular point z0
-    of `recover_moebius`, or the next one if c z0 + d = 1 there while
-    c z + d is not 1 everywhere, with delta = c z0 + d, as
-    g_short(z0) delta^(1 - |n|) for n != 0 and as
-    g+(z0) delta^2 / (delta + y+(z0)) for n = 0, where the linear y+ is
+    psi+- are read by `_psi_coeffs`; eps is read from one value of the
+    short-side g, at the point z0 where `recover_moebius` reads f, or at
+    the next one, z1, if c z0 + d = 1 there while c z + d is not 1
+    everywhere.  With z that point and delta = c z + d, eps is
+    g_short(z) delta^(1 - |n|) for n != 0 and
+    g+(z) delta^2 / (delta + y+(z)) for n = 0, where the linear y+ is
     given by g+ = eps (c z + d + y+) / (c z + d)^2.  Data that is no
     parameter set is not in the family either.  The reads pin f and psi+-
     exactly; the short-side g must be `_short_g` ("short-side g differs
@@ -465,26 +442,27 @@ def validate_map(m, n):
     superconformal constraint").  The returned parameters carry the map
     itself, which `SphereAutomorphism.build` returns as it is.
     """
-    a, b, c, d = recover_moebius(m)
+    (a, b, c, d), (z0, z1) = _moebius_and_points(m)
     L = m.L
     czd = _linear(L, c, d)
-    z0 = _regular_point(m.f, c.body(), d.body())
-    if (c or d != 1) and c.scale(z0) + d == 1:
-        # where c z0 + d = 1 every power of c z + d is 1, so the eps read
-        # could not see a wrong exponent; no two points both give 1
-        z0 = _regular_point(m.f, c.body(), d.body(), z0 + 1)
-    delta = c.scale(z0) + d
+    # where c z0 + d = 1 every power of c z + d is 1, so the eps read could
+    # not see a wrong exponent; no two points both give 1
+    z = z1 if (c or d != 1) and c.scale(z0) + d == 1 else z0
+    delta = c.scale(z) + d
     psi_plus, psi_minus = (
         _psi_coeffs(F, czd, length, what, n) for F, length, what in zip(
             (m.psi_plus, m.psi_minus), AutomorphismParams.psi_lengths(n),
             ("psi+", "psi-")))
     g_s = sides(n, m.g_plus, m.g_minus)[0]
+    try:
+        [value] = g_s.values_at((z,))
+    except PoleAtPoint as exc:
+        raise NotInFamily(f"a component has {exc}") from exc
     if n == 0:
         lead, const = _y_linear(psi_plus, psi_minus, c, d)
-        eps = (_value_at(g_s, z0) * delta * delta
-               * (delta + lead.scale(z0) + const).inverse())
+        eps = value * delta * delta * (delta + lead.scale(z) + const).inverse()
     else:
-        eps = _value_at(g_s, z0) * delta ** (1 - abs(n))
+        eps = value * delta ** (1 - abs(n))
     try:
         params = AutomorphismParams(n, a, b, c, d, eps, psi_plus, psi_minus)
     except InvalidParams as exc:

@@ -888,6 +888,26 @@ class RationalSuperfunction:
         except SingularComposition as exc:
             raise PoleAtPoint(str(exc)) from exc
 
+    def values_at(self, points):
+        """[F(z, 0, 0) for z in points] at integer points z, in one pass over
+        the flat terms: per point, one Q(i) sum per generator mask of the
+        theta-free terms times z^k / den(z).  A pole raises PoleAtPoint."""
+        ks = {k for k, _ in self.num.terms}
+        weights = []  # per point, {k: z^k / den(z) as an unreduced triple}
+        for z in points:
+            q = self.den.eval_scalar(z)
+            if not q or (not z and min(ks, default=0) < 0):
+                raise PoleAtPoint(f"a pole at z = {z}")
+            [(_, qa, qb, qd)] = triples([(None, q.inverse())])
+            weights.append({k: (qa * z ** k, qb * z ** k, qd) if k >= 0
+                            else (qa, qb, qd * z ** -k) for k in ks})
+        sums = [{} for _ in weights]
+        for (k, m), a, b, d in triples(self.num.terms.items()):
+            if not m & 3:
+                for acc, (wa, wb, wd) in zip(sums, (w[k] for w in weights)):
+                    add_triple(acc, m >> 2, a * wa - b * wb, a * wb + b * wa, d * wd)
+        return [Supernumber._make(self.L, reduce_triples(acc)) for acc in sums]
+
     def extend(self, L_new):
         return RationalSuperfunction(self.num.extend(L_new), self.den)
 

@@ -5,8 +5,10 @@ total and per campaign suite."""
 
 import importlib.util
 import random
+import re
 import statistics
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -229,22 +231,45 @@ def test_compare_gives_the_change_in_percent():
     assert bench_pairs.compare(7, None)["change_pct"] is None
 
 
+def tiny_campaign():
+    """A campaign config small enough to trace in a second, run once
+    untraced, so that its caches are filled."""
+    cfg = campaign.CampaignConfig(generators=4, band=1, flow_order=2,
+                                  n_range=(2,), samples=1)
+    campaign.run_campaign(cfg)
+    return cfg
+
+
 def test_suite_opcodes_split_a_tiny_campaign():
     """Each suite's count is the opcodes of its `_run_one` call; counted
     alone, after an untraced run has filled the caches, a suite runs the
     opcodes it ran inside the whole campaign."""
-    cfg = campaign.CampaignConfig(generators=4, band=1, flow_order=2,
-                                  n_range=(2,), samples=1)
-    campaign.run_campaign(cfg)
-    report, total, suites = bench_pairs.opcodes(
+    cfg = tiny_campaign()
+    report, total, suites, _ = bench_pairs.opcodes(
         campaign.run_campaign, cfg, within=campaign._run_one)
     assert report["summary"]["status"] == "pass"
     assert list(suites) == list(campaign.registry(cfg))
     assert all(count > 0 for count in suites.values())
     assert sum(suites.values()) < total
     cid = "spheres.translations.n=2"
-    _, alone, parts = bench_pairs.opcodes(
+    _, alone, parts, _ = bench_pairs.opcodes(
         campaign.run_campaign, cfg, cid, within=campaign._run_one)
     assert parts == {cid: suites[cid]} and alone > suites[cid]
     # without `within` nothing is split
-    assert bench_pairs.opcodes(len, [])[1:] == (0, {})
+    assert bench_pairs.opcodes(len, [])[1:] == (0, {}, Counter())
+
+
+def test_the_busiest_functions_of_a_tiny_campaign_fit_in_its_total():
+    """Every opcode is one function's own, so the own counts sum to the
+    total; the busiest listed are the largest of them, so they sum to no
+    more than it, and each is named by its file, line and name."""
+    _, total, _, own = bench_pairs.opcodes(campaign.run_campaign,
+                                           tiny_campaign())
+    assert sum(own.values()) == total
+    functions = bench_pairs.busiest(own)
+    assert len(functions) == bench_pairs.TOP_FUNCTIONS
+    assert sum(functions.values()) <= total
+    assert list(functions.values()) == sorted(own.values(), reverse=True)[
+        :bench_pairs.TOP_FUNCTIONS]
+    assert all(re.fullmatch(r"\S+/\S+\.py:\d+ \S+", key) for key in functions)
+    assert any(key.startswith("supersphere/") for key in functions)

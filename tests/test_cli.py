@@ -518,17 +518,20 @@ def test_short_side_exponent_mutant_fails_a_named_law(cid, law, monkeypatch):
 
 
 def test_short_side_exponent_mutant_is_rejected_where_d_is_one(monkeypatch):
-    """a = c = d = 1, b = 0: c z + d is 1 at z = 0 only, and the eps read
-    avoids that point, where every power of c z + d reads 1 and recovery
-    would agree with the mutant's build."""
+    """a = c = d = 1, b = 0, and a = d = 1, b = 0 with the soul c = z1 z2:
+    c z + d is 1 at z = 0 only, and the eps read avoids that point, where
+    every power of c z + d reads 1 and recovery would agree with the
+    mutant's build."""
     L = 6
     one, zero = Supernumber.one(L), Supernumber.zero(L)
-    p = spheres.AutomorphismParams(3, one, zero, one, one, one,
-                                   psi_minus=[zero] * 5)
     monkeypatch.setattr(spheres, "_short_g", short_side_exponent_mutant())
-    member = spheres.build_map(p)
-    with pytest.raises(spheres.NotInFamily, match="short-side g differs"):
-        spheres.validate_map(member, 3)
+    soul = Supernumber.generator(L, 1) * Supernumber.generator(L, 2)
+    for c in (one, soul):
+        p = spheres.AutomorphismParams(3, one, zero, c, one, one,
+                                       psi_minus=[zero] * 5)
+        member = spheres.build_map(p)
+        with pytest.raises(spheres.NotInFamily, match="short-side g differs"):
+            spheres.validate_map(member, 3)
 
 
 def test_dependent_twist_basis_fails_solvability(monkeypatch):

@@ -352,6 +352,23 @@ def test_point_recovery_matches_substitution_recovery(body, n):
     assert build_map(validate_map(m, n)) == m
 
 
+@pytest.mark.parametrize("n", [-2, 0, 3])
+def test_recovery_reads_values_only(n, monkeypatch):
+    """recover_moebius reads values of f: it takes no derivative and does
+    not regroup the flat terms by z power."""
+    m = build_map(Sampler(random.Random(40 + n), L).automorphism_params(n))
+
+    def forbidden(*args):
+        raise AssertionError("recovery read more than values of f")
+
+    for cls, name in ((RSF, "diff_z"), (SuperPolynomial, "diff_z"),
+                      (ScalarPoly, "derivative"), (SuperPolynomial, "coefficients")):
+        monkeypatch.setattr(cls, name, forbidden)
+    recovered = recover_moebius(m)
+    monkeypatch.undo()
+    assert recovered == substitution_recovery(m)
+
+
 def test_regular_point_skips_poles_and_the_moebius_root():
     # a Laurent numerator rules out 0 and c0 z + d0 = z - 1 rules out 1
     laurent = RSF(SuperPolynomial(L, {(-1, 0): one}),
@@ -364,6 +381,44 @@ def test_regular_point_skips_poles_and_the_moebius_root():
     poles = RSF(SuperPolynomial(L, {(0, 0): one}),
                 ScalarPoly({2: grat(1), 1: grat(-3), 0: grat(2)}))
     assert spheres._regular_point(poles, grat(1), grat(0)) == 3
+
+
+# (a, b, c, d) of a twist-3 member, with the point z0 where recovery reads
+# f and the point where the eps read takes the short-side g: z0, unless
+# c z0 + d = 1 exactly there while c z + d is not 1 everywhere
+SOUL = gen(1) * gen(2)
+EPS_READ_POINTS = {
+    "c = 0, d = 1": ((one, zero, zero, one), 0, 0),
+    "c = z1z2, d = 1": ((one, zero, SOUL, one), 0, 1),
+    "c = 1 + z1z2, d = -z1z2": ((zero, SOUL - one, one + SOUL, -SOUL), 1, 2),
+    # c z + d = 1 at z = 1, but recovery reads f at z0 = 0
+    "c = z1z2, d = 1 - z1z2": ((one + SOUL, zero, SOUL, one - SOUL), 0, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EPS_READ_POINTS))
+def test_eps_is_read_where_c_z_plus_d_is_not_one(case):
+    """A pole of the short-side g at the read point is reported there; one
+    at the other of z0 and the next regular point goes unseen by the read
+    and fails the comparison with the family's g."""
+    entries, z0, read = EPS_READ_POINTS[case]
+    member = build_map(AutomorphismParams(3, *entries, one,
+                                          psi_minus=[zero] * 5))
+    assert spheres._regular_point(member.f, entries[2].body(),
+                                  entries[3].body()) == z0
+    for pole in {z0, spheres._regular_point(member.f, entries[2].body(),
+                                            entries[3].body(), z0 + 1)}:
+        g_plus = member.g_plus + RSF(
+            SuperPolynomial(L, {(0, 0): gen(3) * gen(4)}),
+            ScalarPoly({1: grat(1), 0: grat(-pole)}))
+        forged = SuperconformalMap(member.f, g_plus, member.g_minus,
+                                   member.psi_plus, member.psi_minus)
+        message = (f"a component has a pole at z = {read}" if pole == read
+                   else "short-side g differs")
+        with pytest.raises(NotInFamily, match=message):
+            validate_map(forged, 3)
+    assert validate_map(member, 3) == AutomorphismParams(
+        3, *entries, one, psi_minus=[zero] * 5)
 
 
 @pytest.mark.parametrize("n", [-2, -1, 0, 1, 3])

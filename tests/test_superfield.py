@@ -441,6 +441,43 @@ def test_evaluation_matches_the_direct_reference(seed):
         assert F.evaluate(point) == want
 
 
+def value_read_case(seed):
+    """A Sampler numerator with odd variables and powers of z down to
+    z^(-2), over up to two linear factors whose roots are in 0..3."""
+    s = Sampler(random.Random(seed), L)
+    den = ScalarPoly.one()
+    for _ in range(s.rng.randrange(3)):
+        den = den * ScalarPoly({1: grat(1), 0: grat(-s.rng.randrange(4))})
+    return RSF(s.superpoly(max_terms=4, z_span=(-2, 2)), den)
+
+
+@settings(deadline=None, max_examples=60)
+@given(seeds)
+@example(0)  # a pole at 3, the denominator's root
+@example(30)  # theta-free, with a Laurent numerator: poles at 0 and 2
+@example(17)  # poles at 0, 2 and 3, one point regular
+def test_values_at_integer_points_are_the_evaluations(seed):
+    """values_at reads F(z, 0, 0) as `evaluate` does, and raises PoleAtPoint
+    where it does; several points in one call give the values one by one,
+    and the theta-free part of F has the same values."""
+    F = value_read_case(seed)
+    want = {}
+    for z in range(4):
+        try:
+            want[z] = F.evaluate(zero_point(Supernumber.scalar(L, z)))
+        except PoleAtPoint:
+            with pytest.raises(PoleAtPoint, match=f"a pole at z = {z}"):
+                F.values_at((z,))
+        else:
+            assert F.values_at((z,)) == [want[z]]
+    regular = sorted(want)
+    assert F.values_at(regular) == [want[z] for z in regular]
+    assert F.theta_component(0).values_at(regular) == [want[z] for z in regular]
+    if len(regular) < 4:
+        with pytest.raises(PoleAtPoint):
+            F.values_at(range(4))
+
+
 # numerators with a component that the denominator divides: it cancels
 # after diff_theta or theta_component (_THETA_PART) and after scaling by
 # z[1] (_GENERATOR_PART)

@@ -36,8 +36,11 @@ which imports that tree's `perfbench/workloads.py` under
 PYTHONHASHSEED=0.  The file records both counts, the change in % and
 each side's failed ops of that pass, and for `campaign`, whose pass runs
 one pinned configuration, the same per suite (`suites`), so it shows
-where a saving sits.  The file is rewritten after every pair, so an
-interrupted set keeps its pairs.
+where a saving sits.  Beside them, `functions` lists each side's 15
+functions with the most opcodes of their own in that pass, as
+"dir/file:line name" -> count, to size a change before it is made.  The
+file is rewritten after every pair, so an interrupted set keeps its
+pairs.
 """
 
 from __future__ import annotations
@@ -50,9 +53,11 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 CHILD_TIMEOUT_S = 600
+TOP_FUNCTIONS = 15  # the busiest functions a traced pass lists per side
 HERE = Path(__file__).resolve().parent
 # the child that counts a pass: cwd is an exported tree, and this file
 # (which the parent revision may lack) is imported from HERE
@@ -110,18 +115,20 @@ def run_child(tree, workload, seed, seconds, trace):
 
 def opcodes(call, *args, within=None):
     """(call(*args), the number of Python opcodes it ran on this thread,
-    and {first argument: opcodes} over the calls of the function `within`,
-    its own and those of everything it called), counted with `sys.settrace`
-    and `f_trace_opcodes`.  Work inside C, such as big-integer arithmetic
-    or a cache hit, counts nothing."""
+    {first argument: opcodes} over the calls of the function `within`,
+    its own and those of everything it called, and a Counter of each code
+    object's own opcodes), counted with `sys.settrace` and
+    `f_trace_opcodes`.  Work inside C, such as big-integer arithmetic or a
+    cache hit, counts nothing."""
     count = 0
     code = getattr(within, "__code__", None)
-    starts, parts = {}, {}
+    starts, parts, own = {}, {}, Counter()
 
     def trace(frame, event, arg):
         nonlocal count
         if event == "opcode":
             count += 1
+            own[frame.f_code] += 1
         elif event == "call":
             frame.f_trace_opcodes = True
             if frame.f_code is code:
@@ -136,24 +143,33 @@ def opcodes(call, *args, within=None):
         result = call(*args)
     finally:
         sys.settrace(None)
-    return result, count, parts
+    return result, count, parts, own
+
+
+def busiest(own):
+    """{"dir/file:line name": own opcodes} of the TOP_FUNCTIONS code objects
+    of an `opcodes` Counter that ran the most opcodes themselves."""
+    return {f"{Path(c.co_filename).parent.name}/{Path(c.co_filename).name}:"
+            f"{c.co_firstlineno} {c.co_name}": n
+            for c, n in own.most_common(TOP_FUNCTIONS)}
 
 
 def pass_opcodes(workload, seed):
     """The opcodes and failed ops of one pass of `make_passes(seed, 1)` of
-    a workload, and the opcodes of each campaign suite the pass runs
+    a workload, the opcodes of each campaign suite the pass runs
     (`suites`, by suite id: the calls of `campaign._run_one`, empty for
-    the other workloads); the inputs are made untraced.  Runs in
-    OPCODE_CHILD."""
+    the other workloads) and its `busiest` functions (`functions`); the
+    inputs are made untraced.  Runs in OPCODE_CHILD."""
     from workloads import WORKLOADS
     from supersphere import campaign
     wl = WORKLOADS[workload]()
     [inputs] = wl.make_passes(seed, 1)
-    done, count, suites = opcodes(wl.run_pass, inputs,
-                                  within=getattr(campaign, "_run_one", None))
+    done, count, suites, own = opcodes(
+        wl.run_pass, inputs, within=getattr(campaign, "_run_one", None))
     return {"opcodes": count,
             "failed": sum(op.error is not None for op in done),
-            "suites": suites}
+            "suites": suites,
+            "functions": busiest(own)}
 
 
 def compare(parent, change):
@@ -343,6 +359,8 @@ def main(argv=None):
                                for side in ("parent", "change")},
                     "suites": {cid: compare(parent.get(cid), change.get(cid))
                                for cid in {**parent, **change}},
+                    "functions": {side: counts[side]["functions"]
+                                  for side in ("parent", "change")},
                 }
             save()
     if args.claim:
