@@ -14,12 +14,19 @@ Suite ids follow a dotted scheme (grassmann.laws, spheres.closure.n=2,
 ns.jacobi, ...); `registry` lists them for a configuration and
 `run_campaign` executes them all, or one of them, into a JSON-ready
 report.
+
+The full campaign runs its suites in forked workers, one per usable CPU,
+and gathers the records in registry order, so the report bytes are those
+of a run in this process.  With `timings`, a suite's `elapsed_ms` is its
+own wall time while other suites run beside it.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import random
+import sys
 import time
 from dataclasses import dataclass, fields
 
@@ -867,6 +874,78 @@ def _run_one(cid, law, fn, cfg):
     return record
 
 
+# a forked worker's configuration and (id, law, suite) list
+_FORKED = None
+
+
+def _adopt(cfg, items, cpus):
+    """Start a worker on its own CPU: left to the scheduler, workers
+    forked on an idle box can share one CPU for their first second."""
+    global _FORKED
+    _FORKED = cfg, items
+    os.sched_setaffinity(0, {cpus.get()})
+
+
+def _run_forked(k):
+    cfg, items = _FORKED
+    return _run_one(*items[k], cfg)
+
+
+def _worker_cpus(count):
+    """A CPU per forked worker for `count` suites, one per CPU this
+    process may use; none, to run them here, with one CPU, without fork
+    and `sched_getaffinity` (outside Linux), or under a tracer or
+    profiler, which would not see the workers' calls."""
+    if not hasattr(os, "sched_getaffinity") or sys.gettrace() \
+            or sys.getprofile():
+        return []
+    cpus = sorted(os.sched_getaffinity(0))[:count]
+    return cpus if len(cpus) > 1 else []
+
+
+def _lost(exc):
+    def suite(cfg, rng):
+        raise exc
+    return suite
+
+
+def _run_all(items, cfg):
+    """The records of `items`, each (id, law, suite), in their order.
+
+    Workers inherit the suites through fork, since `_bind`'s lambdas do
+    not pickle, and take them as indices, the per-twist sphere suites
+    first, so that none of those long ones finishes last.  Each suite a
+    dead worker leaves without a record is recorded as raising
+    `BrokenProcessPool`.
+    """
+    cpus = _worker_cpus(len(items))
+    if not cpus:
+        return [_run_one(*item, cfg) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    from multiprocessing import get_context
+
+    fork = get_context("fork")
+    free = fork.SimpleQueue()
+    for cpu in cpus:
+        free.put(cpu)
+    pool = ProcessPoolExecutor(len(cpus), mp_context=fork, initializer=_adopt,
+                               initargs=(cfg, items, free))
+    try:
+        order = sorted(range(len(items)),
+                       key=lambda k: ".n=" not in items[k][0])
+        futures = {k: pool.submit(_run_forked, k) for k in order}
+        records = []
+        for k, (cid, law, _) in enumerate(items):
+            try:
+                records.append(futures[k].result())
+            except BrokenProcessPool as exc:
+                records.append(_run_one(cid, law, _lost(exc), cfg))
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return records
+
+
 def _config_dict(cfg):
     """The configuration as the report records it: every field but timings."""
     out = {f.name: getattr(cfg, f.name) for f in fields(cfg)
@@ -876,7 +955,8 @@ def _config_dict(cfg):
 
 
 def run_campaign(cfg, only=None):
-    """Run every registered suite, or only the one with id `only`.
+    """Run every registered suite, or only the one with id `only` (in
+    this process).
 
     Deterministic for a fixed config; an unknown id raises UsageError.
     """
@@ -886,7 +966,8 @@ def run_campaign(cfg, only=None):
             known = ", ".join(sorted(checks))
             raise UsageError(f"unknown check id {only!r}; known ids: {known}")
         checks = {only: checks[only]}
-    records = [_run_one(cid, law, fn, cfg) for cid, (law, fn) in checks.items()]
+    records = _run_all([(cid, law, fn) for cid, (law, fn) in checks.items()],
+                       cfg)
     failed = sum(r["status"] == "fail" for r in records)
     noted = sum(r["status"] == "discrepancies" for r in records)
     errors = sum(r["status"] == "error" for r in records)

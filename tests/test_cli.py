@@ -1,8 +1,13 @@
 import ast
+import contextlib
 import hashlib
 import inspect
 import json
+import multiprocessing
+import os
 import random
+import signal
+import sys
 
 import pytest
 
@@ -616,6 +621,134 @@ def test_raising_suite_is_recorded_and_the_run_goes_on(monkeypatch, tmp_path,
     assert "raised an error" in out
     saved = json.loads((tmp_path / "report.json").read_text())
     assert saved["summary"]["errors"] == 1
+
+
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+forked = pytest.mark.skipif(
+    CPUS < 2 or sys.gettrace() is not None or sys.getprofile() is not None,
+    reason="the campaign forks workers only with two usable CPUs and no "
+           "tracer or profiler")
+
+
+def counting_run_one(monkeypatch):
+    """The `_run_one` calls this process makes (a forked worker counts
+    its own, which this process never sees)."""
+    calls = []
+    real = campaign._run_one
+
+    def run_one(cid, law, fn, cfg):
+        calls.append(cid)
+        return real(cid, law, fn, cfg)
+
+    monkeypatch.setattr(campaign, "_run_one", run_one)
+    return calls
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in this thread if the block takes longer."""
+    def hung(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("cfg", [
+    tiny_config(), tiny_config(generators=6, n_range=(-3, 2))],
+    ids=["tiny", "towers"])
+def test_forked_and_serial_campaigns_write_the_same_bytes(cfg, monkeypatch):
+    """With one usable CPU the suites run in this process; with more they
+    run in forked workers, which write the same bytes and are all gone
+    when `run_campaign` returns."""
+    calls = counting_run_one(monkeypatch)
+    with monkeypatch.context() as one_cpu:
+        one_cpu.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = report_bytes(run_campaign(cfg))
+    assert calls == list(registry(cfg))
+    assert multiprocessing.active_children() == []
+    if CPUS < 2:
+        pytest.skip("one usable CPU: no forked run to compare")
+    calls.clear()
+    assert report_bytes(run_campaign(cfg)) == serial
+    assert calls == []
+    assert multiprocessing.active_children() == []
+
+
+@forked
+def test_a_dead_worker_errors_the_suites_it_leaves_and_the_run_goes_on(
+        monkeypatch, tmp_path, capsys):
+    cfg = tiny_config()
+    clean = run_campaign(cfg)
+    killed = "spheres.closure.n=0"
+    parent = os.getpid()
+    real_registry = campaign.registry
+
+    def dying_suite(cfg, rng):
+        if os.getpid() == parent:
+            raise RuntimeError("the suite ran in the parent process")
+        os._exit(1)
+
+    def registry_with_dying_suite(cfg):
+        checks = real_registry(cfg)
+        law, _ = checks[killed]
+        checks[killed] = (law, dying_suite)
+        return checks
+
+    monkeypatch.setattr(campaign, "registry", registry_with_dying_suite)
+    with deadline(120):
+        report = run_campaign(cfg)
+    assert multiprocessing.active_children() == []
+    assert [r["id"] for r in report["checks"]] == \
+        [r["id"] for r in clean["checks"]]
+    lost = []
+    for got, want in zip(report["checks"], clean["checks"]):
+        if got["id"] == killed or got != want:
+            lost.append(got["id"])
+            assert got["status"] == "error"
+            assert got["error"]["type"] == "BrokenProcessPool"
+            assert (got["samples"], got["failures"], got["discrepancies"]) \
+                == (0, [], [])
+    assert killed in lost
+    assert report["summary"] == dict(clean["summary"], status="error",
+                                     errors=len(lost))
+
+    args = ["--generators", "4", "--band", "1", "--flow-order", "3",
+            "--n-range=-1..1", "--samples", "2", "--seed", "99",
+            "--report", str(tmp_path / "report.json")]
+    with deadline(120):
+        assert main(args) == 3
+    assert multiprocessing.active_children() == []
+    assert f"ERROR {killed} (0 samples) BrokenProcessPool: " in \
+        capsys.readouterr().out
+
+
+@pytest.mark.parametrize("install", [sys.settrace, sys.setprofile],
+                         ids=["settrace", "setprofile"])
+def test_a_tracer_sees_every_suite_run_in_this_process(install):
+    """Coverage, profilers and the opcode counter see the suites' work: a
+    tracer or profiler keeps the campaign in this process."""
+    cfg = tiny_config()
+    code = campaign._run_one.__code__
+    seen = []
+
+    def tracer(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            seen.append(frame.f_locals["cid"])
+
+    previous = sys.gettrace() if install is sys.settrace else sys.getprofile()
+    install(tracer)
+    try:
+        report = run_campaign(cfg)
+    finally:
+        install(previous)
+    assert seen == [r["id"] for r in report["checks"]] == list(registry(cfg))
+    assert multiprocessing.active_children() == []
 
 
 def test_twist_range_parsing():
