@@ -874,7 +874,7 @@ def _run_one(cid, law, fn, cfg):
     return record
 
 
-# a forked worker's configuration and (id, law, suite) list
+# a forked worker's configuration and (id, law, suite) list, set by `_adopt`
 _FORKED = None
 
 
@@ -909,8 +909,8 @@ def _lost(exc):
     return suite
 
 
-def _run_all(items, cfg):
-    """The records of `items`, each (id, law, suite), in their order.
+def _run_all(checks, cfg):
+    """The records of `checks`, a registry mapping, in its order.
 
     Workers inherit the suites through fork, since `_bind`'s lambdas do
     not pickle, and take them as indices, the per-twist sphere suites
@@ -918,6 +918,7 @@ def _run_all(items, cfg):
     dead worker leaves without a record is recorded as raising
     `BrokenProcessPool`.
     """
+    items = [(cid, law, fn) for cid, (law, fn) in checks.items()]
     cpus = _worker_cpus(len(items))
     if not cpus:
         return [_run_one(*item, cfg) for item in items]
@@ -966,8 +967,7 @@ def run_campaign(cfg, only=None):
             known = ", ".join(sorted(checks))
             raise UsageError(f"unknown check id {only!r}; known ids: {known}")
         checks = {only: checks[only]}
-    records = _run_all([(cid, law, fn) for cid, (law, fn) in checks.items()],
-                       cfg)
+    records = _run_all(checks, cfg)
     failed = sum(r["status"] == "fail" for r in records)
     noted = sum(r["status"] == "discrepancies" for r in records)
     errors = sum(r["status"] == "error" for r in records)

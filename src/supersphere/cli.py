@@ -67,8 +67,9 @@ def build_parser():
     parser.add_argument("--check", type=str, default=None, metavar="ID",
                         help="run a single registered check")
     parser.add_argument("--timings", action="store_true",
-                        help="include wall-clock timings in the report "
-                             "(breaks byte-for-byte determinism)")
+                        help="include each suite's wall-clock time, taken "
+                             "while other suites run in parallel, in the "
+                             "report (breaks byte-for-byte determinism)")
     parser.add_argument("--list", action="store_true", dest="list_checks",
                         help="list registered check ids and exit")
     return parser
