@@ -15,10 +15,11 @@ ns.jacobi, ...); `registry` lists them for a configuration and
 `run_campaign` executes them all, or one of them, into a JSON-ready
 report.
 
-The full campaign runs its suites in forked workers, one per usable CPU,
-and gathers the records in registry order, so the report bytes are those
-of a run in this process.  With `timings`, a suite's `elapsed_ms` is its
-own wall time while other suites run beside it.
+The full campaign runs its suites on every usable CPU: this process on
+one, a forked worker on each other, and gathers the records in registry
+order, so the report bytes are those of a run in this process alone.
+With `timings`, a suite's `elapsed_ms` is its own wall time while other
+suites run beside it.
 """
 
 from __future__ import annotations
@@ -892,10 +893,10 @@ def _run_forked(k):
 
 
 def _worker_cpus(count):
-    """A CPU per forked worker for `count` suites, one per CPU this
-    process may use; none, to run them here, with one CPU, without fork
-    and `sched_getaffinity` (outside Linux), or under a tracer or
-    profiler, which would not see the workers' calls."""
+    """The CPUs to run `count` suites on, the first for this process and
+    one per forked worker; none, to run them all here, with one CPU,
+    without fork and `sched_getaffinity` (outside Linux), or under a
+    tracer or profiler, which would not see the workers' calls."""
     if not hasattr(os, "sched_getaffinity") or sys.gettrace() \
             or sys.getprofile():
         return []
@@ -912,11 +913,14 @@ def _lost(exc):
 def _run_all(checks, cfg):
     """The records of `checks`, a registry mapping, in its order.
 
-    Workers inherit the suites through fork, since `_bind`'s lambdas do
-    not pickle, and take them as indices, the per-twist sphere suites
-    first, so that none of those long ones finishes last.  Each suite a
-    dead worker leaves without a record is recorded as raising
-    `BrokenProcessPool`.
+    The suites are lined up with the per-twist sphere suites, the long
+    ones, first.  This process runs the front of the line, one share of
+    it per CPU, and the workers the rest, dealt out in turn, so each runs
+    a fixed share whatever the timing.  Suites run here are timed between
+    this process's own work, like a serial run's.  Workers
+    inherit the suites through fork, since `_bind`'s lambdas do not
+    pickle, and take them as indices.  Each suite a dead worker leaves
+    without a record is recorded as raising `BrokenProcessPool`.
     """
     items = [(cid, law, fn) for cid, (law, fn) in checks.items()]
     cpus = _worker_cpus(len(items))
@@ -928,23 +932,23 @@ def _run_all(checks, cfg):
 
     fork = get_context("fork")
     free = fork.SimpleQueue()
-    for cpu in cpus:
+    for cpu in cpus[1:]:
         free.put(cpu)
-    pool = ProcessPoolExecutor(len(cpus), mp_context=fork, initializer=_adopt,
-                               initargs=(cfg, items, free))
+    pool = ProcessPoolExecutor(len(cpus) - 1, mp_context=fork,
+                               initializer=_adopt, initargs=(cfg, items, free))
+    line = sorted(range(len(items)), key=lambda k: ".n=" not in items[k][0])
+    mine = len(line) - len(line) // len(cpus) * (len(cpus) - 1)
     try:
-        order = sorted(range(len(items)),
-                       key=lambda k: ".n=" not in items[k][0])
-        futures = {k: pool.submit(_run_forked, k) for k in order}
-        records = []
-        for k, (cid, law, _) in enumerate(items):
+        sent = {k: pool.submit(_run_forked, k) for k in line[mine:]}
+        records = {k: _run_one(*items[k], cfg) for k in line[:mine]}
+        for k, future in sent.items():
             try:
-                records.append(futures[k].result())
+                records[k] = future.result()
             except BrokenProcessPool as exc:
-                records.append(_run_one(cid, law, _lost(exc), cfg))
+                records[k] = _run_one(*items[k][:2], _lost(exc), cfg)
     finally:
         pool.shutdown(cancel_futures=True)
-    return records
+    return [records[k] for k in range(len(items))]
 
 
 def _config_dict(cfg):

@@ -664,8 +664,8 @@ def deadline(seconds):
     ids=["tiny", "towers"])
 def test_forked_and_serial_campaigns_write_the_same_bytes(cfg, monkeypatch):
     """With one usable CPU the suites run in this process; with more they
-    run in forked workers, which write the same bytes and are all gone
-    when `run_campaign` returns."""
+    are shared between it and forked workers, which write the same bytes
+    and are all gone when `run_campaign` returns."""
     calls = counting_run_one(monkeypatch)
     with monkeypatch.context() as one_cpu:
         one_cpu.setattr(os, "sched_getaffinity", lambda pid: {0})
@@ -676,7 +676,7 @@ def test_forked_and_serial_campaigns_write_the_same_bytes(cfg, monkeypatch):
         pytest.skip("one usable CPU: no forked run to compare")
     calls.clear()
     assert report_bytes(run_campaign(cfg)) == serial
-    assert calls == []
+    assert 0 < len(calls) < len(registry(cfg))
     assert multiprocessing.active_children() == []
 
 
@@ -685,7 +685,8 @@ def test_a_dead_worker_errors_the_suites_it_leaves_and_the_run_goes_on(
         monkeypatch, tmp_path, capsys):
     cfg = tiny_config()
     clean = run_campaign(cfg)
-    killed = "spheres.closure.n=0"
+    # the back of the line, which the worker runs
+    killed = "flows.group"
     parent = os.getpid()
     real_registry = campaign.registry
 
