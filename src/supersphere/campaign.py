@@ -915,10 +915,9 @@ def _run_all(checks, cfg):
 
     The suites are lined up with the per-twist sphere suites, the long
     ones, first.  This process runs the front of the line, one share of
-    it per CPU, and the workers the rest, dealt out in turn, so each runs
-    a fixed share whatever the timing.  Suites run here are timed between
-    this process's own work, like a serial run's.  Workers
-    inherit the suites through fork, since `_bind`'s lambdas do not
+    it per CPU, and the workers take the rest, so which suites run here
+    does not depend on timing.  Suites run here are timed between this
+    process's own work, like a serial run's.  Workers inherit the suites through fork, since `_bind`'s lambdas do not
     pickle, and take them as indices.  Each suite a dead worker leaves
     without a record is recorded as raising `BrokenProcessPool`.
     """
